@@ -15,6 +15,11 @@
 #                      smoke and the screening bench gate
 #   SMOKE_LANE=megnet  MEGNet suite (-m megnet) plus a --encoder megnet
 #                      finetune CLI smoke and the Table-1 bench gate
+#   SMOKE_LANE=e2e     the end-to-end benchmark's own tests, then its --smoke
+#                      report: exits non-zero on any output-digest mismatch,
+#                      so a change that moves numerics is caught before the
+#                      benchmark pipeline runs (reads benchmarks/e2e, edits
+#                      nothing there)
 #   SMOKE_LANE=full    the whole suite, markers included
 #
 # Scenario suites run on demand: -m fault / -m stability / -m profile.
@@ -139,11 +144,20 @@ megnet)
     PYTHONPATH=src:. python scripts/bench_gate.py --suite table1
     exit 0
     ;;
+e2e)
+    python -m pytest benchmarks/e2e -q "$@"
+    E2E_OUT="$(mktemp -d /tmp/smoke-e2e.XXXXXX)"
+    trap 'rm -rf "$E2E_OUT"' EXIT
+    # Every unit's digest is checked against benchmarks/e2e/expected.json.
+    python -m benchmarks.e2e.run --smoke --out "$E2E_OUT"
+    echo "e2e smoke ok"
+    exit 0
+    ;;
 full)
     PYTHONPATH=src python -m pytest -x -q "$@"
     ;;
 *)
-    echo "unknown SMOKE_LANE: $LANE (expected default|profile|bench|shard|serve|chaos|compile|screen|megnet|full)" >&2
+    echo "unknown SMOKE_LANE: $LANE (expected default|profile|bench|shard|serve|chaos|compile|screen|megnet|e2e|full)" >&2
     exit 2
     ;;
 esac

@@ -18,6 +18,7 @@ from repro.core.pipeline import (
     default_transform,
     make_train_loader,
     make_val_loader,
+    transform_once,
     build_encoder_from_config,
 )
 from repro.core.workflows import (
@@ -44,6 +45,7 @@ __all__ = [
     "default_transform",
     "make_train_loader",
     "make_val_loader",
+    "transform_once",
     "build_encoder_from_config",
     "PretrainResult",
     "pretrain_symmetry",

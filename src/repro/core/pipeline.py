@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.config import EncoderConfig
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, InMemoryDataset
 from repro.data.loaders import DataLoader
 from repro.data.transforms import StructureToGraph
 from repro.models import build_encoder
@@ -24,14 +24,30 @@ def default_transform(cutoff: float = 4.5, cache=None) -> Callable:
     return StructureToGraph(cutoff=cutoff, cache=cache)
 
 
+def transform_once(dataset: Dataset, transform: Callable) -> InMemoryDataset:
+    """Apply a *deterministic* transform to every sample, once per run.
+
+    A loader's own ``transform`` runs per sample per epoch, which is what a
+    stochastic augmentation needs and what a structure -> graph conversion
+    wastes: the workflows convert their materialized datasets here and hand
+    the loaders graph samples.  The samples are shared between epochs, so
+    nothing downstream may modify them in place (collation copies).
+    """
+    return InMemoryDataset([transform(sample) for sample in dataset], name=dataset.name)
+
+
 def make_train_loader(
     dataset: Dataset,
     batch_size: int,
-    transform: Callable,
+    transform: Optional[Callable] = None,
     seed: int = 0,
     drop_last: bool = True,
 ) -> DataLoader:
-    """Shuffling loader that yields *lists of samples* (strategy collates)."""
+    """Shuffling loader that yields *lists of samples* (strategy collates).
+
+    ``transform`` runs on every draw; see :func:`transform_once` for
+    deterministic ones.
+    """
     return DataLoader(
         dataset,
         batch_size=batch_size,
@@ -46,7 +62,7 @@ def make_train_loader(
 def make_val_loader(
     dataset: Dataset,
     batch_size: int,
-    transform: Callable,
+    transform: Optional[Callable] = None,
 ) -> DataLoader:
     """Deterministic validation loader (lists of samples)."""
     return DataLoader(

@@ -27,6 +27,7 @@ from repro.core.pipeline import (
     build_encoder_from_config,
     make_train_loader,
     make_val_loader,
+    transform_once,
 )
 from repro.data.dataset import ConcatDataset
 from repro.data.splits import train_val_split
@@ -165,9 +166,9 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     cutoff = SYMMETRY_CUTOFF if config.radius_range[1] <= 2.5 else MATERIALS_CUTOFF
     transform = StructureToGraph(cutoff=cutoff)
     train_loader = make_train_loader(
-        train_ds, config.effective_batch, transform, seed=config.seed
+        transform_once(train_ds, transform), config.effective_batch, seed=config.seed
     )
-    val_loader = make_val_loader(val_ds, 32, transform)
+    val_loader = make_val_loader(transform_once(val_ds, transform), 32)
 
     encoder = build_encoder_from_config(config.encoder, rng=rng)
     task = MultiClassClassificationTask(
@@ -441,6 +442,7 @@ def train_property(
         num_samples=config.train_samples + config.val_samples,
         seed=config.seed,
     ).materialize()
+    full = transform_once(full, StructureToGraph(cutoff=MATERIALS_CUTOFF))
     train_ds, val_ds = train_val_split(
         full,
         val_fraction=config.val_samples / (config.train_samples + config.val_samples),
@@ -450,9 +452,8 @@ def train_property(
         train_ds[i] for i in range(len(train_ds))
     )
 
-    transform = StructureToGraph(cutoff=MATERIALS_CUTOFF)
-    train_loader = make_train_loader(train_ds, config.batch_size, transform, seed=config.seed)
-    val_loader = make_val_loader(val_ds, 32, transform)
+    train_loader = make_train_loader(train_ds, config.batch_size, seed=config.seed)
+    val_loader = make_val_loader(val_ds, 32)
 
     encoder = build_encoder_from_config(config.encoder, rng=rng)
     task = ScalarRegressionTask(
@@ -537,8 +538,15 @@ def train_multitask(
 ) -> MultiTaskResult:
     """Joint training over MP {gap, zeta, E_form, stability} + CMD {E_form}."""
     rng = np.random.default_rng(config.seed)
-    mp = MaterialsProjectSurrogate(config.mp_samples, seed=config.seed).materialize()
-    cmd = CarolinaSurrogate(config.carolina_samples, seed=config.seed + 1).materialize()
+    transform = StructureToGraph(cutoff=MATERIALS_CUTOFF)
+    mp = transform_once(
+        MaterialsProjectSurrogate(config.mp_samples, seed=config.seed).materialize(),
+        transform,
+    )
+    cmd = transform_once(
+        CarolinaSurrogate(config.carolina_samples, seed=config.seed + 1).materialize(),
+        transform,
+    )
     mp_train, mp_val = train_val_split(
         mp, config.val_fraction, np.random.default_rng((config.seed, 56))
     )
@@ -554,9 +562,8 @@ def train_multitask(
             ["band_gap", "fermi_energy", "formation_energy"]
         ).fit(train_ds[i] for i in range(len(train_ds)))
 
-    transform = StructureToGraph(cutoff=MATERIALS_CUTOFF)
-    train_loader = make_train_loader(train_ds, config.batch_size, transform, seed=config.seed)
-    val_loader = make_val_loader(val_ds, 32, transform)
+    train_loader = make_train_loader(train_ds, config.batch_size, seed=config.seed)
+    val_loader = make_val_loader(val_ds, 32)
 
     encoder = build_encoder_from_config(config.encoder, rng=rng)
     task = MultiTaskModule(

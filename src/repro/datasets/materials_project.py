@@ -19,7 +19,7 @@ from repro.datasets.surrogate_dft import SurrogateDFT
 from repro.geometry.lattice import (
     Lattice,
     fractional_to_cartesian,
-    minimum_image_distances,
+    image_distances,
     random_lattice,
 )
 
@@ -29,6 +29,10 @@ _NOBLE = {2, 10, 18, 36, 54, 86}
 DEFAULT_ELEMENT_POOL: Tuple[int, ...] = tuple(
     z for z in range(1, 84) if z not in _NOBLE
 )
+
+
+#: Candidates :func:`place_atoms` draws and measures per numpy call.
+_PLACEMENT_BLOCK = 64
 
 
 def place_atoms(
@@ -43,29 +47,53 @@ def place_atoms(
     Candidates closer (minimum image) than ``min_dist_factor`` times the
     covalent-radius sum to any placed atom are rejected; the tolerance
     relaxes 5% per exhausted retry round so generation always terminates.
+
+    Candidates are drawn and measured a block at a time — ``dist[r, j]`` is
+    the distance from the block's row ``r`` to placed atom ``j``, and an
+    accepted atom adds one column — but the result, and the state ``rng``
+    is left in, are those of drawing ``rng.random(3)`` once per trial.
     """
+    if not max_attempts >= 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if not (np.isfinite(min_dist_factor) and min_dist_factor > 0):
+        raise ValueError(
+            f"min_dist_factor must be finite and positive, got {min_dist_factor}"
+        )
     n = len(species)
     radii = np.array([element(int(z)).covalent_radius for z in species])
     frac = np.zeros((n, 3))
+    dist = np.empty((_PLACEMENT_BLOCK, n))
     factor = min_dist_factor
     placed = 0
+    attempts_left = max_attempts  # trials left in this atom's current round
     while placed < n:
-        ok = False
-        for _ in range(max_attempts):
-            candidate = rng.random(3)
-            if placed == 0:
-                ok = True
-            else:
-                trial = np.vstack([frac[:placed], candidate])
-                d = minimum_image_distances(lattice, trial)[-1, :placed]
-                limits = factor * (radii[:placed] + radii[placed])
-                ok = bool(np.all(d > limits))
-            if ok:
-                frac[placed] = candidate
+        state = rng.bit_generator.state
+        block = rng.random((_PLACEMENT_BLOCK, 3))
+        dist[:, :placed] = image_distances(
+            lattice, block[:, None, :] - frac[None, :placed, :]
+        )
+        row = 0
+        while row < _PLACEMENT_BLOCK and placed < n:
+            stop = min(_PLACEMENT_BLOCK, row + attempts_left)
+            limits = factor * (radii[:placed] + radii[placed])
+            accepted = np.flatnonzero(np.all(dist[row:stop, :placed] > limits, axis=1))
+            if accepted.size:
+                hit = row + int(accepted[0])
+                frac[placed] = block[hit]
+                row = hit + 1
+                dist[row:, placed] = image_distances(lattice, block[row:] - block[hit])
                 placed += 1
-                break
-        if not ok:
-            factor *= 0.95  # relax and retry the same atom
+                attempts_left = max_attempts
+            else:
+                attempts_left -= stop - row
+                row = stop
+                if attempts_left == 0:
+                    factor *= 0.95  # relax and retry the same atom
+                    attempts_left = max_attempts
+        if row < _PLACEMENT_BLOCK:
+            # The sequential stream stops after the accepted candidate.
+            rng.bit_generator.state = state
+            rng.random((row, 3))
     return frac
 
 
@@ -135,13 +163,15 @@ class MaterialsProjectSurrogate(Dataset[Structure]):
         frac = place_atoms(lattice, species, rng, min_dist_factor=0.9)
         positions = fractional_to_cartesian(lattice, frac)
         calc = self.calculator
+        geometry = (positions, species, lattice, frac)
+        dists = calc.pair_distances(positions, lattice, frac)
         targets = {
-            "band_gap": np.float64(calc.band_gap(positions, species, lattice, frac)),
+            "band_gap": np.float64(calc.band_gap(*geometry, dists)),
             "fermi_energy": np.float64(calc.fermi_energy(positions, species, lattice)),
             "formation_energy": np.float64(
-                calc.formation_energy_per_atom(positions, species, lattice, frac)
+                calc.formation_energy_per_atom(*geometry, dists)
             ),
-            "is_stable": np.float64(calc.is_stable(positions, species, lattice, frac)),
+            "is_stable": np.float64(calc.is_stable(*geometry, dists)),
         }
         return Structure(
             positions=positions,

@@ -38,10 +38,42 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from repro.datasets.periodic_table import element
-from repro.geometry.lattice import Lattice, minimum_image_distances
+from repro.geometry.lattice import Lattice, minimum_image_distances, supercell
 
 #: hbar^2 / (2 m_e) in eV * angstrom^2 — free-electron Fermi-energy prefactor.
 _HBAR2_OVER_2M = 3.81
+
+
+# Both caches key on plain numbers, never on a calculator: every dataset
+# builds its own default ``SurrogateDFT()``, and equal parameters must share
+# one set of elemental references without the cache keeping instances alive.
+@functools.lru_cache(maxsize=None)
+def _pair_params(z1: int, z2: int) -> Tuple[float, float]:
+    e1, e2 = element(z1), element(z2)
+    r0 = e1.covalent_radius + e2.covalent_radius
+    # Covalent term grows with shared electronegativity; ionic term with
+    # the difference.  Values land in ~0.3..2.5 eV, a realistic bond scale.
+    depth = 0.35 * math.sqrt(e1.electronegativity * e2.electronegativity)
+    depth += 0.45 * abs(e1.electronegativity - e2.electronegativity)
+    return depth, r0
+
+
+@functools.lru_cache(maxsize=4096)
+def _reference_energy(cutoff: float, morse_a: float, z: int) -> float:
+    _, r0 = _pair_params(z, z)
+    nn = r0  # nearest-neighbour distance at the potential minimum
+    a = nn * math.sqrt(2.0)  # fcc lattice constant
+    frac = np.array(
+        [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]
+    )
+    # A 2x2x2 supercell keeps every neighbour within the cutoff honest.
+    sc_lat, sc_frac, sc_species = supercell(
+        Lattice.cubic(a), frac, np.full(4, z, dtype=np.int64), (2, 2, 2)
+    )
+    e = SurrogateDFT(cutoff, morse_a).total_energy(
+        None, sc_species, lattice=sc_lat, frac=sc_frac
+    )
+    return e / len(sc_species)
 
 
 class SurrogateDFT:
@@ -71,16 +103,9 @@ class SurrogateDFT:
     # ------------------------------------------------------------------ #
     # Potential parameters
     # ------------------------------------------------------------------ #
-    @functools.lru_cache(maxsize=None)
     def pair_params(self, z1: int, z2: int) -> Tuple[float, float]:
         """(well depth D_ij [eV], equilibrium distance r0_ij [A])."""
-        e1, e2 = element(z1), element(z2)
-        r0 = e1.covalent_radius + e2.covalent_radius
-        # Covalent term grows with shared electronegativity; ionic term with
-        # the difference.  Values land in ~0.3..2.5 eV, a realistic bond scale.
-        depth = 0.35 * math.sqrt(e1.electronegativity * e2.electronegativity)
-        depth += 0.45 * abs(e1.electronegativity - e2.electronegativity)
-        return depth, r0
+        return _pair_params(int(z1), int(z2))
 
     def _pair_param_arrays(self, species: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized (depth, r0) matrices for a species vector."""
@@ -106,19 +131,20 @@ class SurrogateDFT:
     # ------------------------------------------------------------------ #
     # Energies
     # ------------------------------------------------------------------ #
-    def total_energy(
-        self,
+    @staticmethod
+    def pair_distances(
         positions: np.ndarray,
-        species: np.ndarray,
         lattice: Optional[Lattice] = None,
         frac: Optional[np.ndarray] = None,
-    ) -> float:
-        """Total pair energy [eV].
+    ) -> np.ndarray:
+        """All-pairs distance matrix [A] with an infinite diagonal.
 
         For periodic structures pass ``lattice`` and fractional coordinates;
         distances then use the minimum image.  Otherwise open boundaries.
+        Every label below is a function of this matrix: a caller computing
+        several labels of one structure passes it as ``dists`` so it is
+        built once.
         """
-        species = np.asarray(species, dtype=np.int64)
         if lattice is not None:
             if frac is None:
                 frac = positions @ np.linalg.inv(lattice.matrix)
@@ -126,10 +152,23 @@ class SurrogateDFT:
         else:
             dists = cdist(positions, positions)
         np.fill_diagonal(dists, np.inf)
+        return dists
+
+    def total_energy(
+        self,
+        positions: np.ndarray,
+        species: np.ndarray,
+        lattice: Optional[Lattice] = None,
+        frac: Optional[np.ndarray] = None,
+        dists: Optional[np.ndarray] = None,
+    ) -> float:
+        """Total pair energy [eV] (boundary conditions: :meth:`pair_distances`)."""
+        species = np.asarray(species, dtype=np.int64)
+        if dists is None:
+            dists = self.pair_distances(positions, lattice, frac)
         v = self._pair_energy_matrix(dists, species)
         return float(v.sum() / 2.0)
 
-    @functools.lru_cache(maxsize=None)
     def reference_energy(self, z: int) -> float:
         """Per-atom energy of the element's ideal FCC packing.
 
@@ -137,21 +176,7 @@ class SurrogateDFT:
         formation energies are differences between a compound and its
         decomposed standard states, as in real hull constructions.
         """
-        _, r0 = self.pair_params(z, z)
-        nn = r0  # nearest-neighbour distance at the potential minimum
-        a = nn * math.sqrt(2.0)  # fcc lattice constant
-        lattice = Lattice.cubic(a)
-        frac = np.array(
-            [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]
-        )
-        # A 2x2x2 supercell keeps every neighbour within the cutoff honest.
-        from repro.geometry.lattice import supercell
-
-        sc_lat, sc_frac, sc_species = supercell(
-            lattice, frac, np.full(4, z, dtype=np.int64), (2, 2, 2)
-        )
-        e = self.total_energy(None, sc_species, lattice=sc_lat, frac=sc_frac)
-        return e / len(sc_species)
+        return _reference_energy(self.cutoff, self.morse_a, int(z))
 
     def formation_energy_per_atom(
         self,
@@ -159,10 +184,11 @@ class SurrogateDFT:
         species: np.ndarray,
         lattice: Optional[Lattice] = None,
         frac: Optional[np.ndarray] = None,
+        dists: Optional[np.ndarray] = None,
     ) -> float:
         """E_form [eV/atom] = (E_total - sum of disorder-scaled references) / n."""
         species = np.asarray(species, dtype=np.int64)
-        e_total = self.total_energy(positions, species, lattice=lattice, frac=frac)
+        e_total = self.total_energy(positions, species, lattice, frac, dists)
         e_ref = self.REFERENCE_DISORDER * sum(
             self.reference_energy(int(z)) for z in species
         )
@@ -177,15 +203,11 @@ class SurrogateDFT:
         species: np.ndarray,
         lattice: Optional[Lattice],
         frac: Optional[np.ndarray],
+        dists: Optional[np.ndarray] = None,
     ) -> Dict[str, float]:
         species = np.asarray(species, dtype=np.int64)
-        if lattice is not None:
-            if frac is None:
-                frac = positions @ np.linalg.inv(lattice.matrix)
-            dists = minimum_image_distances(lattice, frac)
-        else:
-            dists = cdist(positions, positions)
-        np.fill_diagonal(dists, np.inf)
+        if dists is None:
+            dists = self.pair_distances(positions, lattice, frac)
         en = np.array([element(int(z)).electronegativity for z in species])
         bonded = dists < 1.25 * (
             np.add.outer(
@@ -225,6 +247,7 @@ class SurrogateDFT:
         species: np.ndarray,
         lattice: Optional[Lattice] = None,
         frac: Optional[np.ndarray] = None,
+        dists: Optional[np.ndarray] = None,
     ) -> float:
         """Band gap [eV]: ionicity-driven, clamped at zero for metals.
 
@@ -232,7 +255,7 @@ class SurrogateDFT:
         while ionic insulators reach ~6-8 eV — the bimodal shape of the
         Materials Project gap distribution.
         """
-        stats = self._bond_statistics(positions, species, lattice, frac)
+        stats = self._bond_statistics(positions, species, lattice, frac, dists)
         vpa = self._volume_per_atom(positions, species, lattice)
         # The volume term saturates so sparse open clusters (whose bounding
         # box overestimates volume) cannot fake an insulating gap.
@@ -270,6 +293,7 @@ class SurrogateDFT:
         species: np.ndarray,
         lattice: Optional[Lattice] = None,
         frac: Optional[np.ndarray] = None,
+        dists: Optional[np.ndarray] = None,
     ) -> bool:
         """Synthetic hull test: E_form must beat a composition margin.
 
@@ -278,8 +302,10 @@ class SurrogateDFT:
         not enough — mirroring how real stability labels cut across the
         formation-energy axis.
         """
-        e_form = self.formation_energy_per_atom(positions, species, lattice=lattice, frac=frac)
-        stats = self._bond_statistics(positions, species, lattice, frac)
+        if dists is None:
+            dists = self.pair_distances(positions, lattice, frac)
+        e_form = self.formation_energy_per_atom(positions, species, lattice, frac, dists)
+        stats = self._bond_statistics(positions, species, lattice, frac, dists)
         margin = -0.55 * stats["ionicity"]
         return bool(e_form < margin)
 

@@ -33,6 +33,7 @@ from repro.geometry.lattice import (
     BRAVAIS_FAMILIES,
     random_lattice,
     fractional_to_cartesian,
+    image_distances,
     minimum_image_distances,
     supercell,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "BRAVAIS_FAMILIES",
     "random_lattice",
     "fractional_to_cartesian",
+    "image_distances",
     "minimum_image_distances",
     "supercell",
 ]

@@ -27,6 +27,10 @@ BRAVAIS_FAMILIES: Tuple[str, ...] = (
     "triclinic",
 )
 
+#: Fractional offsets of a cell's 27 neighbouring images, (27, 3).
+IMAGE_SHIFTS = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+IMAGE_SHIFTS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -141,10 +145,21 @@ def minimum_image_distances(lattice: Lattice, frac: np.ndarray) -> np.ndarray:
     intermediate, fine for the n <= 64 atoms per structure used here.
     """
     frac = np.asarray(frac, dtype=np.float64)
-    delta_frac = frac[:, None, :] - frac[None, :, :]  # (n, n, 3)
-    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))  # (27, 3)
-    # (n, n, 27, 3) fractional displacements -> cartesian -> lengths.
-    disp = delta_frac[:, :, None, :] + shifts[None, None, :, :]
+    if frac.ndim != 2 or frac.shape[1] != 3:
+        raise ValueError(f"frac must have shape (n, 3), got {frac.shape}")
+    return image_distances(lattice, frac[:, None, :] - frac[None, :, :])
+
+
+def image_distances(lattice: Lattice, delta_frac: np.ndarray) -> np.ndarray:
+    """Minimum-image length of fractional displacements ``(..., 3)``.
+
+    Each displacement is one ``(27, 3) @ (3, 3)`` product, a norm and a min,
+    whatever the leading shape: an entry's bits do not depend on how many
+    others are evaluated with it, which is what lets
+    :func:`repro.datasets.materials_project.place_atoms` add one column at
+    a time and still reproduce the all-pairs matrix exactly.
+    """
+    disp = delta_frac[..., None, :] + IMAGE_SHIFTS  # (..., 27, 3)
     cart = disp @ lattice.matrix
     dists = np.linalg.norm(cart, axis=-1)
     return dists.min(axis=-1)

@@ -103,11 +103,15 @@ def _tanh_bwd(g, z, out):
 
 
 def _sigmoid_fwd(z):
-    out = np.where(
-        z >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
-        np.exp(np.clip(z, -500, 500)) / (1.0 + np.exp(np.clip(z, -500, 500))),
-    )
+    # The reference evaluates exp(-c) where z >= 0 and exp(c) elsewhere, with
+    # c = clip(z): both arguments are -|c| exactly, so one exp serves both
+    # branches with the same bits.
+    t = np.abs(np.clip(z, -500, 500))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    out = np.where(z >= 0, 1.0, t)
+    t += 1.0
+    np.divide(out, t, out=out)
     return out, out
 
 
@@ -115,9 +119,15 @@ def _sigmoid_bwd(g, z, out):
     return g * out * (1.0 - out)
 
 
+def _softplus_ctx(z):
+    """sigmoid(z), which only ``_softplus_bwd`` reads: skipped under no_grad."""
+    if not _tensor_core.is_grad_enabled():
+        return None
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
 def _softplus_fwd(z):
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    return np.logaddexp(0.0, z), sig
+    return np.logaddexp(0.0, z), _softplus_ctx(z)
 
 
 def _softplus_bwd(g, z, sig):
@@ -125,8 +135,7 @@ def _softplus_bwd(g, z, sig):
 
 
 def _shifted_softplus_fwd(z):
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    return np.logaddexp(0.0, z) - _LOG2, sig
+    return np.logaddexp(0.0, z) - _LOG2, _softplus_ctx(z)
 
 
 ACTIVATIONS = {

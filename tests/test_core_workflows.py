@@ -15,8 +15,15 @@ from repro.core import (
     train_band_gap,
     train_multitask,
 )
-from repro.core.pipeline import build_encoder_from_config, default_transform
-from repro.core.workflows import TABLE1_METRICS, TABLE1_SPECS
+from repro.core.pipeline import (
+    build_encoder_from_config,
+    default_transform,
+    make_train_loader,
+    transform_once,
+)
+from repro.core.workflows import TABLE1_METRICS, TABLE1_SPECS, train_property
+from repro.data.transforms import StructureToGraph
+from repro.datasets import MaterialsProjectSurrogate
 
 TINY_ENCODER = dict(hidden_dim=16, num_layers=1, position_dim=6)
 GROUPS = ["C1", "C2", "C4", "D2"]
@@ -161,6 +168,55 @@ class TestMultiTaskWorkflow:
         assert names == ["band_gap", "fermi", "mp_eform", "stability", "cmd_eform"]
         datasets = {s.dataset for s in TABLE1_SPECS}
         assert datasets == {"materials_project", "carolina"}
+
+
+class TestTransformOncePerRun:
+    """Identity: pre-transformed == per-epoch transformed, at 1/epochs the calls."""
+
+    @pytest.fixture
+    def transformed(self, monkeypatch):
+        seen = []
+        original = StructureToGraph.__call__
+
+        def counted(self, structure):
+            seen.append(structure)
+            return original(self, structure)
+
+        monkeypatch.setattr(StructureToGraph, "__call__", counted)
+        return seen
+
+    def test_pretrain_transforms_each_cloud_once(self, transformed):
+        cfg = tiny_pretrain_config()
+        assert cfg.max_epochs > 1
+        pretrain_symmetry(cfg)
+        assert len(transformed) == cfg.train_samples + cfg.val_samples
+        assert len({id(s) for s in transformed}) == len(transformed)
+
+    def test_finetune_transforms_each_crystal_once(self, transformed):
+        cfg = tiny_finetune_config()
+        assert cfg.max_epochs > 1
+        train_property(cfg)
+        assert len(transformed) == cfg.train_samples + cfg.val_samples
+        assert len({id(s) for s in transformed}) == len(transformed)
+
+    def test_multitask_transforms_each_crystal_once(self, transformed):
+        cfg = tiny_multitask_config()
+        train_multitask(cfg)
+        assert len(transformed) == cfg.mp_samples + cfg.carolina_samples
+
+    def test_pretransformed_batches_equal_per_draw_batches(self):
+        crystals = MaterialsProjectSurrogate(12, seed=4).materialize()
+        transform = StructureToGraph(cutoff=4.5)
+        per_draw = make_train_loader(crystals, 4, transform, seed=1)
+        once = make_train_loader(transform_once(crystals, transform), 4, seed=1)
+        for _ in range(2):  # the shared samples survive an epoch unchanged
+            for expected, batch in zip(per_draw, once, strict=True):
+                for a, b in zip(expected, batch, strict=True):
+                    assert a.positions.tobytes() == b.positions.tobytes()
+                    assert np.array_equal(a.species, b.species)
+                    assert np.array_equal(a.edge_src, b.edge_src)
+                    assert np.array_equal(a.edge_dst, b.edge_dst)
+                    assert a.targets == b.targets and a.metadata == b.metadata
 
 
 class TestExplorationWorkflow:

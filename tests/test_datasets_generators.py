@@ -1,7 +1,12 @@
 """Dataset generators: determinism, labels, shapes, provenance metadata."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+
+import repro.datasets.materials_project as materials_project
 
 from repro.datasets import (
     CarolinaSurrogate,
@@ -13,8 +18,10 @@ from repro.datasets import (
     available_datasets,
     build_dataset,
 )
+from repro.datasets.materials_project import place_atoms
+from repro.datasets.periodic_table import element
 from repro.datasets.symmetry import merge_coincident
-from repro.geometry import POINT_GROUP_ORDERS
+from repro.geometry import BRAVAIS_FAMILIES, POINT_GROUP_ORDERS, Lattice, random_lattice
 
 
 class TestSymmetryDataset:
@@ -133,6 +140,154 @@ class TestMaterialsProject:
             s = ds[i]
             assert 2 <= s.num_atoms <= 10
             assert 1 <= len(np.unique(s.species)) <= 4
+
+
+# --------------------------------------------------------------------------- #
+# Oracle: the sequential, full-matrix placement exactly as it stood before the
+# blocked one replaced it, with the all-pairs distance function it called.
+# --------------------------------------------------------------------------- #
+def _oracle_minimum_image_distances(lattice, frac):
+    frac = np.asarray(frac, dtype=np.float64)
+    delta_frac = frac[:, None, :] - frac[None, :, :]  # (n, n, 3)
+    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))  # (27, 3)
+    # (n, n, 27, 3) fractional displacements -> cartesian -> lengths.
+    disp = delta_frac[:, :, None, :] + shifts[None, None, :, :]
+    cart = disp @ lattice.matrix
+    dists = np.linalg.norm(cart, axis=-1)
+    return dists.min(axis=-1)
+
+
+def _oracle_place_atoms(lattice, species, rng, min_dist_factor=0.75, max_attempts=60):
+    n = len(species)
+    radii = np.array([element(int(z)).covalent_radius for z in species])
+    frac = np.zeros((n, 3))
+    factor = min_dist_factor
+    placed = 0
+    while placed < n:
+        ok = False
+        for _ in range(max_attempts):
+            candidate = rng.random(3)
+            if placed == 0:
+                ok = True
+            else:
+                trial = np.vstack([frac[:placed], candidate])
+                d = _oracle_minimum_image_distances(lattice, trial)[-1, :placed]
+                limits = factor * (radii[:placed] + radii[placed])
+                ok = bool(np.all(d > limits))
+            if ok:
+                frac[placed] = candidate
+                placed += 1
+                break
+        if not ok:
+            factor *= 0.95  # relax and retry the same atom
+    return frac
+
+
+def _assert_blocked_equals_sequential(lattice, species, seed, **kwargs):
+    """Same coordinates AND the same generator state afterwards."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # A buffered 32-bit draw must survive the block snapshots untouched.
+    rng.integers(0, 7, dtype=np.uint32), oracle_rng.integers(0, 7, dtype=np.uint32)
+    frac = place_atoms(lattice, species, rng, **kwargs)
+    expected = _oracle_place_atoms(lattice, species, oracle_rng, **kwargs)
+    assert frac.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestPlaceAtoms:
+    """Identity: blocked incremental placement == sequential full-matrix."""
+
+    SPECIES = np.array([8, 8, 8, 26, 26, 3, 3, 57, 57, 1], dtype=np.int64)
+
+    @pytest.mark.parametrize("family", BRAVAIS_FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2023])
+    def test_every_family(self, family, seed):
+        lattice = random_lattice(family, np.random.default_rng((seed, 9)))
+        _assert_blocked_equals_sequential(
+            lattice, self.SPECIES, seed, min_dist_factor=0.9
+        )
+
+    @pytest.mark.parametrize("family", BRAVAIS_FAMILIES)
+    @pytest.mark.parametrize("max_attempts", [1, 2, 3])
+    def test_forced_relaxation_in_a_tiny_cell(self, family, max_attempts):
+        # Ten atoms cannot fit 2.6 A cells at 0.9 x radii: the tolerance has
+        # to relax many times, with one to three trials per round.
+        lattice = random_lattice(family, np.random.default_rng(4), a_range=(2.6, 2.6))
+        _assert_blocked_equals_sequential(
+            lattice, self.SPECIES, 11, min_dist_factor=0.9, max_attempts=max_attempts
+        )
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("max_attempts", [1, 4, 7, 60, 100])
+    def test_block_boundaries(self, monkeypatch, block, max_attempts):
+        # Block size 1 accepts every atom on the last row of a block; the
+        # other pairs put round ends before, on and after block ends
+        # (max_attempts below, above, and not a multiple of the block).
+        monkeypatch.setattr(materials_project, "_PLACEMENT_BLOCK", block)
+        lattice = Lattice.cubic(4.2)
+        for seed in range(4):
+            _assert_blocked_equals_sequential(
+                lattice, self.SPECIES[:7], seed, min_dist_factor=0.9,
+                max_attempts=max_attempts,
+            )
+
+    def test_no_atoms_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert place_atoms(Lattice.cubic(5.0), np.zeros(0, dtype=np.int64), rng).shape == (0, 3)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("max_attempts", [0, -1, float("nan")])
+    def test_rejects_max_attempts_below_one(self, max_attempts):
+        # These used to relax the tolerance forever without drawing a trial.
+        with pytest.raises(ValueError, match="max_attempts"):
+            place_atoms(Lattice.cubic(5.0), self.SPECIES, np.random.default_rng(0),
+                        max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_min_dist_factor_that_disables_the_check(self, factor):
+        with pytest.raises(ValueError, match="min_dist_factor"):
+            place_atoms(Lattice.cubic(5.0), self.SPECIES, np.random.default_rng(0),
+                        min_dist_factor=factor)
+
+
+#: sha256 over (positions, species, lattice, every target) of the first 64
+#: structures, recorded on the commit before blocked placement, shared
+#: elemental references and the shared distance matrix went in.
+DATASET_FINGERPRINTS = {
+    ("materials_project", 0): "330e01ff2a1e87f5516c65a37c58fbb8af822458bb7fa68f129cc16a2679f669",
+    ("materials_project", 2023): "a0d89cb9aa6b372d299a9d2f90afdb4dd9c9b2462371ba01cfd282c9e3ce0d7d",
+    ("carolina", 0): "d1ede5dc3026e79f6cf72b317c65bd7f0217e34cdbf0096301731c53cd1d2d72",
+    ("carolina", 2023): "e50d29f69e0db73a9ce648e173c07e2e6a76aff92309278dac95902682570fcb",
+    ("oc20", 0): "a46203733f454cdc16fd75faecfcf45bdf5494ba117c65b45d96298b14c6b206",
+    ("oc22", 0): "bc895518193345281e4b990ad2061fb4e10f34af9de0e895d8aeb3f7b7e379d5",
+    ("lips", 0): "0afe06c3d6dd012e049bc5db48dcd7d3f467a11eb270d4a869f674ea73e45c1a",
+    ("symmetry", 0): "e3202eb100f40f56ebc795a7f29fc870e33f91a9af5d6646325b83370a8f5548",
+}
+
+
+def dataset_fingerprint(name, seed, count=64):
+    digest = hashlib.sha256()
+    ds = build_dataset(name, num_samples=count, seed=seed)
+    for i in range(count):
+        s = ds[i]
+        digest.update(np.ascontiguousarray(s.positions, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(s.species, dtype=np.int64).tobytes())
+        if s.lattice is not None:
+            digest.update(np.ascontiguousarray(s.lattice.matrix, dtype=np.float64).tobytes())
+        for key in sorted(s.targets):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(s.targets[key], dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(DATASET_FINGERPRINTS))
+def test_synthesis_is_bit_identical_to_the_recorded_commit(name, seed):
+    assert dataset_fingerprint(name, seed) == DATASET_FINGERPRINTS[(name, seed)]
+
+
+def test_fingerprints_cover_the_registry():
+    assert {name for name, _ in DATASET_FINGERPRINTS} == set(available_datasets())
 
 
 class TestCarolina:

@@ -1,10 +1,13 @@
 """Surrogate-DFT label engine: determinism, physics sanity, forces."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.datasets import PERIODIC_TABLE, MAX_Z, element
-from repro.datasets.surrogate_dft import SurrogateDFT
+from repro.datasets.surrogate_dft import SurrogateDFT, _reference_energy
 from repro.geometry import Lattice
 
 
@@ -105,6 +108,43 @@ class TestEnergies:
         e1 = calc.reference_energy(26)
         assert e1 < 0
         assert calc.reference_energy(26) == e1
+
+    def test_equal_calculators_share_references(self):
+        # Every dataset object builds its own default calculator; the
+        # references are a function of (cutoff, morse_a, z), not of which
+        # instance asked.
+        first = SurrogateDFT().reference_energy(42)
+        before = _reference_energy.cache_info()
+        assert SurrogateDFT().reference_energy(42) == first
+        assert SurrogateDFT().reference_energy(np.int64(42)) == first
+        after = _reference_energy.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+    def test_reference_depends_on_calculator_parameters(self):
+        default = SurrogateDFT().reference_energy(42)
+        assert SurrogateDFT(cutoff=4.0).reference_energy(42) != default
+        assert SurrogateDFT(morse_a=1.2).reference_energy(42) != default
+
+    def test_caches_do_not_keep_calculators_alive(self):
+        calculator = SurrogateDFT(cutoff=5.5)
+        calculator.reference_energy(13)
+        calculator.pair_params(13, 8)
+        gone = weakref.ref(calculator)
+        del calculator
+        gc.collect()
+        assert gone() is None
+
+    def test_shared_distance_matrix_gives_the_same_labels(self, calc, rng):
+        lat = Lattice.from_parameters(5.0, 6.0, 7.0, 80.0, 95.0, 105.0)
+        frac = rng.random((7, 3))
+        species = np.array([3, 8, 8, 26, 26, 57, 1])
+        geometry = (frac @ lat.matrix, species, lat, frac)
+        dists = calc.pair_distances(geometry[0], lat, frac)
+        kept = dists.copy()
+        for label in (calc.total_energy, calc.formation_energy_per_atom,
+                      calc.band_gap, calc.is_stable):
+            assert label(*geometry, dists=dists) == label(*geometry)
+        assert np.array_equal(dists, kept)  # shared, so never written to
 
     def test_reference_scales_with_well_depth(self, calc):
         # W has much higher EN than K -> deeper wells -> lower reference.

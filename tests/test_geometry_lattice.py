@@ -9,6 +9,7 @@ from repro.geometry import (
     BRAVAIS_FAMILIES,
     Lattice,
     fractional_to_cartesian,
+    image_distances,
     minimum_image_distances,
     random_lattice,
     supercell,
@@ -114,6 +115,22 @@ class TestMinimumImage:
         direct = cdist(cart, cart)
         mic = minimum_image_distances(lat, frac)
         assert np.all(mic <= direct + 1e-12)
+
+    @pytest.mark.parametrize("family", BRAVAIS_FAMILIES)
+    def test_an_entry_does_not_depend_on_what_is_evaluated_with_it(self, family, rng):
+        # What lets crystal synthesis add one column per accepted atom: a
+        # row or a column computed alone has the bits of the full matrix.
+        lat = random_lattice(family, rng)
+        frac = rng.random((9, 3))
+        full = minimum_image_distances(lat, frac)
+        for i in range(len(frac)):
+            assert np.array_equal(image_distances(lat, frac[i] - frac), full[i])
+            assert np.array_equal(image_distances(lat, frac - frac[i]), full[:, i])
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3), (0,)])
+    def test_rejects_frac_that_is_not_n_by_3(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            minimum_image_distances(Lattice.cubic(4.0), np.zeros(shape))
 
 
 class TestSupercell:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.autograd.gradcheck import gradcheck
 from repro.data import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.kernels import dispatch as K
-from repro.kernels import fused, set_fused, use_fused
+from repro.kernels import fused, reference, set_fused, use_fused
 from repro.models import EGNN
 from repro.optim import AdamW
 from repro.tasks import MultiClassClassificationTask
@@ -55,7 +55,7 @@ LINEAR_SHAPES = [(4, 5, 3), (1, 3, 2), (6, 1, 4), (3, 2, 1)]
 
 
 @pytest.mark.parametrize("n,din,dout", LINEAR_SHAPES)
-@pytest.mark.parametrize("act", ["identity", "silu", "relu", "tanh", "selu"])
+@pytest.mark.parametrize("act", sorted(fused.ACTIVATIONS))
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_linear_act_bitwise(n, din, dout, act, with_bias):
     def build(rng):
@@ -66,6 +66,27 @@ def test_linear_act_bitwise(n, din, dout, act, with_bias):
         return K.linear_act(x, w, b, act=act), leaves
 
     _both_modes(build, seed=hash((n, din, dout, act, with_bias)) % 10_000)
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "softplus", "shifted_softplus"])
+def test_inference_activations_bitwise(act):
+    """no_grad forwards drop backward-only work, never bits: the one-exp
+    sigmoid and the context-free softplus equal the reference on the clip
+    edges, both zeros, both branches and strided (LSTM gate) views."""
+    rng = _rng(31)
+    z = rng.normal(size=(9, 12)) * rng.choice([1e-3, 1.0, 40.0, 900.0], size=(9, 12))
+    z[0, :6] = [0.0, -0.0, 500.0, -500.0, 745.2, -745.2]
+    act_fwd, _ = fused.ACTIVATIONS[act]
+    for view in (z, z[:, 3:9], z[::2], z[:0]):
+        expected = reference._ACTS[act](Tensor(view)).data
+        with no_grad():
+            inferred, inferred_ctx = act_fwd(view)
+        trained, trained_ctx = act_fwd(view)
+        assert inferred.tobytes() == expected.tobytes()
+        assert trained.tobytes() == expected.tobytes()
+        assert trained_ctx is not None
+        if act != "sigmoid":  # sigmoid's context is its output
+            assert inferred_ctx is None
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (1, 3), (5, 1)])
