@@ -42,13 +42,13 @@ import numpy as np
 
 from benchmarks.common import bench_result, print_header
 from repro.distributed.events import SimClock
-from repro.distributed.faults import RetryPolicy
 from repro.observability import Observer
 from repro.serving import (
     AdmissionPolicy,
     AffineServiceModel,
     BatchPolicy,
     ReplicaPool,
+    SINGLE_SERVER,
     Servable,
     ServableSpec,
     chaos_schedule,
@@ -122,17 +122,7 @@ def _run_pool(
         if chaos_seed is not None
         else None
     )
-    kwargs = (
-        {}
-        if resilient
-        else {
-            "hedge": None,
-            "breaker": None,
-            "health": None,
-            "degradation": None,
-            "retry": RetryPolicy(max_retries=0),
-        }
-    )
+    kwargs = {} if resilient else SINGLE_SERVER
     pool = ReplicaPool(
         servable.predict,
         num_replicas=num,

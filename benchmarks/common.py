@@ -27,6 +27,7 @@ from repro.core import (
     train_multitask,
     transfer_pretrain_recipe,
 )
+from repro.utils import time_callable  # noqa: F401 - the benches import it from here
 
 #: Encoder geometry used by every downstream bench (CPU-scale stand-in for
 #: the paper's 256-wide model).
@@ -124,38 +125,6 @@ def print_header(title: str) -> None:
 #: Schema tag every bench JSON carries; the regression gate refuses files
 #: with a different tag rather than mis-reading them.
 BENCH_SCHEMA = "repro-bench-v1"
-
-
-def time_callable(
-    fn: Callable[[], object],
-    rounds: int = 5,
-    warmup: int = 1,
-    reduce: str = "median",
-) -> float:
-    """Wall time of ``fn()`` in seconds: warmup discarded, median-of-k.
-
-    ``time.perf_counter`` throughout; ``reduce`` may be ``"median"`` (the
-    default — robust to one slow outlier round) or ``"min"`` (tightest
-    bound, for overhead comparisons where any jitter only inflates).
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    for _ in range(max(warmup, 0)):
-        fn()
-    times = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    if reduce == "min":
-        return min(times)
-    if reduce != "median":
-        raise ValueError(f"unknown reduce {reduce!r}")
-    times.sort()
-    mid = len(times) // 2
-    if len(times) % 2:
-        return times[mid]
-    return 0.5 * (times[mid - 1] + times[mid])
 
 
 def compare_callables(

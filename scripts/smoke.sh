@@ -7,8 +7,11 @@
 #   SMOKE_LANE=bench   bench-marked tests, then the hot-path regression gate
 #   SMOKE_LANE=shard   ZeRO sharding suite (-m shard) plus a --zero CLI smoke
 #   SMOKE_LANE=serve   serving suite (-m serve) plus a predict/serve CLI smoke
+#                      (serve runs from a temp cwd) and the serve_trace
+#                      digest check of the e2e lane
 #   SMOKE_LANE=chaos   resilience suite (-m chaos) plus a replicated-serve
-#                      CLI smoke under a seeded chaos profile
+#                      CLI smoke under a seeded chaos profile and the same
+#                      serve_trace digest check
 #   SMOKE_LANE=compile tape-compiler suite (-m compile) plus a --compile
 #                      CLI smoke and the compiler bench gate
 #   SMOKE_LANE=screen  screening suite (-m screen) plus a repro-screen CLI
@@ -25,6 +28,18 @@
 # Scenario suites run on demand: -m fault / -m stability / -m profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+REPO="$PWD"
+
+# The e2e lane's digest check for the one workload that drives the serving
+# loop: "correct" is true only if every serve_trace unit matched
+# benchmarks/e2e/expected.json (status counts and value sums) and kept its
+# per-unit contracts, so serving drift fails here, before the benchmark
+# pipeline runs.
+serve_trace_digest_check() {
+    python benchmarks/e2e/run.py --workload serve_trace --seed 0 --seconds 2 \
+        | grep -q '"correct": true'
+    echo "serve_trace digest ok"
+}
 
 LANE="${SMOKE_LANE:-default}"
 case "$LANE" in
@@ -63,12 +78,16 @@ serve)
     trap 'rm -rf "$REGISTRY"' EXIT
     PYTHONPATH=src python -m repro.cli predict \
         --registry "$REGISTRY" --bootstrap --samples 2 >/dev/null
-    SERVE_OUT="$(PYTHONPATH=src python -m repro.cli serve \
-        --registry "$REGISTRY" --requests 32 --rate 400)"
+    # From a foreign cwd with only src/ importable: src/ must not lean on
+    # the repo-root benchmarks package.  One replica, same loop as below.
+    SERVE_OUT="$(cd "$REGISTRY" && PYTHONPATH="$REPO/src" python -m repro.cli serve \
+        --registry "$REGISTRY" --requests 32 --rate 400 --replicas 1)"
     grep -q "req/s" <<<"$SERVE_OUT"
+    grep -q "serve.replica.count" <<<"$SERVE_OUT"
     echo "serving smoke ok"
     # Gate the serving bench against its committed baseline.
     PYTHONPATH=src:. python scripts/bench_gate.py --suite serving
+    serve_trace_digest_check
     exit 0
     ;;
 chaos)
@@ -89,6 +108,7 @@ chaos)
     echo "chaos smoke ok"
     # Gate the resilience bench against its committed baseline.
     PYTHONPATH=src:. python scripts/bench_gate.py --suite resilience
+    serve_trace_digest_check
     exit 0
     ;;
 compile)

@@ -292,10 +292,12 @@ def cmd_predict(args) -> int:
 def cmd_serve(args) -> int:
     """Simulated open-loop serving run: micro-batching + admission control.
 
-    ``--replicas N`` (N > 1) serves through the resilient
-    :class:`~repro.serving.ReplicaPool` — health checks, circuit breakers,
-    hedged requests, failover — and ``--chaos-profile`` injects a seeded
-    serving-fault schedule into the run (DESIGN.md §13).
+    Every run goes through the one serving event loop,
+    :class:`~repro.serving.ReplicaPool` (DESIGN.md §12).  A single replica
+    with no chaos is plain micro-batching; ``--replicas N`` (N > 1) or a
+    ``--chaos-profile`` (a seeded serving-fault schedule) switches on the
+    resilience machinery — health checks, circuit breakers, hedged
+    requests, failover.
     """
     from repro.distributed.events import SimClock
     from repro.observability import Observer
@@ -303,8 +305,8 @@ def cmd_serve(args) -> int:
         AdmissionPolicy,
         BatchPolicy,
         HedgePolicy,
-        InferenceServer,
         ReplicaPool,
+        SINGLE_SERVER,
         calibrate_service_model,
         chaos_schedule,
         make_requests,
@@ -321,54 +323,42 @@ def cmd_serve(args) -> int:
           f"{service_model.per_sample * 1e3:.3f} ms/sample")
     clock = SimClock()
     observer = Observer(clock=clock)
-    batch = BatchPolicy(max_batch_size=args.max_batch, max_wait=args.max_wait)
-    admission = AdmissionPolicy(
-        max_queue_depth=args.queue_depth, deadline=args.deadline
-    )
     arrivals = poisson_arrivals(args.rate, args.requests, seed=args.seed)
     requests = make_requests(samples, arrivals)
     print(f"open-loop traffic: {args.requests} requests at {args.rate:g} req/s "
           f"(seed {args.seed})")
-    if args.replicas > 1 or args.chaos_profile:
-        duration = max(float(arrivals[-1]), 1e-6) if len(arrivals) else 1.0
-        chaos = (
-            chaos_schedule(
-                args.chaos_profile, args.replicas, duration, seed=args.chaos_seed
-            )
-            if args.chaos_profile
-            else None
-        )
-        pool = ReplicaPool(
-            servable.predict,
-            num_replicas=args.replicas,
-            batch=batch,
-            admission=admission,
-            service_model=service_model,
-            hedge=HedgePolicy(delay=args.hedge_ms * 1e-3),
-            chaos=chaos,
-            clock=clock,
-            observer=observer,
-            seed=args.seed,
-        )
+    resilient = args.replicas > 1 or bool(args.chaos_profile)
+    duration = max(float(arrivals[-1]), 1e-6) if len(arrivals) else 1.0
+    pool = ReplicaPool(
+        servable.predict,
+        num_replicas=args.replicas,
+        batch=BatchPolicy(max_batch_size=args.max_batch, max_wait=args.max_wait),
+        admission=AdmissionPolicy(
+            max_queue_depth=args.queue_depth, deadline=args.deadline
+        ),
+        service_model=service_model,
+        chaos=chaos_schedule(
+            args.chaos_profile, args.replicas, duration, seed=args.chaos_seed
+        ),
+        clock=clock,
+        observer=observer,
+        seed=args.seed,
+        **(
+            {"hedge": HedgePolicy(delay=args.hedge_ms * 1e-3)}
+            if resilient
+            else SINGLE_SERVER
+        ),
+    )
+    if resilient:
         print(f"replica pool: {args.replicas} replicas, "
               f"hedge after {args.hedge_ms:g} ms"
               + (f", chaos '{args.chaos_profile}' (seed {args.chaos_seed})"
                  if args.chaos_profile else ""))
-        report = pool.serve(requests)
-        if args.chaos_profile:
-            counts = pool.events.summary()
-            summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            print(f"chaos events: {summary if summary else 'none'}")
-    else:
-        server = InferenceServer(
-            servable,
-            batch=batch,
-            admission=admission,
-            service_model=service_model,
-            observer=observer,
-            clock=clock,
-        )
-        report = server.serve(requests)
+    report = pool.serve(requests)
+    if args.chaos_profile:
+        counts = pool.events.summary()
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        print(f"chaos events: {summary if summary else 'none'}")
     print(report.summary())
     print()
     print(observer.metrics_table())
@@ -437,11 +427,25 @@ def cmd_registry_verify(args) -> int:
     return 1 if bad else 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _bounded(cast, lower, inclusive: bool = True):
+    """argparse type: ``cast(text)``, at least (or strictly above) ``lower``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not (value >= lower if inclusive else value > lower):  # nan fails both
+            raise argparse.ArgumentTypeError(
+                f"expected {cast.__name__} {'>=' if inclusive else '>'} {lower}, got {text}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid <name> value" message
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_nonnegative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, inclusive=False)
+_nonnegative_float = _bounded(float, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,29 +552,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="simulated micro-batched serving run")
     _add_serving_args(p)
-    p.add_argument("--rate", type=float, default=400.0,
+    p.add_argument("--rate", type=_positive_float, default=400.0,
                    help="open-loop Poisson arrival rate (req/s)")
-    p.add_argument("--requests", type=int, default=64,
+    p.add_argument("--requests", type=_nonnegative_int, default=64,
                    help="number of requests in the trace")
-    p.add_argument("--max-batch", type=int, default=8,
+    p.add_argument("--max-batch", type=_positive_int, default=8,
                    help="micro-batch size cap")
-    p.add_argument("--max-wait", type=float, default=0.01, metavar="S",
+    p.add_argument("--max-wait", type=_nonnegative_float, default=0.01, metavar="S",
                    help="max seconds the oldest request waits for a batch")
-    p.add_argument("--queue-depth", type=int, default=None, metavar="N",
+    p.add_argument("--queue-depth", type=_positive_int, default=None, metavar="N",
                    help="shed requests arriving when N are queued")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", type=_positive_float, default=None, metavar="S",
                    help="per-request completion deadline in seconds")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a chrome://tracing JSON of the serving spans")
     p.add_argument("--replicas", type=_positive_int, default=1, metavar="N",
-                   help="serve through a resilient N-replica pool (health "
-                        "checks, circuit breakers, hedging, failover)")
+                   help="replicas behind the router; N > 1 switches on health "
+                        "checks, circuit breakers, hedging, failover")
     p.add_argument("--chaos-profile", default=None, metavar="SPEC",
                    help="seeded serving faults, e.g. "
                         "'replica_crash:1,replica_slow:1,servable_corrupt:1'")
     p.add_argument("--chaos-seed", type=int, default=0,
                    help="seed for the chaos schedule")
-    p.add_argument("--hedge-ms", type=float, default=5.0, metavar="MS",
+    p.add_argument("--hedge-ms", type=_nonnegative_float, default=5.0, metavar="MS",
                    help="hedge a still-unanswered request onto a sibling "
                         "replica after this many milliseconds")
     p.set_defaults(fn=cmd_serve)

@@ -6,15 +6,18 @@ trained surrogate models answering "heavy traffic from millions of users"
 
 * :class:`ModelRegistry` / :class:`Servable` — CRC-checked checkpoint
   archives rebuilt into eval-mode tasks (``servable.py``);
-* :class:`MicroBatcher` — dynamic request coalescing with load shedding
-  and deadlines on a simulated clock (``batcher.py``);
-* :class:`InferenceServer` / :class:`ServeReport` — the bundled server
-  with observability and latency/throughput reduction (``server.py``);
+* :class:`Request` / :class:`Response` / :class:`BatchPolicy` /
+  :class:`AdmissionPolicy` / :class:`ServeReport` — the vocabulary of a
+  serving run and its latency/throughput reduction (``batcher.py``);
+* :class:`ReplicaPool` — the one discrete-event loop: dynamic request
+  coalescing, load shedding and deadlines on a simulated clock, plus —
+  when switched on — health checks, circuit breakers, hedging, failover,
+  and seeded chaos (``resilience/``, DESIGN.md §12–13);
+* :class:`InferenceServer` — that loop fixed to one replica with the
+  resilience machinery off, bundled with a servable and an observer
+  (``server.py``);
 * :func:`poisson_arrivals` / :func:`make_requests` — seeded open-loop
-  traffic (``traffic.py``);
-* :class:`ReplicaPool` and friends — replicated serving with health
-  checks, circuit breakers, hedging, failover, and seeded chaos
-  (``resilience/``, DESIGN.md §13).
+  traffic (``traffic.py``).
 
 The core numerical guarantee: a request's prediction is bit-identical
 whether it is served alone or coalesced into any micro-batch, because all
@@ -25,13 +28,14 @@ serving forwards run under
 from repro.serving.batcher import (
     AdmissionPolicy,
     BatchPolicy,
-    MicroBatcher,
     Request,
     Response,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_SHED,
     STATUS_TIMEOUT,
+    ServeReport,
+    summarize,
 )
 from repro.serving.resilience import (
     BreakerPolicy,
@@ -55,9 +59,8 @@ from repro.serving.servable import (
 from repro.serving.server import (
     AffineServiceModel,
     InferenceServer,
-    ServeReport,
+    SINGLE_SERVER,
     calibrate_service_model,
-    summarize,
 )
 from repro.serving.traffic import make_requests, poisson_arrivals
 
@@ -73,11 +76,11 @@ __all__ = [
     "HealthPolicy",
     "HedgePolicy",
     "InferenceServer",
-    "MicroBatcher",
     "ModelRegistry",
     "ReplicaPool",
     "Request",
     "Response",
+    "SINGLE_SERVER",
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_SHED",

@@ -1,41 +1,28 @@
-"""Dynamic micro-batching on a simulated-clock event loop.
+"""The serving vocabulary: requests, responses, policies, and the report.
 
-Concurrent property-prediction requests are coalesced into batches under a
-``(max_batch_size, max_wait)`` policy: a batch dispatches as soon as it is
-full, or when its oldest member has waited ``max_wait``, whichever comes
-first — the standard dynamic-batching rule serving systems use to trade a
-bounded latency cost for batched throughput.
+Everything the one serving event loop
+(:class:`~repro.serving.resilience.pool.ReplicaPool`, DESIGN.md §12)
+consumes and produces lives here, below both the loop and the
+:class:`~repro.serving.InferenceServer` facade so neither has to import
+the other for a type:
 
-Time is a :class:`~repro.distributed.events.SimClock`, exactly like the
-fault-tolerance and backoff machinery: the loop is a discrete-event
-simulation, so every run is deterministic and finishes in milliseconds
-regardless of the traffic it models.  The dispatch rule is::
-
-    trigger = queue[max_batch-1].arrival          # if the batch is full
-            | queue[0].arrival + max_wait         # otherwise
-    fire_at = max(trigger, busy_until)            # one server, FIFO
-
-Arrivals strictly before ``fire_at`` join the queue first (an arrival at
-exactly ``fire_at`` rides the *next* batch), which makes the coalescing
-deterministic: the same arrival sequence always produces the same batches,
-the same sheds, and — through batch-invariant kernels — the same bits.
-
-Admission control happens at arrival time: a request that finds the queue
-at ``max_queue_depth`` is shed immediately (load shedding), and a request
-whose deadline would expire before its batch completes is timed out at
-dispatch instead of wasting a forward pass.  The deadline check uses the
-batch duration *before* timeouts are removed — removal only shrinks the
-batch, so the check is conservative and stays deterministic.
+* :class:`Request` / :class:`Response` — one inference request on the
+  simulated clock and its single terminal record;
+* :class:`BatchPolicy` — the ``(max_batch_size, max_wait)`` coalescing
+  rule: a batch dispatches as soon as it is full, or when its oldest
+  member has waited ``max_wait``, whichever comes first;
+* :class:`AdmissionPolicy` — load shedding at arrival (queue depth) and
+  per-request completion deadlines checked at dispatch;
+* :class:`ServeReport` / :func:`summarize` — the latency / throughput /
+  shed accounting the benchmarks and ``repro serve`` print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-from repro.distributed.events import SimClock
 
 #: Response status vocabulary.
 STATUS_OK = "ok"
@@ -69,7 +56,7 @@ class Response:
     dispatched_at: Optional[float]
     completed_at: float
     batch_size: int = 0
-    #: Which replica answered (None for the single-server MicroBatcher).
+    #: Which replica answered (None when shed or failed before any did).
     replica: Optional[int] = None
 
     @property
@@ -111,180 +98,81 @@ class AdmissionPolicy:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
 
 
-class MicroBatcher:
-    """Deterministic single-server micro-batching loop.
+@dataclass
+class ServeReport:
+    """Reduced view of one serving run over a traffic trace."""
 
-    ``model_fn(samples) -> array`` scores a batch; ``service_model(n) ->
-    seconds`` is how long an ``n``-sample forward occupies the simulated
-    server (default: instantaneous, which unit tests use to isolate the
-    queueing behaviour).  An :class:`~repro.observability.Observer` sharing
-    the loop's clock picks up ``serve.*`` counters and per-batch /
-    per-request trace spans.
+    responses: List[Response]
+    p50_latency: float
+    p99_latency: float
+    throughput: float  # completed requests per simulated second
+    mean_batch_size: float
+    ok: int
+    shed: int
+    timeout: int
+    #: Requests whose every attempt (including failovers) failed.
+    failed: int = 0
+    metrics: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return self.ok + self.shed + self.timeout + self.failed
+
+    @property
+    def availability(self) -> float:
+        """Fraction of offered requests answered OK (0.0 on an empty trace)."""
+        if self.total == 0:
+            return 0.0
+        return self.ok / self.total
+
+    def goodput(self, slo: float) -> float:
+        """Completed-within-SLO requests per simulated second."""
+        good = [r for r in self.responses if r.ok and r.latency <= slo]
+        if not good:
+            return 0.0
+        span = max(r.completed_at for r in good) - min(r.arrival for r in self.responses)
+        if span <= 0:
+            return 0.0
+        return len(good) / span
+
+    def summary(self) -> str:
+        return (
+            f"{self.ok}/{self.total} ok ({self.shed} shed, {self.timeout} timeout, "
+            f"{self.failed} failed), availability {self.availability:.3f}, "
+            f"p50 {self.p50_latency * 1e3:.2f} ms, p99 {self.p99_latency * 1e3:.2f} ms, "
+            f"{self.throughput:.1f} req/s, mean batch {self.mean_batch_size:.2f}"
+        )
+
+
+def summarize(responses: Sequence[Response], observer=None) -> ServeReport:
+    """Reduce raw responses to the report the benches and CLI print.
+
+    Degenerate traces reduce without raising: an empty response list, a
+    trace where nothing completed, or a single instantaneous completion
+    (zero observation span) all yield a report with 0.0 throughput rather
+    than a division error — chaos runs can and do produce all three.
     """
-
-    def __init__(
-        self,
-        model_fn: Callable[[List[object]], np.ndarray],
-        batch: Optional[BatchPolicy] = None,
-        admission: Optional[AdmissionPolicy] = None,
-        service_model: Optional[Callable[[int], float]] = None,
-        clock: Optional[SimClock] = None,
-        observer=None,
-    ):
-        self.model_fn = model_fn
-        self.batch = batch if batch is not None else BatchPolicy()
-        self.admission = admission if admission is not None else AdmissionPolicy()
-        self.service_model = service_model if service_model is not None else (lambda n: 0.0)
-        self.clock = clock if clock is not None else SimClock()
-        self.observer = observer
-
-    # ------------------------------------------------------------------ #
-    def _counter(self, name: str, amount: float = 1) -> None:
-        if self.observer is not None:
-            self.observer.metrics.counter(name).inc(amount)
-
-    def _observe(self, name: str, value: float) -> None:
-        if self.observer is not None:
-            self.observer.metrics.histogram(name).observe(value)
-
-    def _span(self, name: str, start: float, end: float, **attrs) -> None:
-        """Record a span stretched onto simulated [start, end]."""
-        if self.observer is None:
-            return
-        self.observer.span_at(name, start, end, **attrs)
-
-    # ------------------------------------------------------------------ #
-    def run(self, requests: Sequence[Request]) -> List[Response]:
-        """Drive every request to a terminal response; returns them sorted
-        by completion time (ties broken by arrival, then request id)."""
-        pending = sorted(requests, key=lambda r: (r.arrival, r.request_id))
-        max_batch = self.batch.max_batch_size
-        depth_cap = self.admission.max_queue_depth
-        rel_deadline = self.admission.deadline
-
-        queue: List[Request] = []
-        responses: List[Response] = []
-        busy_until = 0.0
-        peak_depth = 0
-        i = 0
-
-        def admit(req: Request) -> None:
-            nonlocal peak_depth
-            if self.clock.now() < req.arrival:
-                self.clock.advance(req.arrival - self.clock.now())
-            if depth_cap is not None and len(queue) >= depth_cap:
-                self._counter("serve.shed.queue_full")
-                responses.append(
-                    Response(
-                        request_id=req.request_id,
-                        client_id=req.client_id,
-                        status=STATUS_SHED,
-                        value=None,
-                        arrival=req.arrival,
-                        dispatched_at=None,
-                        completed_at=req.arrival,
-                    )
-                )
-                self._span(
-                    "serve.request",
-                    req.arrival,
-                    req.arrival,
-                    request_id=req.request_id,
-                    status=STATUS_SHED,
-                )
-                return
-            if rel_deadline is not None and req.deadline is None:
-                req.deadline = req.arrival + rel_deadline
-            queue.append(req)
-            peak_depth = max(peak_depth, len(queue))
-            self._counter("serve.queue.admitted")
-
-        while i < len(pending) or queue:
-            if not queue:
-                admit(pending[i])
-                i += 1
-                continue
-            if len(queue) >= max_batch:
-                trigger = queue[max_batch - 1].arrival
-            else:
-                trigger = queue[0].arrival + self.batch.max_wait
-            fire_at = max(trigger, busy_until)
-            if i < len(pending) and pending[i].arrival < fire_at:
-                admit(pending[i])
-                i += 1
-                continue
-
-            batch = queue[:max_batch]
-            del queue[:max_batch]
-            if self.clock.now() < fire_at:
-                self.clock.advance(fire_at - self.clock.now())
-            duration = float(self.service_model(len(batch)))
-            completed_at = fire_at + duration
-
-            kept: List[Request] = []
-            for req in batch:
-                if req.deadline is not None and completed_at > req.deadline:
-                    self._counter("serve.shed.deadline")
-                    responses.append(
-                        Response(
-                            request_id=req.request_id,
-                            client_id=req.client_id,
-                            status=STATUS_TIMEOUT,
-                            value=None,
-                            arrival=req.arrival,
-                            dispatched_at=fire_at,
-                            completed_at=fire_at,
-                            batch_size=len(batch),
-                        )
-                    )
-                    self._span(
-                        "serve.request",
-                        req.arrival,
-                        fire_at,
-                        request_id=req.request_id,
-                        status=STATUS_TIMEOUT,
-                    )
-                else:
-                    kept.append(req)
-            if not kept:
-                continue
-
-            self.clock.advance(completed_at - self.clock.now())
-            busy_until = completed_at
-            values = np.atleast_1d(
-                np.asarray(self.model_fn([req.sample for req in kept]))
-            )
-            if len(values) != len(kept):
-                raise RuntimeError(
-                    f"model_fn returned {len(values)} values for {len(kept)} requests"
-                )
-            self._counter("serve.batch.dispatched")
-            self._counter("serve.batch.requests", len(kept))
-            self._observe("serve.batch.size", len(kept))
-            self._span("serve.batch", fire_at, completed_at, batch_size=len(kept))
-            for req, value in zip(kept, values):
-                self._observe("serve.queue.wait_seconds", fire_at - req.arrival)
-                responses.append(
-                    Response(
-                        request_id=req.request_id,
-                        client_id=req.client_id,
-                        status=STATUS_OK,
-                        value=float(value),
-                        arrival=req.arrival,
-                        dispatched_at=fire_at,
-                        completed_at=completed_at,
-                        batch_size=len(kept),
-                    )
-                )
-                self._span(
-                    "serve.request",
-                    req.arrival,
-                    completed_at,
-                    request_id=req.request_id,
-                    status=STATUS_OK,
-                )
-
-        if self.observer is not None:
-            self.observer.metrics.gauge("serve.queue.peak_depth").set(peak_depth)
-        responses.sort(key=lambda r: (r.completed_at, r.arrival, r.request_id))
-        return responses
+    completed = [r for r in responses if r.ok]
+    latencies = np.array([r.latency for r in completed], dtype=np.float64)
+    if len(completed) >= 1:
+        span = max(r.completed_at for r in completed) - min(
+            r.arrival for r in responses
+        )
+        throughput = len(completed) / span if span > 0 else 0.0
+        p50 = float(np.percentile(latencies, 50))
+        p99 = float(np.percentile(latencies, 99))
+        mean_batch = float(np.mean([r.batch_size for r in completed]))
+    else:
+        throughput = p50 = p99 = mean_batch = 0.0
+    return ServeReport(
+        responses=list(responses),
+        p50_latency=p50,
+        p99_latency=p99,
+        throughput=throughput,
+        mean_batch_size=mean_batch,
+        ok=len(completed),
+        shed=sum(r.status == STATUS_SHED for r in responses),
+        timeout=sum(r.status == STATUS_TIMEOUT for r in responses),
+        failed=sum(r.status == STATUS_FAILED for r in responses),
+        metrics=observer.metrics.snapshot() if observer is not None else {},
+    )

@@ -1,8 +1,8 @@
 """Resilient replicated serving: health, breakers, hedging, chaos.
 
-See DESIGN.md §13.  The subpackage adds the failure story to the serving
-layer: a :class:`ReplicaPool` fronts N replicas of one servable behind a
-deterministic router with health checking (:class:`HealthChecker`),
+See DESIGN.md §12–13.  The subpackage holds the serving layer's one event
+loop and its failure story: a :class:`ReplicaPool` micro-batches for N
+replicas of one servable behind a deterministic router with health checking (:class:`HealthChecker`),
 per-replica circuit breakers (:class:`CircuitBreaker`), hedged requests
 and failover retries (:class:`HedgePolicy` +
 :class:`~repro.distributed.faults.RetryPolicy`), and a graceful

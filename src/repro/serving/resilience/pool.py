@@ -1,12 +1,24 @@
-"""ReplicaPool: replicated serving with failover, hedging, and brownout.
+"""ReplicaPool: the one serving event loop — micro-batching to brownout.
 
 The pool fronts N replicas of one servable behind a deterministic router
 and drives a traffic trace on the shared
-:class:`~repro.distributed.events.SimClock` as a discrete-event
-simulation — the multi-replica generalization of
-:class:`~repro.serving.MicroBatcher`, with the failure story the single
-replica lacks:
+:class:`~repro.distributed.events.SimClock` as a heap-ordered
+discrete-event simulation, so every run is deterministic and finishes in
+milliseconds regardless of the traffic it models.  It is the only
+serving loop: :class:`~repro.serving.InferenceServer` is this class with
+one replica and everything below the first two bullets switched off.
 
+* **micro-batching** — per replica, requests coalesce under
+  ``(max_batch_size, max_wait)``: a batch dispatches when it is full or
+  when its oldest member has waited ``max_wait``, and never before the
+  replica is free (``fire_at = max(trigger, busy_until)``).  Events due
+  at the same instant run before that instant's arrivals, so an arrival
+  at exactly ``fire_at`` rides the *next* batch (the tie rule, pinned by
+  ``tests/test_serving.py``);
+* **admission** — a request that finds its replica's queue at
+  ``max_queue_depth`` is shed at arrival, and one whose deadline would
+  pass before its batch completes is timed out at dispatch instead of
+  wasting a forward pass;
 * **routing** — each request goes to the least-loaded replica (ties to
   the lowest index) among those that are alive, health-checked, and
   whose :class:`~repro.serving.resilience.CircuitBreaker` admits traffic;
@@ -63,11 +75,12 @@ from repro.serving.batcher import (
     BatchPolicy,
     Request,
     Response,
+    ServeReport,
+    summarize,
 )
 from repro.serving.resilience.breaker import OPEN, BreakerPolicy, CircuitBreaker
 from repro.serving.resilience.chaos import ChaosFault
 from repro.serving.resilience.health import HealthChecker, HealthPolicy
-from repro.serving.server import ServeReport, summarize
 
 
 @dataclass(frozen=True)
@@ -115,12 +128,19 @@ class DegradationPolicy:
 
 
 class _Pending:
-    """Router-side bookkeeping for one logical request."""
+    """Router-side bookkeeping for one logical request.
 
-    __slots__ = ("req", "done", "live", "tried", "hedges", "failovers")
+    ``deadline`` is the effective absolute deadline — the request's own,
+    else arrival plus the admission policy's — kept here so the caller's
+    :class:`Request` is never written to and can be replayed under a
+    different policy.
+    """
 
-    def __init__(self, req: Request):
+    __slots__ = ("req", "deadline", "done", "live", "tried", "hedges", "failovers")
+
+    def __init__(self, req: Request, deadline: Optional[float]):
         self.req = req
+        self.deadline = deadline
         self.done = False
         self.live = 0  # attempts queued, in flight, or awaiting re-dispatch
         self.tried: Set[int] = set()
@@ -182,10 +202,12 @@ class ReplicaPool:
 
     ``model_fn(samples) -> array`` is shared by every replica (they serve
     the same servable); ``service_model(n) -> seconds`` is scaled by a
-    replica's chaos slow-factor.  Passing ``health=None``, ``hedge=None``,
-    ``breaker=None`` and ``retry=RetryPolicy(max_retries=0)`` yields a
-    no-resilience pool — the baseline arm the resilience bench compares
-    against.
+    replica's chaos slow-factor (default: instantaneous, which unit tests
+    use to isolate the queueing behaviour).  Passing ``health=None``,
+    ``hedge=None``, ``breaker=None``, ``degradation=None`` and
+    ``retry=RetryPolicy(max_retries=0)`` yields a no-resilience pool —
+    :data:`repro.serving.SINGLE_SERVER`, and the baseline arm the
+    resilience bench compares against.
     """
 
     def __init__(
@@ -240,14 +262,6 @@ class ReplicaPool:
             if health is not None
             else None
         )
-        self._health_policy = health
-        # Event-loop state (reset per run).
-        self._heap: List = []
-        self._seq = 0
-        self._responses: List[Response] = []
-        self._arrivals_left = 0
-        self._open_requests = 0
-        self._level = 0
         self._peak_level = 0
         self._peak_depth = 0
 
@@ -270,7 +284,11 @@ class ReplicaPool:
     # Event queue
     # ------------------------------------------------------------------ #
     def _push(self, time: float, kind: str, payload) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        # The tie rule: everything due at an instant — completions,
+        # dispatch checks, chaos — runs before that instant's arrivals,
+        # so a request landing exactly at a dispatch rides the next batch
+        # and finds the queue slots that dispatch freed.
+        heapq.heappush(self._heap, (time, kind == "arrival", self._seq, kind, payload))
         self._seq += 1
 
     def _advance_to(self, time: float) -> None:
@@ -399,8 +417,6 @@ class ReplicaPool:
         transfers to the scheduled re-dispatch, on failure the caller
         releases it.
         """
-        if pending.done:
-            return False
         if pending.failovers >= self.retry.max_retries or len(self.replicas) < 2:
             return False
         backoff = self.retry.backoff(pending.failovers, key=pending.req.request_id)
@@ -430,12 +446,13 @@ class ReplicaPool:
     # ------------------------------------------------------------------ #
     def _handle_arrival(self, now: float, req: Request) -> None:
         self._arrivals_left -= 1
-        pending = _Pending(req)
+        deadline = req.deadline
+        if deadline is None and self.admission.deadline is not None:
+            deadline = req.arrival + self.admission.deadline
+        pending = _Pending(req, deadline)
         self._open_requests += 1
         level = self._refresh_level()
         depth = self._effective_depth(level)
-        if self.admission.deadline is not None and req.deadline is None:
-            req.deadline = req.arrival + self.admission.deadline
         candidates = self._candidates()
         target = None
         for replica in candidates:
@@ -449,11 +466,7 @@ class ReplicaPool:
             return
         pending.live = 1
         self._enqueue(target, pending, now, "primary")
-        if (
-            self.hedge is not None
-            and len(self.replicas) > 1
-            and self.hedge.max_hedges > 0
-        ):
+        if self.hedge is not None and len(self.replicas) > 1:
             self._push(now + self.hedge.delay, "hedge", pending)
 
     def _handle_enqueue(self, now: float, pending: _Pending) -> None:
@@ -528,12 +541,12 @@ class ReplicaPool:
         duration = float(self.service_model(len(live_batch))) * replica.speed_factor(now)
         completed_at = now + duration
 
-        # Conservative deadline check, as in MicroBatcher: the duration is
-        # computed before timeouts are removed, so removal only shrinks
-        # the batch and the verdict stays deterministic.
+        # Conservative deadline check: the duration is computed before
+        # timeouts are removed, so removal only shrinks the batch and the
+        # verdict stays deterministic.
         kept: List[_Attempt] = []
         for attempt in live_batch:
-            deadline = attempt.pending.req.deadline
+            deadline = attempt.pending.deadline
             if deadline is not None and completed_at > deadline:
                 self._counter("serve.shed.deadline")
                 attempt.pending.live -= 1
@@ -572,7 +585,6 @@ class ReplicaPool:
                 "replica": replica.index,
                 "batch": kept,
                 "fired_at": now,
-                "completed_at": completed_at,
                 "duration": duration,
                 "epoch": replica.epoch,
             },
@@ -624,7 +636,7 @@ class ReplicaPool:
         self.health.observe(index, ok=up, latency=latency)
         self._refresh_level()
         if self._arrivals_left > 0 or self._open_requests > 0:
-            self._push(now + self._health_policy.interval, "probe", index)
+            self._push(now + self.health.policy.interval, "probe", index)
 
     def _handle_chaos(self, now: float, fault: ChaosFault) -> None:
         replica = self.replicas[fault.replica % len(self.replicas)]
@@ -675,9 +687,9 @@ class ReplicaPool:
 
     def run(self, requests: Sequence[Request]) -> List[Response]:
         """Drive every request to exactly one terminal response."""
-        self._heap = []
+        self._heap: List = []
         self._seq = 0
-        self._responses = []
+        self._responses: List[Response] = []
         self._open_requests = 0
         self._level = 0
         ordered = sorted(requests, key=lambda r: (r.arrival, r.request_id))
@@ -688,10 +700,10 @@ class ReplicaPool:
             self._push(fault.time, "chaos", fault)
         if self.health is not None:
             for replica in self.replicas:
-                self._push(self._health_policy.interval, "probe", replica.index)
+                self._push(self.health.policy.interval, "probe", replica.index)
 
         while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, _, _, kind, payload = heapq.heappop(self._heap)
             self._advance_to(time)
             getattr(self, self._HANDLERS[kind])(time, payload)
 

@@ -1,11 +1,13 @@
 """The inference server: servable + policies + observability, one handle.
 
-:class:`InferenceServer` wires a loaded :class:`~repro.serving.Servable`
-into a :class:`~repro.serving.MicroBatcher` with an
-:class:`~repro.observability.Observer` on the shared simulated clock, and
-reduces a traffic trace to a :class:`ServeReport` — the p50/p99 latency,
-throughput, and shed/timeout accounting the benchmarks and the ``repro
-serve`` CLI print.
+:class:`InferenceServer` is a fixed configuration of the one serving
+event loop, :class:`~repro.serving.ReplicaPool` (DESIGN.md §12): one
+replica with every resilience mechanism off (:data:`SINGLE_SERVER`), fed
+by a loaded :class:`~repro.serving.Servable` and watched by an
+:class:`~repro.observability.Observer` on the shared simulated clock.  It
+reduces a traffic trace to a :class:`~repro.serving.ServeReport` — the
+p50/p99 latency, throughput, and shed/timeout accounting the benchmarks
+and the ``repro serve`` CLI print.
 
 Service time is modelled affinely (``a + b * batch_size``), calibrated
 from real timed forwards by :func:`calibrate_service_model`: ``a`` is the
@@ -16,21 +18,32 @@ staying anchored to measured compute on the current machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.distributed.events import SimClock
+from repro.distributed.faults import RetryPolicy
 from repro.observability import Observer
 from repro.serving.batcher import (
     AdmissionPolicy,
     BatchPolicy,
-    MicroBatcher,
     Request,
-    Response,
+    ServeReport,
+    summarize,
 )
+from repro.serving.resilience.pool import ReplicaPool
 from repro.serving.servable import Servable
+from repro.utils import time_callable
+
+#: The :class:`ReplicaPool` settings that leave plain micro-batching with
+#: admission control: nothing probes, trips, hedges, retries, or browns out.
+SINGLE_SERVER = dict(
+    hedge=None,
+    breaker=None,
+    health=None,
+    degradation=None,
+    retry=RetryPolicy(max_retries=0),
+)
 
 
 @dataclass
@@ -67,8 +80,6 @@ def calibrate_service_model(
     ``base``/``per_sample``.  Degenerate fits (non-positive slope on a
     noisy host) fall back to a flat per-sample cost.
     """
-    from benchmarks.common import time_callable
-
     if max_batch_size < 2:
         raise ValueError("max_batch_size must be >= 2 to calibrate a slope")
     one = [samples[0]]
@@ -80,52 +91,6 @@ def calibrate_service_model(
         per_sample = tn / max_batch_size
     base = max(t1 - per_sample, 0.0)
     return AffineServiceModel(base=base, per_sample=per_sample)
-
-
-@dataclass
-class ServeReport:
-    """Reduced view of one serving run over a traffic trace."""
-
-    responses: List[Response]
-    p50_latency: float
-    p99_latency: float
-    throughput: float  # completed requests per simulated second
-    mean_batch_size: float
-    ok: int
-    shed: int
-    timeout: int
-    #: Requests whose every attempt (including failovers) failed.
-    failed: int = 0
-    metrics: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return self.ok + self.shed + self.timeout + self.failed
-
-    @property
-    def availability(self) -> float:
-        """Fraction of offered requests answered OK (0.0 on an empty trace)."""
-        if self.total == 0:
-            return 0.0
-        return self.ok / self.total
-
-    def goodput(self, slo: float) -> float:
-        """Completed-within-SLO requests per simulated second."""
-        good = [r for r in self.responses if r.ok and r.latency <= slo]
-        if not good:
-            return 0.0
-        span = max(r.completed_at for r in good) - min(r.arrival for r in self.responses)
-        if span <= 0:
-            return 0.0
-        return len(good) / span
-
-    def summary(self) -> str:
-        return (
-            f"{self.ok}/{self.total} ok ({self.shed} shed, {self.timeout} timeout, "
-            f"{self.failed} failed), availability {self.availability:.3f}, "
-            f"p50 {self.p50_latency * 1e3:.2f} ms, p99 {self.p99_latency * 1e3:.2f} ms, "
-            f"{self.throughput:.1f} req/s, mean batch {self.mean_batch_size:.2f}"
-        )
 
 
 class InferenceServer:
@@ -143,51 +108,16 @@ class InferenceServer:
         self.servable = servable
         self.clock = clock if clock is not None else SimClock()
         self.observer = observer if observer is not None else Observer(clock=self.clock)
-        self.batcher = MicroBatcher(
+        self.pool = ReplicaPool(
             servable.predict,
+            num_replicas=1,
             batch=batch,
             admission=admission,
             service_model=service_model,
             clock=self.clock,
             observer=self.observer,
+            **SINGLE_SERVER,
         )
 
     def serve(self, requests: Sequence[Request]) -> ServeReport:
-        responses = self.batcher.run(requests)
-        return summarize(responses, self.observer)
-
-
-def summarize(
-    responses: Sequence[Response], observer: Optional[Observer] = None
-) -> ServeReport:
-    """Reduce raw responses to the report the benches and CLI print.
-
-    Degenerate traces reduce without raising: an empty response list, a
-    trace where nothing completed, or a single instantaneous completion
-    (zero observation span) all yield a report with 0.0 throughput rather
-    than a division error — chaos runs can and do produce all three.
-    """
-    completed = [r for r in responses if r.ok]
-    latencies = np.array([r.latency for r in completed], dtype=np.float64)
-    if len(completed) >= 1:
-        span = max(r.completed_at for r in completed) - min(
-            r.arrival for r in responses
-        )
-        throughput = len(completed) / span if span > 0 else 0.0
-        p50 = float(np.percentile(latencies, 50))
-        p99 = float(np.percentile(latencies, 99))
-        mean_batch = float(np.mean([r.batch_size for r in completed]))
-    else:
-        throughput = p50 = p99 = mean_batch = 0.0
-    return ServeReport(
-        responses=list(responses),
-        p50_latency=p50,
-        p99_latency=p99,
-        throughput=throughput,
-        mean_batch_size=mean_batch,
-        ok=len(completed),
-        shed=sum(r.status == "shed" for r in responses),
-        timeout=sum(r.status == "timeout" for r in responses),
-        failed=sum(r.status == "failed" for r in responses),
-        metrics=observer.metrics.snapshot() if observer is not None else {},
-    )
+        return summarize(self.pool.run(requests), self.observer)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List
+import time
+from typing import Callable, List
 
 import numpy as np
 
@@ -42,3 +43,35 @@ def human_count(n: float) -> str:
         if abs(n) >= scale:
             return f"{n / scale:.1f}{unit}"
     return f"{n:.0f}"
+
+
+def time_callable(
+    fn: Callable[[], object],
+    rounds: int = 5,
+    warmup: int = 1,
+    reduce: str = "median",
+) -> float:
+    """Wall time of ``fn()`` in seconds: warmup discarded, median-of-k.
+
+    ``time.perf_counter`` throughout; ``reduce`` may be ``"median"`` (the
+    default — robust to one slow outlier round) or ``"min"`` (tightest
+    bound, for overhead comparisons where any jitter only inflates).
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    for _ in range(max(warmup, 0)):
+        fn()
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    if reduce == "min":
+        return min(times)
+    if reduce != "median":
+        raise ValueError(f"unknown reduce {reduce!r}")
+    times.sort()
+    mid = len(times) // 2
+    if len(times) % 2:
+        return times[mid]
+    return 0.5 * (times[mid - 1] + times[mid])

@@ -1,5 +1,9 @@
 """CLI: every command parses and the cheap ones run end-to-end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -42,6 +46,22 @@ class TestParser:
         assert args.replicas == 1
         assert args.chaos_profile is None
         assert args.hedge_ms == 5.0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "0"),
+        ("--max-batch", "0"),
+        ("--max-wait", "-1"),
+        ("--deadline", "0"),
+        ("--queue-depth", "0"),
+        ("--requests", "-1"),
+        ("--hedge-ms", "-1"),
+        ("--rate", "nan"),
+    ])
+    def test_serve_bad_values_exit_2_naming_the_flag(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--registry", "/tmp/reg", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_registry_verify_parses(self):
         args = build_parser().parse_args(
@@ -112,3 +132,24 @@ class TestExecution:
         )
         assert code == 0
         assert "band_gap_mae" in capsys.readouterr().out
+
+    def test_serve_runs_from_a_foreign_cwd(self, tmp_path):
+        """``src/`` must not import the repo-root ``benchmarks`` package:
+        with only ``src`` on the path and the cwd elsewhere, serve works."""
+        from repro.serving import ServableSpec, save_servable
+
+        spec = ServableSpec(
+            target="band_gap", encoder_name="egnn", hidden_dim=8, num_layers=1,
+            position_dim=2, head_hidden_dim=8, head_blocks=1, normalizer=[0.5, 2.0],
+        )
+        save_servable(spec.build_task(), spec, str(tmp_path / "reg" / "tiny"))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--registry",
+             str(tmp_path / "reg"), "--model", "tiny", "--requests", "16"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "req/s" in proc.stdout
+        assert "serve.replica.count" in proc.stdout

@@ -1,6 +1,7 @@
-"""Serving layer: micro-batcher queueing properties + registry round trips.
+"""Serving layer: micro-batching queueing properties + registry round trips.
 
-The micro-batcher tests treat the loop as a black box under seeded random
+The micro-batching tests treat the one serving event loop (behind
+:class:`InferenceServer`) as a black box under seeded random
 arrival sequences and assert the serving contract directly: every request
 gets exactly one terminal response, no client ever sees its own requests
 reordered, the ``max_wait`` bound holds when the server is not the
@@ -12,7 +13,9 @@ isolated from model numerics (those live in
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +24,9 @@ from repro.distributed.events import SimClock
 from repro.observability import Observer
 from repro.serving import (
     AdmissionPolicy,
+    AffineServiceModel,
     BatchPolicy,
-    MicroBatcher,
+    InferenceServer,
     ModelRegistry,
     Request,
     STATUS_OK,
@@ -46,17 +50,17 @@ def echo_model(samples):
 
 
 def run_batcher(requests, max_batch=4, max_wait=0.01, admission=None,
-                service_model=None, observer=None):
-    clock = SimClock()
-    batcher = MicroBatcher(
-        echo_model,
+                service_model=None, observer=None, clock=None, model_fn=echo_model):
+    """Responses of the single serving loop in its one-replica form."""
+    server = InferenceServer(
+        SimpleNamespace(predict=model_fn),
         batch=BatchPolicy(max_batch_size=max_batch, max_wait=max_wait),
         admission=admission,
         service_model=service_model,
         clock=clock,
         observer=observer,
     )
-    return batcher.run(requests)
+    return server.serve(requests).responses
 
 
 def seeded_requests(seed, count=60, rate=200.0, deadline=None):
@@ -186,15 +190,13 @@ def test_deadline_times_out_instead_of_wasting_a_forward():
         calls.append(len(samples))
         return echo_model(samples)
 
-    clock = SimClock()
-    batcher = MicroBatcher(
-        counting_model,
-        batch=BatchPolicy(max_batch_size=4, max_wait=0.001),
+    responses = run_batcher(
+        seeded_requests(0, count=12),
+        max_wait=0.001,
         admission=AdmissionPolicy(deadline=0.01),
         service_model=lambda n: 0.1,  # every batch blows the deadline
-        clock=clock,
+        model_fn=counting_model,
     )
-    responses = batcher.run(seeded_requests(0, count=12))
     assert all(r.status == STATUS_TIMEOUT for r in responses)
     assert calls == []  # timed-out batches never reach the model
 
@@ -202,16 +204,15 @@ def test_deadline_times_out_instead_of_wasting_a_forward():
 def test_metrics_account_for_every_request():
     clock = SimClock()
     observer = Observer(clock=clock)
-    batcher = MicroBatcher(
-        echo_model,
-        batch=BatchPolicy(max_batch_size=4, max_wait=0.004),
+    requests = seeded_requests(1, count=50, rate=600.0)
+    responses = run_batcher(
+        requests,
+        max_wait=0.004,
         admission=AdmissionPolicy(max_queue_depth=3),
         service_model=lambda n: 0.01,
         clock=clock,
         observer=observer,
     )
-    requests = seeded_requests(1, count=50, rate=600.0)
-    responses = batcher.run(requests)
     statuses = Counter(r.status for r in responses)
     metrics = observer.metrics
     assert metrics.value("serve.queue.admitted") + metrics.value(
@@ -226,9 +227,11 @@ def test_metrics_account_for_every_request():
 
 
 def test_model_fn_length_mismatch_is_an_error():
-    batcher = MicroBatcher(lambda samples: np.zeros(len(samples) + 1))
     with pytest.raises(RuntimeError, match="model_fn returned"):
-        batcher.run([Request(request_id=0, sample=1.0, arrival=0.0)])
+        run_batcher(
+            [Request(request_id=0, sample=1.0, arrival=0.0)],
+            model_fn=lambda samples: np.zeros(len(samples) + 1),
+        )
 
 
 def test_full_batch_dispatches_without_waiting():
@@ -238,6 +241,135 @@ def test_full_batch_dispatches_without_waiting():
     responses = run_batcher(requests, max_batch=4, max_wait=10.0)
     assert all(r.dispatched_at == 0.0 for r in responses)
     assert all(r.batch_size == 4 for r in responses)
+
+
+# --------------------------------------------------------------------------- #
+# One loop: characterization against the deleted single-server loop
+# --------------------------------------------------------------------------- #
+#: sha256 over ``repr(as_tuples(responses))`` of every trace in a grid,
+#: recorded at commit 43dcc92 from the single-server loop this one replaced.
+POISSON_GRID_DIGEST = "56a747d5a92eb953db364aeb4c8a7ea08c351927d141dd8ca083654c5aee7fea"
+TIED_GRID_DIGEST = "dac4f732befd9395300580eaa8f888f31f7f18e75ce8fb9bf916c779ea3b67a0"
+
+
+def grid_digest(grid):
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for requests, batch, admission, service_model in grid:
+        responses = run_batcher(
+            requests, batch.max_batch_size, batch.max_wait, admission, service_model
+        )
+        statuses.update(r.status for r in responses)
+        digest.update(repr(as_tuples(responses)).encode())
+    return digest.hexdigest(), statuses
+
+
+def poisson_grid():
+    """640 traces: 40 seeds x 4 loads x 4 admission policies (the last is
+    the end-to-end benchmark's ``serve_trace`` policy)."""
+    service = AffineServiceModel(base=1.0e-3, per_sample=0.25e-3)
+    batch = BatchPolicy(max_batch_size=8, max_wait=service(1))
+    policies = [
+        AdmissionPolicy(),
+        AdmissionPolicy(max_queue_depth=4),
+        AdmissionPolicy(deadline=0.004),
+        AdmissionPolicy(max_queue_depth=16, deadline=3 * service(8)),
+    ]
+    samples = [float(i) for i in range(11)]
+    for seed in range(40):
+        for load in (0.5, 0.8, 1.2, 2.0):
+            for admission in policies:
+                arrivals = poisson_arrivals(load * service.capacity(8), 120, seed=seed)
+                yield make_requests(samples, arrivals), batch, admission, service
+
+
+def tied_grid():
+    """400 traces on the integer grid: arrivals, ``max_wait``, service
+    times and deadlines are small whole numbers, so arrivals land exactly
+    on dispatch instants, on completions, and on each other."""
+    for config in range(400):
+        rng = np.random.default_rng(config)
+        arrivals = np.cumsum(rng.integers(0, 3, size=40)).astype(float)
+        depth = [None, 1, 2, 3][rng.integers(4)]
+        deadline = [None, 2.0, 4.0][rng.integers(3)]
+        base, per_sample = float(rng.integers(0, 3)), float(rng.integers(0, 2))
+        batch = BatchPolicy(
+            max_batch_size=int(rng.integers(1, 5)), max_wait=float(rng.integers(0, 4))
+        )
+        requests = [
+            Request(request_id=i, sample=float(i), arrival=float(t), client_id=f"client-{i % 3}")
+            for i, t in enumerate(arrivals)
+        ]
+        yield (
+            requests,
+            batch,
+            AdmissionPolicy(max_queue_depth=depth, deadline=deadline),
+            lambda n, base=base, per_sample=per_sample: base + per_sample * n,
+        )
+
+
+def test_one_replica_loop_reproduces_the_single_server_loop():
+    digest, statuses = grid_digest(poisson_grid())
+    assert statuses[STATUS_SHED] > 0 and statuses[STATUS_TIMEOUT] > 0
+    assert digest == POISSON_GRID_DIGEST
+
+
+def test_tie_rule_dispatch_precedes_a_same_instant_arrival():
+    """DESIGN.md §12: an arrival at exactly a dispatch instant rides the
+    next batch and sees the queue slots that dispatch freed."""
+    # Batching: the oldest request's max_wait expires at t=2; the two
+    # requests arriving at t=2 are not in that batch.
+    requests = [
+        Request(request_id=i, sample=float(i), arrival=t)
+        for i, t in enumerate([0.0, 1.0, 2.0, 2.0])
+    ]
+    by_id = {r.request_id: r for r in run_batcher(requests, max_batch=4, max_wait=2.0)}
+    assert [by_id[i].dispatched_at for i in range(4)] == [2.0, 2.0, 4.0, 4.0]
+    assert [by_id[i].batch_size for i in range(4)] == [2, 2, 2, 2]
+
+    # Shedding: depth 1, the server frees at t=2 and takes request 1 out
+    # of the queue before request 2 (arriving at t=2) is counted against it.
+    requests = [
+        Request(request_id=i, sample=float(i), arrival=float(i)) for i in range(4)
+    ]
+    by_id = {
+        r.request_id: r
+        for r in run_batcher(
+            requests, max_batch=1, max_wait=0.0,
+            admission=AdmissionPolicy(max_queue_depth=1),
+            service_model=lambda n: 2.0,
+        )
+    }
+    assert [by_id[i].status for i in range(4)] == [
+        STATUS_OK, STATUS_OK, STATUS_OK, STATUS_SHED,
+    ]
+    assert [by_id[i].dispatched_at for i in range(3)] == [0.0, 2.0, 4.0]
+
+    digest, statuses = grid_digest(tied_grid())
+    assert statuses[STATUS_SHED] > 0 and statuses[STATUS_TIMEOUT] > 0
+    assert digest == TIED_GRID_DIGEST
+
+
+def test_admission_deadline_does_not_leak_through_shared_requests():
+    """A trace replayed under a looser policy must not keep the tighter
+    policy's deadlines: the loop never writes to the caller's requests."""
+    tight = AdmissionPolicy(deadline=0.004)
+    loose = AdmissionPolicy(deadline=1.0)
+    slow = lambda n: 0.003 + 0.0005 * n  # noqa: E731
+
+    def serve(requests, admission):
+        return as_tuples(
+            run_batcher(requests, max_batch=8, max_wait=0.001,
+                        admission=admission, service_model=slow)
+        )
+
+    shared = seeded_requests(2, count=400, rate=600.0)
+    first, second = serve(shared, tight), serve(shared, loose)
+    assert all(r.deadline is None for r in shared)
+    assert Counter(t[2] for t in first)[STATUS_TIMEOUT] > 0
+    assert first == serve(seeded_requests(2, count=400, rate=600.0), tight)
+    assert second == serve(seeded_requests(2, count=400, rate=600.0), loose)
+    assert Counter(t[2] for t in second)[STATUS_TIMEOUT] == 0
 
 
 # --------------------------------------------------------------------------- #

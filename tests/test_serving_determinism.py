@@ -18,10 +18,9 @@ import pytest
 
 from repro.data.transforms import StructureToGraph
 from repro.datasets import build_dataset
-from repro.distributed.events import SimClock
 from repro.serving import (
     BatchPolicy,
-    MicroBatcher,
+    InferenceServer,
     Servable,
     ServableSpec,
     make_requests,
@@ -93,7 +92,7 @@ def test_batch_composition_does_not_change_bits(encoder_name, dataset_name, targ
 
 @pytest.mark.parametrize("encoder_name", ENCODERS)
 def test_micro_batched_serving_matches_offline(encoder_name):
-    """End to end through the batcher: coalesced responses == offline bits."""
+    """End to end through the serving loop: coalesced responses == offline bits."""
     servable = build_servable(encoder_name, "band_gap")
     samples = graph_samples("materials_project")
     offline = {i: servable.predict_one(s) for i, s in enumerate(samples)}
@@ -101,13 +100,12 @@ def test_micro_batched_serving_matches_offline(encoder_name):
     requests = make_requests(
         samples, poisson_arrivals(300.0, 24, seed=3), num_clients=3
     )
-    batcher = MicroBatcher(
-        servable.predict,
+    server = InferenceServer(
+        servable,
         batch=BatchPolicy(max_batch_size=5, max_wait=0.01),
         service_model=lambda n: 0.001 * n,
-        clock=SimClock(),
     )
-    responses = batcher.run(requests)
+    responses = server.serve(requests).responses
     assert len(responses) == len(requests)
     sizes = {r.batch_size for r in responses}
     assert sizes - {1} , "traffic never coalesced; test is vacuous"
