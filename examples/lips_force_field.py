@@ -13,6 +13,7 @@ Run:  python examples/lips_force_field.py
 import numpy as np
 
 from repro import seed_everything
+from repro.core import transform_once
 from repro.data import DataLoader
 from repro.data.dataset import Subset
 from repro.data.transforms import StructureToGraph
@@ -36,7 +37,11 @@ def main() -> None:
         f"energy range [{min(energies):.2f}, {max(energies):.2f}] eV"
     )
 
+    # Structure -> graph is deterministic: convert each frame once, not
+    # once per epoch inside the loaders.
     transform = StructureToGraph(cutoff=4.5)
+    train_graphs = transform_once(train_ds, transform)
+    val_graphs = transform_once(val_ds, transform)
     encoder = EGNN(hidden_dim=32, num_layers=3, position_dim=12, rng=rng)
     task = EnergyForceTask(
         encoder,
@@ -48,10 +53,10 @@ def main() -> None:
     )
 
     train_loader = DataLoader(
-        train_ds, batch_size=8, shuffle=True, rng=np.random.default_rng(4),
-        collate_fn=list, transform=transform,
+        train_graphs, batch_size=8, shuffle=True, rng=np.random.default_rng(4),
+        collate_fn=list,
     )
-    val_loader = DataLoader(val_ds, batch_size=8, collate_fn=list, transform=transform)
+    val_loader = DataLoader(val_graphs, batch_size=8, collate_fn=list)
 
     optimizer = AdamW(task.parameters(), lr=2e-3, weight_decay=1e-5)
     scheduler = WarmupExponential(optimizer, warmup_epochs=3, gamma=0.9, target_lr=2e-3)

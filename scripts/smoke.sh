@@ -84,6 +84,8 @@ serve)
         --registry "$REGISTRY" --requests 32 --rate 400 --replicas 1)"
     grep -q "req/s" <<<"$SERVE_OUT"
     grep -q "serve.replica.count" <<<"$SERVE_OUT"
+    # The fast matmul mode is in force, not its einsum fallback.
+    grep -q "batch-invariant matmul: tiled" <<<"$SERVE_OUT"
     echo "serving smoke ok"
     # Gate the serving bench against its committed baseline.
     PYTHONPATH=src:. python scripts/bench_gate.py --suite serving
@@ -139,6 +141,7 @@ screen)
         --batch-size 8 --shards 2 --relax-steps 1 --base-samples 8)"
     grep -q "screened 32 candidates" <<<"$SCREEN_OUT"
     grep -q "top-4:" <<<"$SCREEN_OUT"
+    grep -q "batch-invariant matmul: tiled" <<<"$SCREEN_OUT"
     echo "screening smoke ok"
     # Gate the screening bench against its committed baseline.
     PYTHONPATH=src:. python scripts/bench_gate.py --suite screening

@@ -19,6 +19,7 @@ array([[2., 4.]])
 from repro.autograd.tensor import (
     Tensor,
     batch_invariant_kernels,
+    batch_invariant_matmul_mode,
     is_grad_enabled,
     no_grad,
     tensor,
@@ -35,6 +36,7 @@ __all__ = [
     "Tensor",
     "tensor",
     "batch_invariant_kernels",
+    "batch_invariant_matmul_mode",
     "no_grad",
     "is_grad_enabled",
     "functional",

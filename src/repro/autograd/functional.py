@@ -55,6 +55,13 @@ def _ensure(value: TensorLike) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _sigmoid_for_backward(z: np.ndarray):
+    """``sigmoid(z)`` that only a backward closure reads: skipped under no_grad."""
+    if not _tensor_core.is_grad_enabled():
+        return None
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
 # --------------------------------------------------------------------------- #
 # Elementwise
 # --------------------------------------------------------------------------- #
@@ -178,7 +185,7 @@ def softplus(x: TensorLike) -> Tensor:
     """log(1 + exp(x)), computed stably via logaddexp."""
     x = _ensure(x)
     out_data = np.logaddexp(0.0, x.data)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
+    sig = _sigmoid_for_backward(x.data)
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g * sig)
@@ -189,7 +196,8 @@ def softplus(x: TensorLike) -> Tensor:
 def clip(x: TensorLike, low: float, high: float) -> Tensor:
     """Clamp values to [low, high]; gradient passes only inside the range."""
     x = _ensure(x)
-    mask = (x.data >= low) & (x.data <= high)
+    # Only the backward reads the mask.
+    mask = (x.data >= low) & (x.data <= high) if _tensor_core.is_grad_enabled() else None
     out_data = np.clip(x.data, low, high)
 
     def backward(g: np.ndarray) -> None:
@@ -231,10 +239,9 @@ def concat(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     """Concatenate tensors along an axis; gradients split back per input."""
     tensors = [_ensure(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g: np.ndarray) -> None:
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             slicer = [slice(None)] * g.ndim
             slicer[axis] = slice(start, stop)
@@ -294,7 +301,8 @@ def log_softmax(x: TensorLike, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - logsum
-    soft = np.exp(out_data)
+    # softmax(x), which only the backward reads.
+    soft = np.exp(out_data) if _tensor_core.is_grad_enabled() else None
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
@@ -321,8 +329,7 @@ def binary_cross_entropy_with_logits(logits: TensorLike, targets: np.ndarray) ->
     targets = np.asarray(targets, dtype=np.float64)
     z = logits.data
     out_data = np.maximum(z, 0.0) - z * targets + np.logaddexp(0.0, -np.abs(z))
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    n = z.size
+    sig = _sigmoid_for_backward(z)
 
     def backward(g: np.ndarray) -> None:
         logits._accumulate(g * (sig - targets))

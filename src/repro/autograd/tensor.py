@@ -15,6 +15,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import warnings
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,9 +77,21 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-#: When true, ``stable_matmul`` trades BLAS GEMM for a batch-invariant
-#: reduction (see below).  Toggled by ``batch_invariant_kernels``.
+#: When true, ``stable_matmul`` trades shape-dispatched BLAS GEMM for a
+#: batch-invariant product (see below).  Toggled by ``batch_invariant_kernels``.
 _BATCH_INVARIANT = False
+
+#: Row count of the one GEMM shape BLAS sees inside ``batch_invariant_kernels``.
+#: A constant, not a setting: two processes with different tile heights would
+#: disagree in the last ulp, and the bit-identity contracts span processes.
+M0 = 8
+
+#: ``(k, n)`` shapes whose tiled product passed ``_tiles_are_row_stable``.
+_TILE_VERIFIED: set = set()
+
+#: Why the tiled path was abandoned for the life of the process (``None``
+#: while it is in use).  Set once, by the first failing self-test.
+_TILE_FALLBACK: Optional[str] = None
 
 
 @contextlib.contextmanager
@@ -94,15 +107,32 @@ def batch_invariant_kernels():
     served inside a coalesced micro-batch returns bit-identical results to
     the same sample predicted alone.
 
-    Inside this context every 2-D matmul runs through ``np.einsum``, whose
-    sum-of-products loop reduces each output element over ``k`` in a fixed
-    order regardless of ``m`` (verified empirically across shapes up to
-    200x200: rows are bit-stable under slicing, padding, and memory
-    layout).  It is several times slower than BLAS, which is why this is a
-    scoped inference-time mode rather than the default: training keeps the
-    fast GEMM and its goldens, and only code that needs the
-    batched == single guarantee (the serving layer and its bit-identity
-    tests) opts in.
+    Inside this context every product that has a row axis — ``(m, k) @
+    (k, n)`` and ``(m, k) @ (k,)`` — is cut into fixed-shape tiles: the
+    rows are zero-padded to a multiple of :data:`M0` and BLAS is handed
+    ``(M0, k) @ (k, n)`` once per tile.  Every GEMM it sees then has the
+    same shape, so it cannot choose a kernel from how many rows ride
+    along, and a row's bits depend on that row alone.  This runs at close
+    to BLAS speed (padding the *whole* operand to one fixed ``m`` would
+    not: the kernel choice would still follow the padded ``m``).
+
+    That BLAS treats equal shapes equally, and every row of a tile alike,
+    is a property of the host library, not a theorem, so the first product
+    of each ``(k, n)`` runs a small deterministic self-test
+    (:func:`_tiles_are_row_stable`).  If it ever fails, the process drops —
+    for the rest of its life, with a ``RuntimeWarning`` naming the shape —
+    to the ``np.einsum`` sum-of-products loop, which reduces each output
+    element over ``k`` in a fixed order regardless of ``m`` but is several
+    times slower; :func:`batch_invariant_matmul_mode` reports which of the
+    two is in force.  Stacked (>2-D) operands always take the einsum.
+    ``(k,) @ (k, n)`` and 1-D dot products have no row axis to be
+    invariant over and stay plain ``np.matmul``.
+
+    The two modes differ from each other (and from plain BLAS) in the
+    last ulp: bit-identity contracts hold *within* a mode.  Training never
+    enters this context and keeps the shape-dispatched GEMM and its
+    goldens; only code that needs batched == single (the serving and
+    screening layers and their bit-identity tests) opts in.
     """
     global _BATCH_INVARIANT
     prev = _BATCH_INVARIANT
@@ -113,17 +143,101 @@ def batch_invariant_kernels():
         _BATCH_INVARIANT = prev
 
 
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(m, k) @ (k, n)`` as ``ceil(m / M0)`` GEMMs of shape ``(M0, k, n)``.
+
+    Both operands are made C-contiguous first: numpy hands a transposed
+    layout to BLAS as a flag, which selects another kernel.
+    """
+    m, k = a.shape
+    pad = -m % M0
+    if pad or not a.flags.c_contiguous:
+        tiles = np.zeros((m + pad, k), dtype=a.dtype)
+        tiles[:m] = a
+    else:
+        tiles = a
+    out = np.matmul(tiles.reshape(-1, M0, k), np.ascontiguousarray(b))
+    return out.reshape(m + pad, -1)[:m]
+
+
+def _tiles_are_row_stable(k: int, n: int) -> bool:
+    """Self-test: does a row of the tiled product depend on that row alone?
+
+    On seeded operands of the caller's ``(k, n)``, every row of a
+    three-tile product must come out bit-identical when it is computed
+    alone, at each position inside a tile, and inside each shifted slice
+    (which changes its position and its neighbours together).
+    """
+    rng = np.random.default_rng((k, n))
+    rows = 2 * M0 + 3
+    # Row scales spread over orders of magnitude, so a changed reduction
+    # order shows up in the low bits instead of cancelling.
+    a = rng.standard_normal((rows, k)) * np.exp(rng.standard_normal((rows, 1)) * 3.0)
+    b = rng.standard_normal((k, n))
+    full = _tiled_matmul(a, b)
+    for i in range(rows):
+        if not np.array_equal(_tiled_matmul(a[i : i + 1], b)[0], full[i]):
+            return False
+    for position in range(1, M0):
+        tile = np.zeros((M0, k))
+        tile[position] = a[position]
+        if not np.array_equal(_tiled_matmul(tile, b)[position], full[position]):
+            return False
+        if not np.array_equal(_tiled_matmul(a[position:], b), full[position:]):
+            return False
+    return True
+
+
+def _verify_tiles(shape: Tuple[int, int]) -> bool:
+    """First use of a ``(k, n)``: self-test it, or fall back loudly."""
+    global _TILE_FALLBACK
+    if _tiles_are_row_stable(*shape):
+        _TILE_VERIFIED.add(shape)
+        return True
+    _TILE_FALLBACK = f"self-test failed for (k, n) = {shape}"
+    warnings.warn(
+        f"batch-invariant matmul: rows of the tiled (M0={M0}) product depend on "
+        f"their position or neighbours for (k, n) = {shape} on this BLAS; using "
+        "the einsum reduction for the rest of this process",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return False
+
+
+def batch_invariant_matmul_mode() -> str:
+    """Which product ``batch_invariant_kernels`` is using in this process.
+
+    ``"tiled(M0=8)"``, or ``"einsum (fallback: <reason>)"`` once a
+    self-test has failed — the string the ``repro serve`` / ``repro
+    screen`` summaries print.
+    """
+    if _TILE_FALLBACK is None:
+        return f"tiled(M0={M0})"
+    return f"einsum (fallback: {_TILE_FALLBACK})"
+
+
 def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, batch-invariant when ``batch_invariant_kernels`` is active.
 
     Outside the context this is exactly ``np.matmul`` — same kernel, same
-    bits as before the serving layer existed.  Inside it, matrix products
-    use a fixed-order einsum reduction so each output row's bits do not
-    depend on how many rows ride along in the batch.
+    bits as before the serving layer existed.  Inside it, each output
+    row's bits do not depend on how many rows ride along in the batch:
+    2-D products run as fixed-shape :data:`M0`-row tiles (or, once a
+    self-test has failed, as the fixed-order einsum reduction), a 1-D
+    right operand is treated as ``(k, 1)``, and stacked operands use the
+    einsum.  ``(k,) @ (k, n)`` and 1-D dot products have no batch axis
+    and stay ``np.matmul``.
     """
-    if _BATCH_INVARIANT and a.ndim >= 2 and b.ndim >= 2:
-        return np.einsum("...mk,...kn->...mn", a, b)
-    return np.matmul(a, b)
+    if not _BATCH_INVARIANT or a.ndim < 2 or b.ndim == 0:
+        return np.matmul(a, b)
+    if b.ndim == 1:
+        return stable_matmul(a, b[:, None])[..., 0]
+    if a.ndim == 2 and b.ndim == 2 and a.size and b.size and _TILE_FALLBACK is None:
+        shape = (a.shape[1], b.shape[1])
+        if shape in _TILE_VERIFIED or _verify_tiles(shape):
+            return _tiled_matmul(a, b)
+    return np.einsum("...mk,...kn->...mn", a, b)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -244,6 +358,20 @@ class Tensor:
         meta: Optional[dict] = None,
     ) -> "Tensor":
         """Create a result tensor, recording the op if the tape is live."""
+        if not _GRAD_ENABLED and _PROFILER is None and _RECORDER is None and not _ANOMALY_DEPTH:
+            # Nothing records and nothing listens: the node is ``__init__``'s
+            # result for ``requires_grad=False``, filled in directly — the
+            # parents filter, the ``any()`` scan and the constructor call are
+            # most of what a small op costs at inference time.
+            out = Tensor.__new__(Tensor)
+            out.data = np.asarray(data, dtype=np.float64)
+            out.grad = None
+            out.requires_grad = False
+            out._backward = None
+            out._parents = ()
+            out.name = ""
+            out._op = ""
+            return out
         parents = tuple(p for p in parents if isinstance(p, Tensor))
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)

@@ -310,6 +310,7 @@ def cmd_serve(args) -> int:
         calibrate_service_model,
         chaos_schedule,
         make_requests,
+        matmul_mode_line,
         poisson_arrivals,
     )
     from repro.serving.demo import demo_request_samples
@@ -320,7 +321,9 @@ def cmd_serve(args) -> int:
         servable, samples, max_batch_size=max(args.max_batch, 2)
     )
     print(f"service model: {service_model.base * 1e3:.3f} ms + "
-          f"{service_model.per_sample * 1e3:.3f} ms/sample")
+          f"{service_model.per_sample * 1e3:.3f} ms/sample"
+          + (" (degenerate fit: flat per-sample cost)"
+             if service_model.degenerate_fit else ""))
     clock = SimClock()
     observer = Observer(clock=clock)
     arrivals = poisson_arrivals(args.rate, args.requests, seed=args.seed)
@@ -360,6 +363,7 @@ def cmd_serve(args) -> int:
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"chaos events: {summary if summary else 'none'}")
     print(report.summary())
+    print(matmul_mode_line(observer.metrics))
     print()
     print(observer.metrics_table())
     if args.trace_out is not None:
@@ -378,6 +382,7 @@ def cmd_screen(args) -> int:
     """
     from repro.observability import Observer
     from repro.screening import ScreenConfig, run_screening
+    from repro.serving import matmul_mode_line
 
     servable = _load_serving_model(args)
     config = ScreenConfig(
@@ -398,6 +403,7 @@ def cmd_screen(args) -> int:
     observer = Observer()
     result = run_screening(servable, config, observer=observer)
     print(result.summary())
+    print(matmul_mode_line(observer.metrics))
     print()
     print(observer.metrics_table())
     if args.trace_out is not None:

@@ -291,7 +291,8 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     logp = shifted - logsum
     idx = np.arange(n)
     loss = -(logp[idx, targets].sum() * inv_n)
-    soft = np.exp(logp)
+    # softmax(logits), which only the backward reads.
+    soft = np.exp(logp) if _tensor_core.is_grad_enabled() else None
 
     def backward(g: np.ndarray) -> None:
         gs = (-g) * inv_n

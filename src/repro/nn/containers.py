@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.autograd import Tensor
 from repro.kernels import dispatch as K
@@ -20,30 +20,52 @@ class Sequential(Module):
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self._order: List[str] = []
+        self._steps = None
         for i, module in enumerate(modules):
             setattr(self, f"layer{i}", module)
             self._order.append(f"layer{i}")
 
-    def forward(self, x):
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if isinstance(value, Module):
+            # A layer was added or replaced: re-resolve the steps lazily.
+            self._steps = None
+
+    def _resolve_steps(self) -> List[Tuple[Module, Optional[str], Optional[Module]]]:
+        """``(module, None, None)`` or ``(linear, act_key, act_module)`` per step.
+
+        Which adjacent pairs *can* fuse depends only on the layer types, so
+        it is worked out once; whether they *do* is decided per call.
+        """
         modules = [getattr(self, name) for name in self._order]
-        count = len(modules)
+        steps = []
         i = 0
-        while i < count:
+        while i < len(modules):
             module = modules[i]
-            if (
-                K.fused_enabled()
-                and type(module).__name__ == "Linear"
-                and isinstance(x, Tensor)
-                and x.data.ndim >= 2
-                and i + 1 < count
-            ):
+            act = None
+            if type(module).__name__ == "Linear" and i + 1 < len(modules):
                 act = K.activation_key(modules[i + 1])
-                if act is not None:
-                    x = K.linear_act(x, module.weight, module.bias, act=act)
-                    i += 2
-                    continue
-            x = module(x)
-            i += 1
+            if act is not None:
+                steps.append((module, act, modules[i + 1]))
+                i += 2
+            else:
+                steps.append((module, None, None))
+                i += 1
+        self._steps = steps
+        return steps
+
+    def forward(self, x):
+        steps = self._steps
+        if steps is None:
+            steps = self._resolve_steps()
+        fused = K.fused_enabled()
+        for module, act, act_module in steps:
+            if act is None:
+                x = module(x)
+            elif fused and isinstance(x, Tensor) and x.data.ndim >= 2:
+                x = K.linear_act(x, module.weight, module.bias, act=act)
+            else:
+                x = act_module(module(x))
         return x
 
     def __iter__(self) -> Iterator[Module]:

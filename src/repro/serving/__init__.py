@@ -54,10 +54,12 @@ from repro.serving.servable import (
     Servable,
     ServableSpec,
     load_servable,
+    matmul_mode_line,
     save_servable,
 )
 from repro.serving.server import (
     AffineServiceModel,
+    DegenerateFitWarning,
     InferenceServer,
     SINGLE_SERVER,
     calibrate_service_model,
@@ -71,6 +73,7 @@ __all__ = [
     "BreakerPolicy",
     "ChaosFault",
     "CircuitBreaker",
+    "DegenerateFitWarning",
     "DegradationPolicy",
     "HealthChecker",
     "HealthPolicy",
@@ -93,6 +96,7 @@ __all__ = [
     "chaos_schedule",
     "load_servable",
     "make_requests",
+    "matmul_mode_line",
     "poisson_arrivals",
     "save_servable",
     "summarize",

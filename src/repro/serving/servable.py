@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import batch_invariant_kernels, no_grad
+from repro.autograd import batch_invariant_kernels, batch_invariant_matmul_mode, no_grad
 from repro.core.config import EncoderConfig
 from repro.data.batching import collate_graphs
 from repro.data.structures import GraphBatch, GraphSample
@@ -145,6 +145,21 @@ class Servable:
 
     def predict_one(self, sample: GraphSample) -> float:
         return float(self.predict([sample])[0])
+
+
+def matmul_mode_line(metrics) -> str:
+    """The ``batch-invariant matmul: ...`` line of the serve/screen summaries.
+
+    Call it after the run (the self-tests happen on first use).  A fallback
+    to einsum is also counted on ``metrics`` as
+    ``kernels.batch_invariant.fallback``, so it shows in the metrics table
+    and any exported snapshot, not only in the text.
+    """
+    mode = batch_invariant_matmul_mode()
+    counter = metrics.counter("kernels.batch_invariant.fallback")
+    if mode.startswith("einsum") and not counter.value:
+        counter.inc()
+    return f"batch-invariant matmul: {mode}"
 
 
 # --------------------------------------------------------------------------- #

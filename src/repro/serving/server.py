@@ -18,7 +18,8 @@ staying anchored to measured compute on the current machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.distributed.events import SimClock
@@ -46,12 +47,19 @@ SINGLE_SERVER = dict(
 )
 
 
+class DegenerateFitWarning(RuntimeWarning):
+    """The two timed batch sizes did not yield a positive per-sample slope."""
+
+
 @dataclass
 class AffineServiceModel:
     """``duration(n) = base + per_sample * n`` seconds."""
 
     base: float
     per_sample: float
+    #: Set by :func:`calibrate_service_model` when the fitted slope was not
+    #: positive and ``per_sample`` is the flat ``tn / n`` instead.
+    degenerate_fit: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.base < 0 or self.per_sample <= 0:
@@ -77,8 +85,11 @@ def calibrate_service_model(
 
     Times ``predict`` at batch size 1 and ``max_batch_size`` (median of
     ``rounds``, one warmup each) and solves the two-point system for
-    ``base``/``per_sample``.  Degenerate fits (non-positive slope on a
-    noisy host) fall back to a flat per-sample cost.
+    ``base``/``per_sample``.  A degenerate fit (non-positive slope: the
+    larger batch timed no slower, which a noisy host produces now that
+    batch 1 and batch 8 both cost one GEMM tile per layer) falls back to a
+    flat per-sample cost, with a :class:`DegenerateFitWarning` and
+    ``degenerate_fit`` set on the returned model.
     """
     if max_batch_size < 2:
         raise ValueError("max_batch_size must be >= 2 to calibrate a slope")
@@ -87,10 +98,20 @@ def calibrate_service_model(
     t1 = time_callable(lambda: servable.predict(one), rounds=rounds, warmup=1)
     tn = time_callable(lambda: servable.predict(many), rounds=rounds, warmup=1)
     per_sample = (tn - t1) / (max_batch_size - 1)
-    if per_sample <= 0:
+    degenerate = per_sample <= 0
+    if degenerate:
+        warnings.warn(
+            f"degenerate service-model fit: batch {max_batch_size} timed "
+            f"tn={tn * 1e3:.3f} ms <= batch 1 at t1={t1 * 1e3:.3f} ms; "
+            "using a flat per-sample cost",
+            DegenerateFitWarning,
+            stacklevel=2,
+        )
         per_sample = tn / max_batch_size
     base = max(t1 - per_sample, 0.0)
-    return AffineServiceModel(base=base, per_sample=per_sample)
+    model = AffineServiceModel(base=base, per_sample=per_sample)
+    model.degenerate_fit = degenerate
+    return model
 
 
 class InferenceServer:

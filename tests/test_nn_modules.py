@@ -114,6 +114,38 @@ class TestContainers:
         out = seq(Tensor(rng.normal(size=(4, 2))))
         assert out.shape == (4, 1)
 
+    def test_sequential_fusion_plan_is_resolved_once_and_invalidated(self, rng):
+        """The (Linear, activation) steps are worked out on the first call;
+        replacing a layer re-resolves them, and the fused switch still
+        applies per call, with reference-identical results."""
+        from repro.kernels import use_fused
+
+        seq = nn.Sequential(
+            nn.Linear(2, 3, rng=rng), nn.SiLU(), nn.Linear(3, 3, rng=rng),
+            nn.Linear(3, 1, rng=rng), nn.Tanh(),
+        )
+        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        assert seq._steps is None
+        fused = seq(x)
+        steps = seq._steps
+        assert [(type(m).__name__, act) for m, act, _ in steps] == [
+            ("Linear", "silu"), ("Linear", None), ("Linear", "tanh"),
+        ]
+        assert seq(x).data is not None and seq._steps is steps  # reused, not rebuilt
+        with use_fused(False):
+            reference = seq(x)
+        assert np.array_equal(fused.data, reference.data)
+        assert seq(Tensor(np.zeros(2))).shape == (1,)  # 1-D input takes the unfused branch
+
+        seq.layer1 = nn.Tanh()
+        assert seq._steps is None
+        swapped = seq(x)
+        assert seq._steps[0][1] == "tanh"
+        with use_fused(False):
+            assert np.array_equal(swapped.data, seq(x).data)
+        assert not np.array_equal(swapped.data, fused.data)
+        assert nn.Sequential()(x) is x
+
     def test_module_list(self, rng):
         ml = nn.ModuleList([nn.Linear(2, 2, rng=rng) for _ in range(3)])
         assert len(ml) == 3

@@ -14,6 +14,7 @@ isolated from model numerics (those live in
 from __future__ import annotations
 
 import hashlib
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from repro.serving import (
     AdmissionPolicy,
     AffineServiceModel,
     BatchPolicy,
+    DegenerateFitWarning,
     InferenceServer,
     ModelRegistry,
     Request,
@@ -33,6 +35,7 @@ from repro.serving import (
     STATUS_SHED,
     STATUS_TIMEOUT,
     ServableSpec,
+    calibrate_service_model,
     load_servable,
     make_requests,
     poisson_arrivals,
@@ -370,6 +373,60 @@ def test_admission_deadline_does_not_leak_through_shared_requests():
     assert first == serve(seeded_requests(2, count=400, rate=600.0), tight)
     assert second == serve(seeded_requests(2, count=400, rate=600.0), loose)
     assert Counter(t[2] for t in second)[STATUS_TIMEOUT] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Service-model calibration
+# --------------------------------------------------------------------------- #
+class SleepyServable:
+    """``predict`` sleeps ``cost(batch_size)`` seconds."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    def predict(self, samples):
+        time.sleep(self.cost(len(samples)))
+        return np.zeros(len(samples))
+
+
+def test_calibration_fits_base_and_slope():
+    model = calibrate_service_model(
+        SleepyServable(lambda n: 2e-3 + 1e-3 * n), samples=[0, 1, 2], max_batch_size=8
+    )
+    assert not model.degenerate_fit
+    assert 0.3e-3 < model.per_sample < 3e-3  # sleeps overshoot on a busy host
+    assert model(8) > model(1)
+
+
+def test_degenerate_calibration_is_loud_and_flagged():
+    """Batch 8 faster than batch 1: the flat fallback names itself."""
+    servable = SleepyServable(lambda n: 8e-3 if n == 1 else 2e-3)
+    with pytest.warns(DegenerateFitWarning, match=r"tn=\d+\.\d+ ms <= .* t1=\d+\.\d+ ms"):
+        model = calibrate_service_model(servable, samples=[0], max_batch_size=8)
+    assert model.degenerate_fit
+    assert model.base >= 0 and model.per_sample > 0
+    assert model.per_sample == pytest.approx(2e-3 / 8, rel=0.5)
+    assert issubclass(DegenerateFitWarning, RuntimeWarning)
+
+
+def test_cli_serve_says_when_the_service_model_is_degenerate(tmp_path, capsys, monkeypatch):
+    from repro.cli import main
+    from repro.serving import server
+
+    spec = tiny_spec()
+    save_servable(spec.build_task(), spec, str(tmp_path / "tiny"))
+    timings = iter([8e-3, 2e-3])
+
+    def scripted_timer(fn, rounds, warmup):
+        fn()
+        return next(timings)
+
+    monkeypatch.setattr(server, "time_callable", scripted_timer)
+    with pytest.warns(DegenerateFitWarning):
+        code = main(["serve", "--registry", str(tmp_path), "--model", "tiny", "--requests", "8"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "ms/sample (degenerate fit: flat per-sample cost)" in out
 
 
 # --------------------------------------------------------------------------- #
