@@ -14,11 +14,10 @@ Suites: ``hotpaths`` (fused kernels + caching, vs
 vs ``benchmarks/BENCH_sharding.json``), ``serving`` (micro-batched
 goodput at a fixed SLO, vs ``benchmarks/BENCH_serving.json``),
 ``resilience`` (replicated-pool availability under seeded chaos, vs
-``benchmarks/BENCH_resilience.json``), ``compile`` (tape-compiler
-plan replay vs the eager step, vs ``benchmarks/BENCH_compile.json``),
-``screening`` (batched vs one-at-a-time candidate throughput, vs
-``benchmarks/BENCH_screening.json``), and ``table1`` (the 4-encoder x
-4-dataset pretrained-vs-scratch sweep, vs ``benchmarks/BENCH_table1.json``).
+``benchmarks/BENCH_resilience.json``), ``screening`` (batched vs
+one-at-a-time candidate throughput, vs ``benchmarks/BENCH_screening.json``),
+and ``table1`` (the 4-encoder x 4-dataset pretrained-vs-scratch sweep, vs
+``benchmarks/BENCH_table1.json``).
 
 Speedup ratios are gated by default (machine-portable); absolute times
 only with ``--absolute`` since they don't transfer across machines.
@@ -36,7 +35,6 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks import (  # noqa: E402
-    bench_compile,
     bench_hotpaths,
     bench_resilience,
     bench_screening,
@@ -60,7 +58,6 @@ SUITES = {
         bench_resilience,
         os.path.join(_BENCH_DIR, "BENCH_resilience.json"),
     ),
-    "compile": (bench_compile, os.path.join(_BENCH_DIR, "BENCH_compile.json")),
     "screening": (
         bench_screening,
         os.path.join(_BENCH_DIR, "BENCH_screening.json"),

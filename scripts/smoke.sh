@@ -12,8 +12,6 @@
 #   SMOKE_LANE=chaos   resilience suite (-m chaos) plus a replicated-serve
 #                      CLI smoke under a seeded chaos profile and the same
 #                      serve_trace digest check
-#   SMOKE_LANE=compile tape-compiler suite (-m compile) plus a --compile
-#                      CLI smoke and the compiler bench gate
 #   SMOKE_LANE=screen  screening suite (-m screen) plus a repro-screen CLI
 #                      smoke and the screening bench gate
 #   SMOKE_LANE=megnet  MEGNet suite (-m megnet) plus a --encoder megnet
@@ -113,20 +111,6 @@ chaos)
     serve_trace_digest_check
     exit 0
     ;;
-compile)
-    PYTHONPATH=src python -m pytest -x -q -m compile "$@"
-    # End to end: the --compile CLI path must trace, validate, and replay,
-    # and report the plan-cache counters when the run finishes.
-    COMPILE_OUT="$(PYTHONPATH=src python -m repro.cli pretrain \
-        --steps 3 --samples 16 --world-size 2 --hidden-dim 16 --layers 2 \
-        --epochs 2 --compile)"
-    grep -q "tape compiler: on" <<<"$COMPILE_OUT"
-    grep -q "tape compiler: hits=" <<<"$COMPILE_OUT"
-    echo "compile smoke ok"
-    # Gate the compiler bench against its committed baseline.
-    PYTHONPATH=src:. python scripts/bench_gate.py --suite compile
-    exit 0
-    ;;
 screen)
     PYTHONPATH=src python -m pytest -x -q -m screen "$@"
     # End to end: bootstrap-train the demo servable, then screen a small
@@ -180,7 +164,7 @@ full)
     PYTHONPATH=src python -m pytest -x -q "$@"
     ;;
 *)
-    echo "unknown SMOKE_LANE: $LANE (expected default|profile|bench|shard|serve|chaos|compile|screen|megnet|e2e|full)" >&2
+    echo "unknown SMOKE_LANE: $LANE (expected default|profile|bench|shard|serve|chaos|screen|megnet|e2e|full)" >&2
     exit 2
     ;;
 esac

@@ -17,7 +17,7 @@ import numpy as np
 import importlib
 
 _tensor_core = importlib.import_module("repro.autograd.tensor")
-from repro.autograd.tensor import Tensor, TensorLike, _as_array, taint_trace
+from repro.autograd.tensor import Tensor, TensorLike, _as_array
 
 __all__ = [
     "exp",
@@ -203,20 +203,11 @@ def clip(x: TensorLike, low: float, high: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         x._accumulate(g * mask)
 
-    # The clip bounds are not recoverable from the backward closure (it only
-    # captures the precomputed mask); annotate them for the tape recorder.
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"low": low, "high": high}
-    return Tensor._make(out_data, (x,), backward, meta)
+    return Tensor._make(out_data, (x,), backward)
 
 
 def where(condition: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise select: a where condition else b (condition is constant)."""
-    # The condition may be derived from parameter values (e.g. huber's
-    # |diff| <= delta mask); a recorded graph would bake it as a constant
-    # and replay stale branches, so compiled plans must not include it.
-    taint_trace("where: condition is baked as a constant")
     condition = np.asarray(condition, dtype=bool)
     a_t = a if isinstance(a, Tensor) else None
     b_t = b if isinstance(b, Tensor) else None
@@ -373,18 +364,13 @@ def dropout(x: TensorLike, p: float, rng: np.random.Generator, training: bool = 
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
     keep = 1.0 - p
-    # Snapshot the generator state *before* drawing so a compiled plan can
-    # reproduce this exact mask during its validation replay.
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"p": p, "rng": rng, "state": rng.bit_generator.state}
     mask = (rng.random(x.data.shape) < keep).astype(np.float64) / keep
     out_data = x.data * mask
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g * mask)
 
-    return Tensor._make(out_data, (x,), backward, meta)
+    return Tensor._make(out_data, (x,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -443,10 +429,6 @@ def segment_mean(x: TensorLike, segment_ids: np.ndarray, num_segments: int) -> T
 
 def segment_softmax(x: TensorLike, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Softmax normalized within each segment (attention over edges)."""
-    # The stabilizing per-segment shift below is computed from x's *values*
-    # outside the tape; a recorded graph would bake it and replay a stale
-    # shift once the parameters move, so compiled plans must not include it.
-    taint_trace("segment_softmax: per-segment shift is baked as a constant")
     x = _ensure(x)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     # Stable: subtract per-segment max (computed outside the tape — constant

@@ -35,26 +35,6 @@ _ANOMALY_DEPTH = 0
 #: ``backward`` times every hop, attributing it to the creating op.
 _PROFILER = None
 
-#: Active tape recorder (see repro.compiler.recorder).  When set, ``_make``
-#: reports every created node — including ``requires_grad=False`` ones, whose
-#: parents/backward are otherwise discarded — so one training step can be
-#: exported as an explicit graph.  ``meta`` carries op arguments that the
-#: backward closure does not capture (e.g. the constant operand of ``x + 2``).
-_RECORDER = None
-
-
-def taint_trace(reason: str) -> None:
-    """Mark the active tape recording (if any) as non-compilable.
-
-    Ops whose replay cannot be reproduced from the recorded graph alone —
-    e.g. ones that bake values derived from parameters into constants, or
-    that mutate module state — call this so the compiler falls back to the
-    eager tape instead of caching a wrong plan.
-    """
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.taint(reason)
-
 
 def is_grad_enabled() -> bool:
     """Return whether gradient recording is currently active."""
@@ -355,10 +335,9 @@ class Tensor:
         data: np.ndarray,
         parents: Iterable["Tensor"],
         backward: Callable[[np.ndarray], None],
-        meta: Optional[dict] = None,
     ) -> "Tensor":
         """Create a result tensor, recording the op if the tape is live."""
-        if not _GRAD_ENABLED and _PROFILER is None and _RECORDER is None and not _ANOMALY_DEPTH:
+        if not _GRAD_ENABLED and _PROFILER is None and not _ANOMALY_DEPTH:
             # Nothing records and nothing listens: the node is ``__init__``'s
             # result for ``requires_grad=False``, filled in directly — the
             # parents filter, the ``any()`` scan and the constructor call are
@@ -380,8 +359,6 @@ class Tensor:
             out._backward = backward
         if _PROFILER is not None:
             _PROFILER.on_tensor_created(out, backward)
-        if _RECORDER is not None:
-            _RECORDER.on_node(out, parents, backward, meta)
         if _ANOMALY_DEPTH:
             from repro.autograd.anomaly import NumericalAnomalyError, op_name_of
 
@@ -504,17 +481,7 @@ class Tensor:
             if other_t is not None:
                 other_t._accumulate(g)
 
-        # The constant operand is not captured by ``backward``; annotate it
-        # for the tape recorder (only when one is listening — hot path).
-        meta = None
-        if _RECORDER is not None and other_t is None:
-            meta = {"const": other_a}
-        return Tensor._make(
-            out_data,
-            (self, other_t) if other_t is not None else (self,),
-            backward,
-            meta,
-        )
+        return Tensor._make(out_data, (self, other_t) if other_t is not None else (self,), backward)
 
     __radd__ = __add__
 
@@ -534,15 +501,7 @@ class Tensor:
             if other_t is not None:
                 other_t._accumulate(-g)
 
-        meta = None
-        if _RECORDER is not None and other_t is None:
-            meta = {"const": other_a}
-        return Tensor._make(
-            out_data,
-            (self, other_t) if other_t is not None else (self,),
-            backward,
-            meta,
-        )
+        return Tensor._make(out_data, (self, other_t) if other_t is not None else (self,), backward)
 
     def __rsub__(self, other: TensorLike) -> "Tensor":
         other_a = _as_array(other)
@@ -551,8 +510,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self._accumulate(-g)
 
-        meta = {"const": other_a} if _RECORDER is not None else None
-        return Tensor._make(out_data, (self,), backward, meta)
+        return Tensor._make(out_data, (self,), backward)
 
     def __mul__(self, other: TensorLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else None

@@ -87,15 +87,11 @@ def cmd_pretrain(args) -> int:
         trace_out=args.trace_out,
         zero=args.zero,
         bucket_mb=args.bucket_mb,
-        compile=args.compile,
     )
     print(
         f"pretraining: N={cfg.world_size}, B_eff={cfg.effective_batch}, "
         f"lr={cfg.optimizer.base_lr * cfg.world_size:g}"
     )
-    compiling = cfg.compile or _env_compiled()
-    if compiling:
-        print("tape compiler: on (trace -> validate -> replay)")
     if cfg.zero:
         print(f"zero sharding: bucket_mb={cfg.bucket_mb:g}")
     if cfg.fault_profile:
@@ -127,27 +123,7 @@ def cmd_pretrain(args) -> int:
         if cfg.trace_out is not None:
             print(f"chrome trace written to {cfg.trace_out} "
                   f"(open in chrome://tracing or ui.perfetto.dev)")
-    if compiling:
-        _print_compile_stats()
     return 0
-
-
-def _env_compiled() -> bool:
-    """Whether ``REPRO_COMPILE`` enables the compiler without ``--compile``."""
-    from repro.compiler import compiled_enabled
-
-    return compiled_enabled()
-
-
-def _print_compile_stats() -> None:
-    from repro.compiler import compile_stats
-
-    stats = compile_stats()
-    print("tape compiler: "
-          f"hits={stats['hits']:g}, misses={stats['misses']:g}, "
-          f"traces={stats['traces']:g}, plans={stats['plans']:g}, "
-          f"taints={stats['taints']:g}, fallbacks={stats['fallbacks']:g}, "
-          f"validation_failures={stats['validation_failures']:g}")
 
 
 def cmd_finetune(args) -> int:
@@ -164,11 +140,7 @@ def cmd_finetune(args) -> int:
         head_hidden_dim=args.hidden_dim,
         head_blocks=2,
         seed=args.seed,
-        compile=args.compile,
     )
-    compiling = cfg.compile or _env_compiled()
-    if compiling:
-        print("tape compiler: on (trace -> validate -> replay)")
     state = None
     if args.pretrained:
         print("loading cached pretrained encoder (training it if needed) ...")
@@ -180,8 +152,6 @@ def cmd_finetune(args) -> int:
     for epoch, mae in enumerate(result.curve_mae, start=1):
         print(f"  epoch {epoch:3d}: val MAE {mae:.4f}")
     print(f"final {result.final_mae:.4f}, best {result.best_mae:.4f}")
-    if compiling:
-        _print_compile_stats()
     return 0
 
 
@@ -492,10 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero", action="store_true",
                    help="ZeRO sharding: bucketed reduce_scatter gradients + "
                         "rank-sharded AdamW state (bit-identical, less memory)")
-    p.add_argument("--compile", action="store_true",
-                   help="run steps through the tape compiler: trace once per "
-                        "batch shape, then replay a validated fused plan "
-                        "(bit-identical to eager)")
     p.add_argument("--bucket-mb", type=float, default=1.0, metavar="MB",
                    help="gradient bucket capacity in MiB for --zero")
     p.set_defaults(fn=cmd_pretrain)
@@ -511,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world-size", type=int, default=16)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--pretrained", action="store_true")
-    p.add_argument("--compile", action="store_true",
-                   help="run steps through the tape compiler (see pretrain)")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("multitask", help="multi-task multi-dataset training (Table 1)")

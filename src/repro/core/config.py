@@ -117,11 +117,6 @@ class PretrainConfig:
     zero: bool = False
     #: Bucket capacity in MiB for the ZeRO gradient bucketer.
     bucket_mb: float = 1.0
-    #: Run training steps through the tape compiler (repro.compiler):
-    #: trace once per batch shape, replay a validated fused/planned
-    #: instruction list afterwards.  Bit-identical to eager — every
-    #: cached plan survived a bitwise validation replay.
-    compile: bool = False
 
     @property
     def bucket_bytes(self) -> int:
@@ -154,8 +149,6 @@ class FinetuneConfig:
     head_hidden_dim: int = 48
     head_blocks: int = 3
     seed: int = 11
-    #: See PretrainConfig.compile.
-    compile: bool = False
 
 
 @dataclass

@@ -59,7 +59,6 @@ from repro.analysis import (
     neighbor_overlap_matrix,
     silhouette_by_label,
 )
-from repro.compiler import compiled_enabled, use_compiled
 from repro.observability import Observer
 from repro.optim import AdamW, MultiGroupOptimizer, WarmupExponential, scale_lr_for_ddp
 from repro.stability import StabilityConfig, StabilityGuard
@@ -312,17 +311,14 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
         stability=guard,
         observer=observer,
     )
-    with use_compiled(config.compile or compiled_enabled()):
-        if observer is not None:
-            with observer.profile():
-                history = trainer.fit(
-                    task, train_loader, val_loader, optimizer, scheduler
-                )
-            observer.finalize(strategy=strategy, guard=guard)
-            if config.trace_out is not None:
-                observer.export_chrome_trace(config.trace_out)
-        else:
+    if observer is not None:
+        with observer.profile():
             history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
+        observer.finalize(strategy=strategy, guard=guard)
+        if config.trace_out is not None:
+            observer.export_chrome_trace(config.trace_out)
+    else:
+        history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
     return PretrainResult(
         task=task,
         history=history,
@@ -476,8 +472,7 @@ def train_property(
         target_lr=lr,
     )
     trainer = Trainer(TrainerConfig(max_epochs=config.max_epochs, log_every_n_steps=10))
-    with use_compiled(config.compile or compiled_enabled()):
-        history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
+    history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
     steps, curve = history.series("val", f"{config.target}_mae")
     return FinetuneResult(
         task=task, history=history, curve_steps=steps, curve_mae=curve, config=config

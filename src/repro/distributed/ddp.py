@@ -48,20 +48,8 @@ def _span(tracer, name: str, **attrs):
 
 
 def _forward_backward(tracer, task, batch, rank: Optional[int] = None):
-    """One forward+backward, routed through the tape compiler when enabled.
-
-    ``compiled_training_step`` owns the backward pass (cached-plan replays
-    rebuild a real tape and differentiate it), so this helper is the single
-    place a strategy runs a step — callers must not call ``backward`` again.
-    Imported lazily to keep the distributed layer's import graph free of
-    repro.compiler/repro.observability in eager runs.
-    """
-    from repro.compiler.dispatch import compiled_enabled
-
-    if compiled_enabled():
-        from repro.compiler.step import compiled_training_step
-
-        return compiled_training_step(task, batch, tracer)
+    """One forward+backward: the single place a strategy runs a step, so
+    callers must not call ``backward`` again."""
     attrs = {} if rank is None else {"rank": rank}
     with _span(tracer, "forward", **attrs):
         loss, metrics = task.training_step(batch)

@@ -199,16 +199,7 @@ def linear_act(
         weight._accumulate_owned(stable_matmul(np.swapaxes(x_data, -1, -2), gz))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    # Tape-export annotations: the activation key is not recoverable from the
-    # backward closure (softplus and shifted_softplus share one backward),
-    # and ``owns_buffers`` declares that this backward reads buffers mutated
-    # in place during the forward (``z`` above carries the bias add; for the
-    # identity activation the *output* aliases ``z``) — the memory planner
-    # must never recycle this node's output into the buffer arena.
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"act": act or "identity", "owns_buffers": True}
-    return Tensor._make(out_data, parents, backward, meta)
+    return Tensor._make(out_data, parents, backward)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
@@ -222,11 +213,16 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         # Reference firing order: out-mul, div, sqrt, +eps, mean-mul, sum,
-        # x*x.  Contributions into x: div path first, then x*x twice.
+        # x*x.  The out-mul feeds the weight before the div feeds x, which
+        # matters when x and the weight are one tensor; then x*x twice.
         g7 = g * w_data
-        x._accumulate_owned(g7 / rms)
         weight._accumulate_owned(g * xon)
-        g6 = (-g7 * x_data / (rms * rms)).sum(axis=-1, keepdims=True)
+        x._accumulate_owned(g7 / rms)
+        g6 = -g7 * x_data / (rms * rms)
+        if x_data.shape[-1] != 1:
+            # The reference's ``_unbroadcast`` skips a one-wide sum, which
+            # would turn -0.0 into +0.0.
+            g6 = g6.sum(axis=-1, keepdims=True)
         g5 = g6 * 0.5 / rms
         g3 = g5 * inv_d
         gb = np.broadcast_to(g3, x_data.shape)
@@ -234,10 +230,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
         x._accumulate(t)
         x._accumulate(t)
 
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"eps": eps, "owns_buffers": True}
-    return Tensor._make(out_data, (x, weight), backward, meta)
+    return Tensor._make(out_data, (x, weight), backward)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -270,10 +263,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
         gmu = (-G).sum(axis=-1, keepdims=True)
         x._accumulate(np.broadcast_to(gmu * inv_d, x_data.shape))
 
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"eps": eps, "owns_buffers": True}
-    return Tensor._make(out_data, (x, weight, bias), backward, meta)
+    return Tensor._make(out_data, (x, weight, bias), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

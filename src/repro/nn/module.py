@@ -124,26 +124,33 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+        """Restore parameters and buffers from ``state``.
+
+        Every key and shape is checked before anything is assigned, so a
+        load that raises leaves the module as it was.
+        """
         own_params = dict(self.named_parameters())
-        own_buffers = {name: mod for name, mod in self._iter_buffer_owners()}
-        missing = []
-        for name, param in own_params.items():
-            if name in state:
-                if state[name].shape != param.data.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: "
-                        f"{state[name].shape} vs {param.data.shape}"
-                    )
-                param.data = np.asarray(state[name], dtype=np.float64).copy()
-            elif strict:
-                missing.append(name)
+        own_buffers = dict(self._iter_buffer_owners())
+        shapes = {name: param.data.shape for name, param in own_params.items()}
         for name, (module, local) in own_buffers.items():
+            shapes[name] = module._buffers[local].shape
+        arrays = {}
+        for name, shape in shapes.items():
             if name in state:
-                module.set_buffer(local, state[name])
-            elif strict:
-                missing.append(name)
+                arrays[name] = np.asarray(state[name], dtype=np.float64)
+                if arrays[name].shape != shape:
+                    raise ValueError(
+                        f"shape mismatch for {name}: {arrays[name].shape} vs {shape}"
+                    )
+        missing = [name for name in shapes if name not in arrays]
         if strict and missing:
             raise KeyError(f"missing keys in state dict: {missing}")
+        for name, param in own_params.items():
+            if name in arrays:
+                param.data = arrays[name].copy()
+        for name, (module, local) in own_buffers.items():
+            if name in arrays:
+                module.set_buffer(local, arrays[name])
 
     def _iter_buffer_owners(self, prefix: str = ""):
         for local, _ in self._buffers.items():

@@ -69,13 +69,7 @@ class BatchNorm1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
-            # Replaying a recorded plan would skip this running-statistics
-            # update (it mutates module buffers outside the tape), so a
-            # training-mode BatchNorm step is never compiled.
-            from repro.autograd.tensor import taint_trace
-
-            taint_trace("BatchNorm1d: training forward mutates running stats")
-            mu = x.mean(axis=0, keepdims=True)
+            mu =x.mean(axis=0, keepdims=True)
             centered = x - mu
             var = (centered * centered).mean(axis=0, keepdims=True)
             self.set_buffer(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.autograd import Tensor
 from repro.data.structures import GraphBatch
@@ -48,30 +48,6 @@ class Task(Module):
         raise NotImplementedError
 
     def validation_step(self, batch: GraphBatch) -> ValResult:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Tape-compiler hooks (repro.compiler)
-    # ------------------------------------------------------------------ #
-    def training_step_traced(
-        self, batch: GraphBatch
-    ) -> Tuple[Tensor, dict, Optional[Dict[str, Tensor]]]:
-        """``training_step`` split for the tape compiler: additionally
-        returns the named output tensors metrics derive from, so a cached
-        plan can recompute metrics from a replay via
-        :meth:`training_metrics_from_outputs`.  The default returns no
-        outputs, which tells the compiler this task is not traceable and
-        must run eagerly every step.
-        """
-        loss, metrics = self.training_step(batch)
-        return loss, metrics, None
-
-    def training_metrics_from_outputs(
-        self, outputs: Dict[str, object], batch: GraphBatch
-    ) -> dict:
-        """Recompute ``training_step`` metrics from replayed output arrays
-        (``{name: np.ndarray}``).  Required iff ``training_step_traced``
-        returns outputs."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

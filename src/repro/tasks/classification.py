@@ -111,20 +111,11 @@ class MultiClassClassificationTask(Task):
         return self.head(self.encoder(batch).graph_embedding)
 
     def training_step(self, batch: GraphBatch) -> Tuple[Tensor, dict]:
-        loss, metrics, _ = self.training_step_traced(batch)
-        return loss, metrics
-
-    def training_step_traced(self, batch: GraphBatch):
         logits = self.logits(batch)
         labels = self._labels(batch)
         loss = K.softmax_cross_entropy(logits, labels)
-        metrics = self.training_metrics_from_outputs({"logits": logits.data}, batch)
-        return loss, metrics, {"logits": logits}
-
-    def training_metrics_from_outputs(self, outputs, batch: GraphBatch) -> dict:
-        labels = self._labels(batch)
-        acc = float((outputs["logits"].argmax(axis=1) == labels).mean())
-        return {"train_acc": acc}
+        acc = float((logits.data.argmax(axis=1) == labels).mean())
+        return loss, {"train_acc": acc}
 
     def validation_step(self, batch: GraphBatch) -> ValResult:
         with no_grad():

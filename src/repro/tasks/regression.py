@@ -71,20 +71,11 @@ class ScalarRegressionTask(Task):
         return self.head(embedding).squeeze(-1)
 
     def training_step(self, batch: GraphBatch) -> Tuple[Tensor, dict]:
-        loss, metrics, _ = self.training_step_traced(batch)
-        return loss, metrics
-
-    def training_step_traced(self, batch: GraphBatch):
         pred = self.predict(batch)
         target = self._normalized(self._targets(batch))
         loss = _LOSSES[self.loss_name](pred, target)
-        metrics = self.training_metrics_from_outputs({"pred": pred.data}, batch)
-        return loss, metrics, {"pred": pred}
-
-    def training_metrics_from_outputs(self, outputs, batch: GraphBatch) -> dict:
-        target = self._normalized(self._targets(batch))
-        mae_units = float(np.abs(outputs["pred"] - target).mean()) * self._scale()
-        return {f"train_{self.target}_mae": mae_units}
+        mae_units = float(np.abs(pred.data - target).mean()) * self._scale()
+        return loss, {f"train_{self.target}_mae": mae_units}
 
     def validation_step(self, batch: GraphBatch) -> ValResult:
         with no_grad():

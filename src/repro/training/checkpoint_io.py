@@ -152,18 +152,38 @@ def save_optimizer(optimizer: Optimizer, path: str) -> None:
     _save_npz(path, flat)
 
 
-def load_optimizer(optimizer: Optimizer, path: str) -> Optimizer:
-    """Restore optimizer state written by :func:`save_optimizer`."""
+def _read_optimizer_state(path: str) -> dict:
+    """Decode and validate an archive written by :func:`save_optimizer`."""
     data = _load_npz(path)
+    for key in ("__lr__", "__step_count__"):
+        if key not in data:
+            raise CheckpointIntegrityError(f"optimizer archive {path!r} lacks {key!r}")
     nested: Dict[int, Dict[str, np.ndarray]] = {}
-    lr = float(data["__lr__"])
-    step_count = int(data["__step_count__"])
     for key, arr in data.items():
         if key.startswith("__"):
             continue
-        param_idx, name = key.split("/", 1)
-        nested.setdefault(int(param_idx), {})[name] = arr.copy()
-    optimizer.load_state_dict({"lr": lr, "step_count": step_count, "state": nested})
+        param_idx, _, name = key.partition("/")
+        if not (param_idx.isdigit() and name):
+            raise CheckpointIntegrityError(
+                f"optimizer archive {path!r} has malformed key {key!r} "
+                "(expected 'index/name')"
+            )
+        nested.setdefault(int(param_idx), {})[name] = arr
+    return {
+        "lr": float(data["__lr__"]),
+        "step_count": int(data["__step_count__"]),
+        "state": nested,
+    }
+
+
+def load_optimizer(optimizer: Optimizer, path: str) -> Optimizer:
+    """Restore optimizer state written by :func:`save_optimizer`.
+
+    Raises :class:`CheckpointIntegrityError`, before touching the
+    optimizer, on a corrupted archive, a missing ``__lr__`` /
+    ``__step_count__``, or a key that is not ``index/name``.
+    """
+    optimizer.load_state_dict(_read_optimizer_state(path))
     return optimizer
 
 
@@ -222,6 +242,31 @@ def save_checkpoint(
     return directory
 
 
+#: Types of the ``meta.json`` fields; only ``step`` is required.
+_META_FIELDS = (("step", int), ("epoch", int), ("history", list), ("rng", dict))
+
+
+def _read_meta(meta_path: str) -> dict:
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointIntegrityError(
+            f"checkpoint metadata {meta_path!r} is unreadable: {exc}"
+        ) from exc
+    if not isinstance(meta, dict) or "step" not in meta:
+        raise CheckpointIntegrityError(
+            f"checkpoint metadata {meta_path!r} is not an object with a 'step'"
+        )
+    for key, kind in _META_FIELDS:
+        if key in meta and type(meta[key]) is not kind:
+            raise CheckpointIntegrityError(
+                f"checkpoint metadata {meta_path!r}: {key!r} must be "
+                f"{kind.__name__}, got {type(meta[key]).__name__}"
+            )
+    return meta
+
+
 def load_checkpoint(
     directory: str,
     module: Module,
@@ -233,18 +278,17 @@ def load_checkpoint(
     Restores module and optimizer state in place; when ``history`` is
     given, its records are replaced by the checkpointed ones so the run's
     loss history resumes exactly.  Returns ``{"step": ..., "epoch": ...}``.
+
+    All three files are read and validated first, and the module checks
+    every key and shape before assigning any, so a checkpoint that raises
+    leaves the module and optimizer as they were.
     """
-    load_module(module, os.path.join(directory, "model.npz"))
-    load_optimizer(optimizer, os.path.join(directory, "optim.npz"))
-    meta_path = os.path.join(directory, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointIntegrityError(
-            f"checkpoint metadata {meta_path!r} is unreadable: {exc}"
-        ) from exc
+    meta = _read_meta(os.path.join(directory, "meta.json"))
+    model_state = _load_npz(os.path.join(directory, "model.npz"))
+    optim_state = _read_optimizer_state(os.path.join(directory, "optim.npz"))
+    module.load_state_dict(model_state)
+    optimizer.load_state_dict(optim_state)
     if history is not None:
         history.records = list(meta.get("history", []))
     _restore_rng_states(module, meta.get("rng", {}))
-    return {"step": int(meta["step"]), "epoch": int(meta.get("epoch", 0))}
+    return {"step": meta["step"], "epoch": meta.get("epoch", 0)}

@@ -29,9 +29,6 @@ MARKERS = [
     "bit-identity); select with -m serve",
     "chaos: resilient-serving chaos scenarios (replica pool, breakers, "
     "hedging, seeded fault schedules); select with -m chaos",
-    "compile: tape-compiler scenarios (differential fuzzing, memory "
-    "planner properties, compiled golden/DDP equivalence); select with "
-    "-m compile",
     "screen: high-throughput screening scenarios (swap table, candidate "
     "generation, streaming top-k, batched/sharded bit-identity); select "
     "with -m screen",

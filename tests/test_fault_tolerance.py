@@ -5,6 +5,7 @@ backoff waits advance a simulated clock instead of sleeping, so the whole
 suite runs in milliseconds (`pytest -m fault` selects it).
 """
 
+import json
 import os
 import zlib
 
@@ -505,6 +506,99 @@ class TestCheckpointIntegrity:
         np.savez(path, **task.state_dict())
         fresh, _ = make_task_and_samples(seed=99)
         load_module(fresh, path)  # no integrity error
+
+
+# --------------------------------------------------------------------------- #
+# Failed restores leave the live state alone
+# --------------------------------------------------------------------------- #
+def _trained(seed):
+    """A task and an optimizer that has taken one step (so it has moments)."""
+    task, samples = make_task_and_samples(seed=seed)
+    opt = AdamW(task.parameters(), lr=1e-3)
+    DDPStrategy(2).execute(task, samples)
+    opt.step()
+    return task, opt
+
+
+def _snapshot(task, opt):
+    return (
+        [p.data.copy() for p in task.parameters()],
+        opt.state_dict(),
+    )
+
+
+def _assert_unchanged(task, opt, snapshot):
+    params, opt_state = snapshot
+    for before, p in zip(params, task.parameters()):
+        assert np.array_equal(before, p.data)
+    now = opt.state_dict()
+    assert (now["lr"], now["step_count"]) == (opt_state["lr"], opt_state["step_count"])
+    assert now["state"].keys() == opt_state["state"].keys()
+    for idx, sub in opt_state["state"].items():
+        assert sub.keys() == now["state"][idx].keys()
+        for name, arr in sub.items():
+            assert np.array_equal(arr, now["state"][idx][name]), (idx, name)
+
+
+class TestFailedRestoreIsAtomic:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        task, opt = _trained(seed=5)
+        return save_checkpoint(str(tmp_path / "ckpt"), task, opt, step=3, epoch=1)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [{}, [], {"step": "3"}, {"step": True}, {"step": 3, "epoch": "1"},
+         {"step": 3, "history": 7}],
+        ids=["empty", "not-an-object", "str-step", "bool-step", "str-epoch",
+             "int-history"],
+    )
+    def test_bad_meta_restores_nothing(self, checkpoint, meta):
+        with open(os.path.join(checkpoint, "meta.json"), "w") as fh:
+            json.dump(meta, fh)
+        task, opt = _trained(seed=9)
+        before = _snapshot(task, opt)
+        with pytest.raises(CheckpointIntegrityError, match="meta.json"):
+            load_checkpoint(checkpoint, task, opt)
+        _assert_unchanged(task, opt, before)
+
+    def test_model_missing_a_late_key_restores_nothing(self, checkpoint):
+        path = os.path.join(checkpoint, "model.npz")
+        with np.load(path) as data:
+            state = {k: data[k] for k in data.files if k != "__checksum__"}
+        del state[sorted(state)[-1]]
+        np.savez(path, **state)
+        task, opt = _trained(seed=9)
+        before = _snapshot(task, opt)
+        with pytest.raises(KeyError):
+            load_checkpoint(checkpoint, task, opt)
+        _assert_unchanged(task, opt, before)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda state: state.pop("__lr__"),
+            lambda state: state.pop("__step_count__"),
+            lambda state: state.update({"moments": np.zeros(2)}),
+            lambda state: state.update({"x/m": np.zeros(2)}),
+            lambda state: state.update({"0/": np.zeros(2)}),
+        ],
+        ids=["no-lr", "no-step-count", "no-slash", "non-int-index", "no-name"],
+    )
+    def test_malformed_optimizer_archive_restores_nothing(self, checkpoint, edit):
+        path = os.path.join(checkpoint, "optim.npz")
+        with np.load(path) as data:
+            state = {k: data[k] for k in data.files if k != "__checksum__"}
+        edit(state)
+        np.savez(path, **state)
+        task, opt = _trained(seed=9)
+        before = _snapshot(task, opt)
+        with pytest.raises(CheckpointIntegrityError, match="optim.npz"):
+            load_optimizer(opt, path)
+        _assert_unchanged(task, opt, before)
+        with pytest.raises(CheckpointIntegrityError, match="optim.npz"):
+            load_checkpoint(checkpoint, task, opt)
+        _assert_unchanged(task, opt, before)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, functional as F
+from repro.autograd import detect_anomaly, functional as F
 from repro.autograd.gradcheck import gradcheck
+from repro.kernels.dispatch import use_fused
+from repro.observability import OpProfiler
 
 
 def _rng(case_id: int) -> np.random.Generator:
@@ -381,54 +383,29 @@ def test_sweep_is_large_enough():
 
 
 # --------------------------------------------------------------------------- #
-# The same sweep through the tape compiler: trace each case, replay the
-# compiled plan, and check the REPLAY's gradients against central
-# differences (plus bitwise against the eager tape via the validation
-# replay).  Ops outside the compiler's vocabulary (where, segment_softmax,
-# bce) exercise its documented behavior instead: taint or UnsupportedOp,
-# never a wrong number.
+# The same sweep on the observed tape with the reference kernels: each case
+# is built and differentiated under the per-op profiler and detect_anomaly
+# (the hooked branch of Tensor._make, plus the timed, scanned backward
+# hops), with kernels.dispatch routed to its reference compositions.  The
+# ids are those of the tape compiler's replay sweep, which this replaced
+# (DESIGN.md §14).
 # --------------------------------------------------------------------------- #
 
-_COMPILED_RUNS = [0]  # mutated by the sweep, checked by the coverage test
+_OBSERVED_RUNS = [0]  # mutated by the sweep, checked by the coverage test
 
 
-@pytest.mark.compile
 @pytest.mark.parametrize("builder", CASES)
 def test_gradcheck_sweep_compiled(builder):
-    from repro.autograd.gradcheck import numerical_gradient
-    from repro.compiler import UnsupportedOp, trace_function
-
     idx = next(i for i, p in enumerate(CASES) if p.values[0] is builder)
     fn, inputs = builder(_rng(idx))
-    arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
-    tensors = [Tensor(x.copy(), requires_grad=True) for x in arrays]
-    try:
-        result = trace_function(lambda: fn(*tensors).sum(), rewrite=True)
-    except UnsupportedOp as exc:
-        pytest.skip(f"compiler falls back to eager: {exc}")
-    if result.tainted is not None:
-        pytest.skip(f"compiler falls back to eager (taint): {result.tainted}")
-
-    result.loss.backward()
-    # Replace the eager gradients with the replay's and gradcheck those.
-    for t in tensors:
-        t.grad = None
-    result.plan.rewind_dropout()
-    loss_replay, _ = result.plan.replay()
-    loss_replay.backward()
-    for i, t in enumerate(tensors):
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        numeric = numerical_gradient(fn, [x.copy() for x in arrays], wrt=i)
-        assert np.allclose(analytic, numeric, atol=1e-5, rtol=1e-4), (
-            f"compiled replay gradient diverges for input {i}: "
-            f"max abs err {np.max(np.abs(analytic - numeric)):.3e}"
-        )
-    _COMPILED_RUNS[0] += 1
+    with use_fused(False), OpProfiler(profile_memory=False), detect_anomaly():
+        assert gradcheck(fn, inputs)
+    _OBSERVED_RUNS[0] += 1
 
 
 def test_compiled_sweep_covers_most_cases():
-    """The compiled sweep must remain a sweep: the unsupported-op escape
-    hatch may exempt only the handful of ops documented as eager-only."""
-    assert _COMPILED_RUNS[0] >= len(CASES) - 12, (
-        f"only {_COMPILED_RUNS[0]}/{len(CASES)} cases ran compiled"
+    """Every case ran observed: no op is exempt from the hooked branch."""
+    assert _OBSERVED_RUNS[0] == len(CASES), (
+        f"only {_OBSERVED_RUNS[0]}/{len(CASES)} cases ran observed"
     )
+

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
+from repro.autograd import functional as F
 from repro.autograd.gradcheck import gradcheck
 from repro.data import collate_graphs
 from repro.data.transforms import StructureToGraph
@@ -101,6 +102,47 @@ def test_norms_bitwise(shape, op):
         return K.layer_norm(x, w, b, 1e-6), [x, w, b]
 
     _both_modes(build, seed=hash((shape, op)) % 10_000)
+
+
+def _leaf_grad_bytes(build):
+    """Leaf-gradient bytes of ``build() -> (loss, leaves)``, fused and
+    reference: tells ``-0.0`` from ``+0.0``, which ``np.array_equal`` does
+    not."""
+    runs = []
+    for enabled in (True, False):
+        with use_fused(enabled):
+            loss, leaves = build()
+            loss.backward()
+        runs.append([leaf.grad.tobytes() for leaf in leaves])
+    return runs
+
+
+def test_rms_norm_keeps_signed_zeros_on_one_wide_rows():
+    """A row with zero upstream gradient through a one-wide RMSNorm: the
+    reference never sums the one-element row statistic, so the kernel must
+    not either (numpy's sum would turn ``-0.0`` into ``+0.0``)."""
+
+    def build():
+        x = Tensor([[0.7], [-1.3], [-0.4]], requires_grad=True)
+        w = Tensor([-0.8], requires_grad=True)
+        return K.rms_norm(x, w, 1e-6)[:2].sum(), [x, w]
+
+    fused_grads, reference_grads = _leaf_grad_bytes(build)
+    assert fused_grads == reference_grads
+
+
+def test_rms_norm_feeds_the_weight_before_x():
+    """``x`` doubling as the weight, with a consumer of its own: the
+    reference chain adds the weight gradient before x's, and float sums of
+    three or more terms depend on that order."""
+
+    def build():
+        v = Tensor(_rng(1).uniform(-2.0, 2.0, size=4), requires_grad=True)
+        r = K.rms_norm(v, v, 1e-6)
+        return F.concat([v, r], axis=0).sum() + F.sigmoid(r).sum(), [v]
+
+    fused_grads, reference_grads = _leaf_grad_bytes(build)
+    assert fused_grads == reference_grads
 
 
 @pytest.mark.parametrize("n,c", [(6, 4), (1, 3), (8, 2)])

@@ -74,6 +74,30 @@ class TestStateDict:
             toy.load_state_dict(state)
         toy.load_state_dict(state, strict=False)  # non-strict tolerates
 
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda state: state.pop("fc2.weight"), KeyError),
+            (lambda state: state.update({"fc2.bias": np.zeros(3)}), ValueError),
+            (lambda state: state.update({"running": np.zeros(5)}), ValueError),
+        ],
+        ids=["missing-late-key", "late-shape-mismatch", "buffer-shape-mismatch"],
+    )
+    def test_failed_load_leaves_module_untouched(self, rng, corrupt, error):
+        """Keys that sort after good ones must not let those be assigned
+        first: a load that raises restores nothing."""
+        toy = Toy(rng)
+        before = toy.state_dict()
+        state = Toy(np.random.default_rng(999)).state_dict()
+        state["running"] = np.array([3.0, 4.0])
+        corrupt(state)
+        with pytest.raises(error):
+            toy.load_state_dict(state)
+        after = toy.state_dict()
+        assert after.keys() == before.keys()
+        for name in before:
+            assert np.array_equal(after[name], before[name]), name
+
     def test_buffer_roundtrip(self, rng):
         toy = Toy(rng)
         toy.set_buffer("running", np.array([1.0, 2.0]))
