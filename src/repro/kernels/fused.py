@@ -126,8 +126,23 @@ def _softplus_ctx(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _softplus(z):
+    # Same IEEE op sequence as max(z, 0) + log1p(exp(-|z|)), the reference
+    # definition, with in-place ufuncs on fresh contiguous temporaries (the
+    # SIMD exp/log1p loops; numpy's logaddexp is a scalar libm loop).  The
+    # max operand stays first in the add, as in the reference, so even NaN
+    # outputs match it bit for bit.
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out = np.maximum(z, 0.0)
+    out += t
+    return out
+
+
 def _softplus_fwd(z):
-    return np.logaddexp(0.0, z), _softplus_ctx(z)
+    return _softplus(z), _softplus_ctx(z)
 
 
 def _softplus_bwd(g, z, sig):
@@ -135,7 +150,9 @@ def _softplus_bwd(g, z, sig):
 
 
 def _shifted_softplus_fwd(z):
-    return np.logaddexp(0.0, z) - _LOG2, _softplus_ctx(z)
+    out = _softplus(z)
+    out -= _LOG2
+    return out, _softplus_ctx(z)
 
 
 ACTIVATIONS = {

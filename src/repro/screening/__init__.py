@@ -23,7 +23,7 @@ from repro.screening.pipeline import (
     run_screening,
     score_candidates,
 )
-from repro.screening.ranker import RankedCandidate, TopK
+from repro.screening.ranker import NonFiniteScoreError, RankedCandidate, TopK
 from repro.screening.relax import ForceFieldRelaxer
 from repro.screening.swaps import SwapTable
 
@@ -31,6 +31,7 @@ __all__ = [
     "Candidate",
     "CandidateGenerator",
     "ForceFieldRelaxer",
+    "NonFiniteScoreError",
     "RankedCandidate",
     "ScreenConfig",
     "ScreenResult",

@@ -19,8 +19,9 @@ relaxation steps) decides which perturbations are keepers.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -55,10 +56,9 @@ def structure_fingerprint(structure: Structure) -> str:
 
 def formula(species: np.ndarray) -> str:
     """Hill-less reduced formula string, elements ordered by atomic number."""
-    zs, counts = np.unique(np.asarray(species, dtype=np.int64), return_counts=True)
+    counts = Counter(np.asarray(species, dtype=np.int64).ravel().tolist())
     return "".join(
-        f"{element(int(z)).symbol}{int(c) if c > 1 else ''}"
-        for z, c in zip(zs, counts)
+        f"{element(z).symbol}{c if c > 1 else ''}" for z, c in sorted(counts.items())
     )
 
 
@@ -79,6 +79,13 @@ class Candidate:
     @property
     def formula(self) -> str:
         return formula(self.structure.species)
+
+    @property
+    def strained(self) -> bool:
+        """Whether a lattice strain moved the atoms.  An unstrained
+        (swap-only) generated candidate has its parent's positions, bit for
+        bit."""
+        return any(op.startswith("strain:") for op in self.ops)
 
 
 class CandidateGenerator:
@@ -128,10 +135,25 @@ class CandidateGenerator:
         self.strain_scale = float(strain_scale)
         # Parents are drawn from a small fixed pool but each dataset
         # __getitem__ re-synthesizes the crystal *and* its surrogate-DFT
-        # labels (~ms) — far more than a mutation.  Memoize them: memory
-        # is bounded by the pool size and candidates only ever read from
-        # the parent (species/positions are copied before mutation).
-        self._parents: dict = {}
+        # labels (~ms) — far more than a mutation.  Memoize them, with
+        # their formula: memory is bounded by the pool size and candidates
+        # only ever read from the parent (species/positions are copied
+        # before mutation).
+        self._parents: Dict[int, Tuple[Structure, str]] = {}
+
+    # ------------------------------------------------------------------ #
+    def _parent(self, index: int) -> Tuple[Structure, str]:
+        entry = self._parents.get(index)
+        if entry is None:
+            structure = self.base[index]
+            entry = self._parents.setdefault(
+                index, (structure, formula(structure.species))
+            )
+        return entry
+
+    def parent(self, index: int) -> Structure:
+        """Parent crystal ``index`` of the base pool, memoized: read only."""
+        return self._parent(index)[0]
 
     # ------------------------------------------------------------------ #
     def candidate(self, index: int) -> Candidate:
@@ -140,9 +162,7 @@ class CandidateGenerator:
             raise IndexError(index)
         rng = np.random.default_rng((self.seed, _CANDIDATE_TAG, index))
         parent_index = int(rng.integers(0, len(self.base)))
-        parent = self._parents.get(parent_index)
-        if parent is None:
-            parent = self._parents.setdefault(parent_index, self.base[parent_index])
+        parent, parent_formula = self._parent(parent_index)
         species = parent.species.copy()
         positions = parent.positions.copy()
         lattice = parent.lattice
@@ -177,7 +197,7 @@ class CandidateGenerator:
             metadata={
                 "dataset": "screening",
                 "parent_index": parent_index,
-                "parent_formula": formula(parent.species),
+                "parent_formula": parent_formula,
             },
         )
         return Candidate(

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.data.structures import GraphSample
 from repro.screening.generator import Candidate, CandidateGenerator
 from repro.screening.ranker import RankedCandidate, TopK
 from repro.screening.relax import ForceFieldRelaxer
@@ -137,9 +138,52 @@ def score_candidates(
     scoring bit for bit.
     """
     samples = [servable.prepare(c.structure) for c in candidates]
+    return _score_samples(servable, samples, relaxer, relax_steps)
+
+
+def _score_samples(
+    servable,
+    samples: List[GraphSample],
+    relaxer: Optional[ForceFieldRelaxer],
+    relax_steps: int,
+) -> List[float]:
     if relaxer is not None and relax_steps > 0:
         samples = relaxer.relax(samples, relax_steps)
     return [float(v) for v in servable.predict(samples)]
+
+
+def _prepare(
+    servable,
+    generator: CandidateGenerator,
+    candidate: Candidate,
+    parent_graphs: Dict[int, GraphSample],
+) -> GraphSample:
+    """``servable.prepare(candidate.structure)``, reusing the parent's graph.
+
+    A swap-only candidate has its parent's positions bit for bit (the
+    generator copies them and only a strain moves them), so its centred
+    positions and radius graph *are* the parent's: they are built once
+    per parent into ``parent_graphs`` and shared read-only, with no
+    content hash.  Everything else the sample carries comes from the
+    candidate itself.
+    """
+    if candidate.strained:
+        return servable.prepare(candidate.structure)
+    template = parent_graphs.get(candidate.parent_index)
+    if template is None:
+        template = servable.prepare(generator.parent(candidate.parent_index))
+        for shared in (template.positions, template.edge_src, template.edge_dst):
+            shared.flags.writeable = False
+        parent_graphs[candidate.parent_index] = template
+    structure = candidate.structure
+    return GraphSample(
+        positions=template.positions,
+        species=structure.species.copy(),
+        edge_src=template.edge_src,
+        edge_dst=template.edge_dst,
+        targets=dict(structure.targets),
+        metadata=dict(structure.metadata),
+    )
 
 
 def run_screening(
@@ -154,7 +198,11 @@ def run_screening(
     Shards partition the candidate index space; each shard ranks into its
     own :class:`TopK` and the per-shard rankings merge exactly
     (``TopK.merge``), so ``num_shards`` — like ``batch_size`` — changes
-    only the execution layout, never the result.
+    only the execution layout, never the result.  Each parent's graph is
+    built at most once per call and shared by its swap-only candidates;
+    strained candidates are prepared from scratch.  A NaN or infinite
+    score raises :class:`~repro.screening.ranker.NonFiniteScoreError`
+    naming the candidate.
     """
     obs = observer if observer is not None else _NullObserver()
     generator = generator or CandidateGenerator(
@@ -168,6 +216,7 @@ def run_screening(
         )
 
     t0 = time.perf_counter()
+    parent_graphs: Dict[int, GraphSample] = {}
     shard_rankers: List[TopK] = []
     shard_sizes: List[int] = []
     batches = 0
@@ -181,8 +230,12 @@ def run_screening(
             )
             for batch in _batched(stream, config.batch_size):
                 with obs.span("screen.batch", shard=shard_index, size=len(batch)):
-                    scores = score_candidates(
-                        servable, batch, relaxer, config.relax_steps
+                    samples = [
+                        _prepare(servable, generator, c, parent_graphs)
+                        for c in batch
+                    ]
+                    scores = _score_samples(
+                        servable, samples, relaxer, config.relax_steps
                     )
                     for candidate, score in zip(batch, scores):
                         ranker.offer(

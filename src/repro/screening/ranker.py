@@ -19,8 +19,18 @@ top-k of the concatenated per-shard top-k lists, which is what makes
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
+
+
+class NonFiniteScoreError(ValueError):
+    """A NaN or infinite score was offered to a :class:`TopK`.
+
+    NaN has no place in the total order (every comparison with it is
+    False), so admitting one would silently evict finite entries and make
+    the ranking depend on arrival order and shard layout.
+    """
 
 
 @dataclass(frozen=True)
@@ -58,9 +68,16 @@ class TopK:
         index: int,
         payload: Optional[Dict[str, object]] = None,
     ) -> bool:
-        """Consider one candidate; returns whether it entered the top-k."""
+        """Consider one candidate; returns whether it entered the top-k.
+
+        Raises :class:`NonFiniteScoreError`, before touching any state,
+        when ``score`` is NaN or infinite.
+        """
+        score = float(score)
+        if not math.isfinite(score):
+            raise NonFiniteScoreError(f"candidate {index}: non-finite score {score!r}")
         self.offered += 1
-        key = (float(score), str(fingerprint), int(index))
+        key = (score, str(fingerprint), int(index))
         if len(self._keys) >= self.k and key >= self._keys[-1]:
             return False
         bisect.insort(self._keys, key)

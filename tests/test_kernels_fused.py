@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, no_grad
 from repro.autograd import functional as F
@@ -88,6 +91,73 @@ def test_inference_activations_bitwise(act):
         assert trained_ctx is not None
         if act != "sigmoid":  # sigmoid's context is its output
             assert inferred_ctx is None
+
+
+SOFTPLUS_ACTS = ["softplus", "shifted_softplus"]
+
+
+def _act_in_mode(act, fused_mode):
+    """Activation forward of the fused kernel or of the reference tape."""
+    if fused_mode:
+        return lambda z: fused.ACTIVATIONS[act][0](z)[0]
+    return lambda z: reference._ACTS[act](Tensor(z)).data
+
+
+@pytest.mark.parametrize("fused_mode", [True, False], ids=["fused", "reference"])
+@pytest.mark.parametrize("act", SOFTPLUS_ACTS)
+def test_softplus_edges_equal_logaddexp(act, fused_mode):
+    """``max(z, 0) + log1p(exp(-|z|))`` is logaddexp(0, z) on every IEEE
+    edge, warning-free (tier-1 runs with ``filterwarnings = error``)."""
+    z = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300])
+    with np.errstate(invalid="ignore"):  # logaddexp itself flags NaN input
+        expected = np.logaddexp(0.0, z)
+    if act == "shifted_softplus":
+        expected = expected - np.log(2.0)
+    got = _act_in_mode(act, fused_mode)(z)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    act=st.sampled_from(SOFTPLUS_ACTS),
+    fused_mode=st.booleans(),
+)
+def test_softplus_row_bits_independent_of_layout(data, act, fused_mode):
+    """A row's output bits do not depend on the array's length, the row's
+    offset or the input's memory layout: the batched == single
+    precondition for the SIMD exp/log1p loops.
+
+    NaN in gives NaN out, but *which* NaN is not pinned: numpy's add
+    returns either operand's NaN depending on whether the element falls in
+    the SIMD body or the scalar tail, so NaNs are compared by position.
+    """
+    rows = data.draw(st.integers(1, 20), label="rows")
+    width = data.draw(st.integers(1, 12), label="width")
+    z = data.draw(
+        hnp.arrays(np.float64, (rows, width), elements=st.floats(width=64)), label="z"
+    )
+    start = data.draw(st.integers(0, rows - 1), label="start")
+    stop = data.draw(st.integers(start + 1, rows), label="stop")
+    act_fn = _act_in_mode(act, fused_mode)
+
+    def bits(out):
+        return np.where(np.isnan(out), np.nan, out).tobytes()
+
+    expected = act_fn(z)[start:stop]
+    strided = np.zeros((rows, 2 * width))
+    strided[:, ::2] = z
+    for view in (
+        z[start:stop],
+        z[start:stop].copy(),
+        np.asfortranarray(z[start:stop]),
+        strided[start:stop, ::2],
+    ):
+        assert bits(act_fn(view)) == bits(expected)
+    for r in range(start, stop):
+        assert bits(act_fn(z[r])) == bits(expected[r - start])
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (1, 3), (5, 1)])

@@ -14,17 +14,24 @@ the screening subsystem (DESIGN.md §15):
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.datasets.materials_project import DEFAULT_ELEMENT_POOL
-from repro.datasets.periodic_table import MAX_Z
+from repro.datasets.periodic_table import MAX_Z, element
 from repro.screening import (
     Candidate,
     CandidateGenerator,
+    NonFiniteScoreError,
     RankedCandidate,
     SwapTable,
     TopK,
+    formula,
     structure_fingerprint,
 )
 
@@ -202,6 +209,50 @@ class TestCandidateGenerator:
             list(gen.shard(10, 3, 3))
 
 
+#: sha256 over the first 256 candidates of ``CandidateGenerator(seed=7,
+#: base_samples=8)`` — species, positions, lattice, ops, parent index,
+#: parent formula and fingerprint — recorded on the commit before the
+#: parent-formula memo and the ``Counter``-based ``formula`` went in.
+CANDIDATE_STREAM_SHA256 = "2ea1609189ded6dac8cb3f1da41a625533263cd742016261f64eca4d74369e91"
+
+
+def candidate_stream_sha256(gen, count=256):
+    digest = hashlib.sha256()
+    for c in gen.stream(count):
+        s = c.structure
+        digest.update(np.ascontiguousarray(s.species, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(s.positions, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(s.lattice.matrix, dtype=np.float64).tobytes())
+        digest.update(
+            repr((c.ops, c.parent_index, s.metadata["parent_formula"], c.fingerprint)).encode()
+        )
+    return digest.hexdigest()
+
+
+def test_candidate_stream_is_bit_identical_to_the_recorded_commit():
+    assert candidate_stream_sha256(CandidateGenerator(seed=7, base_samples=8)) == (
+        CANDIDATE_STREAM_SHA256
+    )
+
+
+def _oracle_formula(species):
+    """``formula`` as first written: one ``np.unique`` per call."""
+    zs, counts = np.unique(np.asarray(species, dtype=np.int64), return_counts=True)
+    return "".join(
+        f"{element(int(z)).symbol}{int(c) if c > 1 else ''}"
+        for z, c in zip(zs, counts)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.int64, st.integers(0, 24), elements=st.integers(1, MAX_Z)))
+@example(np.zeros(0, dtype=np.int64))
+@example(np.array([26]))
+@example(np.array([8, 26, 8, 1, 26, 8]))
+def test_formula_equals_the_unique_oracle(species):
+    assert formula(species) == _oracle_formula(species)
+
+
 # --------------------------------------------------------------------------- #
 # Streaming top-k ranker
 # --------------------------------------------------------------------------- #
@@ -296,6 +347,20 @@ class TestTopK:
             TopK(0)
         with pytest.raises(ValueError):
             TopK.merge([])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_is_refused_before_any_state_changes(self, bad):
+        """NaN compares False with everything, so it always passed the
+        admission cut and broke bisect's order: offering [nan, 1.0, 0.5]
+        to TopK(2) used to rank [nan, 0.5] and drop 1.0."""
+        ranker = TopK(2)
+        ranker.offer(1.0, "a", 1)
+        ranker.offer(0.5, "b", 2)
+        with pytest.raises(NonFiniteScoreError, match="candidate 0"):
+            ranker.offer(bad, "c", 0)
+        assert issubclass(NonFiniteScoreError, ValueError)
+        assert [e.key for e in ranker.ranked()] == [(0.5, "b", 2), (1.0, "a", 1)]
+        assert (ranker.offered, ranker.admitted) == (2, 2)
 
     def test_ranked_candidate_key(self):
         entry = RankedCandidate(1.5, "abcd", 7)

@@ -11,14 +11,18 @@ reference kernels.  Every comparison here is ``np.array_equal`` /
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.autograd import batch_invariant_kernels
+from repro.data.structures import GraphSample
 from repro.kernels import use_fused
 from repro.screening import (
     CandidateGenerator,
     ForceFieldRelaxer,
+    NonFiniteScoreError,
     ScreenConfig,
     run_screening,
     score_candidates,
@@ -188,3 +192,114 @@ def test_end_to_end_ranking_is_fused_mode_invariant(fused):
     assert [(e.fingerprint, e.index) for e in result.ranked] == [
         (e.fingerprint, e.index) for e in reference.ranked
     ]
+
+
+# --------------------------------------------------------------------------- #
+# Swap-only graph == from-scratch graph
+# --------------------------------------------------------------------------- #
+def _recorded_run(servable, cfg, generator):
+    """``run_screening`` with every ``prepare`` call counted and every
+    sample handed to ``predict`` recorded, in stream order."""
+    prepared, predicted = [], []
+    prepare, predict = servable.prepare, servable.predict
+
+    def counting_prepare(structure):
+        prepared.append(structure)
+        return prepare(structure)
+
+    def recording_predict(samples):
+        predicted.extend(samples)
+        return predict(samples)
+
+    servable.prepare, servable.predict = counting_prepare, recording_predict
+    try:
+        run_screening(servable, cfg, generator=generator)
+    finally:
+        del servable.prepare, servable.predict
+    return prepared, predicted
+
+
+def _fields_equal(a: GraphSample, b: GraphSample) -> bool:
+    for f in dataclasses.fields(GraphSample):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("encoder_name", ENCODERS)
+def test_swap_only_graph_equals_from_scratch_graph(encoder_name):
+    """Swap-only candidates reuse their parent's graph by construction;
+    the reused sample is field-for-field what ``prepare`` builds, strained
+    candidates never reuse, and each parent's graph is built once."""
+    servable = build_servable(encoder_name)
+    gen = CandidateGenerator(seed=11, base_samples=BASE_SAMPLES)
+    cfg = ScreenConfig(n_candidates=24, top_k=4, batch_size=5, num_shards=1)
+    prepared, predicted = _recorded_run(servable, cfg, gen)
+    cands = list(gen.stream(cfg.n_candidates))
+    assert len(predicted) == len(cands)
+
+    swap_only = [c for c in cands if not c.strained]
+    strained = [c for c in cands if c.strained]
+    assert swap_only and strained  # the stream exercises both paths
+    assert len(prepared) == len({c.parent_index for c in swap_only}) + len(strained)
+
+    for c, sample in zip(cands, predicted):
+        assert _fields_equal(sample, servable.prepare(c.structure)), c.index
+        assert sample.positions.flags.writeable == c.strained
+        assert sample.edge_src.flags.writeable == c.strained
+        assert sample.edge_dst.flags.writeable == c.strained
+
+
+def test_shared_parent_graph_rejects_writes():
+    servable = build_servable("egnn")
+    gen = CandidateGenerator(seed=11, base_samples=BASE_SAMPLES)
+    cfg = ScreenConfig(n_candidates=12, top_k=4, batch_size=4)
+    _, predicted = _recorded_run(servable, cfg, gen)
+    shared = [s for s, c in zip(predicted, gen.stream(12)) if not c.strained]
+    assert shared
+    for array in (shared[0].positions, shared[0].edge_src, shared[0].edge_dst):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("relax_steps", [0, 1])
+def test_graph_reuse_leaves_the_ranking_unchanged(relax_steps):
+    """``run_screening`` (parent graphs reused) ranks exactly like scoring
+    every candidate through ``score_candidates`` (all from scratch)."""
+    servable = build_servable("schnet")
+    gen = CandidateGenerator(seed=11, base_samples=BASE_SAMPLES)
+    cfg = ScreenConfig(n_candidates=16, top_k=16, batch_size=3, num_shards=2,
+                       relax_steps=relax_steps)
+    result = run_screening(servable, cfg, generator=gen)
+    relaxer = ForceFieldRelaxer.from_spec(servable.spec) if relax_steps else None
+    scratch = {
+        c.index: score_candidates(servable, [c], relaxer, relax_steps)[0]
+        for c in gen.stream(cfg.n_candidates)
+    }
+    assert [e.score for e in result.ranked] == [scratch[e.index] for e in result.ranked]
+    assert len(result.ranked) == cfg.n_candidates
+
+
+def test_non_finite_score_names_the_candidate():
+    """A servable answering NaN stops the run with the candidate's index
+    instead of silently evicting finite entries from the ranking."""
+    servable = build_servable("egnn")
+    predict = servable.predict
+    calls = []
+
+    def nan_in_second_batch(samples):
+        scores = np.asarray(predict(samples), dtype=np.float64)
+        calls.append(len(samples))
+        if len(calls) == 2:
+            scores[2] = np.nan
+        return scores
+
+    servable.predict = nan_in_second_batch
+    cfg = ScreenConfig(n_candidates=12, top_k=4, batch_size=4, seed=7,
+                       base_samples=BASE_SAMPLES)
+    with pytest.raises(NonFiniteScoreError, match="candidate 6"):
+        run_screening(servable, cfg)
