@@ -110,39 +110,6 @@ def bench_micro_kernels(rounds: int, warmup: int, tiny: bool = False) -> List[Di
 
 
 # --------------------------------------------------------------------------- #
-# Optimizer: fused single-pass Adam vs reference loop
-# --------------------------------------------------------------------------- #
-def bench_adam(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
-    """Speedup of the fused in-place Adam update."""
-    rng = np.random.default_rng(11)
-    sizes = [(32, 32)] * 4 if tiny else [(256, 256)] * 8
-    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in sizes]
-    for p in params:
-        p.grad = rng.normal(size=p.shape)
-    opt = AdamW(params, lr=1e-3, weight_decay=1e-2)
-
-    def step():
-        opt.step()
-
-    def fused_arm():
-        with use_fused(True):
-            step()
-
-    def ref_arm():
-        with use_fused(False):
-            step()
-
-    fused_t, ref_t = compare_callables(fused_arm, ref_arm, rounds=rounds, warmup=warmup)
-    return [
-        bench_result(
-            "optim.adam_step", "speedup", ref_t / fused_t, "x",
-            fused_seconds=fused_t, reference_seconds=ref_t,
-        ),
-        bench_result("optim.adam_step.time", "time", fused_t, "s"),
-    ]
-
-
-# --------------------------------------------------------------------------- #
 # Data pipeline: neighbor cache and collate buffers
 # --------------------------------------------------------------------------- #
 def _structures(tiny: bool):
@@ -287,7 +254,6 @@ def collect_results(
     """Run the full hot-path suite; returns schema entries for the gate."""
     results: List[Dict] = []
     results += bench_micro_kernels(rounds, warmup, tiny)
-    results += bench_adam(rounds, warmup, tiny)
     results += bench_cache(rounds, warmup, tiny)
     results += bench_collate(rounds, warmup, tiny)
     results += bench_pretrain_step(rounds, warmup, tiny)

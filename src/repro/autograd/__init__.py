@@ -31,6 +31,7 @@ from repro.autograd.anomaly import (
     detect_anomaly,
 )
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
+from repro.autograd.scatter import SegmentIndexError
 
 __all__ = [
     "Tensor",
@@ -45,4 +46,5 @@ __all__ = [
     "detect_anomaly",
     "gradcheck",
     "numerical_gradient",
+    "SegmentIndexError",
 ]

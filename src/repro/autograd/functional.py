@@ -4,8 +4,9 @@ These free functions complement the operator methods on
 :class:`repro.autograd.Tensor`.  The segment reductions at the bottom of the
 module (`segment_sum`, `segment_mean`, `index_select`) are the sparse
 aggregation kernels that the Deep Graph Library provides in the original
-toolkit; here they are expressed with ``np.add.at`` / ``np.bincount`` so the
-same message-passing code path is exercised without compiled extensions.
+toolkit; here every row scatter goes through the one flat-``np.bincount``
+kernel in :mod:`repro.autograd.scatter` (the fused kernels use the same
+one), so the message-passing code path runs without compiled extensions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import importlib
 
 _tensor_core = importlib.import_module("repro.autograd.tensor")
+from repro.autograd.scatter import scatter_rows
 from repro.autograd.tensor import Tensor, TensorLike, _as_array
 
 __all__ = [
@@ -385,12 +387,10 @@ def index_select(x: TensorLike, index: np.ndarray) -> Tensor:
     x = _ensure(x)
     index = np.asarray(index, dtype=np.int64)
     out_data = x.data[index]
-    shape = x.data.shape
+    num_rows = x.data.shape[0]
 
     def backward(g: np.ndarray) -> None:
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, index, g)
-        x._accumulate(full)
+        x._accumulate(scatter_rows(index, g, num_rows))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -401,18 +401,12 @@ def segment_sum(x: TensorLike, segment_ids: np.ndarray, num_segments: int) -> Te
     ``out[s] = sum_i x[i] * [segment_ids[i] == s]``.  This is the message
     aggregation primitive: with ``segment_ids = dst_node_of_edge`` it sums
     incoming messages per node; with ``segment_ids = graph_of_node`` it
-    implements size-extensive sum pooling.
+    implements size-extensive sum pooling.  An id outside
+    ``[0, num_segments)`` raises :class:`~repro.autograd.scatter.SegmentIndexError`.
     """
     x = _ensure(x)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if x.data.ndim == 1:
-        out_data = np.bincount(segment_ids, weights=x.data, minlength=num_segments).astype(
-            np.float64
-        )
-    else:
-        d = x.data.shape[1]
-        out_data = np.zeros((num_segments, d), dtype=np.float64)
-        np.add.at(out_data, segment_ids, x.data)
+    out_data = scatter_rows(segment_ids, x.data, num_segments)
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g[segment_ids])
@@ -423,9 +417,10 @@ def segment_sum(x: TensorLike, segment_ids: np.ndarray, num_segments: int) -> Te
 def segment_mean(x: TensorLike, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Per-segment mean; empty segments yield zeros."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    # The sum first: it rejects ids outside [0, num_segments).
+    total = segment_sum(x, segment_ids, num_segments)
     counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
     counts = np.maximum(counts, 1.0)
-    total = segment_sum(x, segment_ids, num_segments)
     if total.data.ndim == 1:
         return total * Tensor(1.0 / counts)
     return total * Tensor(1.0 / counts[:, None])

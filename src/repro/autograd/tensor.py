@@ -336,26 +336,35 @@ class Tensor:
         parents: Iterable["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create a result tensor, recording the op if the tape is live."""
-        if not _GRAD_ENABLED and _PROFILER is None and not _ANOMALY_DEPTH:
-            # Nothing records and nothing listens: the node is ``__init__``'s
-            # result for ``requires_grad=False``, filled in directly — the
-            # parents filter, the ``any()`` scan and the constructor call are
-            # most of what a small op costs at inference time.
+        """Create a result tensor, recording the op if the tape is live.
+
+        Every entry of ``parents`` must be a Tensor: call sites drop
+        constant operands themselves.
+        """
+        if _PROFILER is None and not _ANOMALY_DEPTH:
+            # Nothing listens: the node is ``__init__``'s result, filled in
+            # directly — the constructor call is most of what a small op
+            # costs outside the arithmetic.
             out = Tensor.__new__(Tensor)
             out.data = np.asarray(data, dtype=np.float64)
             out.grad = None
+            out.name = ""
+            out._op = ""
+            if _GRAD_ENABLED:
+                for p in parents:
+                    if p.requires_grad:
+                        out.requires_grad = True
+                        out._backward = backward
+                        out._parents = tuple(parents)
+                        return out
             out.requires_grad = False
             out._backward = None
             out._parents = ()
-            out.name = ""
-            out._op = ""
             return out
-        parents = tuple(p for p in parents if isinstance(p, Tensor))
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
-            out._parents = parents
+            out._parents = tuple(parents)
             out._backward = backward
         if _PROFILER is not None:
             _PROFILER.on_tensor_created(out, backward)

@@ -29,6 +29,7 @@ import numpy as np
 import importlib
 
 _tensor_core = importlib.import_module("repro.autograd.tensor")
+from repro.autograd.scatter import scatter_rows
 from repro.autograd.tensor import Tensor, stable_matmul
 
 _SELU_ALPHA = 1.6732632423543772
@@ -168,27 +169,6 @@ ACTIVATIONS = {
 
 
 # --------------------------------------------------------------------------- #
-# Scatter-add via flat bincount
-# --------------------------------------------------------------------------- #
-def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """Row scatter-add, bitwise equal to ``np.add.at(zeros, index, values)``.
-
-    ``np.bincount`` accumulates its weights in input order — the same
-    element order ``np.add.at`` uses — so sums over duplicate indices agree
-    bitwise, while skipping the buffered fancy-indexing machinery that
-    makes ``np.add.at`` several times slower.
-    """
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=num_rows).astype(
-            np.float64
-        )
-    d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d, dtype=np.int64)[None, :]).ravel()
-    out = np.bincount(flat, weights=values.ravel(), minlength=num_rows * d)
-    return out.reshape(num_rows, d)
-
-
-# --------------------------------------------------------------------------- #
 # Fused ops
 # --------------------------------------------------------------------------- #
 def linear_act(
@@ -324,8 +304,8 @@ def gather_diff(x: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
     shape = x_data.shape
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate_owned(_scatter_rows(src, g, shape[0]))
-        x._accumulate_owned(_scatter_rows(dst, -g, shape[0]))
+        x._accumulate_owned(scatter_rows(src, g, shape[0]))
+        x._accumulate_owned(scatter_rows(dst, -g, shape[0]))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -371,8 +351,8 @@ def gather_pair_concat(h: Tensor, src: np.ndarray, dst: np.ndarray, tails) -> Te
         offset += width
 
     def backward(g: np.ndarray) -> None:
-        h._accumulate_owned(_scatter_rows(src, g[:, :hw], num_rows))
-        h._accumulate_owned(_scatter_rows(dst, g[:, hw : 2 * hw], num_rows))
+        h._accumulate_owned(scatter_rows(src, g[:, :hw], num_rows))
+        h._accumulate_owned(scatter_rows(dst, g[:, hw : 2 * hw], num_rows))
         for t, (start, stop) in zip(tails, spans):
             t._accumulate(g[:, start:stop])
 
@@ -380,30 +360,25 @@ def gather_pair_concat(h: Tensor, src: np.ndarray, dst: np.ndarray, tails) -> Te
 
 
 def index_select(x: Tensor, index: np.ndarray) -> Tensor:
-    """Row gather whose backward scatters through the bincount kernel.
-
-    Forward and node structure match ``F.index_select``; only the
-    scatter-add implementation differs (bitwise-equal, faster).
-    """
+    """Row gather; ``F.index_select`` with the scattered gradient adopted
+    by ``x`` instead of copied."""
     index = np.asarray(index, dtype=np.int64)
     x_data = x.data
     out_data = x_data[index]
     num_rows = x_data.shape[0]
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate_owned(_scatter_rows(index, g, num_rows))
+        x._accumulate_owned(scatter_rows(index, g, num_rows))
 
     return Tensor._make(out_data, (x,), backward)
 
 
 def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Segment reduction with the bincount scatter kernel in the forward.
-
-    The backward is the same gather ``g[segment_ids]`` the reference uses.
-    """
+    """Segment reduction; ``F.segment_sum`` (same scatter forward, same
+    gather backward) with the gathered gradient adopted by ``x``."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     x_data = x.data
-    out_data = _scatter_rows(segment_ids, x_data, num_segments)
+    out_data = scatter_rows(segment_ids, x_data, num_segments)
 
     def backward(g: np.ndarray) -> None:
         x._accumulate_owned(g[segment_ids])
@@ -468,7 +443,7 @@ def mul_segment_sum(
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     a_data, b_data = a.data, b.data
     msg = a_data * b_data
-    out_data = _scatter_rows(segment_ids, msg, num_segments)
+    out_data = scatter_rows(segment_ids, msg, num_segments)
 
     def backward(g: np.ndarray) -> None:
         gm = g[segment_ids]

@@ -78,7 +78,7 @@ def mul_segment_sum(
 
 
 def index_select(x: Tensor, index: np.ndarray) -> Tensor:
-    """Reference row gather (``np.add.at`` scatter backward)."""
+    """Reference row gather (scatter-add backward)."""
     return F.index_select(x, index)
 
 
@@ -90,7 +90,7 @@ def gather_pair_concat(h: Tensor, src: np.ndarray, dst: np.ndarray, tails) -> Te
 
 
 def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Reference segment reduction (``np.add.at`` forward)."""
+    """Reference segment reduction (scatter-add forward)."""
     return F.segment_sum(x, segment_ids, num_segments)
 
 

@@ -12,13 +12,79 @@ entries at the eps floor.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import dispatch
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
+
+
+class _FlatState:
+    """One contiguous buffer per moment over every parameter that has
+    moments, plus the step's work buffers.
+
+    ``state[i]["m"]`` (and ``"v"``, ``"vmax"``) of every covered parameter
+    is a view into the moment buffers, so per-parameter state, its
+    checkpoints and :meth:`Adam.update_statistics` read exactly what the
+    flat update writes.  Moments a parameter already had are copied in;
+    a parameter meeting its first gradient starts from zeros.
+
+    The layout only grows: it covers every parameter that has had a
+    gradient (or arrived with moments in a loaded state).  A covered
+    parameter without a gradient this step — a multi-task head with no
+    rows in the batch — keeps its place; the step runs over the runs of
+    consecutive covered parameters that have one (:meth:`runs`) and
+    leaves the others' moments untouched.
+    """
+
+    def __init__(self, opt: "Adam", active: Tuple[int, ...]) -> None:
+        moments = {i for i, entry in opt.state.items() if "m" in entry}
+        self.covered = tuple(sorted(moments.union(active)))
+        self.position = {i: k for k, i in enumerate(self.covered)}
+        self.state = opt.state
+        self.params = [opt.params[i] for i in self.covered]
+        self.bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        spans = [
+            (p.data.shape, lo, hi) for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:])
+        ]
+        total = self.bounds[-1]
+        names = ("m", "v", "vmax") if opt.amsgrad else ("m", "v")
+        self.moments = {name: np.zeros(total) for name in names}
+        for i, (shape, lo, hi) in zip(self.covered, spans):
+            entry = opt.state.setdefault(i, {})
+            for name, buf in self.moments.items():
+                view = buf[lo:hi].reshape(shape)
+                if name in entry:
+                    view[...] = entry[name]
+                entry[name] = view
+        self.grad = np.empty(total)
+        self.param = np.empty(total)
+        self.work = np.empty(total)
+        self.update = np.empty(total)
+        self.param_views = [self.param[lo:hi].reshape(shape) for shape, lo, hi in spans]
+        self.update_views = [self.update[lo:hi].reshape(shape) for shape, lo, hi in spans]
+        self._active: Tuple[int, ...] = ()
+        self._runs: List[Tuple[int, int]] = []
+
+    def covers(self, active: Tuple[int, ...]) -> bool:
+        return active == self._active or all(i in self.position for i in active)
+
+    def runs(self, active: Tuple[int, ...]) -> List[Tuple[int, int]]:
+        """``(k0, k1)`` ranges of covered positions whose parameters all
+        have a gradient, maximal and ascending; one range when every
+        covered parameter has one."""
+        if active != self._active:
+            runs: List[List[int]] = []
+            for i in active:
+                k = self.position[i]
+                if runs and runs[-1][1] == k:
+                    runs[-1][1] = k + 1
+                else:
+                    runs.append([k, k + 1])
+            self._active = active
+            self._runs = [(k0, k1) for k0, k1 in runs]
+        return self._runs
 
 
 class Adam(Optimizer):
@@ -34,6 +100,12 @@ class Adam(Optimizer):
     * ``update_clip=r`` — StableAdamW-style clipping of the per-tensor
       RMS of the final update to at most ``r``: a spike in ``m/sqrt(v)``
       is bounded before it reaches the parameters.
+
+    The update is elementwise, so it runs once over flat buffers that
+    cover every parameter that has had a gradient (:class:`_FlatState`)
+    instead of once per tensor; each element sees the same IEEE operations as in a
+    per-tensor loop, so the bits are the same.  Only ``update_clip``'s RMS
+    is per tensor, computed on each tensor's view.
     """
 
     def __init__(
@@ -59,107 +131,70 @@ class Adam(Optimizer):
         self.amsgrad = amsgrad
         self.update_clip = update_clip
         self._decoupled = False
-        # Preallocated per-parameter work buffers for the fused step.  Kept
-        # out of ``self.state`` so checkpoints never serialize scratch.
-        self._scratch: Dict[int, tuple] = {}
+        # Rebuilt when a parameter meets its first gradient or
+        # ``self.state`` is replaced (``load_state_dict``).  Kept out of
+        # ``self.state`` so checkpoints never serialize work buffers.
+        self._flat: Optional[_FlatState] = None
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        if dispatch.fused_enabled():
-            self._step_fused(bias1, bias2)
+        grads = [p.grad for p in self.params]
+        active = tuple(i for i, g in enumerate(grads) if g is not None)
+        if not active:
             return
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay and not self._decoupled:
-                g = g + self.weight_decay * p.data
-            state = self.state.setdefault(i, {})
-            if "m" not in state:
-                state["m"] = np.zeros_like(p.data)
-                state["v"] = np.zeros_like(p.data)
-                if self.amsgrad:
-                    state["vmax"] = np.zeros_like(p.data)
-            m, v = state["m"], state["v"]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / bias1
-            if self.amsgrad:
-                vmax = state["vmax"]
-                np.maximum(vmax, v, out=vmax)
-                v_hat = vmax / bias2
-            else:
-                v_hat = v / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.update_clip is not None:
-                rms = float(np.sqrt(np.mean(update * update)))
-                if rms > self.update_clip:
-                    update *= self.update_clip / rms
-            if self.weight_decay and self._decoupled:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * update
+        flat = self._flat
+        if flat is None or flat.state is not self.state or not flat.covers(active):
+            flat = self._flat = _FlatState(self, active)
+        for k0, k1 in flat.runs(active):
+            self._update_run(flat, k0, k1, grads, bias1, bias2)
 
-    def _step_fused(self, bias1: float, bias2: float) -> None:
-        """Single-pass update using two preallocated scratch buffers.
-
-        Bit-identical to the reference loop above: every in-place numpy op
-        computes the same elementwise expression (IEEE multiplication and
-        addition are commutative), so parameters, moments, and checkpoints
-        agree to the last ulp with ``REPRO_FUSED=0``.  The win is allocation
-        traffic: the reference path materializes ~7 temporaries per
-        parameter per step, this path none.
-        """
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            state = self.state.setdefault(i, {})
-            if "m" not in state:
-                state["m"] = np.zeros_like(p.data)
-                state["v"] = np.zeros_like(p.data)
-                if self.amsgrad:
-                    state["vmax"] = np.zeros_like(p.data)
-            scratch = self._scratch.get(i)
-            if scratch is None or scratch[0].shape != p.data.shape:
-                scratch = (np.empty_like(p.data), np.empty_like(p.data))
-                self._scratch[i] = scratch
-            s1, s2 = scratch
-            m, v = state["m"], state["v"]
-            if self.weight_decay and not self._decoupled:
-                np.multiply(p.data, self.weight_decay, out=s1)
-                s1 += g
-                g = s1
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s2)
-            m += s2
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s2)
-            s2 *= g
-            v += s2
-            if self.amsgrad:
-                vmax = state["vmax"]
-                np.maximum(vmax, v, out=vmax)
-                np.divide(vmax, bias2, out=s1)
-            else:
-                np.divide(v, bias2, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += self.eps
-            np.divide(m, bias1, out=s2)
-            s2 /= s1
-            if self.update_clip is not None:
-                rms = float(np.sqrt(np.mean(s2 * s2)))
+    def _update_run(
+        self, flat: _FlatState, k0: int, k1: int, grads: list, bias1: float, bias2: float
+    ) -> None:
+        """The Adam update over covered parameters ``k0:k1`` at once."""
+        lo, hi = flat.bounds[k0], flat.bounds[k1]
+        params = flat.params[k0:k1]
+        g, work, update = flat.grad[lo:hi], flat.work[lo:hi], flat.update[lo:hi]
+        np.concatenate([grads[i] for i in flat.covered[k0:k1]], axis=None, out=g)
+        pdata = flat.param[lo:hi]
+        np.concatenate([p.data for p in params], axis=None, out=pdata)
+        m, v = flat.moments["m"][lo:hi], flat.moments["v"][lo:hi]
+        if self.weight_decay and not self._decoupled:
+            np.multiply(pdata, self.weight_decay, out=work)
+            work += g
+            g = work
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=update)
+        m += update
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=update)
+        update *= g
+        v += update
+        if self.amsgrad:
+            vmax = flat.moments["vmax"][lo:hi]
+            np.maximum(vmax, v, out=vmax)
+            np.divide(vmax, bias2, out=work)
+        else:
+            np.divide(v, bias2, out=work)
+        np.sqrt(work, out=work)
+        work += self.eps
+        np.divide(m, bias1, out=update)
+        update /= work
+        if self.update_clip is not None:
+            for u in flat.update_views[k0:k1]:
+                rms = float(np.sqrt(np.mean(u * u)))
                 if rms > self.update_clip:
-                    s2 *= self.update_clip / rms
-            if self.weight_decay and self._decoupled:
-                np.multiply(p.data, self.lr * self.weight_decay, out=s1)
-                p.data -= s1
-            s2 *= self.lr
-            p.data -= s2
+                    u *= self.update_clip / rms
+        if self.weight_decay and self._decoupled:
+            np.multiply(pdata, self.lr * self.weight_decay, out=work)
+            pdata -= work
+        update *= self.lr
+        pdata -= update
+        for p, new in zip(params, flat.param_views[k0:k1]):
+            p.data[...] = new
 
     # ------------------------------------------------------------------ #
     # Instability diagnostics

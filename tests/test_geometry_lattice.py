@@ -14,6 +14,7 @@ from repro.geometry import (
     random_lattice,
     supercell,
 )
+from repro.geometry.lattice import IMAGE_SHIFTS
 
 
 class TestLattice:
@@ -126,6 +127,22 @@ class TestMinimumImage:
         for i in range(len(frac)):
             assert np.array_equal(image_distances(lat, frac[i] - frac), full[i])
             assert np.array_equal(image_distances(lat, frac - frac[i]), full[:, i])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(BRAVAIS_FAMILIES),
+        lead=st.lists(st.integers(0, 6), min_size=0, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_written_out_norm_equals_linalg_norm(self, family, lead, seed):
+        # image_distances spells the norm as sqrt((x*x + y*y) + z*z); it must
+        # keep np.linalg.norm's bits, which the dataset fingerprints assume.
+        rng = np.random.default_rng(seed)
+        lat = random_lattice(family, rng)
+        delta = (rng.random(tuple(lead) + (3,)) - 0.5) * 10.0 ** rng.integers(-3, 2)
+        cart = (delta[..., None, :] + IMAGE_SHIFTS) @ lat.matrix
+        expected = np.linalg.norm(cart, axis=-1).min(axis=-1)
+        assert np.array_equal(image_distances(lat, delta), expected)
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3), (0,)])
     def test_rejects_frac_that_is_not_n_by_3(self, shape):

@@ -6,7 +6,7 @@ of that promise — *bitwise* equality of forward values and leaf gradients
 across a seeded shape sweep (broadcast-inducing size-1 axes, single rows,
 empty edge sets, duplicate indices) — plus finite-difference gradcheck of
 every fused op under both modes, scatter-kernel equivalence with
-``np.add.at``, single-pass Adam bit-identity, and multi-step training
+``np.add.at``, flat Adam == the per-tensor loop, and multi-step training
 equivalence end to end.
 """
 
@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 from repro.autograd import Tensor, no_grad
 from repro.autograd import functional as F
 from repro.autograd.gradcheck import gradcheck
+from repro.autograd.scatter import scatter_rows
 from repro.data import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
@@ -29,6 +30,7 @@ from repro.kernels import fused, reference, set_fused, use_fused
 from repro.models import EGNN
 from repro.optim import AdamW
 from repro.tasks import MultiClassClassificationTask
+from tests.test_optim_flat_adam import PerTensorAdam
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -291,11 +293,11 @@ def test_scatter_rows_matches_add_at(rows, n, d):
     values = rng.normal(size=(n, d))
     expected = np.zeros((rows, d))
     np.add.at(expected, index, values)
-    assert np.array_equal(fused._scatter_rows(index, values, rows), expected)
+    assert np.array_equal(scatter_rows(index, values, rows), expected)
     flat_expected = np.zeros(rows)
     np.add.at(flat_expected, index, values[:, 0] if d else np.zeros(n))
     assert np.array_equal(
-        fused._scatter_rows(index, values[:, 0], rows), flat_expected
+        scatter_rows(index, values[:, 0], rows), flat_expected
     )
 
 
@@ -372,7 +374,8 @@ def test_fused_op_gradcheck(name, fused_mode):
 
 
 # --------------------------------------------------------------------------- #
-# Fused single-pass Adam == reference loop, to the last ulp
+# Adam: one flat update, the same bits in both kernel modes and as the
+# per-tensor loop (tests/test_optim_flat_adam.py has the full sweep)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("weight_decay,amsgrad", [(0.0, False), (1e-2, False), (0.0, True)])
 def test_adam_fused_bit_identity(weight_decay, amsgrad):
@@ -381,33 +384,52 @@ def test_adam_fused_bit_identity(weight_decay, amsgrad):
         params = [
             Tensor(rng.normal(size=s), requires_grad=True) for s in [(4, 3), (7,), (2, 2)]
         ]
-        opt = AdamW(params, lr=1e-3, weight_decay=weight_decay, amsgrad=amsgrad)
-        with use_fused(enabled):
+        if enabled is None:
+            opt = PerTensorAdam(
+                params, 1e-3, weight_decay=weight_decay, amsgrad=amsgrad, decoupled=True
+            )
+        else:
+            opt = AdamW(params, lr=1e-3, weight_decay=weight_decay, amsgrad=amsgrad)
+        with use_fused(bool(enabled)):
             for _ in range(5):
                 for p in params:
                     p.grad = rng.normal(size=p.shape)
                 opt.step()
         return params, opt
 
-    fused_params, fused_opt = run(True)
-    ref_params, ref_opt = run(False)
-    for a, b in zip(fused_params, ref_params):
-        assert np.array_equal(a.data, b.data)
-    for i in fused_opt.state:
-        for key in fused_opt.state[i]:
-            assert np.array_equal(fused_opt.state[i][key], ref_opt.state[i][key])
+    oracle_params, oracle = run(None)
+    for enabled in (True, False):
+        params, opt = run(enabled)
+        for a, b in zip(params, oracle_params):
+            assert np.array_equal(a.data, b.data)
+        for i in oracle.state:
+            for key in oracle.state[i]:
+                assert np.array_equal(opt.state[i][key], oracle.state[i][key])
 
 
 def test_adam_scratch_not_in_state():
-    p = Tensor(np.ones(3), requires_grad=True)
-    p.grad = np.ones(3)
-    opt = AdamW([p], lr=1e-3)
-    with use_fused(True):
-        opt.step()
-    assert opt._scratch  # buffers were allocated...
-    assert all(  # ...but never leak into checkpointable state
-        not any(np.shares_memory(s, arr) for s in opt._scratch[i] for arr in st.values())
-        for i, st in opt.state.items()
+    # The flat update's work buffers never reach checkpointable state: the
+    # state holds exactly the moments, none of which aliases a work buffer.
+    rng = _rng(5)
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(3,), (2, 2)]]
+    opt = AdamW(params, lr=1e-3, amsgrad=True)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    flat = opt._flat
+    work = [flat.grad, flat.param, flat.work, flat.update]
+    for i, entry in opt.state.items():
+        assert set(entry) == {"m", "v", "vmax"}
+        assert not any(np.shares_memory(w, arr) for w in work for arr in entry.values())
+    saved = opt.state_dict()["state"]
+    assert {(i, name) for i, entry in saved.items() for name in entry} == {
+        (i, name) for i in (0, 1) for name in ("m", "v", "vmax")
+    }
+    assert not any(
+        np.shares_memory(arr, buf)
+        for entry in saved.values()
+        for arr in entry.values()
+        for buf in work + list(flat.moments.values())
     )
 
 
