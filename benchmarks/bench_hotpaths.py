@@ -1,4 +1,4 @@
-"""Hot-path benchmarks: fused kernels, pipeline caching, end-to-end step.
+"""Hot-path benchmarks: fused kernels and one end-to-end training step.
 
 Every measurement is a *speedup ratio* — optimized path vs the reference
 composition run in the same process — so the committed baseline
@@ -19,15 +19,12 @@ import numpy as np
 
 from benchmarks.common import bench_result, compare_callables, print_header
 from repro.autograd import Tensor
-from repro.data import CollateBuffers, collate_graphs
-from repro.data.cache import LRUByteCache
-from repro.data.structures import GraphSample
+from repro.data import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.kernels import dispatch as K
 from repro.kernels import use_fused
 from repro.models import EGNN
-from repro.nn import Linear
 from repro.optim import AdamW
 from repro.tasks import MultiClassClassificationTask
 
@@ -48,8 +45,6 @@ def _micro_cases(tiny: bool) -> List[Dict]:
     x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
     w = Tensor(rng.normal(size=(d, d)), requires_grad=True)
     b = Tensor(rng.normal(size=(d,)), requires_grad=True)
-    logits = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
-    targets = rng.integers(0, 8, size=n)
     e = n * 16
     edges_a = Tensor(rng.normal(size=(e, d)), requires_grad=True)
     edges_b = Tensor(rng.normal(size=(e, d)), requires_grad=True)
@@ -66,12 +61,6 @@ def _micro_cases(tiny: bool) -> List[Dict]:
         dict(
             name="layer_norm",
             fn=lambda: _fwd_bwd(lambda: K.layer_norm(x, b, b, 1e-6), x, b),
-        ),
-        dict(
-            name="softmax_cross_entropy",
-            fn=lambda: _fwd_bwd(
-                lambda: K.softmax_cross_entropy(logits, targets), logits
-            ),
         ),
         dict(
             name="mul_segment_sum",
@@ -110,86 +99,6 @@ def bench_micro_kernels(rounds: int, warmup: int, tiny: bool = False) -> List[Di
 
 
 # --------------------------------------------------------------------------- #
-# Data pipeline: neighbor cache and collate buffers
-# --------------------------------------------------------------------------- #
-def _structures(tiny: bool):
-    count = 8 if tiny else 32
-    ds = SymmetryPointCloudDataset(count, seed=5, group_names=["C2", "C4", "D2", "Oh"])
-    return [ds[i] for i in range(count)]
-
-
-def bench_cache(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
-    """Cold (kd-tree every sample) vs warm (memoized) transform epochs."""
-    structs = _structures(tiny)
-    cold_tf = StructureToGraph(cutoff=2.5)
-    cache = LRUByteCache(max_bytes=32 * 1024 * 1024, name="bench")
-    warm_tf = StructureToGraph(cutoff=2.5, cache=cache)
-
-    def epoch(tf):
-        for s in structs:
-            tf(s)
-
-    epoch(warm_tf)  # populate
-    warm_t, cold_t = compare_callables(
-        lambda: epoch(warm_tf), lambda: epoch(cold_tf), rounds=rounds, warmup=warmup
-    )
-    return [
-        bench_result(
-            "data.neighbor_cache", "speedup", cold_t / warm_t, "x",
-            cold_seconds=cold_t, warm_seconds=warm_t,
-            hit_rate=cache.stats()["hit_rate"],
-        ),
-        bench_result("data.neighbor_cache.time", "time", warm_t, "s"),
-    ]
-
-
-def bench_collate(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
-    """Fresh-allocation vs buffered collation of a fixed batch list.
-
-    Samples are synthetic graphs at crystal scale (~500 nodes, ~8000
-    edges) — buffer reuse pays once arrays outgrow the allocator's
-    small-block reuse, so the toy symmetry clouds would only measure
-    Python dispatch overhead.
-    """
-    rng = np.random.default_rng(17)
-    count, nodes, edges = (4, 100, 800) if tiny else (16, 500, 8000)
-    samples = [
-        GraphSample(
-            positions=rng.normal(size=(nodes, 3)),
-            species=rng.integers(0, 4, size=nodes),
-            edge_src=rng.integers(0, nodes, size=edges).astype(np.int64),
-            edge_dst=rng.integers(0, nodes, size=edges).astype(np.int64),
-            targets={"y": 1.0},
-        )
-        for _ in range(count)
-    ]
-    buffers = CollateBuffers()
-    # Several collates per timed round: single calls sit near the jitter
-    # floor of a shared host.
-    iters = 10
-
-    def buffered_arm():
-        for _ in range(iters):
-            collate_graphs(samples, buffers=buffers)
-
-    def plain_arm():
-        for _ in range(iters):
-            collate_graphs(samples)
-
-    buffered_t, plain_t = compare_callables(
-        buffered_arm, plain_arm, rounds=rounds, warmup=warmup
-    )
-    buffered_t, plain_t = buffered_t / iters, plain_t / iters
-    return [
-        bench_result(
-            "data.collate_buffers", "speedup", plain_t / buffered_t, "x",
-            plain_seconds=plain_t, buffered_seconds=buffered_t,
-        ),
-        bench_result("data.collate_buffers.time", "time", buffered_t, "s"),
-    ]
-
-
-# --------------------------------------------------------------------------- #
 # End to end: one pretraining step, optimized vs reference
 # --------------------------------------------------------------------------- #
 def _training_setup(tiny: bool):
@@ -209,31 +118,26 @@ def _training_setup(tiny: bool):
 def bench_pretrain_step(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
     """The acceptance measurement: data + forward + backward + optimizer.
 
-    Optimized = fused kernels + neighbor cache + collate buffers;
-    reference = ``REPRO_FUSED=0`` with cold transforms and fresh
-    allocations — the pre-PR hot path.
+    Both arms build the graphs from scratch and collate them plainly every
+    step; optimized = fused kernels, reference = ``REPRO_FUSED=0``.
     """
     structs, task, opt = _training_setup(tiny)
-    cold_tf = StructureToGraph(cutoff=2.5)
-    cache = LRUByteCache(max_bytes=32 * 1024 * 1024, name="bench-e2e")
-    warm_tf = StructureToGraph(cutoff=2.5, cache=cache)
-    buffers = CollateBuffers()
+    tf = StructureToGraph(cutoff=2.5)
 
-    def step(tf, bufs):
-        batch = collate_graphs([tf(s) for s in structs], buffers=bufs)
+    def step():
+        batch = collate_graphs([tf(s) for s in structs])
         opt.zero_grad()
         loss, _ = task.training_step(batch)
         loss.backward()
         opt.step()
-        return float(loss.data)
 
     def optimized_arm():
         with use_fused(True):
-            step(warm_tf, buffers)
+            step()
 
     def reference_arm():
         with use_fused(False):
-            step(cold_tf, None)
+            step()
 
     opt_t, ref_t = compare_callables(
         optimized_arm, reference_arm, rounds=rounds, warmup=warmup
@@ -254,15 +158,13 @@ def collect_results(
     """Run the full hot-path suite; returns schema entries for the gate."""
     results: List[Dict] = []
     results += bench_micro_kernels(rounds, warmup, tiny)
-    results += bench_cache(rounds, warmup, tiny)
-    results += bench_collate(rounds, warmup, tiny)
     results += bench_pretrain_step(rounds, warmup, tiny)
     return results
 
 
 def print_results(results: List[Dict]) -> None:
     """Human-readable table of the collected measurements."""
-    print_header("Hot-path benchmarks (fused kernels + caching)")
+    print_header("Hot-path benchmarks (fused kernels)")
     print(f"{'name':<32} {'kind':<8} {'value':>10}")
     for r in results:
         unit = r["unit"] if r["kind"] != "time" else "s"
@@ -280,7 +182,7 @@ class TestHotPaths:
         print_results(results)
         by_name = {r["name"]: r["value"] for r in results}
         # The acceptance floor from the performance pass: the end-to-end
-        # pretraining step must be >= 1.5x faster with fused + caching.
+        # pretraining step must be >= 1.5x faster with fused kernels.
         assert by_name["e2e.pretrain_step"] >= 1.5
         # Every fused micro kernel must at least break even.
         for r in results:

@@ -9,7 +9,7 @@ Usage (from the repo root, with ``PYTHONPATH=src:.``)::
     python scripts/bench_gate.py --tiny --rounds 2 # quick smoke
     python scripts/bench_gate.py --absolute        # also gate absolute times
 
-Suites: ``hotpaths`` (fused kernels + caching, vs
+Suites: ``hotpaths`` (fused kernels and one training step, vs
 ``benchmarks/BENCH_hotpaths.json``), ``sharding`` (ZeRO bucketed comm,
 vs ``benchmarks/BENCH_sharding.json``), ``serving`` (micro-batched
 goodput at a fixed SLO, vs ``benchmarks/BENCH_serving.json``),

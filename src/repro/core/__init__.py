@@ -15,7 +15,6 @@ from repro.core.config import (
     MultiTaskConfig,
 )
 from repro.core.pipeline import (
-    default_transform,
     make_train_loader,
     make_val_loader,
     transform_once,
@@ -42,7 +41,6 @@ __all__ = [
     "PretrainConfig",
     "FinetuneConfig",
     "MultiTaskConfig",
-    "default_transform",
     "make_train_loader",
     "make_val_loader",
     "transform_once",

@@ -9,19 +9,8 @@ import numpy as np
 from repro.core.config import EncoderConfig
 from repro.data.dataset import Dataset, InMemoryDataset
 from repro.data.loaders import DataLoader
-from repro.data.transforms import StructureToGraph
 from repro.models import build_encoder
 from repro.models.encoder import Encoder
-
-
-def default_transform(cutoff: float = 4.5, cache=None) -> Callable:
-    """The canonical structure -> radius-graph transform.
-
-    Pass ``cache="default"`` to memoize neighbour search in the
-    process-wide LRU cache (see :mod:`repro.data.cache`) — epochs after
-    the first skip the kd-tree work entirely.
-    """
-    return StructureToGraph(cutoff=cutoff, cache=cache)
 
 
 def transform_once(dataset: Dataset, transform: Callable) -> InMemoryDataset:

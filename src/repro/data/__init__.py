@@ -9,27 +9,12 @@ inductive biases; a *collator* batches them for the encoder.
 from repro.data.structures import Structure, GraphSample, PointCloudSample, GraphBatch
 from repro.data.dataset import Dataset, InMemoryDataset, ConcatDataset, Subset
 from repro.data.splits import train_val_split, train_val_test_split
-from repro.data.batching import CollateBuffers, collate_graphs, collate_point_clouds
+from repro.data.batching import collate_graphs, collate_point_clouds
 from repro.data.loaders import DataLoader, DistributedSampler, SequentialSampler, RandomSampler
-from repro.data.cache import (
-    LRUByteCache,
-    array_fingerprint,
-    clear_default_caches,
-    default_cache_stats,
-    get_feature_cache,
-    get_neighbor_cache,
-    publish_cache_metrics,
-)
+from repro.data.transforms.base import array_fingerprint
 
 __all__ = [
-    "LRUByteCache",
-    "CollateBuffers",
     "array_fingerprint",
-    "clear_default_caches",
-    "default_cache_stats",
-    "get_feature_cache",
-    "get_neighbor_cache",
-    "publish_cache_metrics",
     "Structure",
     "GraphSample",
     "PointCloudSample",

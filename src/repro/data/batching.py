@@ -9,56 +9,11 @@ own structure, or none).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.data.structures import GraphBatch, GraphSample, PointCloudSample
-
-
-class CollateBuffers:
-    """Preallocated, growable arrays reused across collate calls.
-
-    ``collate_graphs`` spends most of its time allocating fresh
-    concatenation outputs every batch; with a ``CollateBuffers`` handle it
-    fills persistent arrays in place instead.  Buffers grow with ~1.5x
-    slack on demand, so steady-state epochs allocate nothing.
-
-    Aliasing contract: arrays returned by a buffered collate are views
-    into the shared buffers and are overwritten by the NEXT collate call —
-    each batch must be fully consumed before the next one is drawn, which
-    is exactly how the training loops iterate.
-    """
-
-    def __init__(self):
-        self._arrays: Dict[str, np.ndarray] = {}
-        self.reallocs = 0
-
-    def take(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A writable array of exactly ``shape``/``dtype`` under ``key``."""
-        dtype = np.dtype(dtype)
-        n = int(np.prod(shape)) if shape else 1
-        arr = self._arrays.get(key)
-        if arr is None or arr.dtype != dtype or arr.size < n:
-            capacity = max(int(n * 1.5), n, 8)
-            arr = np.empty(capacity, dtype=dtype)
-            self._arrays[key] = arr
-            self.reallocs += 1
-        return arr[:n].reshape(shape)
-
-
-def _concat_rows(
-    arrays: Sequence[np.ndarray],
-    buffers: Optional[CollateBuffers],
-    key: str,
-) -> np.ndarray:
-    """Row-concatenate, into a reused buffer when one is supplied."""
-    if buffers is None:
-        return np.concatenate(arrays, axis=0)
-    total = sum(a.shape[0] for a in arrays)
-    out = buffers.take(key, (total,) + tuple(arrays[0].shape[1:]), arrays[0].dtype)
-    np.concatenate(arrays, axis=0, out=out)
-    return out
 
 
 def _stack_targets(samples: Sequence) -> Dict[str, np.ndarray]:
@@ -81,9 +36,8 @@ def _stack_targets(samples: Sequence) -> Dict[str, np.ndarray]:
                 rows.append(np.nan)
             else:
                 rows.append(np.asarray(value, dtype=np.float64))
-        # Scalars stack into (batch,), arrays (e.g. forces) into object rows
-        # only if ragged — force targets are per-atom so we concatenate.
-        shapes = {np.shape(r) for r in rows if not np.isscalar(r) or not np.isnan(r)}
+        # Scalars stack into (batch,); ragged rows (per-atom forces) cannot,
+        # so they are concatenated.
         try:
             out[key] = np.array(rows, dtype=np.float64)
         except ValueError:
@@ -92,60 +46,37 @@ def _stack_targets(samples: Sequence) -> Dict[str, np.ndarray]:
 
 
 def _offset_edges(
-    samples: Sequence[GraphSample],
-    node_offsets: np.ndarray,
-    buffers: Optional[CollateBuffers],
-    key: str,
-    attr: str,
+    samples: Sequence[GraphSample], node_offsets: np.ndarray, attr: str
 ) -> np.ndarray:
     """Concatenate edge indices shifted by each graph's node base."""
-    if buffers is None:
-        return np.concatenate(
-            [getattr(s, attr) + off for s, off in zip(samples, node_offsets)]
-        ).astype(np.int64)
-    total = sum(s.num_edges for s in samples)
-    out = buffers.take(key, (total,), np.int64)
-    np.concatenate([getattr(s, attr) for s in samples], out=out)
-    counts = [s.num_edges for s in samples]
-    out += np.repeat(np.asarray(node_offsets, dtype=np.int64), counts)
-    return out
+    return np.concatenate(
+        [getattr(s, attr) + off for s, off in zip(samples, node_offsets)]
+    ).astype(np.int64)
 
 
-def collate_graphs(
-    samples: Sequence[GraphSample], buffers: Optional[CollateBuffers] = None
-) -> GraphBatch:
+def collate_graphs(samples: Sequence[GraphSample]) -> GraphBatch:
     """Merge graph samples into one disjoint-union batch.
 
-    With ``buffers`` the concatenated arrays are filled into reused
-    preallocated storage (see :class:`CollateBuffers` for the aliasing
-    contract); values are identical either way.
+    Every array of the batch is freshly allocated: a batch shares no memory
+    with its samples or with any other batch.
     """
     if not samples:
         raise ValueError("cannot collate an empty batch")
-    positions = _concat_rows([s.positions for s in samples], buffers, "positions")
-    species = _concat_rows([s.species for s in samples], buffers, "species")
+    positions = np.concatenate([s.positions for s in samples], axis=0)
+    species = np.concatenate([s.species for s in samples], axis=0)
     node_offsets = np.cumsum([0] + [s.num_nodes for s in samples][:-1])
-    edge_src = _offset_edges(samples, node_offsets, buffers, "edge_src", "edge_src")
-    edge_dst = _offset_edges(samples, node_offsets, buffers, "edge_dst", "edge_dst")
-    if buffers is None:
-        node_graph = np.concatenate(
-            [np.full(s.num_nodes, i, dtype=np.int64) for i, s in enumerate(samples)]
-        )
-    else:
-        node_graph = buffers.take("node_graph", (len(species),), np.int64)
-        node_graph[:] = np.repeat(
-            np.arange(len(samples), dtype=np.int64),
-            [s.num_nodes for s in samples],
-        )
+    edge_src = _offset_edges(samples, node_offsets, "edge_src")
+    edge_dst = _offset_edges(samples, node_offsets, "edge_dst")
+    node_graph = np.concatenate(
+        [np.full(s.num_nodes, i, dtype=np.int64) for i, s in enumerate(samples)]
+    )
     edge_attr = None
     if all(s.edge_attr is not None for s in samples):
-        edge_attr = _concat_rows([s.edge_attr for s in samples], buffers, "edge_attr")
+        edge_attr = np.concatenate([s.edge_attr for s in samples], axis=0)
     global_attr = None
     if all(s.global_attr is not None for s in samples):
-        global_attr = _concat_rows(
-            [np.atleast_1d(s.global_attr)[None, :] for s in samples],
-            buffers,
-            "global_attr",
+        global_attr = np.concatenate(
+            [np.atleast_1d(s.global_attr)[None, :] for s in samples], axis=0
         )
     metadata = {"num_nodes_per_graph": np.array([s.num_nodes for s in samples])}
     # Preserve sample provenance when present (multi-dataset batches).

@@ -7,13 +7,12 @@ number of samples per batch, so the effective batch is ``B_eff = N * B``.
 
 from __future__ import annotations
 
-import inspect
 import math
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.data.batching import CollateBuffers, collate_graphs
+from repro.data.batching import collate_graphs
 from repro.data.dataset import Dataset
 
 
@@ -121,7 +120,6 @@ class DataLoader:
         collate_fn: Callable = collate_graphs,
         drop_last: bool = False,
         transform: Optional[Callable] = None,
-        reuse_buffers: bool = False,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -138,29 +136,6 @@ class DataLoader:
         self.collate_fn = collate_fn
         self.drop_last = drop_last
         self.transform = transform
-        # reuse_buffers: collate into persistent preallocated arrays instead
-        # of fresh allocations.  Batches alias the buffers, so each must be
-        # fully consumed before the next — true for all the training loops.
-        self.buffers: Optional[CollateBuffers] = None
-        if reuse_buffers:
-            if not self._collate_accepts_buffers(collate_fn):
-                raise ValueError(
-                    "reuse_buffers=True requires a collate_fn accepting a "
-                    f"'buffers' keyword; {collate_fn!r} does not"
-                )
-            self.buffers = CollateBuffers()
-
-    @staticmethod
-    def _collate_accepts_buffers(collate_fn: Callable) -> bool:
-        try:
-            return "buffers" in inspect.signature(collate_fn).parameters
-        except (TypeError, ValueError):
-            return False
-
-    def _collate(self, batch: List):
-        if self.buffers is not None:
-            return self.collate_fn(batch, buffers=self.buffers)
-        return self.collate_fn(batch)
 
     def __iter__(self):
         batch: List = []
@@ -170,10 +145,10 @@ class DataLoader:
                 sample = self.transform(sample)
             batch.append(sample)
             if len(batch) == self.batch_size:
-                yield self._collate(batch)
+                yield self.collate_fn(batch)
                 batch = []
         if batch and not self.drop_last:
-            yield self._collate(batch)
+            yield self.collate_fn(batch)
 
     def __len__(self) -> int:
         n = len(self.sampler)

@@ -2,7 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import numbers
 from typing import Callable, Sequence
+
+import numpy as np
+
+
+def array_fingerprint(*arrays: np.ndarray) -> str:
+    """Content hash of one or more arrays (dtype + shape + bytes)."""
+    digest = hashlib.sha1()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        digest.update(str(arr.dtype).encode())
+        digest.update(str(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def check_cutoff(cutoff) -> None:
+    """Raise ``ValueError`` unless ``cutoff`` is a finite real number > 0."""
+    if not (isinstance(cutoff, numbers.Real) and math.isfinite(cutoff) and cutoff > 0):
+        raise ValueError(f"cutoff must be finite and > 0, got {cutoff!r}")
 
 
 class Transform:
@@ -17,9 +39,10 @@ class Transform:
     def fingerprint(self) -> str:
         """Stable identity string covering every output-affecting parameter.
 
-        Cache keys combine this with a content hash of the input arrays, so
-        a transform whose ``__repr__`` omits parameters MUST override this —
-        otherwise reconfiguring it could serve stale cached results.
+        Together with :func:`array_fingerprint` of the input it names a
+        transform's output, so a transform whose ``__repr__`` omits
+        parameters MUST override this — otherwise two configurations that
+        produce different outputs would share one identity.
         """
         return repr(self)
 
@@ -40,7 +63,7 @@ class Compose(Transform):
         return f"Compose([{inner}])"
 
     def fingerprint(self) -> str:
-        """Combine child fingerprints so any stage change invalidates keys."""
+        """Combine child fingerprints so any stage change changes the identity."""
         inner = ", ".join(
             t.fingerprint() if isinstance(t, Transform) else repr(t)
             for t in self.transforms

@@ -7,9 +7,8 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from repro.data.cache import array_fingerprint, resolve_cache
 from repro.data.structures import GraphSample
-from repro.data.transforms.base import Transform
+from repro.data.transforms.base import Transform, check_cutoff
 
 
 class DistanceEdgeFeatures(Transform):
@@ -20,37 +19,25 @@ class DistanceEdgeFeatures(Transform):
     squared norm that E(n)-GNN already consumes.
     """
 
-    def __init__(self, num_basis: int = 8, cutoff: float = 6.0, cache=None):
+    def __init__(self, num_basis: int = 8, cutoff: float = 6.0):
         if num_basis < 1:
-            raise ValueError("num_basis must be >= 1")
+            raise ValueError(f"num_basis must be >= 1, got {num_basis!r}")
+        check_cutoff(cutoff)
         self.num_basis = num_basis
         self.cutoff = cutoff
         self.centers = np.linspace(0.0, cutoff, num_basis)
         self.width = cutoff / max(num_basis - 1, 1)
-        self._cache = resolve_cache("feature" if cache == "default" else cache)
 
     def fingerprint(self) -> str:
         """Identity covering the basis layout (matches ``__repr__``)."""
         return repr(self)
 
-    def _expand(self, sample: GraphSample) -> np.ndarray:
-        diff = sample.positions[sample.edge_src] - sample.positions[sample.edge_dst]
-        dist = np.linalg.norm(diff, axis=1, keepdims=True)
-        return np.exp(-((dist - self.centers[None, :]) ** 2) / (2.0 * self.width**2))
-
     def __call__(self, sample: GraphSample) -> GraphSample:
         if sample.num_edges == 0:
             return replace(sample, edge_attr=np.zeros((0, self.num_basis)))
-        if self._cache is not None:
-            key = (
-                self.fingerprint(),
-                array_fingerprint(sample.positions, sample.edge_src, sample.edge_dst),
-            )
-            rbf = self._cache.get(key)
-            if rbf is None:
-                rbf = self._cache.put(key, self._expand(sample))
-        else:
-            rbf = self._expand(sample)
+        diff = sample.positions[sample.edge_src] - sample.positions[sample.edge_dst]
+        dist = np.linalg.norm(diff, axis=1, keepdims=True)
+        rbf = np.exp(-((dist - self.centers[None, :]) ** 2) / (2.0 * self.width**2))
         return replace(sample, edge_attr=rbf)
 
     def __repr__(self) -> str:

@@ -9,14 +9,14 @@ O(n log n) instead of the naive O(n^2) scan.
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.data.cache import array_fingerprint, resolve_cache
 from repro.data.structures import GraphSample, PointCloudSample, Structure
-from repro.data.transforms.base import Transform
+from repro.data.transforms.base import Transform, check_cutoff
 
 
 def radius_graph(positions: np.ndarray, cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,29 +150,37 @@ class StructureToPointCloud(Transform):
         )
 
 
-class StructureToGraph(Transform):
-    """Build a graph sample from a structure with a radius or k-NN rule.
+def _check_rule(cutoff, k) -> None:
+    """Reject a neighbour rule that would silently build a wrong graph."""
+    check_cutoff(cutoff)
+    if k is not None and not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
-    ``cache`` memoizes the neighbour search keyed by (transform fingerprint,
-    content hash of the centred positions): ``None`` disables, ``"default"``
-    uses the process-wide neighbour cache, or pass an ``LRUByteCache``.
-    """
+
+def _rule_edges(
+    pos: np.ndarray, cutoff: float, k: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edges of the k-NN rule when ``k`` is set, else of the radius rule."""
+    if k is not None:
+        return knn_graph(pos, k)
+    return radius_graph(pos, cutoff)
+
+
+class StructureToGraph(Transform):
+    """Build a graph sample from a structure with a radius or k-NN rule."""
 
     def __init__(
         self,
         cutoff: float = 5.0,
         k: Optional[int] = None,
         center: bool = True,
-        cache=None,
         global_features: bool = False,
     ):
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1")
+        _check_rule(cutoff, k)
         self.cutoff = cutoff
         self.k = k
         self.center = center
         self.global_features = global_features
-        self._cache = resolve_cache(cache)
 
     def fingerprint(self) -> str:
         """Identity covering cutoff, k, centring, and the global-u flag."""
@@ -181,23 +189,11 @@ class StructureToGraph(Transform):
             f"center={self.center}, global_features={self.global_features})"
         )
 
-    def _build_edges(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.k is not None:
-            return knn_graph(pos, self.k)
-        return radius_graph(pos, self.cutoff)
-
     def __call__(self, structure: Structure) -> GraphSample:
         pos = structure.positions
         if self.center:
             pos = pos - pos.mean(axis=0, keepdims=True)
-        if self._cache is not None:
-            key = (self.fingerprint(), array_fingerprint(pos))
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = self._cache.put(key, self._build_edges(pos))
-            src, dst = cached
-        else:
-            src, dst = self._build_edges(pos)
+        src, dst = _rule_edges(pos, self.cutoff, self.k)
         return GraphSample(
             positions=pos,
             species=structure.species.copy(),
@@ -220,29 +216,17 @@ class StructureToGraph(Transform):
 class PointCloudToGraph(Transform):
     """Impose connectivity on a point-cloud sample."""
 
-    def __init__(self, cutoff: float = 5.0, k: Optional[int] = None, cache=None):
+    def __init__(self, cutoff: float = 5.0, k: Optional[int] = None):
+        _check_rule(cutoff, k)
         self.cutoff = cutoff
         self.k = k
-        self._cache = resolve_cache(cache)
 
     def fingerprint(self) -> str:
         """Identity covering both the radius and k-NN rule parameters."""
         return f"PointCloudToGraph(cutoff={self.cutoff}, k={self.k})"
 
-    def _build_edges(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.k is not None:
-            return knn_graph(pos, self.k)
-        return radius_graph(pos, self.cutoff)
-
     def __call__(self, sample: PointCloudSample) -> GraphSample:
-        if self._cache is not None:
-            key = (self.fingerprint(), array_fingerprint(sample.positions))
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = self._cache.put(key, self._build_edges(sample.positions))
-            src, dst = cached
-        else:
-            src, dst = self._build_edges(sample.positions)
+        src, dst = _rule_edges(sample.positions, self.cutoff, self.k)
         return GraphSample(
             positions=sample.positions,
             species=sample.species,

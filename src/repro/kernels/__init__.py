@@ -1,8 +1,8 @@
 """Fused-kernel dispatch layer.
 
-Hot composite ops — linear+bias+activation, softmax cross-entropy, the
-normalization layers, the GNN gather/scatter chains, and the Adam update —
-each exist twice in this codebase:
+Hot composite ops — linear+bias+activation, the normalization layers, the
+GNN gather/scatter chains, and the LSTM cell — each exist twice in this
+codebase:
 
 * a **reference** composition out of :mod:`repro.autograd` primitives
   (one tape node per elementary op), and
@@ -14,6 +14,8 @@ replay the exact numpy expression sequences and the exact per-tensor
 gradient accumulation order of the reference tape, so the golden-metrics
 tests hold at 1e-9 with either path.  ``REPRO_FUSED=0`` (or
 :func:`set_fused` / :func:`use_fused`) selects the reference path.
+Cross-entropy and the Adam update have one implementation each
+(``F.cross_entropy``, the flat update in :mod:`repro.optim.adam`).
 """
 
 from repro.kernels.dispatch import (

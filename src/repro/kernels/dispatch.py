@@ -111,16 +111,8 @@ def layer_norm(x, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
     return reference.layer_norm(x, weight, bias, eps)
 
 
-def softmax_cross_entropy(logits, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy.  Fused contract: 2-D logits, non-empty batch."""
-    if (
-        _FUSED
-        and isinstance(logits, Tensor)
-        and logits.data.ndim == 2
-        and logits.data.shape[0] > 0
-    ):
-        return fused.softmax_cross_entropy(logits, targets)
-    return reference.softmax_cross_entropy(logits, targets)
+# Reference only (no fused variant); the name stays for benchmarks/e2e/micro.py.
+softmax_cross_entropy = reference.softmax_cross_entropy
 
 
 def gather_diff(x, src: np.ndarray, dst: np.ndarray) -> Tensor:

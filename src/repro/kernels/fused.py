@@ -263,34 +263,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor._make(out_data, (x, weight, bias), backward)
 
 
-def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean multiclass cross-entropy as a single tape node.
-
-    Replaces the log-softmax / gather / mean / negate chain of
-    ``F.cross_entropy``.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    z = logits.data
-    n = z.shape[0]
-    inv_n = np.asarray(1.0 / n, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logsum
-    idx = np.arange(n)
-    loss = -(logp[idx, targets].sum() * inv_n)
-    # softmax(logits), which only the backward reads.
-    soft = np.exp(logp) if _tensor_core.is_grad_enabled() else None
-
-    def backward(g: np.ndarray) -> None:
-        gs = (-g) * inv_n
-        gb = np.broadcast_to(gs, (n,))
-        full = np.zeros(z.shape, dtype=np.float64)
-        np.add.at(full, (idx, targets), gb)
-        logits._accumulate_owned(full - soft * full.sum(axis=-1, keepdims=True))
-
-    return Tensor._make(loss, (logits,), backward)
-
-
 def gather_diff(x: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
     """Per-edge difference ``x[src] - x[dst]`` as a single tape node.
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.data.cache import publish_cache_metrics
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.opprofile import OpProfiler
 from repro.observability.tracer import NULL_SPAN, STEP_PHASES, Tracer
@@ -109,9 +108,6 @@ class Observer:
             self.metrics.gauge("mem.peak_live_tensor_bytes").set(
                 self.op_profiler.peak_live_bytes
             )
-        # Data-pipeline cache accounting (hits/misses/evictions/bytes per
-        # cache) — gauges, so repeated finalize calls stay idempotent.
-        publish_cache_metrics(self.metrics)
 
     # ------------------------------------------------------------------ #
     # Report rendering

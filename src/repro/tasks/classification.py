@@ -10,7 +10,6 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.autograd import functional as F
 from repro.data.structures import GraphBatch
-from repro.kernels import dispatch as K
 from repro.models.encoder import Encoder
 from repro.nn import OutputHead
 from repro.tasks.base import Task, ValResult
@@ -113,7 +112,7 @@ class MultiClassClassificationTask(Task):
     def training_step(self, batch: GraphBatch) -> Tuple[Tensor, dict]:
         logits = self.logits(batch)
         labels = self._labels(batch)
-        loss = K.softmax_cross_entropy(logits, labels)
+        loss = F.cross_entropy(logits, labels)
         acc = float((logits.data.argmax(axis=1) == labels).mean())
         return loss, {"train_acc": acc}
 

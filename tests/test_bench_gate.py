@@ -368,7 +368,17 @@ def test_gate_integration_tiny(tmp_path):
 
     results = collect_results(rounds=1, warmup=0, tiny=True)
     names = {r["name"] for r in results}
-    assert {"e2e.pretrain_step", "kernel.linear_act_silu", "data.neighbor_cache"} <= names
+    assert names == {
+        f"{name}{suffix}"
+        for name in (
+            "e2e.pretrain_step",
+            "kernel.linear_act_silu",
+            "kernel.rms_norm",
+            "kernel.layer_norm",
+            "kernel.mul_segment_sum",
+        )
+        for suffix in ("", ".time")
+    }
     path = tmp_path / "BENCH_tiny.json"
     assert run_gate(results, str(path)) == EXIT_PASS  # bootstrap
     assert run_gate(results, str(path)) == EXIT_PASS  # self-compare

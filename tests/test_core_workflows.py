@@ -17,7 +17,6 @@ from repro.core import (
 )
 from repro.core.pipeline import (
     build_encoder_from_config,
-    default_transform,
     make_train_loader,
     transform_once,
 )

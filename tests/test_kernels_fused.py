@@ -217,15 +217,40 @@ def test_rms_norm_feeds_the_weight_before_x():
     assert fused_grads == reference_grads
 
 
+def _deleted_fused_cross_entropy(z, targets):
+    """The arithmetic of the deleted fused ``softmax_cross_entropy`` kernel,
+    verbatim: the loss and the logits gradient for the seed ``g = 1.0``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    n = z.shape[0]
+    inv_n = np.asarray(1.0 / n, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = shifted - logsum
+    idx = np.arange(n)
+    loss = -(logp[idx, targets].sum() * inv_n)
+    soft = np.exp(logp)
+    g = np.ones_like(loss)
+    gs = (-g) * inv_n
+    gb = np.broadcast_to(gs, (n,))
+    full = np.zeros(z.shape, dtype=np.float64)
+    np.add.at(full, (idx, targets), gb)
+    return loss, full - soft * full.sum(axis=-1, keepdims=True)
+
+
 @pytest.mark.parametrize("n,c", [(6, 4), (1, 3), (8, 2)])
 def test_softmax_cross_entropy_bitwise(n, c):
+    """``F.cross_entropy`` (the one cross-entropy) reproduces the loss and
+    gradient bytes of the fused kernel it replaced, in both kernel modes."""
     targets = _rng(n * c).integers(0, c, size=n)
-
-    def build(rng):
-        logits = Tensor(rng.normal(size=(n, c)) * 3.0, requires_grad=True)
-        return K.softmax_cross_entropy(logits, targets), [logits]
-
-    _both_modes(build, seed=n * 31 + c)
+    z = _rng(n * 31 + c).normal(size=(n, c)) * 3.0
+    loss_bits, grad_bits = _deleted_fused_cross_entropy(z, targets)
+    for enabled in (True, False):
+        logits = Tensor(z.copy(), requires_grad=True)
+        with use_fused(enabled):
+            loss = F.cross_entropy(logits, targets)
+            loss.backward()
+        assert loss.data.tobytes() == np.asarray(loss_bits).tobytes()
+        assert logits.grad.tobytes() == grad_bits.tobytes()
 
 
 @pytest.mark.parametrize("nodes,edges", [(5, 12), (3, 0), (4, 1), (6, 40)])

@@ -9,7 +9,7 @@ in :mod:`repro.kernels.dispatch`.  Every program runs twice, under
 and every leaf gradient must be *bitwise* equal.  A failure shrinks to a
 minimal program (greedy consumer-cone removal) and prints it.
 
-The operands of the norm, loss and message-passing kernels (weights,
+The operands of the norm and message-passing kernels (weights,
 biases, edge tails) are often values the program already uses, so one
 tensor collects gradient from several kernels and the order of those
 float sums is under test too.  ``linear_act`` and ``lstm_cell`` take
@@ -64,7 +64,6 @@ _DISPATCH_OPS = (
     "lstm_cell",
     "rms_norm",
     "layer_norm",
-    "softmax_cross_entropy",
     "gather_diff",
     "row_sq_norm",
     "mul_segment_sum",
@@ -183,8 +182,8 @@ def _execute(desc: Desc, leaves: Dict[int, Tensor]):
             out = K.rms_norm(a, rest[0], params["eps"])
         elif kind == "layer_norm":
             out = K.layer_norm(a, rest[0], rest[1], params["eps"])
-        elif kind == "softmax_cross_entropy":
-            out = K.softmax_cross_entropy(a, np.asarray(params["targets"]))
+        elif kind == "cross_entropy":
+            out = F.cross_entropy(a, np.asarray(params["targets"]))
         elif kind == "gather_diff":
             out = K.gather_diff(a, np.asarray(params["src"]), np.asarray(params["dst"]))
         elif kind == "row_sq_norm":
@@ -222,7 +221,7 @@ _UNARY = [
 ]
 _BINARY = ["add", "sub", "mul", "div_safe"]
 _NORM_AND_GRAPH_OPS = [
-    "rms_norm", "layer_norm", "softmax_cross_entropy", "gather_diff",
+    "rms_norm", "layer_norm", "cross_entropy", "gather_diff",
     "row_sq_norm", "mul_segment_sum", "gather_pair_concat",
 ]
 
@@ -336,7 +335,7 @@ def generate(seed: int) -> Desc:
             elif shapes[a][1] > 0:
                 emit("softmax" if rng.random() < 0.5 else "log_softmax", (a,), {},
                      shapes[a])
-        elif roll < 0.61:  # the normalization / loss / message-passing kernels
+        elif roll < 0.61:  # the normalization / message-passing kernels, the loss
             kind = _NORM_AND_GRAPH_OPS[int(rng.integers(len(_NORM_AND_GRAPH_OPS)))]
             if kind in ("rms_norm", "layer_norm"):
                 a = pick(features)
@@ -348,7 +347,7 @@ def generate(seed: int) -> Desc:
                 else:
                     emit(kind, (a, operand((d,)), operand((d,))), {"eps": 1e-5},
                          shapes[a])
-            elif kind == "softmax_cross_entropy":
+            elif kind == "cross_entropy":
                 a = pick(lambda s: len(s) == 2 and s[0] > 0 and s[1] > 0)
                 if a is None:
                     continue

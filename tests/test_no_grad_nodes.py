@@ -124,7 +124,6 @@ FUSED_CASES = {
     "linear_act/no-bias": lambda: fused.linear_act(t(A), t(W), None, "silu"),
     "rms_norm": lambda: fused.rms_norm(t(A), t(VEC), 1e-6),
     "layer_norm": lambda: fused.layer_norm(t(A), t(VEC), t(VEC * 0.5), 1e-5),
-    "softmax_cross_entropy": lambda: fused.softmax_cross_entropy(t(A), LABELS),
     "gather_diff": lambda: fused.gather_diff(t(A), SRC, DST),
     "row_sq_norm": lambda: fused.row_sq_norm(t(A)),
     "gather_pair_concat": lambda: fused.gather_pair_concat(
