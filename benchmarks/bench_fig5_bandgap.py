@@ -24,7 +24,7 @@ from typing import Dict, List
 import numpy as np
 
 from benchmarks.common import FIG5_SEEDS, fig5_config, pretrained_state, print_header
-from repro.core import train_band_gap
+from repro.core import train_property
 
 #: Early-phase window (validation epochs 2..6): late enough that both heads
 #: have produced non-degenerate predictions, early enough that the scratch
@@ -37,8 +37,8 @@ def run_fig5() -> Dict[str, List]:
     scratch_runs, pretrained_runs = [], []
     for seed in FIG5_SEEDS:
         cfg = fig5_config(seed)
-        scratch_runs.append(train_band_gap(cfg))
-        pretrained_runs.append(train_band_gap(cfg, pretrained_state=state))
+        scratch_runs.append(train_property(cfg))
+        pretrained_runs.append(train_property(cfg, pretrained_state=state))
 
     def mean_curve(runs):
         length = min(len(r.curve_mae) for r in runs)

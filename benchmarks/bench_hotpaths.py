@@ -119,7 +119,7 @@ def bench_pretrain_step(rounds: int, warmup: int, tiny: bool = False) -> List[Di
     """The acceptance measurement: data + forward + backward + optimizer.
 
     Both arms build the graphs from scratch and collate them plainly every
-    step; optimized = fused kernels, reference = ``REPRO_FUSED=0``.
+    step; optimized = fused kernels, reference = ``use_fused(False)``.
     """
     structs, task, opt = _training_setup(tiny)
     tf = StructureToGraph(cutoff=2.5)

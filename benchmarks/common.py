@@ -23,7 +23,6 @@ from repro.core import (
     MultiTaskConfig,
     OptimizerConfig,
     cached_pretrained_encoder,
-    train_band_gap,
     train_multitask,
     transfer_pretrain_recipe,
 )

@@ -19,7 +19,7 @@ from repro.core import (
     OptimizerConfig,
     PretrainConfig,
     pretrain_symmetry,
-    train_band_gap,
+    train_property,
 )
 
 ENCODER = EncoderConfig(hidden_dim=24, num_layers=2, position_dim=8)
@@ -72,8 +72,8 @@ def main() -> None:
         seed=11,
     )
     print("\nfine-tuning on Materials Project band gap ...")
-    scratch = train_band_gap(finetune_cfg)
-    pretrained = train_band_gap(
+    scratch = train_property(finetune_cfg)
+    pretrained = train_property(
         finetune_cfg, pretrained_state=pretrain.task.encoder_state()
     )
 

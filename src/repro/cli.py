@@ -52,15 +52,29 @@ def _encoder_config(args) -> EncoderConfig:
     )
 
 
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
+def _add_model_args(
+    parser: argparse.ArgumentParser, world_size: int = 16, warmup: int = 8
+) -> None:
     parser.add_argument(
         "--encoder", default="egnn", choices=["egnn", "gaanet", "megnet", "schnet"]
     )
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--layers", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--epochs", type=int, default=10)
+    parser.add_argument("--hidden-dim", type=_positive_int, default=32)
+    parser.add_argument("--layers", type=_positive_int, default=3)
+    parser.add_argument("--seed", type=_nonnegative_int, default=7)
+    parser.add_argument("--lr", type=_positive_float, default=1e-3)
+    parser.add_argument("--epochs", type=_positive_int, default=10)
+    parser.add_argument("--world-size", type=_positive_int, default=world_size)
+    parser.add_argument("--warmup", type=_positive_int, default=warmup)
+
+
+def _pretrained_state(args, encoder: EncoderConfig):
+    """The cached transfer-recipe encoder for ``--pretrained`` (else None)."""
+    if not args.pretrained:
+        return None
+    print("loading cached pretrained encoder (training it if needed) ...")
+    recipe = transfer_pretrain_recipe()
+    recipe.encoder = encoder
+    return cached_pretrained_encoder(recipe)
 
 
 def cmd_pretrain(args) -> int:
@@ -141,13 +155,7 @@ def cmd_finetune(args) -> int:
         head_blocks=2,
         seed=args.seed,
     )
-    state = None
-    if args.pretrained:
-        print("loading cached pretrained encoder (training it if needed) ...")
-        recipe = transfer_pretrain_recipe()
-        recipe.encoder = cfg.encoder
-        state = cached_pretrained_encoder(recipe)
-    result = train_property(cfg, pretrained_state=state)
+    result = train_property(cfg, pretrained_state=_pretrained_state(args, cfg.encoder))
     print(f"dataset: {cfg.dataset}, target: {cfg.target}")
     for epoch, mae in enumerate(result.curve_mae, start=1):
         print(f"  epoch {epoch:3d}: val MAE {mae:.4f}")
@@ -168,12 +176,7 @@ def cmd_multitask(args) -> int:
         head_blocks=3,
         seed=args.seed,
     )
-    state = None
-    if args.pretrained:
-        recipe = transfer_pretrain_recipe()
-        recipe.encoder = cfg.encoder
-        state = cached_pretrained_encoder(recipe)
-    result = train_multitask(cfg, pretrained_state=state)
+    result = train_multitask(cfg, pretrained_state=_pretrained_state(args, cfg.encoder))
     print("final validation metrics:")
     for key in TABLE1_METRICS:
         if key in result.final_metrics:
@@ -432,14 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="symmetry-group pretraining (Sec. 5.2)")
-    _add_model_args(p)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--world-size", type=int, default=8)
-    p.add_argument("--batch-per-worker", type=int, default=2)
-    p.add_argument("--warmup", type=int, default=8)
+    _add_model_args(p, world_size=8)
+    p.add_argument("--samples", type=_positive_int, default=256)
+    p.add_argument("--batch-per-worker", type=_positive_int, default=2)
     p.add_argument("--fault-profile", default=None,
                    help="inject faults, e.g. 'crash:1' or 'timeout:2,corrupt:1'")
-    p.add_argument("--fault-seed", type=int, default=0)
+    p.add_argument("--fault-seed", type=_nonnegative_int, default=0)
     p.add_argument("--on-fault", default="recover", choices=["recover", "elastic"],
                    help="crash handling: checkpoint recovery (exact) or "
                         "elastic rank drop (re-shard + Goyal LR re-scale)")
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect-anomaly", action="store_true",
                    help="trace non-finite values to their creating autograd "
                         "op (slower; implies precise anomaly events)")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_positive_int, default=None,
                    help="hard step budget (overrides --epochs for quick runs)")
     p.add_argument("--profile", action="store_true",
                    help="attach the observability layer: phase spans, per-op "
@@ -462,28 +463,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero", action="store_true",
                    help="ZeRO sharding: bucketed reduce_scatter gradients + "
                         "rank-sharded AdamW state (bit-identical, less memory)")
-    p.add_argument("--bucket-mb", type=float, default=1.0, metavar="MB",
+    p.add_argument("--bucket-mb", type=_positive_float, default=1.0, metavar="MB",
                    help="gradient bucket capacity in MiB for --zero")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="single-task fine-tuning (Fig. 5)")
-    _add_model_args(p)
-    p.add_argument("--samples", type=int, default=160)
+    _add_model_args(p, warmup=2)
+    p.add_argument("--samples", type=_positive_int, default=160)
     p.add_argument("--dataset", default="materials_project",
                    choices=["materials_project", "carolina", "lips", "oc20", "oc22"],
                    help="registered dataset to fine-tune on (Table 1 sweep)")
     p.add_argument("--target", default="band_gap",
                    choices=["band_gap", "fermi_energy", "formation_energy", "energy"])
-    p.add_argument("--world-size", type=int, default=16)
-    p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--pretrained", action="store_true")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("multitask", help="multi-task multi-dataset training (Table 1)")
     _add_model_args(p)
-    p.add_argument("--samples", type=int, default=160)
-    p.add_argument("--world-size", type=int, default=16)
-    p.add_argument("--warmup", type=int, default=8)
+    p.add_argument("--samples", type=_bounded(int, 4), default=160,
+                   help="Materials Project structures; Carolina gets half, "
+                        "and each split needs a training sample")
     p.add_argument("--pretrained", action="store_true")
     p.set_defaults(fn=cmd_multitask)
 

@@ -24,7 +24,6 @@ from repro.core.workflows import (
     PretrainResult,
     pretrain_symmetry,
     FinetuneResult,
-    train_band_gap,
     train_property,
     MultiTaskResult,
     train_multitask,
@@ -48,7 +47,6 @@ __all__ = [
     "PretrainResult",
     "pretrain_symmetry",
     "FinetuneResult",
-    "train_band_gap",
     "train_property",
     "MultiTaskResult",
     "train_multitask",

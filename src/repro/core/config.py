@@ -70,8 +70,6 @@ class PretrainConfig:
     #: interatomic scale (1.5-4.0 A) so the pretrained geometry filters see
     #: the same distance distribution materials data produces.
     radius_range: tuple = (0.8, 2.2)
-    #: See SymmetryPointCloudDataset.randomize_species.
-    randomize_species: bool = False
     world_size: int = 16
     batch_per_worker: int = 2
     max_epochs: int = 20
@@ -167,8 +165,3 @@ class MultiTaskConfig:
     head_hidden_dim: int = 48
     head_blocks: int = 6  # Appendix A: six blocks in the multi-task setting
     seed: int = 13
-    #: Train heads against raw physical units (False) or z-scored targets
-    #: (True).  Raw units reproduce the paper's loss balance, where the
-    #: narrow CMD formation-energy distribution contributes tiny gradients
-    #: and survives optimization turbulence that wrecks the wide MP targets.
-    normalize_targets: bool = False

@@ -10,7 +10,9 @@ encoder is shared between downstream experiments through an on-disk cache
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -46,7 +48,6 @@ from repro.distributed import (
     DDPStrategy,
     EventLog,
     FaultInjector,
-    FaultProfile,
     ShardedAdamW,
     SimClock,
     SimComm,
@@ -108,6 +109,30 @@ def _build_finetune_optimizer(task, opt_cfg, base_lr: float, pretrained: bool):
     )
 
 
+def _finetune(config, task, train_ds, val_ds, pretrained_state) -> History:
+    """The fine-tune tail of ``train_property`` and ``train_multitask``.
+
+    Loaders over the pre-transformed splits, the optional encoder
+    transplant, the Goyal-scaled rate with warmup + exponential decay, and
+    one ``fit``.
+    """
+    train_loader = make_train_loader(train_ds, config.batch_size, seed=config.seed)
+    val_loader = make_val_loader(val_ds, 32)
+    pretrained = pretrained_state is not None
+    if pretrained:
+        task.load_encoder_state(pretrained_state)
+    lr = scale_lr_for_ddp(config.optimizer.base_lr, config.world_size)
+    optimizer = _build_finetune_optimizer(task, config.optimizer, lr, pretrained)
+    scheduler = WarmupExponential(
+        optimizer,
+        warmup_epochs=config.optimizer.warmup_epochs,
+        gamma=config.optimizer.gamma,
+        target_lr=lr,
+    )
+    trainer = Trainer(TrainerConfig(max_epochs=config.max_epochs, log_every_n_steps=10))
+    return trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
+
+
 # --------------------------------------------------------------------------- #
 # Pretraining (Sec. 5.2, Figs. 3 & 6)
 # --------------------------------------------------------------------------- #
@@ -133,10 +158,6 @@ class PretrainResult:
     def final_val_ce(self) -> Optional[float]:
         return self.history.last("val", "ce")
 
-    @property
-    def best_val_ce(self) -> Optional[float]:
-        return self.history.best("val", "ce")
-
 
 def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     """Train the symmetry-group classifier under simulated DDP.
@@ -144,23 +165,27 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     The learning rate follows the paper exactly: eta = eta_base * N with a
     linear warmup and gamma = 0.8 exponential decay per epoch.
     """
+    if config.on_fault not in ("recover", "elastic"):
+        raise ValueError(
+            f"on_fault must be 'recover' or 'elastic', got {config.on_fault!r}"
+        )
+    if config.zero and config.optimizer.update_clip is not None:
+        raise ValueError(
+            "update_clip (StableAdamW) is not supported with ZeRO sharding: "
+            "the per-tensor update RMS is not shard-local"
+        )
     rng = np.random.default_rng(config.seed)
     common = dict(
         group_names=config.group_names,
         max_points=config.max_points,
         noise_sigma=config.noise_sigma,
         radius_range=config.radius_range,
-        randomize_species=config.randomize_species,
     )
-    train_ds = SymmetryPointCloudDataset(
-        config.train_samples, seed=config.seed, **common
-    ).materialize()
+    clouds = SymmetryPointCloudDataset(config.train_samples, seed=config.seed, **common)
+    train_ds = clouds.materialize()
     val_ds = SymmetryPointCloudDataset(
         config.val_samples, seed=config.seed + 10_000, **common
     ).materialize()
-    num_classes = SymmetryPointCloudDataset(
-        1, group_names=config.group_names
-    ).num_classes
 
     cutoff = SYMMETRY_CUTOFF if config.radius_range[1] <= 2.5 else MATERIALS_CUTOFF
     transform = StructureToGraph(cutoff=cutoff)
@@ -172,94 +197,60 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     encoder = build_encoder_from_config(config.encoder, rng=rng)
     task = MultiClassClassificationTask(
         encoder,
-        num_classes=num_classes,
+        num_classes=clouds.num_classes,
         hidden_dim=config.head_hidden_dim,
         num_blocks=config.head_blocks,
         rng=rng,
     )
 
     opt_cfg = config.optimizer
-    target_lr = scale_lr_for_ddp(opt_cfg.base_lr, config.world_size)
+    world = config.world_size
+    target_lr = scale_lr_for_ddp(opt_cfg.base_lr, world)
 
-    events: Optional[EventLog] = None
-    recovery: Optional[RecoveryConfig] = None
-    profile = FaultProfile.parse(config.fault_profile)
     # Any non-None profile — even an empty one ("") — routes gradients
     # through the instrumented explicit-allreduce path, so a healthy
     # baseline can be made bit-comparable to a fault-injected run.
-    if config.fault_profile is not None:
-        if config.on_fault not in ("recover", "elastic"):
-            raise ValueError(
-                f"on_fault must be 'recover' or 'elastic', got {config.on_fault!r}"
-            )
-        clock = SimClock()
-        events = EventLog(clock)
+    faults = config.fault_profile is not None
+    events = EventLog(SimClock()) if faults or config.stability_guard else None
+    injector = None
+    if faults:
         injector = FaultInjector(
-            profile,
-            config.world_size,
+            config.fault_profile,
+            world,
             seed=config.fault_seed,
             horizon=config.fault_horizon,
             events=events,
-            clock=clock,
+            clock=events.clock,
         )
-        comm = SimComm(config.world_size, injector=injector)
+    if injector is None and not config.zero and world == 1:
+        strategy = SingleProcessStrategy()
+    else:
+        # Faults and ZeRO run the DDP strategy even at world_size 1, where
+        # its collectives degrade to identity.
         strategy = DDPStrategy(
-            config.world_size,
-            comm=comm,
-            elastic=(config.on_fault == "elastic"),
+            world,
+            comm=SimComm(world, injector=injector),
+            elastic=config.on_fault == "elastic",
             bucket_bytes=config.bucket_bytes if config.zero else None,
             shard_optimizer=config.zero,
         )
-        if config.on_fault == "recover":
-            ckpt_dir = config.checkpoint_dir
-            if ckpt_dir is None:
-                import tempfile
 
-                ckpt_dir = tempfile.mkdtemp(prefix="repro-recovery-")
-            recovery = RecoveryConfig(
-                checkpoint_dir=ckpt_dir, checkpoint_every_n_steps=1, events=events
-            )
-    elif config.zero:
-        # ZeRO sharding always runs the (bucketed) DDP strategy, even at
-        # world_size 1: the bucket collectives degrade to identity there.
-        strategy = DDPStrategy(
-            config.world_size,
-            bucket_bytes=config.bucket_bytes,
-            shard_optimizer=True,
-        )
-    else:
-        strategy = (
-            DDPStrategy(config.world_size)
-            if config.world_size > 1
-            else SingleProcessStrategy()
-        )
-
+    opt_kwargs = dict(
+        lr=target_lr,
+        betas=opt_cfg.betas,
+        eps=opt_cfg.eps,
+        weight_decay=opt_cfg.weight_decay,
+        amsgrad=opt_cfg.amsgrad,
+    )
     if config.zero:
-        if opt_cfg.update_clip is not None:
-            raise ValueError(
-                "update_clip (StableAdamW) is not supported with ZeRO sharding: "
-                "the per-tensor update RMS is not shard-local"
-            )
         optimizer = ShardedAdamW(
             task.parameters(),
-            lr=target_lr,
-            betas=opt_cfg.betas,
-            eps=opt_cfg.eps,
-            weight_decay=opt_cfg.weight_decay,
-            amsgrad=opt_cfg.amsgrad,
             comm=strategy.comm,
             bucket_bytes=config.bucket_bytes,
+            **opt_kwargs,
         )
     else:
-        optimizer = AdamW(
-            task.parameters(),
-            lr=target_lr,
-            betas=opt_cfg.betas,
-            eps=opt_cfg.eps,
-            weight_decay=opt_cfg.weight_decay,
-            amsgrad=opt_cfg.amsgrad,
-            update_clip=opt_cfg.update_clip,
-        )
+        optimizer = AdamW(task.parameters(), update_clip=opt_cfg.update_clip, **opt_kwargs)
     scheduler = WarmupExponential(
         optimizer,
         warmup_epochs=opt_cfg.warmup_epochs,
@@ -268,23 +259,20 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     )
     guard: Optional[StabilityGuard] = None
     if config.stability_guard:
-        if events is None:
-            events = EventLog(SimClock())
-        stability_cfg = config.stability
-        if stability_cfg is None:
-            stability_cfg = StabilityConfig(policy=config.on_spike)
-        guard = StabilityGuard(stability_cfg, events=events)
-        if guard.policy.name == "rollback" and recovery is None:
-            # Rollback restores the same CRC-checked recovery points the
-            # fault-tolerance path writes; provision them if absent.
-            ckpt_dir = config.checkpoint_dir
-            if ckpt_dir is None:
-                import tempfile
-
-                ckpt_dir = tempfile.mkdtemp(prefix="repro-stability-")
-            recovery = RecoveryConfig(
-                checkpoint_dir=ckpt_dir, checkpoint_every_n_steps=1, events=events
-            )
+        guard = StabilityGuard(
+            config.stability or StabilityConfig(policy=config.on_spike), events=events
+        )
+    recovery: Optional[RecoveryConfig] = None
+    # Fault recovery and the guard's rollback restore the same CRC-checked
+    # recovery points.
+    if (injector is not None and config.on_fault == "recover") or (
+        guard is not None and guard.policy.name == "rollback"
+    ):
+        recovery = RecoveryConfig(
+            checkpoint_dir=config.checkpoint_dir or tempfile.mkdtemp(prefix="repro-recovery-"),
+            checkpoint_every_n_steps=1,
+            events=events,
+        )
 
     spikes = SpikeDetector(monitor="ce")
     throughput = ThroughputMeter()
@@ -311,14 +299,12 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
         stability=guard,
         observer=observer,
     )
+    with observer.profile() if observer is not None else contextlib.nullcontext():
+        history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
     if observer is not None:
-        with observer.profile():
-            history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
         observer.finalize(strategy=strategy, guard=guard)
         if config.trace_out is not None:
             observer.export_chrome_trace(config.trace_out)
-    else:
-        history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
     return PretrainResult(
         task=task,
         history=history,
@@ -401,7 +387,6 @@ class FinetuneResult:
 
     task: ScalarRegressionTask
     history: History
-    curve_steps: List[int] = field(default_factory=list)
     curve_mae: List[float] = field(default_factory=list)
     config: Optional[FinetuneConfig] = None
 
@@ -448,9 +433,6 @@ def train_property(
         train_ds[i] for i in range(len(train_ds))
     )
 
-    train_loader = make_train_loader(train_ds, config.batch_size, seed=config.seed)
-    val_loader = make_val_loader(val_ds, 32)
-
     encoder = build_encoder_from_config(config.encoder, rng=rng)
     task = ScalarRegressionTask(
         encoder,
@@ -460,36 +442,9 @@ def train_property(
         normalizer=normalizer,
         rng=rng,
     )
-    pretrained = pretrained_state is not None
-    if pretrained:
-        task.load_encoder_state(pretrained_state)
-    lr = scale_lr_for_ddp(config.optimizer.base_lr, config.world_size)
-    optimizer = _build_finetune_optimizer(task, config.optimizer, lr, pretrained)
-    scheduler = WarmupExponential(
-        optimizer,
-        warmup_epochs=config.optimizer.warmup_epochs,
-        gamma=config.optimizer.gamma,
-        target_lr=lr,
-    )
-    trainer = Trainer(TrainerConfig(max_epochs=config.max_epochs, log_every_n_steps=10))
-    history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
-    steps, curve = history.series("val", f"{config.target}_mae")
-    return FinetuneResult(
-        task=task, history=history, curve_steps=steps, curve_mae=curve, config=config
-    )
-
-
-def train_band_gap(
-    config: FinetuneConfig,
-    pretrained_state: Optional[Dict[str, np.ndarray]] = None,
-) -> FinetuneResult:
-    """Fig. 5: band-gap regression, pretrained vs from-scratch.
-
-    The historical single-task entry point — identical to
-    :func:`train_property` with the default Materials Project / band-gap
-    configuration (golden metrics pin its numbers).
-    """
-    return train_property(config, pretrained_state)
+    history = _finetune(config, task, train_ds, val_ds, pretrained_state)
+    _, curve = history.series("val", f"{config.target}_mae")
+    return FinetuneResult(task=task, history=history, curve_mae=curve, config=config)
 
 
 # --------------------------------------------------------------------------- #
@@ -551,37 +506,15 @@ def train_multitask(
     train_ds = ConcatDataset([mp_train, cmd_train])
     val_ds = ConcatDataset([mp_val, cmd_val])
 
-    normalizer = None
-    if config.normalize_targets:
-        normalizer = TargetNormalizer(
-            ["band_gap", "fermi_energy", "formation_energy"]
-        ).fit(train_ds[i] for i in range(len(train_ds)))
-
-    train_loader = make_train_loader(train_ds, config.batch_size, seed=config.seed)
-    val_loader = make_val_loader(val_ds, 32)
-
     encoder = build_encoder_from_config(config.encoder, rng=rng)
     task = MultiTaskModule(
         encoder,
         specs=TABLE1_SPECS,
         hidden_dim=config.head_hidden_dim,
         num_blocks=config.head_blocks,
-        normalizer=normalizer,
         rng=rng,
     )
-    pretrained = pretrained_state is not None
-    if pretrained:
-        task.load_encoder_state(pretrained_state)
-    lr = scale_lr_for_ddp(config.optimizer.base_lr, config.world_size)
-    optimizer = _build_finetune_optimizer(task, config.optimizer, lr, pretrained)
-    scheduler = WarmupExponential(
-        optimizer,
-        warmup_epochs=config.optimizer.warmup_epochs,
-        gamma=config.optimizer.gamma,
-        target_lr=lr,
-    )
-    trainer = Trainer(TrainerConfig(max_epochs=config.max_epochs, log_every_n_steps=10))
-    history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
+    history = _finetune(config, task, train_ds, val_ds, pretrained_state)
     final = {}
     for key in TABLE1_METRICS + ["stability_acc"]:
         value = history.last("val", key)

@@ -72,13 +72,9 @@ class SymmetryPointCloudDataset(Dataset[Structure]):
         orientation matches how the generation pipeline in the paper builds
         clouds about the z-axis); turning it on upgrades the task from
         orientation-dependent to truly intrinsic symmetry recognition.
-    randomize_species:
-        Assign each particle a random atomic number from 1..``num_species``
-        instead of the anonymous type 1.  Random types carry no chemical
-        signal (the paper's clouds contain none either), but they give every
-        row of a downstream encoder's embedding table gradient during
-        pretraining, which matters when the encoder is later transplanted
-        onto real element sets (see DESIGN.md).
+
+    Every particle has the anonymous species 1: the paper's clouds carry no
+    chemical signal.
     """
 
     def __init__(
@@ -91,8 +87,6 @@ class SymmetryPointCloudDataset(Dataset[Structure]):
         noise_sigma: float = 0.02,
         radius_range: Tuple[float, float] = (0.8, 2.2),
         random_orientation: bool = False,
-        randomize_species: bool = False,
-        num_species: int = 84,
     ):
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
@@ -105,8 +99,6 @@ class SymmetryPointCloudDataset(Dataset[Structure]):
         self.noise_sigma = noise_sigma
         self.radius_range = radius_range
         self.random_orientation = random_orientation
-        self.randomize_species = randomize_species
-        self.num_species = num_species
         self.name = "symmetry"
 
     @property
@@ -140,13 +132,9 @@ class SymmetryPointCloudDataset(Dataset[Structure]):
         points = points - points.mean(axis=0, keepdims=True)
         if self.random_orientation:
             points = points @ random_rotation(rng).T
-        if self.randomize_species:
-            species = rng.integers(1, self.num_species, size=len(points))
-        else:
-            species = np.ones(len(points), dtype=np.int64)
         return Structure(
             positions=points,
-            species=species,
+            species=np.ones(len(points), dtype=np.int64),
             targets={"point_group": np.float64(label)},
             metadata={
                 "dataset": self.name,

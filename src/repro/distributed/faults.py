@@ -127,6 +127,37 @@ class RetryPolicy:
 # --------------------------------------------------------------------------- #
 # Profiles
 # --------------------------------------------------------------------------- #
+def parse_kind_counts(
+    spec: Optional[str], kinds: Sequence[str], what: str = "fault"
+) -> Dict[str, int]:
+    """Per-kind counts from ``"kind:count,kind:count"`` (empty/None/"none" =
+    all zero); ``what`` names the vocabulary in error messages.  Training
+    fault profiles and serving chaos profiles share this grammar."""
+    counts = dict.fromkeys(kinds, 0)
+    if not spec or spec.strip() == "none":
+        return counts
+    for token in spec.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if ":" not in token:
+            raise ValueError(f"bad {what} token {token!r}; expected kind:count")
+        kind, _, num = token.partition(":")
+        kind = kind.strip()
+        if kind not in counts:
+            raise ValueError(
+                f"unknown {what} kind {kind!r}; expected one of {tuple(kinds)}"
+            )
+        try:
+            n = int(num)
+        except ValueError as exc:
+            raise ValueError(f"bad {what} count in {token!r}") from exc
+        if n < 0:
+            raise ValueError(f"{what} count must be >= 0 in {token!r}")
+        counts[kind] += n
+    return counts
+
+
 @dataclass(frozen=True)
 class FaultProfile:
     """How many faults of each kind to inject over a run."""
@@ -138,28 +169,7 @@ class FaultProfile:
     @classmethod
     def parse(cls, spec: Optional[str]) -> "FaultProfile":
         """Parse ``"kind:count,kind:count"`` (empty/None = no faults)."""
-        if not spec or spec.strip() in ("", "none"):
-            return cls()
-        counts = {CRASH: 0, TIMEOUT: 0, CORRUPT: 0}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if ":" not in token:
-                raise ValueError(f"bad fault token {token!r}; expected kind:count")
-            kind, _, num = token.partition(":")
-            kind = kind.strip()
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
-                )
-            try:
-                n = int(num)
-            except ValueError as exc:
-                raise ValueError(f"bad fault count in {token!r}") from exc
-            if n < 0:
-                raise ValueError(f"fault count must be >= 0 in {token!r}")
-            counts[kind] += n
+        counts = parse_kind_counts(spec, FAULT_KINDS)
         return cls(
             crashes=counts[CRASH],
             timeouts=counts[TIMEOUT],

@@ -379,44 +379,22 @@ class ShardedAdam(Adam):
     def _step_shard(
         self, bucket: Bucket, lo: int, hi: int, bias1: float, bias2: float
     ) -> None:
-        """One rank's Adam update over its owned slice of one bucket.
-
-        Mirrors the dense reference update exactly, restricted to the flat
-        range [lo, hi): identical elementwise expressions on identical
-        values produce identical bits.
+        """One rank's Adam update over its owned slice of one bucket: the
+        dense update's elementwise sequence (:meth:`Adam._update`) run on
+        each parameter's flat range [a, b), so the bits are the dense bits.
         """
         for seg, a, b in self.bucketer.segment_slices(bucket, lo, hi):
             p = self.params[seg.param_index]
             if p.grad is None:
                 continue
             state = self.state.setdefault(seg.param_index, {})
+            names = ("m", "v", "vmax") if self.amsgrad else ("m", "v")
             if "m" not in state:
-                state["m"] = np.zeros_like(p.data)
-                state["v"] = np.zeros_like(p.data)
-                if self.amsgrad:
-                    state["vmax"] = np.zeros_like(p.data)
-            sl = slice(a, b)
-            g = _flat_view(p.grad)[sl]
-            pdata = _flat_view(p.data)
-            if self.weight_decay and not self._decoupled:
-                g = g + self.weight_decay * pdata[sl]
-            m = _flat_view(state["m"])[sl]
-            v = _flat_view(state["v"])[sl]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / bias1
-            if self.amsgrad:
-                vmax = _flat_view(state["vmax"])[sl]
-                np.maximum(vmax, v, out=vmax)
-                v_hat = vmax / bias2
-            else:
-                v_hat = v / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and self._decoupled:
-                pdata[sl] -= self.lr * self.weight_decay * pdata[sl]
-            pdata[sl] -= self.lr * update
+                for name in names:
+                    state[name] = np.zeros_like(p.data)
+            moments = {name: _flat_view(state[name])[a:b] for name in names}
+            self._update(_flat_view(p.grad)[a:b], _flat_view(p.data)[a:b], moments,
+                         np.empty(b - a), np.empty(b - a), bias1, bias2)
 
     # ------------------------------------------------------------------ #
     def shard_ownership(self, rank: Optional[int] = None) -> List[Tuple[int, int, int]]:

@@ -12,8 +12,8 @@ codebase:
 The fused kernels are bit-identical to the reference compositions: they
 replay the exact numpy expression sequences and the exact per-tensor
 gradient accumulation order of the reference tape, so the golden-metrics
-tests hold at 1e-9 with either path.  ``REPRO_FUSED=0`` (or
-:func:`set_fused` / :func:`use_fused`) selects the reference path.
+tests hold at 1e-9 with either path.  :func:`set_fused` /
+:func:`use_fused` select the reference path (the equivalence oracle).
 Cross-entropy and the Adam update have one implementation each
 (``F.cross_entropy``, the flat update in :mod:`repro.optim.adam`).
 """

@@ -1,10 +1,9 @@
 """Kernel selection: fused tape nodes vs reference compositions.
 
-The switch is process-global.  ``REPRO_FUSED`` in the environment sets the
-initial state (default: enabled; ``0``/``false``/``off``/``no`` disable);
-:func:`set_fused` and the :func:`use_fused` context manager override it at
-runtime, which is how the equivalence tests and benchmarks pit the two
-paths against each other in one process.
+The switch is process-global and starts enabled; :func:`set_fused` and the
+:func:`use_fused` context manager flip it at runtime, which is how the
+equivalence tests and benchmarks pit the two paths against each other in
+one process (the reference path is their oracle, not a run mode).
 
 Dispatch rules (documented in DESIGN.md §10):
 
@@ -17,7 +16,6 @@ Dispatch rules (documented in DESIGN.md §10):
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Optional
 
 import numpy as np
@@ -25,14 +23,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.kernels import fused, reference
 
-_FALSY = {"0", "false", "off", "no"}
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_FUSED", "1").strip().lower() not in _FALSY
-
-
-_FUSED = _env_enabled()
+_FUSED = True
 
 
 def fused_enabled() -> bool:

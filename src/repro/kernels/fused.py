@@ -368,7 +368,7 @@ def lstm_cell(
     firing order — concat slices, the o/tanh(c') product, the cell update,
     then one gate-gradient scatter per slice into the pre-activation buffer
     before the three GEMM backwards — so every leaf gradient is bitwise
-    equal to the ``REPRO_FUSED=0`` tape.
+    equal to the ``use_fused(False)`` tape.
     """
     d = h.data.shape[1]
     x_data, h_data, c_data = x.data, h.data, c.data

@@ -2,7 +2,7 @@
 
 Each function builds the op out of :mod:`repro.autograd` primitives exactly
 as the model code did before the dispatch layer existed — one tape node per
-elementary op.  This is the ``REPRO_FUSED=0`` path and the equivalence
+elementary op.  This is the ``use_fused(False)`` path and the equivalence
 oracle for ``tests/test_kernels_fused.py``.
 """
 

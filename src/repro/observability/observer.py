@@ -29,21 +29,27 @@ from repro.observability.tracer import NULL_SPAN, STEP_PHASES, Tracer
 from repro.training.callbacks import Callback
 
 
+#: ``comm.*`` counter -> the communicator ``TrafficLog`` field it mirrors.
+_COMM_COUNTERS = (
+    ("comm.allreduce.calls", "allreduce_calls"),
+    ("comm.allreduce.bytes", "allreduce_bytes"),
+    ("comm.bucket.reduce_scatter.calls", "reduce_scatter_calls"),
+    ("comm.bucket.reduce_scatter.bytes", "reduce_scatter_bytes"),
+    ("comm.bucket.allgather.calls", "allgather_calls"),
+    ("comm.bucket.allgather.bytes", "allgather_bytes"),
+    ("comm.retry.calls", "retry_calls"),
+    ("comm.retry.bytes", "retry_bytes"),
+)
+
+
 class Observer:
     """Aggregates the three observability surfaces for one run."""
 
-    def __init__(
-        self,
-        clock=None,
-        profile_ops: bool = False,
-        profile_memory: bool = True,
-    ):
+    def __init__(self, clock=None, profile_ops: bool = False):
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
         self.op_profiler: Optional[OpProfiler] = (
-            OpProfiler(clock=clock, profile_memory=profile_memory)
-            if profile_ops
-            else None
+            OpProfiler(clock=clock) if profile_ops else None
         )
 
     # ------------------------------------------------------------------ #
@@ -83,17 +89,8 @@ class Observer:
         """
         comm = getattr(strategy, "comm", None) if strategy is not None else None
         if comm is not None:
-            t = comm.traffic
-            for key, value in (
-                ("comm.allreduce.calls", t.allreduce_calls),
-                ("comm.allreduce.bytes", t.allreduce_bytes),
-                ("comm.bucket.reduce_scatter.calls", t.reduce_scatter_calls),
-                ("comm.bucket.reduce_scatter.bytes", t.reduce_scatter_bytes),
-                ("comm.bucket.allgather.calls", t.allgather_calls),
-                ("comm.bucket.allgather.bytes", t.allgather_bytes),
-                ("comm.retry.calls", t.retry_calls),
-                ("comm.retry.bytes", t.retry_bytes),
-            ):
+            for key, attr in _COMM_COUNTERS:
+                value = getattr(comm.traffic, attr)
                 # Same counters the MetricsReporter feeds live; top up by
                 # delta so finalize stays idempotent either way.
                 counter = self.metrics.counter(key)
@@ -164,17 +161,8 @@ class MetricsReporter(Callback):
         if comm is None:
             return
         metrics = self.observer.metrics
-        t = comm.traffic
-        for key, value in (
-            ("comm.allreduce.calls", t.allreduce_calls),
-            ("comm.allreduce.bytes", t.allreduce_bytes),
-            ("comm.bucket.reduce_scatter.calls", t.reduce_scatter_calls),
-            ("comm.bucket.reduce_scatter.bytes", t.reduce_scatter_bytes),
-            ("comm.bucket.allgather.calls", t.allgather_calls),
-            ("comm.bucket.allgather.bytes", t.allgather_bytes),
-            ("comm.retry.calls", t.retry_calls),
-            ("comm.retry.bytes", t.retry_bytes),
-        ):
+        for key, attr in _COMM_COUNTERS:
+            value = getattr(comm.traffic, attr)
             prev = self._traffic_seen.get(key, 0.0)
             if value > prev:
                 metrics.counter(key).inc(value - prev)

@@ -149,19 +149,26 @@ class Adam(Optimizer):
         if flat is None or flat.state is not self.state or not flat.covers(active):
             flat = self._flat = _FlatState(self, active)
         for k0, k1 in flat.runs(active):
-            self._update_run(flat, k0, k1, grads, bias1, bias2)
+            lo, hi = flat.bounds[k0], flat.bounds[k1]
+            params = flat.params[k0:k1]
+            g, pdata = flat.grad[lo:hi], flat.param[lo:hi]
+            np.concatenate([grads[i] for i in flat.covered[k0:k1]], axis=None, out=g)
+            np.concatenate([p.data for p in params], axis=None, out=pdata)
+            moments = {name: buf[lo:hi] for name, buf in flat.moments.items()}
+            self._update(g, pdata, moments, flat.work[lo:hi], flat.update[lo:hi],
+                         bias1, bias2, flat.update_views[k0:k1])
+            for p, new in zip(params, flat.param_views[k0:k1]):
+                p.data[...] = new
 
-    def _update_run(
-        self, flat: _FlatState, k0: int, k1: int, grads: list, bias1: float, bias2: float
-    ) -> None:
-        """The Adam update over covered parameters ``k0:k1`` at once."""
-        lo, hi = flat.bounds[k0], flat.bounds[k1]
-        params = flat.params[k0:k1]
-        g, work, update = flat.grad[lo:hi], flat.work[lo:hi], flat.update[lo:hi]
-        np.concatenate([grads[i] for i in flat.covered[k0:k1]], axis=None, out=g)
-        pdata = flat.param[lo:hi]
-        np.concatenate([p.data for p in params], axis=None, out=pdata)
-        m, v = flat.moments["m"][lo:hi], flat.moments["v"][lo:hi]
+    def _update(self, g, pdata, moments, work, update, bias1, bias2, update_views=()):
+        """The elementwise Adam update over one flat range, in place on
+        ``pdata`` and ``moments`` (``m``, ``v`` and, with amsgrad, ``vmax``).
+
+        ``work``/``update`` are same-length scratch; ``update_clip`` rescales
+        each per-tensor view of ``update`` in ``update_views``.  The dense
+        step and the ZeRO per-shard step both run exactly this sequence.
+        """
+        m, v = moments["m"], moments["v"]
         if self.weight_decay and not self._decoupled:
             np.multiply(pdata, self.weight_decay, out=work)
             work += g
@@ -174,7 +181,7 @@ class Adam(Optimizer):
         update *= g
         v += update
         if self.amsgrad:
-            vmax = flat.moments["vmax"][lo:hi]
+            vmax = moments["vmax"]
             np.maximum(vmax, v, out=vmax)
             np.divide(vmax, bias2, out=work)
         else:
@@ -184,7 +191,7 @@ class Adam(Optimizer):
         np.divide(m, bias1, out=update)
         update /= work
         if self.update_clip is not None:
-            for u in flat.update_views[k0:k1]:
+            for u in update_views:
                 rms = float(np.sqrt(np.mean(u * u)))
                 if rms > self.update_clip:
                     u *= self.update_clip / rms
@@ -193,8 +200,6 @@ class Adam(Optimizer):
             pdata -= work
         update *= self.lr
         pdata -= update
-        for p, new in zip(params, flat.param_views[k0:k1]):
-            p.data[...] = new
 
     # ------------------------------------------------------------------ #
     # Instability diagnostics

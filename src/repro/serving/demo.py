@@ -15,7 +15,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core import EncoderConfig, FinetuneConfig, OptimizerConfig, train_band_gap
+from repro.core import EncoderConfig, FinetuneConfig, OptimizerConfig, train_property
+from repro.core.workflows import MATERIALS_CUTOFF
 from repro.data.structures import GraphSample
 from repro.data.transforms import StructureToGraph
 from repro.datasets import MaterialsProjectSurrogate
@@ -23,8 +24,6 @@ from repro.serving.servable import ModelRegistry, Servable, ServableSpec
 
 #: Registry entry name every demo consumer uses.
 DEMO_MODEL_NAME = "band_gap_demo"
-#: Graph cutoff matching the training workflow (core.workflows.MATERIALS_CUTOFF).
-DEMO_CUTOFF = 4.5
 
 
 def demo_finetune_config(seed: int = 13) -> FinetuneConfig:
@@ -47,7 +46,7 @@ def demo_finetune_config(seed: int = 13) -> FinetuneConfig:
 def fit_demo_servable(registry_root: str, seed: int = 13) -> Tuple[str, float]:
     """Train the demo model and archive it; returns (directory, final MAE)."""
     config = demo_finetune_config(seed)
-    result = train_band_gap(config)
+    result = train_property(config)
     task = result.task
     mean, std = task.normalizer.stats[config.target]
     spec = ServableSpec(
@@ -59,7 +58,7 @@ def fit_demo_servable(registry_root: str, seed: int = 13) -> Tuple[str, float]:
         num_species=config.encoder.num_species,
         head_hidden_dim=config.head_hidden_dim,
         head_blocks=config.head_blocks,
-        cutoff=DEMO_CUTOFF,
+        cutoff=MATERIALS_CUTOFF,
         normalizer=[mean, std],
         metadata={"seed": seed, "final_mae": result.final_mae},
     )
@@ -77,7 +76,7 @@ def ensure_demo_servable(registry_root: str, seed: int = 13) -> Servable:
 
 
 def demo_request_samples(
-    count: int, seed: int = 99, cutoff: float = DEMO_CUTOFF
+    count: int, seed: int = 99, cutoff: float = MATERIALS_CUTOFF
 ) -> List[GraphSample]:
     """Deterministic Materials Project query structures, graph-transformed."""
     dataset = MaterialsProjectSurrogate(num_samples=count, seed=seed)
@@ -87,7 +86,6 @@ def demo_request_samples(
 
 __all__ = [
     "DEMO_MODEL_NAME",
-    "DEMO_CUTOFF",
     "demo_finetune_config",
     "demo_request_samples",
     "ensure_demo_servable",

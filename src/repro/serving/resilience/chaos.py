@@ -35,7 +35,7 @@ from repro.distributed.events import (
     REPLICA_SLOW,
     SERVABLE_CORRUPT,
 )
-from repro.distributed.faults import ChaosEngine
+from repro.distributed.faults import ChaosEngine, parse_kind_counts
 
 #: Fault kinds a serving chaos profile may request.
 SERVING_FAULT_KINDS = (REPLICA_CRASH, REPLICA_SLOW, PREDICT_FLAKY, SERVABLE_CORRUPT)
@@ -57,30 +57,7 @@ class ServingChaosProfile:
     @classmethod
     def parse(cls, spec: Optional[str], **overrides) -> "ServingChaosProfile":
         """Parse ``"kind:count,kind:count"`` (empty/None = no faults)."""
-        counts = {kind: 0 for kind in SERVING_FAULT_KINDS}
-        if spec and spec.strip() not in ("", "none"):
-            for token in spec.split(","):
-                token = token.strip()
-                if not token:
-                    continue
-                if ":" not in token:
-                    raise ValueError(
-                        f"bad chaos token {token!r}; expected kind:count"
-                    )
-                kind, _, num = token.partition(":")
-                kind = kind.strip()
-                if kind not in SERVING_FAULT_KINDS:
-                    raise ValueError(
-                        f"unknown chaos kind {kind!r}; expected one of "
-                        f"{SERVING_FAULT_KINDS}"
-                    )
-                try:
-                    n = int(num)
-                except ValueError as exc:
-                    raise ValueError(f"bad chaos count in {token!r}") from exc
-                if n < 0:
-                    raise ValueError(f"chaos count must be >= 0 in {token!r}")
-                counts[kind] += n
+        counts = parse_kind_counts(spec, SERVING_FAULT_KINDS, what="chaos")
         return cls(
             crashes=counts[REPLICA_CRASH],
             slowdowns=counts[REPLICA_SLOW],

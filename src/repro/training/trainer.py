@@ -60,19 +60,17 @@ class TrainerConfig:
 
     ``val_every_n_steps`` enables the dense validation cadence the early-
     dynamics study needs (Fig. 3 evaluates every few steps); when None,
-    validation runs at epoch boundaries only.
+    validation runs at every epoch boundary.
     """
 
     max_epochs: int = 10
     max_steps: Optional[int] = None
     val_every_n_steps: Optional[int] = None
-    val_every_n_epochs: int = 1
+    #: A NaN/Inf global norm zeroes the gradients (``clip_grad_norm``'s
+    #: ``nonfinite="zero"``), skipping the poisoned update instead of
+    #: aborting the run — the stability guard, when attached, is what
+    #: decides whether the run needs stronger recovery.
     grad_clip_norm: Optional[float] = None
-    #: How ``clip_grad_norm`` treats a NaN/Inf global norm inside the loop.
-    #: "zero" (default) skips the poisoned update instead of aborting the
-    #: run — the stability guard, when attached, is what decides whether
-    #: the run needs stronger recovery.
-    grad_clip_nonfinite: str = "zero"
     #: Run every strategy execution under ``repro.autograd.detect_anomaly``
     #: so the first non-finite forward value or gradient raises a
     #: NumericalAnomalyError naming the offending op (handled by the
@@ -319,7 +317,7 @@ class Trainer:
                                 clip_grad_norm(
                                     task.parameters(),
                                     self.config.grad_clip_norm,
-                                    nonfinite=self.config.grad_clip_nonfinite,
+                                    nonfinite="zero",
                                 )
                             optimizer.step()
                     self.global_step += 1
@@ -365,7 +363,6 @@ class Trainer:
             if (
                 val_loader is not None
                 and self.config.val_every_n_steps is None
-                and (epoch + 1) % self.config.val_every_n_epochs == 0
             ):
                 self._run_validation(task, val_loader, epoch)
             self._emit("on_epoch_end", task, epoch)

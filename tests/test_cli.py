@@ -63,6 +63,32 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("pretrain", "--lr", "nan"),
+        ("pretrain", "--lr", "0"),
+        ("pretrain", "--bucket-mb", "-1"),
+        ("pretrain", "--steps", "0"),
+        ("pretrain", "--world-size", "0"),
+        ("pretrain", "--samples", "0"),
+        ("pretrain", "--batch-per-worker", "0"),
+        ("pretrain", "--warmup", "0"),
+        ("pretrain", "--seed", "-1"),
+        ("pretrain", "--fault-seed", "-1"),
+        ("finetune", "--epochs", "0"),
+        ("finetune", "--hidden-dim", "0"),
+        ("finetune", "--layers", "0"),
+        ("finetune", "--samples", "0"),
+        ("finetune", "--world-size", "0"),
+        ("multitask", "--samples", "3"),
+        ("multitask", "--lr", "-0.001"),
+        ("multitask", "--epochs", "0"),
+    ])
+    def test_training_bad_values_exit_2_naming_the_flag(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_registry_verify_parses(self):
         args = build_parser().parse_args(
             ["registry", "verify", "--registry", "/tmp/reg"]

@@ -12,15 +12,15 @@ from repro.core import (
     cached_pretrained_encoder,
     explore_datasets,
     pretrain_symmetry,
-    train_band_gap,
     train_multitask,
+    train_property,
 )
 from repro.core.pipeline import (
     build_encoder_from_config,
     make_train_loader,
     transform_once,
 )
-from repro.core.workflows import TABLE1_METRICS, TABLE1_SPECS, train_property
+from repro.core.workflows import TABLE1_METRICS, TABLE1_SPECS
 from repro.data.transforms import StructureToGraph
 from repro.datasets import MaterialsProjectSurrogate
 
@@ -113,7 +113,7 @@ def tiny_finetune_config(**overrides):
 
 class TestBandGapWorkflow:
     def test_scratch_run(self):
-        res = train_band_gap(tiny_finetune_config())
+        res = train_property(tiny_finetune_config())
         assert len(res.curve_mae) == 2
         assert all(np.isfinite(v) for v in res.curve_mae)
         assert res.final_mae == res.curve_mae[-1]
@@ -123,11 +123,11 @@ class TestBandGapWorkflow:
         state = cached_pretrained_encoder(
             tiny_pretrain_config(), cache_path=str(tmp_path / "e.npz")
         )
-        res = train_band_gap(tiny_finetune_config(), pretrained_state=state)
+        res = train_property(tiny_finetune_config(), pretrained_state=state)
         assert np.isfinite(res.final_mae)
 
     def test_mae_at_fraction(self):
-        res = train_band_gap(tiny_finetune_config())
+        res = train_property(tiny_finetune_config())
         assert res.mae_at_fraction(0.0) == res.curve_mae[0]
         assert res.mae_at_fraction(1.0) == res.curve_mae[-1]
 

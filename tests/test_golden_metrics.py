@@ -25,7 +25,6 @@ from repro.core import (
     OptimizerConfig,
     PretrainConfig,
     pretrain_symmetry,
-    train_band_gap,
     train_property,
 )
 from repro.observability import OpProfiler
@@ -131,6 +130,58 @@ class TestGoldenPretrainZero:
         assert loss == pytest.approx(GOLDEN_PRETRAIN_TRAIN_LOSS, abs=TOL)
 
 
+class TestGoldenPretrainAssemblyBranches:
+    """Every strategy/recovery branch ``pretrain_symmetry`` assembles from
+    one code path lands on the *plain* goldens.
+
+    An empty fault profile routes gradients through the explicit-allreduce
+    DDP path (with recovery points); a healthy run under the stability
+    guard never intervenes, whether its policy backs off the LR or rolls
+    back to the recovery points the guard provisions.
+    """
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            {"fault_profile": ""},
+            {"stability_guard": True},
+            {"stability_guard": True, "on_spike": "rollback"},
+        ],
+        ids=["explicit_allreduce", "guard_lr_backoff", "guard_rollback"],
+    )
+    def result(self, request, tmp_path_factory):
+        config = _pretrain_config()
+        for key, value in request.param.items():
+            setattr(config, key, value)
+        config.checkpoint_dir = str(tmp_path_factory.mktemp("recovery"))
+        return pretrain_symmetry(config)
+
+    def test_final_val_cross_entropy(self, result):
+        ce = result.history.last("val", "ce")
+        assert ce == pytest.approx(GOLDEN_PRETRAIN_VAL_CE, abs=TOL)
+
+    def test_final_val_accuracy(self, result):
+        acc = result.history.last("val", "acc")
+        assert acc == pytest.approx(GOLDEN_PRETRAIN_VAL_ACC, abs=TOL)
+
+    def test_final_train_loss(self, result):
+        loss = result.history.last("train", "loss")
+        assert loss == pytest.approx(GOLDEN_PRETRAIN_TRAIN_LOSS, abs=TOL)
+
+    def test_guard_never_intervened(self, result):
+        assert result.events is not None
+        if result.guard is not None:
+            assert result.guard.summary()["interventions"] == 0
+
+    def test_recovery_points_only_where_provisioned(self, result):
+        provisioned = (
+            result.config.fault_profile is not None
+            or result.config.on_spike == "rollback"
+        )
+        saves = result.events.summary().get("checkpoint_save", 0)
+        assert (saves > 0) == provisioned
+
+
 def _profiled_ops(profiler, phase: str):
     return {s.name: s for s in profiler.summary(phase) if s.calls or s.allocs}
 
@@ -181,7 +232,7 @@ class TestGoldenFinetuneCompiled:
     @pytest.fixture(scope="class")
     def result(self):
         with OpProfiler(), detect_anomaly():
-            return train_band_gap(_finetune_config())
+            return train_property(_finetune_config())
 
     def test_final_mae(self, result):
         assert result.final_mae == pytest.approx(GOLDEN_FINETUNE_FINAL_MAE, abs=TOL)
@@ -193,7 +244,7 @@ class TestGoldenFinetuneCompiled:
 class TestGoldenFinetune:
     @pytest.fixture(scope="class")
     def result(self):
-        return train_band_gap(_finetune_config())
+        return train_property(_finetune_config())
 
     def test_final_mae(self, result):
         assert result.final_mae == pytest.approx(GOLDEN_FINETUNE_FINAL_MAE, abs=TOL)

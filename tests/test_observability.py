@@ -536,7 +536,7 @@ class TestObserverIntegration:
         prof = profiled_run.observer.op_profiler
         backward = prof.backward_by_op()
         # The affine hot path shows up as "matmul" on the reference tape and
-        # as the fused "linear_act" node when REPRO_FUSED is on.
+        # as the fused "linear_act" node when fused kernels are on.
         assert "matmul" in backward or "linear_act" in backward
         assert all(t >= 0.0 for t in backward.values())
         # Forward side saw the EGNN's message passing.
