@@ -3,8 +3,9 @@
 Two measurement families, both machine-portable:
 
 * **Measured traffic** — a real simulated-DDP step runs twice over the
-  same task, once through the per-parameter explicit-allreduce path and
-  once through the bucketed reduce_scatter/allgather path; ``SimComm``'s
+  same task, once through the per-parameter allreduce (an empty fault
+  injector selects it) and once as a ZeRO step (bucketed reduce_scatter
+  plus the sharded optimizer's parameter allgather); ``SimComm``'s
   traffic log gives exact collective-launch counts and bytes on the
   wire.  Counts and byte ratios are deterministic, so the committed
   baseline (``benchmarks/BENCH_sharding.json``) gates them on any host.
@@ -28,17 +29,15 @@ from benchmarks.common import bench_result, print_header, time_callable
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.distributed import (
-    BF16_RELATIVE_ERROR_BOUND,
     BucketedThroughputModel,
     DDPStrategy,
-    GradientBucketer,
+    FaultInjector,
     ShardedAdamW,
     ShardingSpec,
+    SimComm,
     ThroughputModel,
-    bf16_roundtrip_error,
 )
 from repro.models import EGNN
-from repro.optim import AdamW
 from repro.tasks import MultiClassClassificationTask
 
 #: Ranks for the measured-traffic step and the floor of the modeled sweep.
@@ -75,21 +74,25 @@ def bench_traffic(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
     """Per-parameter vs bucketed traffic for one identical DDP step."""
     task, samples = _setup(tiny)
 
-    def run(strategy) -> Dict[str, float]:
-        task.zero_grad()
-        strategy.comm.traffic.reset()
+    def run(strategy, optimizer=None) -> Dict[str, float]:
         strategy.execute(task, samples)
+        if optimizer is not None:
+            optimizer.step()
         t = strategy.comm.traffic
         return {
             "calls": float(t.collective_calls),
             "bytes": float(t.useful_bytes),
         }
 
-    dense = run(DDPStrategy(WORLD, track_per_rank=True))
-    bucketed_strategy = DDPStrategy(WORLD, bucket_bytes=4 << 20)
-    bucketed = run(bucketed_strategy)
-    bf16 = run(DDPStrategy(WORLD, bucket_bytes=4 << 20, compress="bf16"))
-    num_buckets = bucketed_strategy._get_bucketer(list(task.parameters())).num_buckets
+    dense = run(
+        DDPStrategy(WORLD, comm=SimComm(WORLD, injector=FaultInjector(None, WORLD)))
+    )
+    zero = DDPStrategy(WORLD, bucket_bytes=4 << 20)
+    optimizer = ShardedAdamW(
+        task.parameters(), lr=1e-3, comm=zero.comm, bucket_bytes=4 << 20
+    )
+    bucketed = run(zero, optimizer)
+    num_buckets = optimizer.bucketer.num_buckets
 
     ratio = dense["calls"] / bucketed["calls"]
     return [
@@ -104,13 +107,6 @@ def bench_traffic(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
         bench_result(
             "sharding.bytes_on_wire.bucketed", "metric", bucketed["bytes"], "B"
         ),
-        bench_result(
-            "sharding.bytes_on_wire.bf16", "metric", bf16["bytes"], "B"
-        ),
-        bench_result(
-            "sharding.bf16_wire_ratio", "metric",
-            bf16["bytes"] / bucketed["bytes"], "x",
-        ),
     ]
 
 
@@ -120,7 +116,7 @@ def bench_traffic(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
 def bench_step_time(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
     """Wall time of one bucketed ZeRO step (collate through allgather)."""
     task, samples = _setup(tiny)
-    strategy = DDPStrategy(WORLD, bucket_bytes=4 << 20, shard_optimizer=True)
+    strategy = DDPStrategy(WORLD, bucket_bytes=4 << 20)
     opt = ShardedAdamW(
         task.parameters(), lr=1e-3, comm=strategy.comm, bucket_bytes=4 << 20
     )
@@ -161,9 +157,7 @@ def bench_modeled(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
         batch_per_worker=2,
         gradient_bytes=gradient_bytes * scale,
     )
-    spec = ShardingSpec(
-        bucket_bytes=4 << 20, num_tensors=num_tensors, element_bytes=8
-    )
+    spec = ShardingSpec(bucket_bytes=4 << 20, num_tensors=num_tensors)
     model = BucketedThroughputModel(base, spec)
     speedups = {str(n): model.modeled_speedup(n) for n in MODEL_WORLDS}
     worst = min(speedups.values())
@@ -181,25 +175,6 @@ def bench_modeled(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
 
 
 # --------------------------------------------------------------------------- #
-# bf16 round-trip error against the analytic bound
-# --------------------------------------------------------------------------- #
-def bench_bf16_error(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
-    """Measured worst-case relative round-trip error of the bf16 wire."""
-    rng = np.random.default_rng(31)
-    n = 1 << 12 if tiny else 1 << 16
-    worst = 0.0
-    for scale in (1e-6, 1.0, 1e6):
-        x = rng.normal(scale=scale, size=n)
-        worst = max(worst, bf16_roundtrip_error(x))
-    return [
-        bench_result(
-            "sharding.bf16_roundtrip_error", "metric", worst, "rel",
-            bound=BF16_RELATIVE_ERROR_BOUND,
-        )
-    ]
-
-
-# --------------------------------------------------------------------------- #
 def collect_results(
     rounds: int = 5, warmup: int = 1, tiny: bool = False
 ) -> List[Dict]:
@@ -208,7 +183,6 @@ def collect_results(
     results += bench_traffic(rounds, warmup, tiny)
     results += bench_step_time(rounds, warmup, tiny)
     results += bench_modeled(rounds, warmup, tiny)
-    results += bench_bf16_error(rounds, warmup, tiny)
     return results
 
 
@@ -245,11 +219,6 @@ class TestSharding:
             by_name["sharding.bytes_on_wire.bucketed"]["value"]
             <= by_name["sharding.bytes_on_wire.dense"]["value"] * 1.01
         )
-        # bf16 wire carries 2 of every 8 payload bytes.
-        assert abs(by_name["sharding.bf16_wire_ratio"]["value"] - 0.25) < 1e-9
-        # Measured compression error respects the analytic bound.
-        err = by_name["sharding.bf16_roundtrip_error"]
-        assert err["value"] <= err["bound"]
         # ZeRO shards Adam state across all ranks.
         assert by_name["sharding.state_bytes_ratio"]["value"] >= WORLD * 0.9
 

@@ -207,9 +207,10 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     world = config.world_size
     target_lr = scale_lr_for_ddp(opt_cfg.base_lr, world)
 
-    # Any non-None profile — even an empty one ("") — routes gradients
-    # through the instrumented explicit-allreduce path, so a healthy
-    # baseline can be made bit-comparable to a fault-injected run.
+    # Any non-None profile — even an empty one ("") — attaches an injector,
+    # so gradients reduce through fault-aware collectives (per-parameter
+    # allreduce, or ZeRO's bucket collectives under --zero; same bits as
+    # the plain path) and recovery points are written.
     faults = config.fault_profile is not None
     events = EventLog(SimClock()) if faults or config.stability_guard else None
     injector = None
@@ -232,7 +233,6 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
             comm=SimComm(world, injector=injector),
             elastic=config.on_fault == "elastic",
             bucket_bytes=config.bucket_bytes if config.zero else None,
-            shard_optimizer=config.zero,
         )
 
     opt_kwargs = dict(

@@ -11,9 +11,11 @@ process:
 * :mod:`repro.distributed.ddp` — gradient-averaging data parallelism over
   rank shards; mathematically identical to N-rank DDP (same effective
   batch, same averaged gradient), which is what makes the training-dynamics
-  experiments exact rather than approximate.  Handles rank crashes either
-  elastically (drop the rank, re-shard, re-scale the LR) or by escalating
-  to the trainer's checkpoint recovery.
+  experiments exact rather than approximate.  One rank loop feeds one
+  reduction — Σ_r g_r in rank order ÷ N — whether it runs locally, through
+  the fault-aware allreduce, or through ZeRO buckets.  Handles rank crashes
+  either elastically (drop the rank, re-shard, re-scale the LR) or by
+  escalating to the trainer's checkpoint recovery.
 * :mod:`repro.distributed.faults` — deterministic, seeded fault injection
   (crashes, timeouts, corrupted gradients) plus the retry policy.
 * :mod:`repro.distributed.events` — the structured fault/recovery event
@@ -27,8 +29,7 @@ process:
 * :mod:`repro.distributed.sharding` — ZeRO-style gradient bucketing
   (fixed-byte flat buckets reduced via ``reduce_scatter``/``allgather``)
   and optimizer-state sharding (``ShardedAdam``/``ShardedAdamW``, bit-
-  identical to dense Adam in no-fault runs), plus bfloat16 payload-
-  compression emulation with a bounded round-trip error.
+  identical to dense Adam in no-fault runs).
 """
 
 from repro.distributed.comm import SimComm, TrafficLog
@@ -40,7 +41,6 @@ from repro.distributed.faults import (
     CommFault,
     FaultInjector,
     FaultProfile,
-    GradientCorruption,
     RankCrash,
     RetryPolicy,
     StepFailure,
@@ -58,29 +58,19 @@ from repro.distributed.perf_model import (
 )
 from repro.distributed.affinity import AffinityPlanner, WorkerPlacement
 from repro.distributed.sharding import (
-    BF16_RELATIVE_ERROR_BOUND,
     Bucket,
     BucketSegment,
     GradientBucketer,
     ShardedAdam,
     ShardedAdamW,
-    bf16_compress,
-    bf16_decompress,
-    bf16_roundtrip,
-    bf16_roundtrip_error,
 )
 
 __all__ = [
-    "BF16_RELATIVE_ERROR_BOUND",
     "Bucket",
     "BucketSegment",
     "GradientBucketer",
     "ShardedAdam",
     "ShardedAdamW",
-    "bf16_compress",
-    "bf16_decompress",
-    "bf16_roundtrip",
-    "bf16_roundtrip_error",
     "SimComm",
     "TrafficLog",
     "Strategy",
@@ -94,7 +84,6 @@ __all__ = [
     "ChaosEngine",
     "FaultInjector",
     "FaultProfile",
-    "GradientCorruption",
     "RankCrash",
     "RetryPolicy",
     "StepFailure",

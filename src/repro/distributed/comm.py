@@ -220,10 +220,17 @@ class SimComm:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _reduce(arrays: List[np.ndarray], op: str) -> np.ndarray:
-        if op == "sum":
-            return np.sum(arrays, axis=0)
-        if op == "mean":
-            return np.mean(arrays, axis=0)
+        """Elementwise reduction across ranks.
+
+        ``sum`` and ``mean`` accumulate in rank order, then ``mean``
+        divides by N, so the bits depend only on the per-rank values —
+        never on how they are laid out (one tensor or a flat bucket).
+        """
+        if op in ("sum", "mean"):
+            total = np.array(arrays[0], copy=True)
+            for a in arrays[1:]:
+                total += a
+            return total / len(arrays) if op == "mean" else total
         if op == "max":
             return np.max(arrays, axis=0)
         if op == "min":
@@ -384,18 +391,13 @@ class SimComm:
         return bounds
 
     def reduce_scatter(
-        self,
-        values: Sequence[np.ndarray],
-        op: str = "sum",
-        wire_bytes: Optional[int] = None,
+        self, values: Sequence[np.ndarray], op: str = "sum"
     ) -> List[np.ndarray]:
         """Reduce across ranks; rank ``r`` receives shard ``r`` of the result.
 
         One ring half: each rank moves (N-1)/N of the payload.  Fault
         semantics match :meth:`allreduce` (shared call-index stream, retry
-        with backoff, crash escalation).  ``wire_bytes`` overrides the
-        metered payload — the bf16 compression emulation transmits half-
-        precision bytes while the simulation carries full-precision arrays.
+        with backoff, crash escalation).
         """
         self._check(values)
         if op not in ("sum", "mean", "max", "min"):
@@ -405,7 +407,7 @@ class SimComm:
         for a in arrays:
             if a.ndim != 1 or a.size != n:
                 raise ValueError("reduce_scatter expects equal-length flat arrays")
-        payload = wire_bytes if wire_bytes is not None else self._nbytes(arrays[0])
+        payload = self._nbytes(arrays[0])
         bounds = self.shard_bounds(n, self.world_size)
 
         def attempt(contribs: List[np.ndarray]) -> List[np.ndarray]:
@@ -429,9 +431,7 @@ class SimComm:
         ):
             return run()
 
-    def allgather_flat(
-        self, shards: Sequence[np.ndarray], wire_bytes: Optional[int] = None
-    ) -> List[np.ndarray]:
+    def allgather_flat(self, shards: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Every rank receives the concatenation of all ranks' flat shards.
 
         The inverse of :meth:`reduce_scatter`: one ring half, metered at
@@ -440,11 +440,7 @@ class SimComm:
         """
         self._check(shards)
         arrays = [np.atleast_1d(np.asarray(s)) for s in shards]
-        payload = (
-            wire_bytes
-            if wire_bytes is not None
-            else sum(self._nbytes(a) for a in arrays)
-        )
+        payload = sum(self._nbytes(a) for a in arrays)
 
         def attempt(contribs: List[np.ndarray]) -> List[np.ndarray]:
             full = (

@@ -2,11 +2,11 @@
 
 ``DDPStrategy`` reproduces N-rank distributed data parallelism exactly:
 the global batch (B_eff samples) is split into N equal rank shards, each
-shard's gradient is computed, and the shard gradients are averaged through
-the simulated communicator — step for step the computation a real N-rank
-MPI job performs, because gradient averaging is associative.  What the
-simulation does not reproduce is wall-clock overlap; that is the
-performance model's job (Fig. 2).
+shard's gradient is computed, and the shard gradients are summed in rank
+order and divided by N — step for step the computation a real N-rank MPI
+job performs, with one fixed reduction order.  What the simulation does
+not reproduce is wall-clock overlap; that is the performance model's job
+(Fig. 2).
 
 Fault handling: with a fault injector attached to the communicator, the
 gradient reduction always goes through ``comm.allreduce`` (so injected
@@ -58,6 +58,14 @@ def _forward_backward(tracer, task, batch, rank: Optional[int] = None):
     return loss, metrics
 
 
+def _take_grads(params: List) -> List[Optional[np.ndarray]]:
+    """Move each parameter's gradient out, leaving ``grad=None`` behind."""
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return grads
+
+
 class Strategy:
     """Turns a list of samples into one optimizer-ready gradient.
 
@@ -78,10 +86,6 @@ class Strategy:
 
     def execute(self, task, samples: Sequence) -> Tuple[float, dict]:
         raise NotImplementedError
-
-    def scale_lr(self, base_lr: float) -> float:
-        """Goyal et al. linear rule; identity for single-process training."""
-        return base_lr * self.world_size
 
     def consume_lr_rescale(self) -> float:
         """Pending LR multiplier from world-size changes (1.0 = none)."""
@@ -110,6 +114,25 @@ class SingleProcessStrategy(Strategy):
 class DDPStrategy(Strategy):
     """Simulated N-rank distributed data parallelism.
 
+    Every step is one rank loop followed by one reduction.  Each rank
+    collates its shard, runs forward/backward, and hands over its gradient
+    list (the arrays move; ``p.grad`` goes back to None).  The reduction is
+    always Σ_r g_r accumulated in rank order, then divided by N — a rank
+    that never touched a parameter contributes zeros, and a parameter no
+    rank touched keeps ``grad=None``.  Which collective carries it depends
+    only on what the strategy can observe:
+
+    * ``bucket_bytes`` set — ZeRO: one ``comm.reduce_scatter`` per bucket,
+      with the sharded optimizer's parameter allgather as the second ring
+      half (with an injector attached, faults hit each bucket collective);
+    * otherwise, a fault injector on ``comm`` — one ``comm.allreduce`` per
+      parameter, so injected faults land on the communicator's call-index
+      stream;
+    * otherwise — a local reduction metered as the one allreduce a real
+      job performs.
+
+    All three leave byte-identical gradients.
+
     Parameters
     ----------
     world_size:
@@ -117,38 +140,18 @@ class DDPStrategy(Strategy):
         at least N samples; it is split into N contiguous shards (real DDP
         gives each rank B samples of the same global batch).
     comm:
-        Communicator used for the gradient allreduce.  Shared across steps
+        Communicator used for the gradient reduction.  Shared across steps
         so its traffic log accumulates — the scale-out bench reads it.
-    track_per_rank:
-        When True, per-rank gradients are snapshotted and reduced through
-        ``comm.allreduce`` explicitly (slower; used by the equivalence
-        tests).  The default fast path exploits in-place accumulation,
-        which produces bit-identical averages, and meters the same bytes.
-        A fault injector on the communicator forces the explicit path, and
-        so does bucketing (``bucket_bytes``).
     elastic:
         When True (default), a rank crash shrinks the world and the step
         re-executes on the survivors; when False it raises
         :class:`StepFailure` for the trainer to recover from a checkpoint.
     bucket_bytes:
-        When set, gradients are packed into fixed-byte flat buckets
-        (:class:`~repro.distributed.sharding.GradientBucketer`) and
-        reduced per bucket via ``comm.reduce_scatter`` — O(buckets)
-        messages per step instead of O(tensors).  Reductions use the same
-        ``mean`` arithmetic as the per-parameter allreduce, so results
-        are bit-identical in no-fault runs.
-    shard_optimizer:
-        ZeRO mode: gradients stay reduce-scattered (each rank owns one
-        shard) and the *optimizer* performs the second ring half as a
-        parameter allgather after stepping its shard — pair with
-        :class:`~repro.distributed.sharding.ShardedAdam` built with the
-        same ``bucket_bytes``.  When False, the strategy allgathers the
-        reduced gradients itself so any dense optimizer works.
-    compress:
-        ``"bf16"`` rounds bucket payloads through the emulated bfloat16
-        wire format (quarter the fp64 bytes on the wire, bounded
-        quantization error — see ``bf16_roundtrip``).  Not bit-identical
-        to dense by construction; None (default) transmits full precision.
+        ZeRO mode: gradients are packed into fixed-byte flat buckets
+        (:class:`~repro.distributed.sharding.GradientBucketer`) and reduced
+        per bucket — O(buckets) messages per step instead of O(tensors).
+        Pair with :class:`~repro.distributed.sharding.ShardedAdamW` built
+        with the same ``bucket_bytes``.
     """
 
     def __init__(
@@ -156,29 +159,18 @@ class DDPStrategy(Strategy):
         world_size: int,
         comm: Optional[SimComm] = None,
         collate_fn: Callable = collate_graphs,
-        track_per_rank: bool = False,
         elastic: bool = True,
         bucket_bytes: Optional[int] = None,
-        shard_optimizer: bool = False,
-        compress: Optional[str] = None,
     ):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         if bucket_bytes is not None and bucket_bytes < 1:
             raise ValueError(f"bucket_bytes must be >= 1, got {bucket_bytes}")
-        if shard_optimizer and bucket_bytes is None:
-            raise ValueError("shard_optimizer requires bucket_bytes")
-        if compress not in (None, "bf16"):
-            raise ValueError(f"unsupported compression {compress!r}")
         self.world_size = world_size
-        self.initial_world_size = world_size
         self.comm = comm if comm is not None else SimComm(world_size)
         self.collate_fn = collate_fn
-        self.track_per_rank = track_per_rank
         self.elastic = elastic
         self.bucket_bytes = bucket_bytes
-        self.shard_optimizer = shard_optimizer
-        self.compress = compress
         self._bucketer = None
         self._bucketer_key = None
         self._pending_lr_scale = 1.0
@@ -260,112 +252,54 @@ class DDPStrategy(Strategy):
             self._bucketer_key = key
         return self._bucketer
 
-    def _reduce_bucketed(
-        self, params: List, per_rank_grads: List[List[np.ndarray]]
-    ) -> None:
-        """Bucketed gradient reduction: reduce_scatter (+ allgather) per bucket.
-
-        Leaves the averaged gradient on every parameter.  With
-        ``shard_optimizer`` the gradient allgather is skipped on the wire
-        — the sharded optimizer's parameter allgather is the second ring
-        half — but the simulation still materializes full gradients (each
-        rank's shard is bit-identical, so assembling them locally is free).
-        """
-        from repro.distributed.sharding import bf16_roundtrip
-
-        bucketer = self._get_bucketer(params)
-        for bucket in bucketer.buckets:
-            flats = [
-                bucketer.flatten_grads(bucket, grads) for grads in per_rank_grads
-            ]
-            wire_bytes = None
-            if self.compress == "bf16":
-                flats = [bf16_roundtrip(f) for f in flats]
-                wire_bytes = bucket.size * 2  # bf16 = 2 bytes/element
-            shards = self.comm.reduce_scatter(flats, op="mean", wire_bytes=wire_bytes)
-            if self.shard_optimizer:
-                full = np.concatenate(shards) if len(shards) > 1 else shards[0]
-            else:
-                full = self.comm.allgather_flat(shards, wire_bytes=wire_bytes)[0]
-            bucketer.assign_grads(bucket, full)
-        for i, p in enumerate(params):
-            if all(grads[i] is None for grads in per_rank_grads):
-                p.grad = None
-
     def _execute_once(self, task, samples: Sequence) -> Tuple[float, dict]:
         shards = self.shard(samples)
         params = list(task.parameters())
-        explicit = (
-            self.track_per_rank
-            or self.comm.injector is not None
-            or self.bucket_bytes is not None
-        )
-
-        if explicit:
-            per_rank_grads: List[List[np.ndarray]] = []
-            losses = []
-            metrics: dict = {}
-            for rank, shard in enumerate(shards):
-                task.zero_grad()
-                with _span(self.tracer, "data", source="collate", rank=rank):
-                    batch = self.collate_fn(shard)
-                loss, m = _forward_backward(self.tracer, task, batch, rank=rank)
-                if self.bucket_bytes is not None:
-                    # The bucketer packs missing grads as zeros on the wire
-                    # but None-ness is preserved so parameters unused on
-                    # every rank keep grad=None — dense Adam skips those
-                    # entirely (no moments, no weight decay), and sharded
-                    # runs must be bit-identical to it.
-                    per_rank_grads.append(
-                        [p.grad.copy() if p.grad is not None else None for p in params]
-                    )
-                else:
-                    per_rank_grads.append(
-                        [
-                            p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                            for p in params
-                        ]
-                    )
-                losses.append(float(loss.data))
-                metrics = m
-            if self.bucket_bytes is not None:
-                self._reduce_bucketed(params, per_rank_grads)
-            else:
-                for i, p in enumerate(params):
-                    reduced = self.comm.allreduce(
-                        [g[i] for g in per_rank_grads], op="mean"
-                    )
-                    p.grad = reduced[0]
-            self.last_rank_losses = list(losses)
-            return float(np.mean(losses)), metrics
-
-        # Fast path: accumulate in place (gradient sums are associative),
-        # divide once, meter the allreduce the real job would perform.
+        rank_grads: List[List[Optional[np.ndarray]]] = []
         losses = []
-        metrics = {}
+        metrics: dict = {}
+        _take_grads(params)  # each rank starts from grad=None
         for rank, shard in enumerate(shards):
             with _span(self.tracer, "data", source="collate", rank=rank):
                 batch = self.collate_fn(shard)
-            loss, m = _forward_backward(self.tracer, task, batch, rank=rank)
+            loss, metrics = _forward_backward(self.tracer, task, batch, rank=rank)
             losses.append(float(loss.data))
-            metrics = m
-        with _span(self.tracer, "comm.allreduce", ranks=self.world_size):
-            inv = 1.0 / self.world_size
-            payload = 0
-            for p in params:
-                if p.grad is not None:
-                    p.grad *= inv
-                    payload += p.grad.nbytes
-            self.comm.traffic.allreduce_calls += 1
-            if self.world_size > 1:
-                self.comm.traffic.allreduce_bytes += int(
-                    2
-                    * (self.world_size - 1)
-                    / self.world_size
-                    * payload
-                    * self.world_size
-                )
-            if self.tracer is not None:
-                self.tracer.set_attr("bytes", payload)
-        self.last_rank_losses = list(losses)
+            rank_grads.append(_take_grads(params))
+        self._reduce(params, rank_grads)
+        self.last_rank_losses = losses
         return float(np.mean(losses)), metrics
+
+    def _reduce(
+        self, params: List, rank_grads: List[List[Optional[np.ndarray]]]
+    ) -> None:
+        """Leave Σ_r g_r / N on every parameter some rank touched."""
+        touched = [any(g[i] is not None for g in rank_grads) for i in range(len(params))]
+
+        def contributions(i: int) -> List[np.ndarray]:
+            return [
+                g[i] if g[i] is not None else np.zeros_like(params[i].data)
+                for g in rank_grads
+            ]
+
+        if self.bucket_bytes is not None:
+            bucketer = self._get_bucketer(params)
+            for bucket in bucketer.buckets:
+                flats = [bucketer.flatten_grads(bucket, g) for g in rank_grads]
+                shards = self.comm.reduce_scatter(flats, op="mean")
+                bucketer.assign_grads(bucket, np.concatenate(shards))
+        elif self.comm.injector is not None:
+            for i, p in enumerate(params):
+                p.grad = self.comm.allreduce(contributions(i), op="mean")[0]
+        else:
+            with _span(self.tracer, "comm.allreduce", ranks=self.world_size):
+                payload = 0
+                for i, p in enumerate(params):
+                    if touched[i]:
+                        p.grad = SimComm._reduce(contributions(i), "mean")
+                        payload += p.grad.nbytes
+                self.comm._meter_allreduce(payload)
+                if self.tracer is not None:
+                    self.tracer.set_attr("bytes", payload)
+        for p, hit in zip(params, touched):
+            if not hit:
+                p.grad = None

@@ -63,14 +63,6 @@ class AllreduceTimeout(CommFault):
     """An allreduce did not complete within the retry budget."""
 
 
-class GradientCorruption(CommFault):
-    """A rank's gradient contribution failed its integrity check."""
-
-    def __init__(self, rank: int):
-        super().__init__(f"rank {rank} contributed a corrupted gradient")
-        self.rank = rank
-
-
 class StepFailure(RuntimeError):
     """A training step could not be completed by the strategy.
 

@@ -64,6 +64,26 @@ class ClusterSpec:
 ENDEAVOUR = ClusterSpec(node=NodeSpec(), interconnect=InterconnectSpec(), max_nodes=32)
 
 
+def ring_half_seconds(cluster: ClusterSpec, payload_bytes: float, world_size: int) -> float:
+    """One ring half (reduce-scatter *or* allgather) across nodes.
+
+    Intra-node reduction over shared memory is folded into a small fixed
+    cost; the inter-node ring moves (M-1)/M x payload per node for M
+    participating nodes, plus one latency per hop.  A full allreduce is
+    exactly two halves.
+    """
+    if world_size <= 1:
+        return 0.0
+    nodes = max(1, math.ceil(world_size / cluster.node.workers))
+    intra = 1e-5  # shared-memory reduction, ~tens of microseconds per allreduce
+    if nodes == 1:
+        return intra
+    bw = cluster.interconnect.bandwidth_gbs * 1e9
+    lat = cluster.interconnect.latency_us * 1e-6
+    ring = (nodes - 1) / nodes * payload_bytes / bw
+    return intra + ring + (nodes - 1) * lat
+
+
 class ThroughputModel:
     """Project DDP training throughput from single-worker measurements.
 
@@ -97,25 +117,8 @@ class ThroughputModel:
 
     # ------------------------------------------------------------------ #
     def allreduce_seconds(self, world_size: int) -> float:
-        """Ring allreduce time across nodes.
-
-        Intra-node reduction over shared memory is folded into a small fixed
-        cost; the inter-node ring moves 2 (M-1)/M x payload per node for M
-        participating nodes, plus per-hop latency.
-        """
-        if world_size <= 1:
-            return 0.0
-        workers_per_node = self.cluster.node.workers
-        nodes = max(1, math.ceil(world_size / workers_per_node))
-        payload = self.gradient_bytes
-        intra = 2e-5  # shared-memory reduction, ~tens of microseconds
-        if nodes == 1:
-            return intra
-        bw = self.cluster.interconnect.bandwidth_gbs * 1e9
-        lat = self.cluster.interconnect.latency_us * 1e-6
-        ring = 2.0 * (nodes - 1) / nodes * payload / bw
-        hops = 2 * (nodes - 1)
-        return intra + ring + hops * lat
+        """Ring allreduce time: both halves of :func:`ring_half_seconds`."""
+        return 2.0 * ring_half_seconds(self.cluster, self.gradient_bytes, world_size)
 
     def step_seconds(self, world_size: int) -> float:
         """One synchronous DDP step: compute plus (non-overlapped) allreduce."""
@@ -248,28 +251,16 @@ class ShardingSpec:
 
     ``num_tensors`` is the parameter-tensor count — the dense baseline
     launches one allreduce per tensor, which is what bucketing amortises.
-    ``element_bytes`` is the in-memory gradient dtype width (the simulator
-    carries float64); with ``compress="bf16"`` the wire carries two bytes
-    per element instead.
     """
 
     bucket_bytes: int = 4 << 20
     num_tensors: int = 1
-    element_bytes: int = 8
-    compress: str = ""  # "" | "bf16"
 
     def __post_init__(self):
         if self.bucket_bytes < 1:
             raise ValueError("bucket_bytes must be >= 1")
         if self.num_tensors < 1:
             raise ValueError("num_tensors must be >= 1")
-        if self.compress not in ("", "bf16"):
-            raise ValueError(f"compress must be '' or 'bf16', got {self.compress!r}")
-
-    @property
-    def wire_factor(self) -> float:
-        """Bytes-on-wire per in-memory byte (bf16 packs 8-byte floats to 2)."""
-        return 2.0 / self.element_bytes if self.compress == "bf16" else 1.0
 
 
 class BucketedThroughputModel:
@@ -310,19 +301,6 @@ class BucketedThroughputModel:
     def _nodes(self, world_size: int) -> int:
         return max(1, math.ceil(world_size / self.base.cluster.node.workers))
 
-    def _half_collective_seconds(self, payload_bytes: float, world_size: int) -> float:
-        """One ring half (reduce-scatter *or* allgather) over the fabric."""
-        nodes = self._nodes(world_size)
-        intra = 1e-5
-        if world_size <= 1:
-            return 0.0
-        if nodes == 1:
-            return intra
-        bw = self.base.cluster.interconnect.bandwidth_gbs * 1e9
-        lat = self.base.cluster.interconnect.latency_us * 1e-6
-        ring = (nodes - 1) / nodes * payload_bytes / bw
-        return intra + ring + (nodes - 1) * lat
-
     # ------------------------------------------------------------------ #
     def messages_per_step(self) -> int:
         """Collective launches per step: reduce-scatter + allgather per bucket."""
@@ -333,20 +311,18 @@ class BucketedThroughputModel:
         return self.sharding.num_tensors
 
     def bytes_on_wire(self, world_size: int) -> float:
-        """Per-step inter-node bytes (both ring halves, compression applied)."""
+        """Per-step inter-node bytes (both ring halves)."""
         nodes = self._nodes(world_size)
         if nodes == 1:
             return 0.0
-        payload = self.base.gradient_bytes * self.sharding.wire_factor
+        payload = self.base.gradient_bytes
         return 2.0 * (nodes - 1) / nodes * payload * nodes
 
     def comm_seconds(self, world_size: int) -> float:
         """Total (un-overlapped) collective time across all buckets."""
-        per_bucket = (
-            self.base.gradient_bytes / self.num_buckets * self.sharding.wire_factor
-        )
-        return 2.0 * self.num_buckets * self._half_collective_seconds(
-            per_bucket, world_size
+        per_bucket = self.base.gradient_bytes / self.num_buckets
+        return 2.0 * self.num_buckets * ring_half_seconds(
+            self.base.cluster, per_bucket, world_size
         )
 
     def exposed_comm_seconds(self, world_size: int) -> float:
@@ -354,10 +330,8 @@ class BucketedThroughputModel:
         compute = self.base.batch / self.base.rate
         bwd = self.backward_fraction * compute
         chunk = bwd / self.num_buckets
-        per_bucket = (
-            self.base.gradient_bytes / self.num_buckets * self.sharding.wire_factor
-        )
-        half = self._half_collective_seconds(per_bucket, world_size)
+        per_bucket = self.base.gradient_bytes / self.num_buckets
+        half = ring_half_seconds(self.base.cluster, per_bucket, world_size)
         comm_end = 0.0
         for i in range(self.num_buckets):
             ready = (i + 1) * chunk  # bucket i's grads exist once its chunk ends
@@ -372,8 +346,8 @@ class BucketedThroughputModel:
         """Per-tensor-allreduce baseline: no bucketing, no overlap."""
         compute = self.base.batch / self.base.rate
         per_tensor = self.base.gradient_bytes / self.sharding.num_tensors
-        comm = self.sharding.num_tensors * 2.0 * self._half_collective_seconds(
-            per_tensor, world_size
+        comm = self.sharding.num_tensors * 2.0 * ring_half_seconds(
+            self.base.cluster, per_tensor, world_size
         )
         return compute + comm
 

@@ -16,10 +16,6 @@ way ZeRO (Rajbhandari et al., 2020) does:
   reassembled through ``SimComm.allgather_flat``.  Because every Adam
   operation is elementwise, the sharded step is *bit-identical* to dense
   Adam in no-fault runs — the determinism tests assert exact equality.
-* :func:`bf16_roundtrip` emulates bfloat16 payload compression (round-to-
-  nearest-even on the top 16 bits of the float32 encoding) with a provable
-  round-trip relative error bound of 2^-8 for values in the float32 normal
-  range (:data:`BF16_RELATIVE_ERROR_BOUND`).
 
 The wire protocol per bucket is reduce-scatter (each rank receives its
 shard of the averaged gradient) followed by allgather (each rank
@@ -42,59 +38,6 @@ from repro.optim.adam import Adam
 #: Default bucket capacity: 4 MiB, the same order torch.DDP uses (25 MB)
 #: scaled to this reproduction's model sizes.
 DEFAULT_BUCKET_BYTES = 4 << 20
-
-#: bfloat16 keeps 8 significand bits (7 explicit + 1 implicit), so round-
-#: to-nearest introduces at most 2^-8 relative error for normal values.
-BF16_RELATIVE_ERROR_BOUND = 2.0 ** -8
-
-
-# --------------------------------------------------------------------------- #
-# bf16 payload-compression emulation
-# --------------------------------------------------------------------------- #
-def bf16_compress(values: np.ndarray) -> np.ndarray:
-    """Encode an array as bfloat16 payload (uint16 of the high float32 bits).
-
-    Round-to-nearest-even on bit 16 of the float32 encoding — the exact
-    rounding hardware bf16 conversions perform.  NaNs are preserved as
-    quiet NaNs.
-    """
-    f32 = np.asarray(values, dtype=np.float32)
-    bits = f32.view(np.uint32)
-    # round-to-nearest-even: add 0x7FFF + lsb of the surviving mantissa.
-    rounded = bits + 0x7FFF + ((bits >> 16) & 1)
-    out = (rounded >> 16).astype(np.uint16)
-    nan_mask = np.isnan(f32)
-    if nan_mask.any():
-        out = np.where(nan_mask, np.uint16(0x7FC0), out)
-    return out
-
-def bf16_decompress(payload: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Decode a bf16 payload back to ``dtype`` (zero-extended mantissa)."""
-    bits = np.asarray(payload, dtype=np.uint16).astype(np.uint32) << 16
-    return bits.view(np.float32).astype(dtype)
-
-
-def bf16_roundtrip(values: np.ndarray) -> np.ndarray:
-    """Round-trip an array through the emulated bf16 wire format.
-
-    Returns an array of the input's dtype whose values carry the bf16
-    quantization the compressed collective would introduce; the relative
-    error is bounded by :data:`BF16_RELATIVE_ERROR_BOUND` for inputs in
-    the float32 normal range.
-    """
-    arr = np.asarray(values)
-    return bf16_decompress(bf16_compress(arr), dtype=arr.dtype)
-
-
-def bf16_roundtrip_error(values: np.ndarray) -> float:
-    """Measured max relative round-trip error of ``values`` (0 for empty)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    rt = bf16_roundtrip(arr)
-    denom = np.maximum(np.abs(arr), np.finfo(np.float32).tiny)
-    return float(np.max(np.abs(rt - arr) / denom))
-
 
 # --------------------------------------------------------------------------- #
 # Bucketing
@@ -248,10 +191,6 @@ class GradientBucketer:
             )
 
     # ------------------------------------------------------------------ #
-    def shard_bounds(self, bucket: Bucket, world_size: int) -> List[Tuple[int, int]]:
-        """Per-rank [lo, hi) element bounds of one bucket (exact cover)."""
-        return SimComm.shard_bounds(bucket.size, world_size)
-
     def segment_slices(
         self, bucket: Bucket, lo: int, hi: int
     ) -> List[Tuple[BucketSegment, int, int]]:
@@ -365,7 +304,7 @@ class ShardedAdam(Adam):
         bias2 = 1.0 - self.beta2 ** t
         world = self.comm.world_size
         for bucket in self.bucketer.buckets:
-            bounds = self.bucketer.shard_bounds(bucket, world)
+            bounds = SimComm.shard_bounds(bucket.size, world)
             for lo, hi in bounds:
                 self._step_shard(bucket, lo, hi, bias1, bias2)
             # Reassemble the updated parameters: each rank contributes the
@@ -402,7 +341,7 @@ class ShardedAdam(Adam):
         world = self.comm.world_size
         out = []
         for bucket in self.bucketer.buckets:
-            bounds = self.bucketer.shard_bounds(bucket, world)
+            bounds = SimComm.shard_bounds(bucket.size, world)
             if rank is None:
                 out.extend((bucket.index, lo, hi) for lo, hi in bounds)
             else:
@@ -424,7 +363,7 @@ class ShardedAdam(Adam):
         world = self.comm.world_size
         total = 0
         for bucket in self.bucketer.buckets:
-            lo, hi = self.bucketer.shard_bounds(bucket, world)[rank]
+            lo, hi = SimComm.shard_bounds(bucket.size, world)[rank]
             total += per_entry * (hi - lo) * bucket.dtype.itemsize
         return total
 

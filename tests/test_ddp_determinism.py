@@ -5,11 +5,15 @@ computation: training the same model on the same global batches with the
 same seed must leave bit-identical parameters whether gradients are
 produced by ``DDPStrategy(4)`` or by one process accumulating the same
 four microbatch gradients sequentially and applying the 1/N loss-scale
-correction.  In-place float accumulation in the same order is associative
-here by construction (both paths sum shard gradients into the same
-buffers in rank order), so exact equality — not allclose — is the bar.
-Any hidden state (RNG consumed during forward, stale optimizer moments,
-order-dependent reductions) breaks this test.
+correction.  Exact equality — not allclose — is the bar, and it holds here
+because every parameter of this EGNN receives one contribution per
+backward and 1/4 is a power of two.  Any hidden state (RNG consumed during
+forward, stale optimizer moments, order-dependent reductions) breaks it.
+
+Every reduction ``DDPStrategy`` can pick — local, fault-aware
+per-parameter allreduce, ZeRO buckets — computes Σ_r g_r in rank order
+divided by N, so the three must leave byte-identical gradients (and the
+same ``grad=None`` parameters) for every encoder at every world size.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import numpy as np
 import pytest
 
 from repro.autograd import detect_anomaly
+from repro.core import EncoderConfig
+from repro.core.pipeline import build_encoder_from_config
 from repro.data.batching import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import DDPStrategy, ShardedAdamW
+from repro.distributed import DDPStrategy, FaultInjector, ShardedAdamW, SimComm
 from repro.models import EGNN
 from repro.observability import OpProfiler
 from repro.optim import AdamW
@@ -93,7 +99,7 @@ def _train_single_accumulating(task, batches):
 
 def _train_sharded(task, batches, bucket_bytes):
     """ZeRO path: bucketed reduce_scatter gradients + sharded AdamW state."""
-    strategy = DDPStrategy(WORLD, bucket_bytes=bucket_bytes, shard_optimizer=True)
+    strategy = DDPStrategy(WORLD, bucket_bytes=bucket_bytes)
     optimizer = ShardedAdamW(
         task.parameters(),
         lr=3e-3,
@@ -248,3 +254,73 @@ class TestShardedDeterminism:
             assert losses == ref_losses, label
             for i, (a, b) in enumerate(zip(params, ref_params)):
                 assert np.array_equal(a, b), f"{label}: param {i}"
+
+
+def _encoder_task(name: str) -> MultiClassClassificationTask:
+    config = EncoderConfig(
+        name=name, hidden_dim=10, num_layers=2, position_dim=4, num_species=4
+    )
+    encoder = build_encoder_from_config(config, rng=np.random.default_rng(7))
+    return MultiClassClassificationTask(
+        encoder,
+        num_classes=4,
+        hidden_dim=8,
+        num_blocks=1,
+        dropout=0.0,
+        rng=np.random.default_rng(8),
+    )
+
+
+def _reduction_paths(world: int):
+    """The three reductions ``DDPStrategy`` selects from what it observes."""
+    return {
+        "local": DDPStrategy(world),
+        "allreduce": DDPStrategy(
+            world, comm=SimComm(world, injector=FaultInjector(None, world))
+        ),
+        "zero": DDPStrategy(world, bucket_bytes=1 << 20),
+        "zero+faults": DDPStrategy(
+            world,
+            comm=SimComm(world, injector=FaultInjector(None, world)),
+            bucket_bytes=1 << 20,
+        ),
+    }
+
+
+@pytest.mark.shard
+class TestEveryReductionPath:
+    """Identity-lattice row: every reduction path == plain, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return _make_batches()[0][:8]
+
+    @pytest.mark.parametrize("world", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("encoder", ["egnn", "gaanet", "schnet", "megnet"])
+    def test_gradients_byte_identical(self, encoder, world, samples):
+        task = _encoder_task(encoder)
+        grads, losses = {}, {}
+        for label, strategy in _reduction_paths(world).items():
+            losses[label], _ = strategy.execute(task, samples)
+            grads[label] = [
+                None if p.grad is None else p.grad.tobytes()
+                for p in task.parameters()
+            ]
+        plain = grads.pop("local")
+        assert any(g is not None for g in plain)
+        for label, got in grads.items():
+            assert losses[label] == losses["local"], label
+            for i, (a, b) in enumerate(zip(plain, got)):
+                assert (a is None) == (b is None), f"{label}: param {i} None-ness"
+                assert a == b, f"{label}: param {i} bytes differ"
+
+    def test_buckets_win_over_injector(self, samples):
+        """With both an injector and ``bucket_bytes``, ZeRO's bucket
+        collectives carry the faults: one reduce_scatter per bucket and no
+        per-tensor allreduce."""
+        comm = SimComm(4, injector=FaultInjector(None, 4))
+        strategy = DDPStrategy(4, comm=comm, bucket_bytes=256)
+        strategy.execute(_encoder_task("egnn"), samples)
+        assert len(strategy._bucketer.buckets) > 1
+        assert comm.traffic.reduce_scatter_calls == len(strategy._bucketer.buckets)
+        assert comm.traffic.allreduce_calls == 0

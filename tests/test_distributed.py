@@ -9,17 +9,21 @@ from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.distributed import (
     AffinityPlanner,
+    BucketedThroughputModel,
     ClusterSpec,
     DDPStrategy,
     ENDEAVOUR,
+    FaultInjector,
     InterconnectSpec,
     NodeSpec,
     SimComm,
+    ShardingSpec,
     SingleProcessStrategy,
     ThroughputModel,
 )
 from repro.distributed.perf_model import linear_fit_r2
 from repro.models import EGNN
+from repro.optim import scale_lr_for_ddp
 from repro.tasks import MultiClassClassificationTask
 
 
@@ -113,8 +117,12 @@ class TestDDPStrategy:
         loss_sp, _ = single.execute(task, samples)
         ref = {n: p.grad.copy() for n, p in task.named_parameters() if p.grad is not None}
 
-        for track in (False, True):
-            ddp = DDPStrategy(world, track_per_rank=track)
+        paths = (
+            DDPStrategy(world),
+            DDPStrategy(world, comm=SimComm(world, injector=FaultInjector(None, world))),
+            DDPStrategy(world, bucket_bytes=1 << 20),
+        )
+        for ddp in paths:
             task.zero_grad()
             loss_ddp, _ = ddp.execute(task, samples)
             for name, p in task.named_parameters():
@@ -140,8 +148,9 @@ class TestDDPStrategy:
         assert ddp.comm.traffic.allreduce_bytes > 0
 
     def test_scale_lr(self):
-        assert DDPStrategy(16).scale_lr(1e-3) == pytest.approx(1.6e-2)
-        assert SingleProcessStrategy().scale_lr(1e-3) == pytest.approx(1e-3)
+        """The Goyal rule reads the strategy's world size."""
+        assert scale_lr_for_ddp(1e-3, DDPStrategy(16).world_size) == pytest.approx(1.6e-2)
+        assert scale_lr_for_ddp(1e-3, SingleProcessStrategy().world_size) == pytest.approx(1e-3)
 
     def test_invalid_world_size(self):
         with pytest.raises(ValueError):
@@ -201,6 +210,49 @@ class TestThroughputModel:
             ThroughputModel(10.0, 0, 1000)
         with pytest.raises(ValueError):
             self.make_model().samples_per_second(0)
+
+
+class TestRingTimePinned:
+    """Dense and bucketed models share one ring-time formula; the modeled
+    numbers it feeds are pinned exactly to values recorded before the two
+    formulas were folded into one."""
+
+    #: (workers, samples/s, epoch minutes, efficiency) at 302 samples/s per
+    #: worker, 32 samples per worker, 4 MB of gradients, 2M samples.
+    FIG2_SWEEP = [
+        (1, 302.0, 110.37527593818984, 1.0),
+        (2, 603.8860165143828, 55.1980546357616, 0.9998112856198391),
+        (16, 4831.088132115063, 6.8997568294702, 0.9998112856198391),
+        (32, 9647.338443549337, 3.4551844043184325, 0.9982759151023735),
+        (64, 19279.05650025102, 1.7289919417425497, 0.9974677411139807),
+        (128, 38539.24775762127, 0.8649191479546082, 0.9969797122729013),
+        (256, 77046.59854507426, 0.4326386104356374, 0.9965671376380673),
+        (512, 154009.18570509116, 0.21643730651990203, 0.9960238106962125),
+    ]
+    #: ``sharding.modeled_step_speedup`` per world size for the sharding
+    #: bench's geometry (8383408 gradient bytes over 35 tensors).
+    MODELED_SPEEDUP = {
+        8: 1.0678642714570858,
+        16: 1.0678642714570858,
+        64: 1.1203737143488042,
+        512: 1.3992061815033134,
+    }
+
+    def test_fig2_sweep_pinned(self):
+        model = ThroughputModel(302.0, 32, 4_000_000, cluster=ENDEAVOUR)
+        rows = model.sweep([row[0] for row in self.FIG2_SWEEP], 2_000_000)
+        got = [
+            (r["workers"], r["samples_per_s"], r["epoch_minutes"], r["efficiency"])
+            for r in rows
+        ]
+        assert got == self.FIG2_SWEEP
+
+    def test_modeled_sharding_entries_pinned(self):
+        base = ThroughputModel(200.0, 2, 8383408)
+        model = BucketedThroughputModel(base, ShardingSpec(4 << 20, num_tensors=35))
+        speedups = {n: model.modeled_speedup(n) for n in self.MODELED_SPEEDUP}
+        assert speedups == self.MODELED_SPEEDUP
+        assert model.dense_messages_per_step() / model.messages_per_step() == 8.75
 
 
 class TestEndeavourSpec:

@@ -270,7 +270,7 @@ class TestElasticRankDrop:
         }
         assert ddp.world_size == 3
 
-        healthy = DDPStrategy(3, track_per_rank=True)
+        healthy = DDPStrategy(3)
         task.zero_grad()
         loss_healthy, _ = healthy.execute(task, samples)
         for name, p in task.named_parameters():

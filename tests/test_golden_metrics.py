@@ -16,6 +16,7 @@ update the constants in the same commit, and say why in the message.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.autograd import detect_anomaly
@@ -134,10 +135,10 @@ class TestGoldenPretrainAssemblyBranches:
     """Every strategy/recovery branch ``pretrain_symmetry`` assembles from
     one code path lands on the *plain* goldens.
 
-    An empty fault profile routes gradients through the explicit-allreduce
-    DDP path (with recovery points); a healthy run under the stability
-    guard never intervenes, whether its policy backs off the LR or rolls
-    back to the recovery points the guard provisions.
+    An empty fault profile routes gradients through the fault-aware
+    per-parameter allreduce (with recovery points); a healthy run under the
+    stability guard never intervenes, whether its policy backs off the LR
+    or rolls back to the recovery points the guard provisions.
     """
 
     @pytest.fixture(
@@ -180,6 +181,32 @@ class TestGoldenPretrainAssemblyBranches:
         )
         saves = result.events.summary().get("checkpoint_save", 0)
         assert (saves > 0) == provisioned
+
+    @pytest.mark.parametrize("encoder", ["egnn", "megnet"])
+    def test_every_reduction_path_leaves_plain_parameters(self, encoder, tmp_path):
+        """Plain, ``fault_profile=""`` and ``zero=True`` at world 4 finish
+        with the same bits in every parameter — including the ones no rank
+        ever touches, which must stay undecayed on every path."""
+        finals = {}
+        for label, overrides in (
+            ("plain", {}),
+            ("empty_fault_profile", {"fault_profile": ""}),
+            ("zero", {"zero": True}),
+        ):
+            config = _pretrain_config()
+            config.encoder = EncoderConfig(
+                name=encoder, hidden_dim=16, num_layers=2, position_dim=4
+            )
+            config.world_size = 4
+            config.checkpoint_dir = str(tmp_path / label)
+            for key, value in overrides.items():
+                setattr(config, key, value)
+            task = pretrain_symmetry(config).task
+            finals[label] = [(n, p.data.copy()) for n, p in task.named_parameters()]
+        plain = finals.pop("plain")
+        for label, params in finals.items():
+            differ = [n for (n, a), (_, b) in zip(plain, params) if not np.array_equal(a, b)]
+            assert not differ, f"{label}: {len(differ)} tensors differ: {differ[:4]}"
 
 
 def _profiled_ops(profiler, phase: str):
