@@ -172,6 +172,13 @@ class StabilityGuard:
             return False
         self.interventions += 1
         self.policy.on_spike(trainer, task, record)
+        # A skipped step leaves the parameters where they were, so the next
+        # loss is as high as the spike: scored against the pre-spike window
+        # it would be flagged again, every step after it too, and the cut
+        # LR would never act.  Re-baseline every rank window instead.
+        for detector in self._rank_detectors:
+            detector.values.clear()
+            detector.observed = 0
         return True
 
     def guard_step(self, trainer, task, loss: float) -> bool:

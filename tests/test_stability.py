@@ -368,6 +368,30 @@ class TestGuardRankAgreement:
         assert guard.events.count("eps_floor_alert") == 1
 
 
+class TestGuardRecovery:
+    def test_step_after_a_cut_runs_at_the_cut_lr(self):
+        # A skipped step leaves the parameters where they were, so the next
+        # loss is as high as the spike.  Scored against the pre-spike window
+        # it would be flagged again, and so would every loss after it: the
+        # run freezes and the cut LR never acts.  An intervention therefore
+        # re-baselines the window, and the next step runs at the cut LR.
+        trainer = _StubTrainer()
+        guard = StabilityGuard(StabilityConfig(warmup_steps=2, policy="lr_backoff"))
+        for step in range(8):
+            trainer.global_step = step
+            trainer.strategy.last_rank_losses = [1.0]
+            assert not guard.guard_step(trainer, None, 1.0)
+        trainer.global_step = 8
+        trainer.strategy.last_rank_losses = [100.0]
+        assert guard.guard_step(trainer, None, 100.0)
+        cut = trainer.optimizer.lr
+        for step in range(9, 12):
+            trainer.global_step = step
+            assert not guard.guard_step(trainer, None, 100.0)
+        assert guard.interventions == 1
+        assert cut == pytest.approx(0.5e-2)
+
+
 # --------------------------------------------------------------------------- #
 # End-to-end: the diverging Fig. 3 run completes under the guard
 # --------------------------------------------------------------------------- #
