@@ -23,7 +23,8 @@
 #                      nothing there)
 #   SMOKE_LANE=full    the whole suite, markers included
 #
-# Scenario suites run on demand: -m fault / -m stability / -m profile.
+# Scenario suites run on demand: -m fault / -m stability (anomaly tracing
+# and the Fig. 3 remedy) / -m profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 REPO="$PWD"

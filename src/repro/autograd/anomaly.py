@@ -15,8 +15,8 @@ the name of its creating operation.  While armed:
 Both the graph construction and the ``backward()`` call must run inside the
 context for ops to carry their tags (mirroring ``torch.autograd.detect_anomaly``).
 The checks cost one ``isfinite`` scan per op, so the context is meant for
-debugging and for the training stability guard's escalation path — not for
-steady-state training.
+debugging (``TrainerConfig.detect_anomaly`` / ``--detect-anomaly`` fail a
+run loudly at the first non-finite value) — not for steady-state training.
 """
 
 from __future__ import annotations

@@ -94,7 +94,6 @@ def cmd_pretrain(args) -> int:
         fault_seed=args.fault_seed,
         on_fault=args.on_fault,
         stability_guard=args.stability_guard,
-        on_spike=args.on_spike,
         detect_anomaly=args.detect_anomaly,
         max_steps=args.steps,
         profile=args.profile,
@@ -111,9 +110,6 @@ def cmd_pretrain(args) -> int:
     if cfg.fault_profile:
         print(f"fault profile: {cfg.fault_profile} (on_fault={cfg.on_fault}, "
               f"seed={cfg.fault_seed})")
-    if cfg.stability_guard:
-        print(f"stability guard: on_spike={cfg.on_spike}"
-              + (", detect_anomaly" if cfg.detect_anomaly else ""))
     result = pretrain_symmetry(cfg)
     _, ce = result.history.series("val", "ce")
     _, acc = result.history.series("val", "acc")
@@ -127,8 +123,7 @@ def cmd_pretrain(args) -> int:
         print(f"fault events: {summary if summary else 'none'}")
     if result.guard is not None:
         g = result.guard.summary()
-        print(f"stability: spikes={g['spikes']}, anomalies={g['anomalies']}, "
-              f"interventions={g['interventions']} ({g['policy']}), "
+        print(f"stability: spikes={g['spikes']}, interventions={g['interventions']}, "
               f"lr_deficit={g['lr_deficit']:.3g}")
     if result.observer is not None:
         if cfg.profile:
@@ -445,14 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash handling: checkpoint recovery (exact) or "
                         "elastic rank drop (re-shard + Goyal LR re-scale)")
     p.add_argument("--stability-guard", action="store_true",
-                   help="attach the numerical stability guard (loss-spike "
-                        "detection with cross-rank agreement and recovery)")
-    p.add_argument("--on-spike", default="lr_backoff",
-                   choices=["skip_batch", "lr_backoff", "rollback"],
-                   help="recovery policy once the guard confirms a spike")
+                   help="attach the loss-spike guard (skip the step, halve "
+                        "the LR, re-warm)")
     p.add_argument("--detect-anomaly", action="store_true",
-                   help="trace non-finite values to their creating autograd "
-                        "op (slower; implies precise anomaly events)")
+                   help="fail on the first non-finite value, naming its "
+                        "creating autograd op (slower)")
     p.add_argument("--steps", type=_positive_int, default=None,
                    help="hard step budget (overrides --epochs for quick runs)")
     p.add_argument("--profile", action="store_true",

@@ -46,7 +46,8 @@ class OptimizerConfig:
     gamma: float = 0.8
     grad_clip_norm: Optional[float] = None
     #: Stable-variant switches (see repro.optim.Adam): AMSGrad second-moment
-    #: maximum and StableAdamW-style RMS update clipping.
+    #: maximum and StableAdamW-style RMS update clipping.  ``update_clip=0.1``
+    #: is the Fig. 3 remedy (DESIGN.md §8).
     amsgrad: bool = False
     update_clip: Optional[float] = None
 
@@ -90,19 +91,12 @@ class PretrainConfig:
     on_fault: str = "recover"
     #: Recovery-point directory; a temporary directory when None.
     checkpoint_dir: Optional[str] = None
-    #: Attach the numerical stability guard (loss-spike detection with
-    #: cross-rank agreement, optimizer-statistics monitors, recovery).
+    #: Attach the loss-spike guard (skip the step, halve the LR, re-warm;
+    #: repro.stability).
     stability_guard: bool = False
-    #: Recovery policy when the guard confirms a spike:
-    #: "skip_batch" | "lr_backoff" | "rollback".
-    on_spike: str = "lr_backoff"
-    #: Run training under ``repro.autograd.detect_anomaly`` so non-finite
-    #: tape values are pinpointed to their creating op (slower; routed to
-    #: the guard when one is attached).
+    #: Run training under ``repro.autograd.detect_anomaly`` so the first
+    #: non-finite tape value raises, naming its creating op (slower).
     detect_anomaly: bool = False
-    #: Full guard threshold overrides; built from ``on_spike`` when None.
-    #: (Typed loosely to keep this module import-light.)
-    stability: Optional[object] = None
     #: Attach the observability layer (trace spans + metrics registry) and,
     #: additionally, the per-op autograd profiler.  ``profile`` implies
     #: spans; ``trace_out`` writes the Chrome-trace JSON after the run.

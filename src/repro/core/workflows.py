@@ -62,7 +62,7 @@ from repro.analysis import (
 )
 from repro.observability import Observer
 from repro.optim import AdamW, MultiGroupOptimizer, WarmupExponential, scale_lr_for_ddp
-from repro.stability import StabilityConfig, StabilityGuard
+from repro.stability import StabilityGuard
 from repro.tasks import (
     MultiClassClassificationTask,
     MultiTaskModule,
@@ -146,9 +146,9 @@ class PretrainResult:
     throughput: ThroughputMeter
     lr_trace: List[tuple]
     config: PretrainConfig
-    #: Fault/recovery event log; None for healthy runs.
+    #: Fault/recovery and guard event log; None for healthy unguarded runs.
     events: Optional[EventLog] = None
-    #: Numerical stability guard; None unless ``config.stability_guard``.
+    #: Loss-spike guard; None unless ``config.stability_guard``.
     guard: Optional[StabilityGuard] = None
     #: Observability handle (tracer / metrics / op profiler); None unless
     #: ``config.profile`` or ``config.trace_out``.
@@ -257,17 +257,9 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
         gamma=opt_cfg.gamma,
         target_lr=target_lr,
     )
-    guard: Optional[StabilityGuard] = None
-    if config.stability_guard:
-        guard = StabilityGuard(
-            config.stability or StabilityConfig(policy=config.on_spike), events=events
-        )
+    guard = StabilityGuard(events=events) if config.stability_guard else None
     recovery: Optional[RecoveryConfig] = None
-    # Fault recovery and the guard's rollback restore the same CRC-checked
-    # recovery points.
-    if (injector is not None and config.on_fault == "recover") or (
-        guard is not None and guard.policy.name == "rollback"
-    ):
+    if injector is not None and config.on_fault == "recover":
         recovery = RecoveryConfig(
             checkpoint_dir=config.checkpoint_dir or tempfile.mkdtemp(prefix="repro-recovery-"),
             checkpoint_every_n_steps=1,
@@ -302,7 +294,7 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     with observer.profile() if observer is not None else contextlib.nullcontext():
         history = trainer.fit(task, train_loader, val_loader, optimizer, scheduler)
     if observer is not None:
-        observer.finalize(strategy=strategy, guard=guard)
+        observer.finalize(strategy=strategy)
         if config.trace_out is not None:
             observer.export_chrome_trace(config.trace_out)
     return PretrainResult(

@@ -79,9 +79,8 @@ class Strategy:
     #: executions emit forward/backward/comm phase spans.
     tracer = None
     #: Per-rank shard losses from the most recent ``execute`` call.  The
-    #: stability guard evaluates its spike detectors rank-by-rank on these
-    #: (each real DDP rank only sees its own shard loss) before agreeing on
-    #: a verdict through the communicator.
+    #: loss-spike guard scores each rank's loss against that rank's own
+    #: window (each real DDP rank only sees its own shard loss).
     last_rank_losses: List[float] = []
 
     def execute(self, task, samples: Sequence) -> Tuple[float, dict]:

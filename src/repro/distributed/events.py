@@ -43,15 +43,10 @@ BREAKER_CLOSE = "breaker_close"
 HEDGE = "hedge"
 FAILOVER = "failover"
 BROWNOUT = "brownout"
-# Numerical-stability guard vocabulary (detection and recovery transitions).
+# Loss-spike guard vocabulary (detection, LR cut, completed re-warm).
 SPIKE = "spike"
-ANOMALY = "anomaly"
-GRAD_NORM_ALERT = "grad_norm_alert"
-EPS_FLOOR_ALERT = "eps_floor_alert"
-GUARD_SKIP = "guard_skip"
 LR_BACKOFF = "lr_backoff"
 LR_REWARM = "lr_rewarm"
-ROLLBACK = "rollback"
 
 EVENT_KINDS = (
     CRASH,
@@ -79,13 +74,8 @@ EVENT_KINDS = (
     FAILOVER,
     BROWNOUT,
     SPIKE,
-    ANOMALY,
-    GRAD_NORM_ALERT,
-    EPS_FLOOR_ALERT,
-    GUARD_SKIP,
     LR_BACKOFF,
     LR_REWARM,
-    ROLLBACK,
 )
 
 

@@ -1,7 +1,7 @@
 """Observability: hierarchical trace spans, per-op autograd profiling, metrics.
 
-The measurement counterpart to the fault-tolerance (PR 1) and stability
-(PR 2) layers: where those record *what* happened, this layer records
+The measurement counterpart to the fault-tolerance event log: where that
+records *what* happened, this layer records
 *how long* and *how much* — per-phase step-time breakdown (data /
 forward / backward / comm / optim), per-op forward/backward timing with
 allocation accounting, and a counters/gauges/histograms registry with a

@@ -8,15 +8,15 @@ constructor argument turns a run from dark to fully observed:
 * op-level timing in :attr:`op_profiler` (attached via ``profile()``),
 * run counters in :attr:`metrics`, fed live by the
   :class:`MetricsReporter` callback and finalized from the communicator
-  traffic log / stability guard after training.
+  traffic log after training.
 
 ``MetricsReporter`` is a standard trainer callback: every step it updates
 ``train.samples`` / ``train.steps`` / the ``train.step_seconds``
 histogram and mirrors communicator traffic into ``comm.*`` counters;
 every ``every_n_steps`` it emits a one-line progress report (kept on
 ``.lines``; printed when a stream is given) with samples/sec, allreduce
-volume, retry and intervention counts — the periodic reporter the
-scale-out benches read instead of guessing at throughput.
+volume and retry counts — the periodic reporter the scale-out benches
+read instead of guessing at throughput.
 """
 
 from __future__ import annotations
@@ -79,13 +79,12 @@ class Observer:
         return MetricsReporter(self, every_n_steps=every_n_steps, stream=stream)
 
     # ------------------------------------------------------------------ #
-    def finalize(self, strategy=None, guard=None) -> None:
+    def finalize(self, strategy=None) -> None:
         """Fold end-of-run state into the registry.
 
-        Reads the communicator's traffic log (authoritative byte counts),
-        the stability guard's summary, and the op profiler's memory
-        high-water mark.  Safe to call multiple times (counters are set
-        via gauges or delta-corrected).
+        Reads the communicator's traffic log (authoritative byte counts)
+        and the op profiler's memory high-water mark.  Safe to call
+        multiple times (counters are set via gauges or delta-corrected).
         """
         comm = getattr(strategy, "comm", None) if strategy is not None else None
         if comm is not None:
@@ -96,11 +95,6 @@ class Observer:
                 counter = self.metrics.counter(key)
                 if value > counter.value:
                     counter.inc(value - counter.value)
-        if guard is not None:
-            summary = guard.summary()
-            self.metrics.gauge("stability.interventions").set(summary["interventions"])
-            self.metrics.gauge("stability.spikes").set(summary["spikes"])
-            self.metrics.gauge("stability.anomalies").set(summary["anomalies"])
         if self.op_profiler is not None:
             self.metrics.gauge("mem.peak_live_tensor_bytes").set(
                 self.op_profiler.peak_live_bytes
@@ -182,9 +176,6 @@ class MetricsReporter(Callback):
         if last_step is not None:
             registry.histogram("train.step_seconds").observe(last_step.duration)
         self._sync_traffic(trainer)
-        guard = getattr(trainer, "stability", None)
-        if guard is not None:
-            registry.gauge("stability.interventions").set(guard.interventions)
         if step % self.every == 0:
             self._emit(trainer, step)
 
@@ -211,8 +202,7 @@ class MetricsReporter(Callback):
             f"[obs] step {step}: {rate:.1f} samples/s, "
             f"step p50 {hist.percentile(50) * 1e3:.1f} ms, "
             f"allreduce {registry.value('comm.allreduce.bytes') / 1e6:.2f} MB, "
-            f"retries {registry.value('comm.retry.calls'):.0f}, "
-            f"interventions {registry.value('stability.interventions'):.0f}"
+            f"retries {registry.value('comm.retry.calls'):.0f}"
         )
         self.lines.append(line)
         if self.stream is not None:

@@ -99,7 +99,8 @@ class Adam(Optimizer):
       and cannot rebound when ``v`` decays toward the eps floor.
     * ``update_clip=r`` — StableAdamW-style clipping of the per-tensor
       RMS of the final update to at most ``r``: a spike in ``m/sqrt(v)``
-      is bounded before it reaches the parameters.
+      is bounded before it reaches the parameters.  ``r = 0.1`` is the
+      repository's remedy for the Fig. 3 divergence (DESIGN.md §8).
 
     The update is elementwise, so it runs once over flat buffers that
     cover every parameter that has had a gradient (:class:`_FlatState`)
@@ -122,7 +123,7 @@ class Adam(Optimizer):
         beta1, beta2 = betas
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got {betas}")
-        if update_clip is not None and update_clip <= 0:
+        if update_clip is not None and not update_clip > 0:
             raise ValueError(f"update_clip must be > 0, got {update_clip}")
         self.beta1 = beta1
         self.beta2 = beta2

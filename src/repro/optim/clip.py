@@ -16,8 +16,8 @@ class NonFiniteGradientError(RuntimeError):
     def __init__(self, norm: float):
         super().__init__(
             f"global gradient norm is non-finite ({norm}); clipping cannot "
-            "bound it — zero the gradients (nonfinite='zero') or recover "
-            "via the stability guard"
+            "bound it — zero the gradients (nonfinite='zero') or trace the "
+            "op with repro.autograd.detect_anomaly"
         )
         self.norm = norm
 

@@ -1,51 +1,10 @@
-"""Numerical stability guard: anomaly tracing, spike detection, recovery.
+"""The loss-spike guard (skip the step, halve the LR, re-warm).
 
-Public surface:
-
-* :func:`repro.autograd.detect_anomaly` / :class:`NumericalAnomalyError`
-  (re-exported here for convenience) — tape-level non-finite tracing.
-* :class:`StabilityGuard` / :class:`StabilityConfig` — the trainer-facing
-  orchestrator combining per-rank spike detection, cross-rank agreement,
-  optimizer-statistics monitors and recovery policies.
-* :class:`RollingSpikeDetector`, :class:`GradNormMonitor`,
-  :class:`EpsFloorMonitor` — the individual detectors.
-* :func:`make_policy` and the ``skip_batch`` / ``lr_backoff`` /
-  ``rollback`` policy classes.
+The Fig. 3 remedy itself is ``repro.optim.Adam(update_clip=)``; anomaly
+tracing is ``repro.autograd.detect_anomaly``.  DESIGN.md §8 has the grid
+that decided what survives here.
 """
 
-from repro.autograd.anomaly import NumericalAnomalyError, anomaly_enabled, detect_anomaly
-from repro.stability.detectors import (
-    MAD_SIGMA,
-    EpsFloorMonitor,
-    GradNormMonitor,
-    RollingSpikeDetector,
-    Verdict,
-)
-from repro.stability.guard import StabilityConfig, StabilityGuard
-from repro.stability.policies import (
-    POLICIES,
-    LRBackoff,
-    RecoveryPolicy,
-    Rollback,
-    SkipBatch,
-    make_policy,
-)
+from repro.stability.guard import StabilityGuard
 
-__all__ = [
-    "MAD_SIGMA",
-    "EpsFloorMonitor",
-    "GradNormMonitor",
-    "LRBackoff",
-    "NumericalAnomalyError",
-    "POLICIES",
-    "RecoveryPolicy",
-    "Rollback",
-    "RollingSpikeDetector",
-    "SkipBatch",
-    "StabilityConfig",
-    "StabilityGuard",
-    "Verdict",
-    "anomaly_enabled",
-    "detect_anomaly",
-    "make_policy",
-]
+__all__ = ["StabilityGuard"]

@@ -1,259 +1,142 @@
-"""The training stability guard: detection, rank agreement, recovery.
+"""The loss-spike guard: skip the step, halve the LR, re-warm.
 
-``StabilityGuard`` sits between the trainer's backward pass and
-``optimizer.step``.  Each step it:
+The Fig. 3 remedy is an optimizer option, ``Adam(update_clip=)``
+(DESIGN.md §8).  This guard is the one runtime recovery the remedy grid
+did not retire: on the diverging cell it ends below chance on every seed,
+including one where ``update_clip`` does not.  Its behaviour is fixed.
 
-1. scores every simulated DDP rank's shard loss with that rank's own
-   rolling median/MAD spike detector (real ranks only see their own
-   shard loss, so detection state is kept per rank);
-2. agrees on a single verdict across ranks through the communicator's
-   ``allreduce(op="max")`` — any flagging rank escalates every rank, so
-   workers never diverge on whether a step happened;
-3. runs the gradient-norm and eps-floor monitors off
-   ``Adam.update_statistics`` and emits structured alerts;
-4. on a confirmed spike, records a ``spike`` event and hands the trainer
-   to the configured recovery policy (``skip_batch`` / ``lr_backoff`` /
-   ``rollback``); on a healthy step it lets the policy re-warm any
-   pending LR cut.
+* **Detection.**  Each simulated DDP rank's shard loss
+  (``Strategy.last_rank_losses``) is scored against that rank's own
+  window of recent healthy losses, before ``optimizer.step``.  A
+  non-finite loss is a spike.  So is a loss above ``SPIKE_FACTOR`` times
+  the window median whose robust z-score (MADs above that median) exceeds
+  ``THRESHOLD``; both conditions are needed, because the z-score alone
+  explodes on a flat window.  One flagging rank makes the step a spike
+  for every rank, so the windows stay identical in length.  The first
+  ``WARMUP`` losses of a baseline are absorbed unconditionally.  Scoring
+  the mean loss instead fires too late: on the diverging cell it ends
+  above chance on four of five seeds.
+* **Recovery.**  A spike skips the step: the trainer drops its gradients.
+  The LR and the scheduler's target are halved, and every window is
+  re-baselined.  The parameters did not move, so the next loss is as high
+  as the spike; scored against the old window it would be flagged again,
+  and the run would freeze with the cut never acting.  Every healthy step
+  then re-warms the LR by ``2 ** (1 / REWARM_STEPS)`` until the
+  schedule's rate is back.
+* **Budget.**  After ``MAX_INTERVENTIONS`` the guard records ``give_up``
+  once and lets every later step through.
 
-Autograd anomalies (:class:`~repro.autograd.NumericalAnomalyError` raised
-under the trainer's ``detect_anomaly`` mode) enter through
-:meth:`on_anomaly` and take the same recovery path, with the offending op
-name recorded in the event.
-
-The guard is deliberately trainer-agnostic: it only touches
-``trainer.optimizer``/``trainer.scheduler``/``trainer.strategy`` plus the
-checkpoint-restore hook, so tests can drive it with a stub.
+Spikes, cuts, the completed re-warm and ``give_up`` are recorded in the
+run's :class:`~repro.distributed.events.EventLog`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import deque
 from typing import List, Optional
 
 import numpy as np
 
-from repro.distributed.events import (
-    ANOMALY,
-    EPS_FLOOR_ALERT,
-    GIVE_UP,
-    GRAD_NORM_ALERT,
-    SPIKE,
-    EventLog,
-)
-from repro.stability.detectors import (
-    EpsFloorMonitor,
-    GradNormMonitor,
-    RollingSpikeDetector,
-)
-from repro.stability.policies import RecoveryPolicy, make_policy
+from repro.distributed.events import GIVE_UP, LR_BACKOFF, LR_REWARM, SPIKE, EventLog
 
-
-@dataclass
-class StabilityConfig:
-    """Thresholds and recovery behaviour of the guard.
-
-    Defaults are calibrated on the Fig. 3 large-batch pretraining setting:
-    a 16-step window, 6-MAD z-score with a 10x-median multiplicative
-    guard, halve-and-rewarm LR handling, and a generous intervention
-    budget so an unrecoverable run degrades to pass-through instead of
-    spinning forever.
-    """
-
-    window: int = 16
-    threshold: float = 6.0
-    spike_factor: float = 10.0
-    warmup_steps: int = 5
-    policy: str = "lr_backoff"
-    backoff_factor: float = 0.5
-    rewarm_steps: int = 20
-    max_interventions: int = 32
-    grad_norm_factor: float = 100.0
-    eps_floor_threshold: float = 0.9
-    eps_floor_patience: int = 3
-    monitor_every: int = 1
+#: Healthy losses each rank's median is taken over.
+WINDOW = 16
+#: Losses absorbed unconditionally at the start and after every cut.
+WARMUP = 5
+#: A finite spike exceeds this multiple of the window median ...
+SPIKE_FACTOR = 10.0
+#: ... and this many MADs above it.
+THRESHOLD = 6.0
+#: Scale turning a MAD into a sigma estimate for normal data.
+MAD_SIGMA = 1.4826
+#: LR multiplier applied by every cut.
+BACKOFF = 0.5
+#: Healthy steps over which one cut is re-warmed.
+REWARM_STEPS = 20
+#: Cuts before the guard gives up and passes steps through.
+MAX_INTERVENTIONS = 32
 
 
 class StabilityGuard:
-    """Loss-spike detection with rank agreement and pluggable recovery."""
+    """Loss-spike detection with one recovery: skip, halve the LR, re-warm."""
 
-    def __init__(
-        self,
-        config: Optional[StabilityConfig] = None,
-        events: Optional[EventLog] = None,
-    ) -> None:
-        self.config = config if config is not None else StabilityConfig()
+    def __init__(self, events: Optional[EventLog] = None) -> None:
         self.events = events if events is not None else EventLog()
-        self.policy: RecoveryPolicy = make_policy(
-            self.config.policy,
-            backoff_factor=self.config.backoff_factor,
-            rewarm_steps=self.config.rewarm_steps,
-        )
-        self._rank_detectors: List[RollingSpikeDetector] = []
-        self.grad_monitor = GradNormMonitor(
-            factor=self.config.grad_norm_factor, window=self.config.window
-        )
-        self.eps_monitor = EpsFloorMonitor(
-            threshold=self.config.eps_floor_threshold,
-            patience=self.config.eps_floor_patience,
-        )
+        #: One window of healthy losses per rank, grown with the world.
+        self.windows: List[deque] = []
+        #: Steps scored since the last (re-)baseline.
+        self.seen = 0
+        #: Current multiplicative LR deficit (1.0 = the schedule's rate).
+        self.deficit = 1.0
         self.interventions = 0
         self.exhausted = False
-        #: Pre-agreement local votes and the agreed per-rank verdicts of
-        #: the most recent step (tests assert the latter are identical).
-        self.last_votes: List[bool] = []
-        self.last_agreed: List[bool] = []
 
-    # ------------------------------------------------------------------ #
-    def _make_detector(self) -> RollingSpikeDetector:
-        return RollingSpikeDetector(
-            window=self.config.window,
-            threshold=self.config.threshold,
-            spike_factor=self.config.spike_factor,
-            warmup=self.config.warmup_steps,
-        )
+    def _is_spike(self, window: deque, loss: float) -> bool:
+        if not math.isfinite(loss):
+            return True
+        if self.seen <= WARMUP or len(window) < 2:
+            return False
+        values = np.asarray(window)
+        median = float(np.median(values))
+        mad = float(np.median(np.abs(values - median)))
+        sigma = max(MAD_SIGMA * mad, 1e-12, 1e-3 * abs(median))
+        return (loss - median) / sigma > THRESHOLD and loss > SPIKE_FACTOR * median > 0
 
-    def _detectors_for(self, n: int) -> List[RollingSpikeDetector]:
-        """Per-rank detectors, resized for elastic world changes."""
-        while len(self._rank_detectors) < n:
-            self._rank_detectors.append(self._make_detector())
-        return self._rank_detectors[:n]
+    def guard_step(self, trainer, loss: float) -> bool:
+        """Score one completed step; True means skip its ``optimizer.step``.
 
-    # ------------------------------------------------------------------ #
-    def _agree(self, strategy, votes: List[bool]) -> List[bool]:
-        """Reduce per-rank votes to identical per-rank verdicts.
-
-        Goes through the communicator's allreduce (max) when the strategy
-        has one, exactly as a real job would; a fault injected into that
-        collective falls back to the local reduction so the guard never
-        turns a comm fault into a lost verdict.
+        ``trainer`` supplies ``global_step``, ``strategy``, ``optimizer.lr``
+        and ``scale_lr``, the LR change that also moves the scheduler's
+        target.  ``loss`` is the step's global loss, scored alone when the
+        strategy reports no per-rank losses.
         """
-        comm = getattr(strategy, "comm", None)
-        if comm is not None and comm.world_size == len(votes) > 1:
-            from repro.distributed.faults import AllreduceTimeout, RankCrash
-
-            try:
-                reduced = comm.allreduce(
-                    [np.asarray(float(v)) for v in votes], op="max"
-                )
-                return [bool(float(r) > 0.0) for r in reduced]
-            except (RankCrash, AllreduceTimeout):
-                pass
-        return [any(votes)] * len(votes)
-
-    # ------------------------------------------------------------------ #
-    def _run_monitors(self, trainer, record) -> bool:
-        """Gradient-norm / eps-floor monitors; True forces an intervention."""
-        optimizer = trainer.optimizer
-        if optimizer is None or not hasattr(optimizer, "update_statistics"):
+        rank_losses = [
+            float(v) for v in getattr(trainer.strategy, "last_rank_losses", None) or [loss]
+        ]
+        while len(self.windows) < len(rank_losses):
+            self.windows.append(deque(maxlen=WINDOW))
+        windows = self.windows[: len(rank_losses)]
+        step = trainer.global_step
+        self.seen += 1
+        flagged = [r for r, (w, v) in enumerate(zip(windows, rank_losses)) if self._is_spike(w, v)]
+        if not flagged:
+            for window, value in zip(windows, rank_losses):
+                window.append(value)
+            self._rewarm(trainer, step)
             return False
-        if trainer.global_step % max(self.config.monitor_every, 1) != 0:
-            return False
-        stats = optimizer.update_statistics()
-        force = False
-        gv = self.grad_monitor.observe(stats.get("grad_norm", 0.0))
-        if gv.flagged:
-            record(GRAD_NORM_ALERT, **gv.as_detail())
-            # A non-finite gradient norm would poison the parameters on
-            # step(); escalate it even when the loss still looks healthy.
-            force = gv.reason == "nonfinite"
-        ev = self.eps_monitor.observe(stats.get("eps_floor_fraction", 0.0))
-        if ev.flagged:
-            record(EPS_FLOOR_ALERT, **ev.as_detail())
-        return force
-
-    # ------------------------------------------------------------------ #
-    def _intervene(self, trainer, task, record) -> bool:
-        """Apply the recovery policy within the intervention budget."""
-        if self.interventions >= self.config.max_interventions:
+        loss = float(loss)
+        self.events.record(
+            SPIKE, step=step, loss=loss if math.isfinite(loss) else None, ranks=flagged
+        )
+        if self.interventions >= MAX_INTERVENTIONS:
             if not self.exhausted:
                 self.exhausted = True
-                record(GIVE_UP, guard=True, interventions=self.interventions)
+                self.events.record(GIVE_UP, step=step, guard=True, interventions=self.interventions)
             return False
         self.interventions += 1
-        self.policy.on_spike(trainer, task, record)
-        # A skipped step leaves the parameters where they were, so the next
-        # loss is as high as the spike: scored against the pre-spike window
-        # it would be flagged again, every step after it too, and the cut
-        # LR would never act.  Re-baseline every rank window instead.
-        for detector in self._rank_detectors:
-            detector.values.clear()
-            detector.observed = 0
+        self.deficit *= BACKOFF
+        trainer.scale_lr(BACKOFF)
+        self.events.record(LR_BACKOFF, step=step, lr=trainer.optimizer.lr, deficit=self.deficit)
+        for window in self.windows:
+            window.clear()
+        self.seen = 0
         return True
 
-    def guard_step(self, trainer, task, loss: float) -> bool:
-        """Check one completed forward/backward; True = skip optimizer.step.
+    def _rewarm(self, trainer, step: int) -> None:
+        if self.deficit >= 1.0:
+            return
+        factor = min(2.0 ** (1.0 / REWARM_STEPS), 1.0 / self.deficit)
+        trainer.scale_lr(factor)
+        self.deficit = min(self.deficit * factor, 1.0)
+        if self.deficit >= 1.0:
+            self.events.record(LR_REWARM, step=step, lr=trainer.optimizer.lr)
 
-        Called by the trainer with averaged gradients on the parameters
-        and ``loss`` the global (post-mask) scalar training loss.
-        """
-        step = trainer.global_step
-
-        def record(kind, **detail):
-            return self.events.record(kind, step=step, **detail)
-
-        strategy = trainer.strategy
-        rank_losses = list(getattr(strategy, "last_rank_losses", None) or [loss])
-        detectors = self._detectors_for(len(rank_losses))
-        verdicts = [d.score(v) for d, v in zip(detectors, rank_losses)]
-        votes = [v.flagged for v in verdicts]
-        agreed = self._agree(strategy, votes)
-        self.last_votes = votes
-        self.last_agreed = agreed
-
-        forced = self._run_monitors(trainer, record)
-        spiking = agreed[0] or forced
-
-        if not spiking:
-            for detector, value in zip(detectors, rank_losses):
-                detector.absorb(value)
-            self.policy.on_healthy_step(trainer, record)
-            return False
-
-        worst = max(
-            (v for v in verdicts if v.flagged),
-            key=lambda v: (v.score if np.isfinite(v.score) else np.inf),
-            default=verdicts[0],
-        )
-        record(
-            SPIKE,
-            loss=float(loss) if np.isfinite(loss) else None,
-            votes=list(votes),
-            agreed=list(agreed),
-            policy=self.policy.name,
-            forced_by_monitor=bool(forced and not agreed[0]),
-            **worst.as_detail(),
-        )
-        return self._intervene(trainer, task, record)
-
-    # ------------------------------------------------------------------ #
-    def on_anomaly(self, trainer, task, error) -> bool:
-        """Recovery entry point for autograd anomaly-tracing errors."""
-        step = trainer.global_step
-
-        def record(kind, **detail):
-            return self.events.record(kind, step=step, **detail)
-
-        record(
-            ANOMALY,
-            op=getattr(error, "op", "unknown"),
-            phase=getattr(error, "phase", "unknown"),
-            shape=list(getattr(error, "shape", ())),
-            hop=getattr(error, "hop", None),
-            policy=self.policy.name,
-        )
-        return self._intervene(trainer, task, record)
-
-    # ------------------------------------------------------------------ #
     def summary(self) -> dict:
-        """Counters for CLI/bench reporting."""
+        """Counters for CLI and bench reporting."""
         return {
-            "interventions": self.interventions,
             "spikes": self.events.count(SPIKE),
-            "anomalies": self.events.count(ANOMALY),
-            "grad_norm_alerts": self.events.count(GRAD_NORM_ALERT),
-            "eps_floor_alerts": self.events.count(EPS_FLOOR_ALERT),
-            "policy": self.policy.name,
-            "lr_deficit": self.policy.deficit,
+            "interventions": self.interventions,
+            "lr_deficit": self.deficit,
             "exhausted": self.exhausted,
         }

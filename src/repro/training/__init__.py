@@ -10,14 +10,11 @@ from repro.training.history import History
 from repro.training.metrics import Meter, mean_absolute_error, accuracy
 from repro.training.callbacks import (
     Callback,
-    EarlyStopping,
     FaultEventMonitor,
     ModelCheckpoint,
     LRMonitor,
-    ProgressCallback,
     ThroughputMeter,
     SpikeDetector,
-    GradientStatsMonitor,
 )
 from repro.training.trainer import RecoveryConfig, Trainer, TrainerConfig
 from repro.training.finetune import transfer_encoder, finetune_lr
@@ -37,14 +34,11 @@ __all__ = [
     "mean_absolute_error",
     "accuracy",
     "Callback",
-    "EarlyStopping",
     "FaultEventMonitor",
     "ModelCheckpoint",
     "LRMonitor",
-    "ProgressCallback",
     "ThroughputMeter",
     "SpikeDetector",
-    "GradientStatsMonitor",
     "RecoveryConfig",
     "Trainer",
     "TrainerConfig",

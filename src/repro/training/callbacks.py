@@ -10,7 +10,6 @@ becomes measurable via ``spike_count`` and ``recovered``.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, List, Optional
 
@@ -27,39 +26,6 @@ class Callback:
     def on_epoch_end(self, trainer, task, epoch: int) -> None: ...
 
     def on_train_end(self, trainer, task) -> None: ...
-
-
-class EarlyStopping(Callback):
-    """Stop when a monitored validation metric stops improving."""
-
-    def __init__(self, monitor: str, patience: int = 5, mode: str = "min", min_delta: float = 0.0):
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.monitor = monitor
-        self.patience = patience
-        self.mode = mode
-        self.min_delta = min_delta
-        self.best: Optional[float] = None
-        self.stale = 0
-
-    def _improved(self, value: float) -> bool:
-        if self.best is None:
-            return True
-        if self.mode == "min":
-            return value < self.best - self.min_delta
-        return value > self.best + self.min_delta
-
-    def on_validation_end(self, trainer, task, step: int, metrics: Dict) -> None:
-        if self.monitor not in metrics:
-            return
-        value = metrics[self.monitor]
-        if self._improved(value):
-            self.best = value
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                trainer.should_stop = True
 
 
 class ModelCheckpoint(Callback):
@@ -111,37 +77,6 @@ class LRMonitor(Callback):
         trainer.history.log(trainer.global_step, epoch, "lr", lr=lr)
 
 
-class ProgressCallback(Callback):
-    """Print per-step progress lines (loss, learning rate, epoch).
-
-    Renders ``lr=-`` when no optimizer is attached rather than ``lr=nan``,
-    and only finite values ever reach the printed line or the kept records.
-    """
-
-    def __init__(self, every_n_steps: int = 1, stream=None):
-        self.every = max(int(every_n_steps), 1)
-        self.stream = stream
-        self.lines: List[str] = []
-
-    def _write(self, line: str) -> None:
-        self.lines.append(line)
-        if self.stream is not None:
-            print(line, file=self.stream)
-
-    def on_step_end(self, trainer, task, step: int, loss: float, metrics: Dict) -> None:
-        if step % self.every != 0:
-            return
-        loss_txt = f"{loss:.4f}" if math.isfinite(loss) else "-"
-        if trainer.optimizer is None or not math.isfinite(trainer.optimizer.lr):
-            lr_txt = "-"
-        else:
-            lr_txt = f"{trainer.optimizer.lr:.3e}"
-        self._write(
-            f"epoch {trainer.current_epoch} step {step}: "
-            f"loss={loss_txt} lr={lr_txt}"
-        )
-
-
 class ThroughputMeter(Callback):
     """Measure end-to-end training samples/second (feeds the Fig. 2 model)."""
 
@@ -184,6 +119,12 @@ class SpikeDetector(Callback):
         warmup_evals: int = 3,
         recovery_factor: float = 1.25,
     ):
+        if not factor > 1.0:
+            raise ValueError(f"factor must be > 1, got {factor}")
+        if warmup_evals < 0:
+            raise ValueError(f"warmup_evals must be >= 0, got {warmup_evals}")
+        if not recovery_factor >= 1.0:
+            raise ValueError(f"recovery_factor must be >= 1, got {recovery_factor}")
         self.monitor = monitor
         self.factor = factor
         self.warmup_evals = warmup_evals
@@ -237,20 +178,3 @@ class FaultEventMonitor(Callback):
         counts = self.events.summary()
         if counts:
             trainer.history.log(trainer.global_step, 0, "fault", **counts)
-
-
-class GradientStatsMonitor(Callback):
-    """Record optimizer update statistics (Adam eps-floor diagnostics)."""
-
-    def __init__(self, every_n_steps: int = 10):
-        self.every = every_n_steps
-        self.records: List[Dict] = []
-
-    def on_step_end(self, trainer, task, step: int, loss: float, metrics: Dict) -> None:
-        opt = trainer.optimizer
-        if opt is None or step % self.every != 0:
-            return
-        if hasattr(opt, "update_statistics"):
-            stats = opt.update_statistics()
-            stats["step"] = step
-            self.records.append(stats)

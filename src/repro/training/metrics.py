@@ -32,13 +32,6 @@ def mean_absolute_error(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.abs(pred - target).mean())
 
 
-def root_mean_squared_error(pred: np.ndarray, target: np.ndarray) -> float:
-    """sqrt(mean (pred - target)^2)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return float(np.sqrt(((pred - target) ** 2).mean()))
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Classification accuracy: sign rule for 1-D logits, argmax for 2-D."""
     logits = np.asarray(logits)

@@ -19,16 +19,17 @@ run is bit-identical to an uninterrupted one.  Elastic world shrinks
 inside the strategy surface here only as an LR re-scale
 (``consume_lr_rescale``, the Goyal rule tracking the new world size).
 
-Numerical stability: with a :class:`~repro.stability.StabilityGuard`
-attached, every completed forward/backward is checked *before*
-``optimizer.step``.  A confirmed loss spike (or, under
-``TrainerConfig.detect_anomaly``, a non-finite value caught on the
-autograd tape) makes the step an *intervention*: gradients are zeroed,
-``optimizer.step`` / gradient clipping / checkpoint saving are skipped,
-the guard's recovery policy runs (skip / LR backoff / checkpoint
-rollback), and the step still counts toward loop progress so a
-persistently sick run terminates at ``max_steps`` instead of spinning.
-Intervened losses never enter the history's train series.
+Numerical stability: the Fig. 3 remedy is an optimizer option,
+``Adam(update_clip=)``.  Under ``TrainerConfig.detect_anomaly`` the first
+non-finite value on the autograd tape raises a
+:class:`~repro.autograd.NumericalAnomalyError` naming its op, and the
+error propagates out of ``fit``.  With a
+:class:`~repro.stability.StabilityGuard` attached, every completed
+forward/backward is scored *before* ``optimizer.step``; a spike skips the
+step (gradients dropped, no clipping, no optimizer step, no recovery
+point) while the guard halves the LR through :meth:`Trainer.scale_lr`.
+The skipped step still counts toward ``max_steps``, and its loss never
+enters the history's train series.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.data.batching import collate_graphs
 from repro.distributed.ddp import SingleProcessStrategy, Strategy
 from repro.distributed.events import CHECKPOINT_SAVE, LR_RESCALE, RECOVER, RESTORE, RETRY, EventLog
 from repro.distributed.faults import StepFailure
-from repro.autograd.anomaly import NumericalAnomalyError, detect_anomaly
+from repro.autograd.anomaly import detect_anomaly
 from repro.optim.clip import clip_grad_norm
 from repro.optim.optimizer import Optimizer
 from repro.optim.schedulers import LRScheduler
@@ -68,13 +69,11 @@ class TrainerConfig:
     val_every_n_steps: Optional[int] = None
     #: A NaN/Inf global norm zeroes the gradients (``clip_grad_norm``'s
     #: ``nonfinite="zero"``), skipping the poisoned update instead of
-    #: aborting the run — the stability guard, when attached, is what
-    #: decides whether the run needs stronger recovery.
+    #: aborting the run.
     grad_clip_norm: Optional[float] = None
     #: Run every strategy execution under ``repro.autograd.detect_anomaly``
     #: so the first non-finite forward value or gradient raises a
-    #: NumericalAnomalyError naming the offending op (handled by the
-    #: stability guard when one is attached, re-raised otherwise).
+    #: NumericalAnomalyError naming the offending op.
     detect_anomaly: bool = False
     log_every_n_steps: int = 10
     val_max_batches: Optional[int] = None
@@ -242,11 +241,16 @@ class Trainer:
             # Elastic world shrinks re-scale the LR by the Goyal rule.
             factor = self.strategy.consume_lr_rescale()
             if factor != 1.0:
-                optimizer.lr *= factor
-                if self.scheduler is not None:
-                    self.scheduler.target_lr *= factor
+                self.scale_lr(factor)
                 self._record(LR_RESCALE, factor=factor, lr=optimizer.lr)
             return loss, metrics
+
+    def scale_lr(self, factor: float) -> None:
+        """Scale the live LR and the scheduler's target, so the next
+        epoch-boundary scheduler step keeps the change."""
+        self.optimizer.lr *= factor
+        if self.scheduler is not None:
+            self.scheduler.target_lr *= factor
 
     # ------------------------------------------------------------------ #
     def fit(
@@ -290,26 +294,11 @@ class Trainer:
                 with self._span("step", step=self.global_step):
                     optimizer.zero_grad()
                     had_failure = self.recoveries
-                    intervened = False
-                    try:
-                        loss, metrics = self._execute_step(task, samples, optimizer)
-                    except NumericalAnomalyError as anomaly:
-                        if self.stability is None:
-                            raise
-                        # The tape pinpointed the op; recovery goes through the
-                        # guard so the event log names it.
-                        self.stability.on_anomaly(self, task, anomaly)
-                        intervened = True
-                        loss, metrics = float("nan"), {}
-                    if self.stability is not None and not intervened:
-                        # The guard sees every completed step and decides
-                        # whether optimizer.step may run.  Recovery policies
-                        # mutate the trainer (LR, checkpoint restore) in here.
-                        intervened = self.stability.guard_step(self, task, loss)
-                    if intervened:
-                        # The step is quarantined: drop its gradients and let
-                        # the recovery policy's changes stand.  It still counts
-                        # toward loop progress so max_steps bounds a sick run.
+                    loss, metrics = self._execute_step(task, samples, optimizer)
+                    skipped = self.stability is not None and self.stability.guard_step(
+                        self, loss
+                    )
+                    if skipped:
                         optimizer.zero_grad()
                     else:
                         with self._span("optim"):
@@ -327,7 +316,7 @@ class Trainer:
 
                     if (
                         self.recovery is not None
-                        and not intervened
+                        and not skipped
                         and self.global_step % self.recovery.checkpoint_every_n_steps
                         == 0
                     ):
@@ -335,7 +324,7 @@ class Trainer:
                             self._save_recovery_point(task, epoch)
 
                 if (
-                    not intervened
+                    not skipped
                     and self.global_step % self.config.log_every_n_steps == 0
                 ):
                     self.history.log(

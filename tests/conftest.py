@@ -15,8 +15,8 @@ from repro.models import EGNN
 MARKERS = [
     "fault: fault-tolerant DDP scenarios (seeded injection, retry, recovery); "
     "select with -m fault",
-    "stability: numerical stability guard scenarios (anomaly tracing, spike "
-    "recovery); select with -m stability",
+    "stability: anomaly tracing and the Fig. 3 remedy (update_clip, the "
+    "loss-spike guard); select with -m stability",
     "profile: observability-layer scenarios (spans, op profiler, metrics); "
     "select with -m profile",
     "slow: long-running regression tests; excluded from the smoke lane with "

@@ -267,40 +267,36 @@ def _finalize_inputs():
         reduce_scatter_bytes=512, allgather_calls=1, allgather_bytes=512,
         retry_calls=0, retry_bytes=0,
     )
-    strategy = SimpleNamespace(comm=SimpleNamespace(traffic=traffic))
-    guard = SimpleNamespace(
-        summary=lambda: {"interventions": 2, "spikes": 1, "anomalies": 0}
-    )
-    return strategy, guard
+    return SimpleNamespace(comm=SimpleNamespace(traffic=traffic))
 
 
 class TestCacheMetrics:
     def test_publish_cache_metrics_gauges(self):
-        """``Observer.finalize`` publishes comm and guard totals and no
-        ``cache.*`` gauge, even after transforms have run."""
+        """``Observer.finalize`` publishes comm totals and no ``cache.*``
+        gauge, even after transforms have run."""
         ds = SymmetryPointCloudDataset(4, seed=3, group_names=["C2"])
         feat = Compose([StructureToGraph(cutoff=2.5), DistanceEdgeFeatures(num_basis=4)])
         for _ in range(2):
             [feat(ds[i]) for i in range(4)]
         observer = Observer()
-        strategy, guard = _finalize_inputs()
-        observer.finalize(strategy=strategy, guard=guard)
+        observer.finalize(strategy=_finalize_inputs())
         names = observer.metrics.names()
         assert not [n for n in names if n.startswith("cache.")]
         assert observer.metrics.value("comm.allreduce.bytes") == 4096
-        assert observer.metrics.value("stability.interventions") == 2
+        assert observer.metrics.value("comm.allreduce.calls") == 3
 
     def test_default_cache_stats_shape(self):
         """``Observer.finalize`` is idempotent: a second call with the same
-        strategy and guard leaves every metric as the first left it."""
+        strategy leaves every metric as the first left it."""
         observer = Observer(profile_ops=True)
-        strategy, guard = _finalize_inputs()
-        observer.finalize(strategy=strategy, guard=guard)
+        strategy = _finalize_inputs()
+        observer.finalize(strategy=strategy)
         first = observer.metrics.snapshot()
-        observer.finalize(strategy=strategy, guard=guard)
+        observer.finalize(strategy=strategy)
         assert observer.metrics.snapshot() == first
-        assert set(first) >= {"comm.allreduce.calls", "stability.spikes",
+        assert set(first) >= {"comm.allreduce.calls", "comm.retry.calls",
                               "mem.peak_live_tensor_bytes"}
+        assert not [n for n in first if n.startswith("stability.")]
 
 
 # --------------------------------------------------------------------------- #

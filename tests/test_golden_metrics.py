@@ -136,9 +136,10 @@ class TestGoldenPretrainAssemblyBranches:
     one code path lands on the *plain* goldens.
 
     An empty fault profile routes gradients through the fault-aware
-    per-parameter allreduce (with recovery points); a healthy run under the
-    stability guard never intervenes, whether its policy backs off the LR
-    or rolls back to the recovery points the guard provisions.
+    per-parameter allreduce, with recovery points under ``recover`` and
+    without them under ``elastic``; a healthy run under the loss-spike
+    guard never intervenes.  (The ``guard_rollback`` id is kept from the
+    deleted rollback policy; it now names the elastic branch.)
     """
 
     @pytest.fixture(
@@ -146,7 +147,7 @@ class TestGoldenPretrainAssemblyBranches:
         params=[
             {"fault_profile": ""},
             {"stability_guard": True},
-            {"stability_guard": True, "on_spike": "rollback"},
+            {"fault_profile": "", "on_fault": "elastic"},
         ],
         ids=["explicit_allreduce", "guard_lr_backoff", "guard_rollback"],
     )
@@ -170,14 +171,17 @@ class TestGoldenPretrainAssemblyBranches:
         assert loss == pytest.approx(GOLDEN_PRETRAIN_TRAIN_LOSS, abs=TOL)
 
     def test_guard_never_intervened(self, result):
+        # A healthy run records nothing but recovery points: no fault, no
+        # retry, no spike, no LR change.
         assert result.events is not None
+        assert set(result.events.kinds()) <= {"checkpoint_save"}
         if result.guard is not None:
             assert result.guard.summary()["interventions"] == 0
 
     def test_recovery_points_only_where_provisioned(self, result):
         provisioned = (
             result.config.fault_profile is not None
-            or result.config.on_spike == "rollback"
+            and result.config.on_fault == "recover"
         )
         saves = result.events.summary().get("checkpoint_save", 0)
         assert (saves > 0) == provisioned

@@ -556,7 +556,7 @@ class TestObserverIntegration:
     def test_finalize_is_idempotent(self, profiled_run):
         metrics = profiled_run.observer.metrics
         before = metrics.value("comm.allreduce.calls")
-        profiled_run.observer.finalize(strategy=None, guard=None)
+        profiled_run.observer.finalize(strategy=None)
         assert metrics.value("comm.allreduce.calls") == before
 
     def test_reporter_emits_periodic_lines(self):
@@ -567,7 +567,6 @@ class TestObserverIntegration:
 
         class _FakeTrainer:
             strategy = SingleProcessStrategy()
-            stability = None
             last_batch_size = 4
 
         trainer = _FakeTrainer()
