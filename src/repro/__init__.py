@@ -18,6 +18,6 @@ The package is layered bottom-up:
 
 __version__ = "1.0.0"
 
-from repro.utils import seed_everything, spawn_rngs
+from repro.utils import seed_everything
 
-__all__ = ["seed_everything", "spawn_rngs", "__version__"]
+__all__ = ["seed_everything", "__version__"]

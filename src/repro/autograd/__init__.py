@@ -25,11 +25,7 @@ from repro.autograd.tensor import (
     tensor,
 )
 from repro.autograd import functional
-from repro.autograd.anomaly import (
-    NumericalAnomalyError,
-    anomaly_enabled,
-    detect_anomaly,
-)
+from repro.autograd.anomaly import NumericalAnomalyError, detect_anomaly
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
 from repro.autograd.scatter import SegmentIndexError
 
@@ -42,7 +38,6 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "NumericalAnomalyError",
-    "anomaly_enabled",
     "detect_anomaly",
     "gradcheck",
     "numerical_gradient",

@@ -96,8 +96,3 @@ def detect_anomaly():
         yield
     finally:
         tensor_mod._ANOMALY_DEPTH -= 1
-
-
-def anomaly_enabled() -> bool:
-    """Whether a ``detect_anomaly()`` context is currently active."""
-    return _tensor_module()._ANOMALY_DEPTH > 0

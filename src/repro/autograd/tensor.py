@@ -310,10 +310,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4, threshold=8)}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 

@@ -284,7 +284,7 @@ def cmd_serve(args) -> int:
     from repro.serving.demo import demo_request_samples
 
     servable = _load_serving_model(args)
-    samples = demo_request_samples(max(args.samples, 1), seed=args.query_seed)
+    samples = demo_request_samples(args.samples, seed=args.query_seed)
     service_model = calibrate_service_model(
         servable, samples, max_batch_size=max(args.max_batch, 2)
     )
@@ -422,6 +422,16 @@ _positive_float = _bounded(float, 0, inclusive=False)
 _nonnegative_float = _bounded(float, 0)
 
 
+class _OrderedPair(argparse.Action):
+    """``nargs=2`` action that rejects ``LO > HI``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if lo > hi:
+            raise argparse.ArgumentError(self, f"expected LO <= HI, got {lo} > {hi}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -479,16 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_multitask)
 
     p = sub.add_parser("explore", help="UMAP dataset exploration (Fig. 4)")
-    p.add_argument("--samples", type=int, default=30)
+    p.add_argument("--samples", type=_positive_int, default=30)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("scaling", help="throughput projection (Fig. 2)")
-    p.add_argument("--workers", type=int, nargs=2, default=[16, 512],
-                   metavar=("LO", "HI"))
-    p.add_argument("--rate", type=float, default=300.0,
+    p.add_argument("--workers", type=_positive_int, nargs=2, default=[16, 512],
+                   metavar=("LO", "HI"), action=_OrderedPair)
+    p.add_argument("--rate", type=_positive_float, default=300.0,
                    help="single-worker samples/s")
-    p.add_argument("--params", type=int, default=30_000)
-    p.add_argument("--dataset-size", type=int, default=2_000_000)
+    p.add_argument("--params", type=_positive_int, default=30_000)
+    p.add_argument("--dataset-size", type=_positive_int, default=2_000_000)
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser("datasets", help="list available datasets")
@@ -501,11 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registry entry to load")
         p.add_argument("--bootstrap", action="store_true",
                        help="train and archive the demo model if absent")
-        p.add_argument("--samples", type=int, default=4,
+        p.add_argument("--samples", type=_positive_int, default=4,
                        help="query structures to generate")
-        p.add_argument("--query-seed", type=int, default=99,
+        p.add_argument("--query-seed", type=_nonnegative_int, default=99,
                        help="seed for the generated query structures")
-        p.add_argument("--seed", type=int, default=13)
+        p.add_argument("--seed", type=_nonnegative_int, default=13)
 
     p = sub.add_parser("predict", help="offline predictions via the registry")
     _add_serving_args(p)
@@ -533,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos-profile", default=None, metavar="SPEC",
                    help="seeded serving faults, e.g. "
                         "'replica_crash:1,replica_slow:1,servable_corrupt:1'")
-    p.add_argument("--chaos-seed", type=int, default=0,
+    p.add_argument("--chaos-seed", type=_nonnegative_int, default=0,
                    help="seed for the chaos schedule")
     p.add_argument("--hedge-ms", type=_nonnegative_float, default=5.0, metavar="MS",
                    help="hedge a still-unanswered request onto a sibling "
@@ -549,13 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=16,
                    help="prediction batch size (throughput knob only: "
                         "the ranking is bit-identical for any value)")
-    p.add_argument("--relax-steps", type=int, default=0,
+    p.add_argument("--relax-steps", type=_nonnegative_int, default=0,
                    help="force-field descent steps before scoring "
                         "(0 disables relaxation)")
     p.add_argument("--shards", type=_positive_int, default=1,
                    help="partition the candidate stream into N shards "
                         "(merged ranking == single-shard, bit for bit)")
-    p.add_argument("--screen-seed", type=int, default=0,
+    p.add_argument("--screen-seed", type=_nonnegative_int, default=0,
                    help="seed for the candidate stream")
     p.add_argument("--base-samples", type=_positive_int, default=32,
                    help="parent crystals in the mutation pool")

@@ -28,7 +28,6 @@ from repro.core.workflows import (
     MultiTaskResult,
     train_multitask,
     explore_datasets,
-    explore_chemical_space,
     ExplorationResult,
     cached_pretrained_encoder,
     transfer_pretrain_recipe,
@@ -51,7 +50,6 @@ __all__ = [
     "MultiTaskResult",
     "train_multitask",
     "explore_datasets",
-    "explore_chemical_space",
     "ExplorationResult",
     "cached_pretrained_encoder",
     "transfer_pretrain_recipe",

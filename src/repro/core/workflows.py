@@ -574,41 +574,3 @@ def explore_datasets(
         silhouettes=silhouette_by_label(projection, labels),
         spreads=cluster_spread(projection, labels),
     )
-
-
-def explore_chemical_space(
-    multitask_config: Optional[MultiTaskConfig] = None,
-    samples_per_dataset: int = 30,
-    seed: int = 17,
-    umap_epochs: int = 120,
-) -> ExplorationResult:
-    """The paper's proposed extension of the Fig. 4 analysis (Sec. 5.3):
-
-        "The same analysis could be done using an encoder trained with
-        chemical information, for example Materials Project, to find
-        dataset gaps in chemical space."
-
-    Trains a multi-task encoder on the Materials Project + Carolina
-    surrogates (so its embedding carries band-gap/Fermi/E_form chemistry,
-    not just structural motifs), then reruns the dataset exploration with
-    it.  Compared against the structure-pretrained map, datasets separate
-    along composition rather than motif.
-    """
-    config = multitask_config or MultiTaskConfig(
-        encoder=EncoderConfig(hidden_dim=32, num_layers=3, position_dim=12),
-        optimizer=OptimizerConfig(base_lr=1e-3, warmup_epochs=3, gamma=0.9),
-        mp_samples=96,
-        carolina_samples=48,
-        max_epochs=8,
-        world_size=1,
-        head_hidden_dim=32,
-        head_blocks=2,
-        seed=seed,
-    )
-    trained = train_multitask(config)
-    return explore_datasets(
-        trained.task.encoder,
-        samples_per_dataset=samples_per_dataset,
-        seed=seed,
-        umap_epochs=umap_epochs,
-    )

@@ -8,8 +8,8 @@ inductive biases; a *collator* batches them for the encoder.
 
 from repro.data.structures import Structure, GraphSample, PointCloudSample, GraphBatch
 from repro.data.dataset import Dataset, InMemoryDataset, ConcatDataset, Subset
-from repro.data.splits import train_val_split, train_val_test_split
-from repro.data.batching import collate_graphs, collate_point_clouds
+from repro.data.splits import train_val_split
+from repro.data.batching import collate_graphs
 from repro.data.loaders import DataLoader, DistributedSampler, SequentialSampler, RandomSampler
 from repro.data.transforms.base import array_fingerprint
 
@@ -24,9 +24,7 @@ __all__ = [
     "ConcatDataset",
     "Subset",
     "train_val_split",
-    "train_val_test_split",
     "collate_graphs",
-    "collate_point_clouds",
     "DataLoader",
     "DistributedSampler",
     "SequentialSampler",

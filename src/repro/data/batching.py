@@ -1,10 +1,8 @@
-"""Collation: disjoint-union graph batching and point-cloud batching.
+"""Collation: disjoint-union graph batching.
 
 Graph batching follows the standard GNN recipe: node arrays are
 concatenated, edge indices offset by each graph's node base, and a
 ``node_graph`` segment-id vector records graph membership for pooling.
-Point clouds are batched the same way minus edges (the encoder imposes its
-own structure, or none).
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.data.structures import GraphBatch, GraphSample, PointCloudSample
+from repro.data.structures import GraphBatch, GraphSample
 
 
 def _stack_targets(samples: Sequence) -> Dict[str, np.ndarray]:
@@ -91,35 +89,6 @@ def collate_graphs(samples: Sequence[GraphSample]) -> GraphBatch:
         num_graphs=len(samples),
         edge_attr=edge_attr,
         global_attr=global_attr,
-        targets=_stack_targets(samples),
-        metadata=metadata,
-    )
-
-
-def collate_point_clouds(samples: Sequence[PointCloudSample]) -> GraphBatch:
-    """Batch point clouds as edgeless graphs.
-
-    Encoders that need connectivity (E(n)-GNN) apply a radius-graph
-    transform first; attention encoders (GAANet) consume the node sets
-    directly via ``node_graph``.
-    """
-    if not samples:
-        raise ValueError("cannot collate an empty batch")
-    positions = np.concatenate([s.positions for s in samples], axis=0)
-    species = np.concatenate([s.species for s in samples], axis=0)
-    node_graph = np.concatenate(
-        [np.full(s.num_points, i, dtype=np.int64) for i, s in enumerate(samples)]
-    )
-    metadata = {"num_nodes_per_graph": np.array([s.num_points for s in samples])}
-    if all("dataset" in s.metadata for s in samples):
-        metadata["dataset"] = np.array([s.metadata["dataset"] for s in samples])
-    return GraphBatch(
-        positions=positions,
-        species=species,
-        edge_src=np.zeros(0, dtype=np.int64),
-        edge_dst=np.zeros(0, dtype=np.int64),
-        node_graph=node_graph,
-        num_graphs=len(samples),
         targets=_stack_targets(samples),
         metadata=metadata,
     )

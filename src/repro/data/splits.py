@@ -25,28 +25,3 @@ def train_val_split(
     if len(train_idx) == 0:
         raise ValueError("split left no training samples")
     return Subset(dataset, train_idx.tolist()), Subset(dataset, val_idx.tolist())
-
-
-def train_val_test_split(
-    dataset: Dataset,
-    val_fraction: float,
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> Tuple[Subset, Subset, Subset]:
-    """Three-way split with the same determinism guarantee."""
-    if val_fraction + test_fraction >= 1.0:
-        raise ValueError("val + test fractions must leave room for training data")
-    n = len(dataset)
-    order = rng.permutation(n)
-    n_val = max(1, int(round(n * val_fraction)))
-    n_test = max(1, int(round(n * test_fraction)))
-    val_idx = order[:n_val]
-    test_idx = order[n_val : n_val + n_test]
-    train_idx = order[n_val + n_test :]
-    if len(train_idx) == 0:
-        raise ValueError("split left no training samples")
-    return (
-        Subset(dataset, train_idx.tolist()),
-        Subset(dataset, val_idx.tolist()),
-        Subset(dataset, test_idx.tolist()),
-    )

@@ -1,26 +1,20 @@
 """Representation transforms (the middle block of the paper's Fig. 1).
 
 Transforms are callables ``sample -> sample`` composed with
-:class:`Compose`; they convert freely between structure, point-cloud and
-graph representations and inject inductive biases (noise, rotations,
-distance features) as the downstream task requires.
+:class:`Compose`; they build graphs from structures or point clouds and
+attach the features (distance expansions, normalized targets) the
+downstream task requires.
 """
 
 from repro.data.transforms.base import Transform, Compose, Lambda
 from repro.data.transforms.graph import (
     StructureToGraph,
-    StructureToPointCloud,
     PointCloudToGraph,
     radius_graph,
     knn_graph,
     periodic_radius_graph,
 )
-from repro.data.transforms.augment import (
-    CenterPositions,
-    RandomRotation,
-    GaussianPositionNoise,
-    PermuteNodes,
-)
+from repro.data.transforms.augment import PermuteNodes
 from repro.data.transforms.features import DistanceEdgeFeatures, TargetNormalizer
 
 __all__ = [
@@ -28,14 +22,10 @@ __all__ = [
     "Compose",
     "Lambda",
     "StructureToGraph",
-    "StructureToPointCloud",
     "PointCloudToGraph",
     "radius_graph",
     "knn_graph",
     "periodic_radius_graph",
-    "CenterPositions",
-    "RandomRotation",
-    "GaussianPositionNoise",
     "PermuteNodes",
     "DistanceEdgeFeatures",
     "TargetNormalizer",

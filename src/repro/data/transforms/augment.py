@@ -1,8 +1,8 @@
-"""Augmentation transforms.
+"""Node-permutation augment: the harness for encoder invariance claims.
 
-Rotation/permutation augments double as the test harness for encoder
-equivariance claims; Gaussian position noise is the paper's knob for
-hardening the synthetic pretraining task.
+Position noise and random orientation, the pretraining task's augments,
+are drawn inside :class:`repro.datasets.SymmetryPointCloudDataset` from
+each sample's own seed stream.
 """
 
 from __future__ import annotations
@@ -14,51 +14,8 @@ import numpy as np
 
 from repro.data.structures import GraphSample, PointCloudSample, Structure
 from repro.data.transforms.base import Transform
-from repro.geometry.operations import random_rotation
 
 SampleT = Union[Structure, PointCloudSample, GraphSample]
-
-
-def _with_positions(sample: SampleT, positions: np.ndarray) -> SampleT:
-    return replace(sample, positions=positions)
-
-
-class CenterPositions(Transform):
-    """Translate the centroid to the origin."""
-
-    def __call__(self, sample: SampleT) -> SampleT:
-        pos = sample.positions
-        return _with_positions(sample, pos - pos.mean(axis=0, keepdims=True))
-
-
-class RandomRotation(Transform):
-    """Apply a Haar-random proper rotation to all positions."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-
-    def __call__(self, sample: SampleT) -> SampleT:
-        rot = random_rotation(self.rng)
-        return _with_positions(sample, sample.positions @ rot.T)
-
-
-class GaussianPositionNoise(Transform):
-    """Add i.i.d. Gaussian jitter to every coordinate."""
-
-    def __init__(self, sigma: float, rng: np.random.Generator):
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        self.sigma = sigma
-        self.rng = rng
-
-    def __call__(self, sample: SampleT) -> SampleT:
-        if self.sigma == 0:
-            return sample
-        noise = self.rng.normal(0.0, self.sigma, size=sample.positions.shape)
-        return _with_positions(sample, sample.positions + noise)
-
-    def __repr__(self) -> str:
-        return f"GaussianPositionNoise(sigma={self.sigma})"
 
 
 class PermuteNodes(Transform):

@@ -1,4 +1,4 @@
-"""Structure <-> point cloud <-> graph conversions.
+"""Structure / point cloud -> graph conversions.
 
 Graph construction is the step the paper contrasts against point-cloud
 models (Sec. 2.1): it imposes connectivity via a radius or k-NN rule.  Both
@@ -130,24 +130,6 @@ def global_state_features(species: np.ndarray) -> np.ndarray:
         ],
         dtype=np.float64,
     )
-
-
-class StructureToPointCloud(Transform):
-    """Strip a structure down to the point-cloud representation."""
-
-    def __init__(self, center: bool = True):
-        self.center = center
-
-    def __call__(self, structure: Structure) -> PointCloudSample:
-        pos = structure.positions
-        if self.center:
-            pos = pos - pos.mean(axis=0, keepdims=True)
-        return PointCloudSample(
-            positions=pos,
-            species=structure.species.copy(),
-            targets=dict(structure.targets),
-            metadata=dict(structure.metadata),
-        )
 
 
 def _check_rule(cutoff, k) -> None:

@@ -90,6 +90,8 @@ class SymmetryPointCloudDataset(Dataset[Structure]):
     ):
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if not noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
         self.num_samples = num_samples
         self.seed = seed
         self.group_names = list(group_names or CRYSTAL_POINT_GROUP_NAMES)

@@ -22,8 +22,8 @@ process:
   log and the simulated clock every backoff waits on.
 * :mod:`repro.distributed.perf_model` — an analytic cluster model (node
   FLOP/s, HDR200-class interconnect, ring allreduce) that converts measured
-  single-worker throughput into scale-out throughput for Fig. 2, plus a
-  failure-aware variant with Young/Daly checkpoint-cadence accounting.
+  single-worker throughput into scale-out throughput for Fig. 2, plus the
+  bucketed-communication variant the sharding bench projects.
 * :mod:`repro.distributed.affinity` — the NUMA-domain worker-placement
   policy from Sec. 4.1 (map-by-NUMA, pin-to-core, 16 workers/node).
 * :mod:`repro.distributed.sharding` — ZeRO-style gradient bucketing
@@ -51,8 +51,6 @@ from repro.distributed.perf_model import (
     ClusterSpec,
     ENDEAVOUR,
     BucketedThroughputModel,
-    FailureAwareThroughputModel,
-    FailureSpec,
     ShardingSpec,
     ThroughputModel,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "ClusterSpec",
     "ENDEAVOUR",
     "BucketedThroughputModel",
-    "FailureAwareThroughputModel",
-    "FailureSpec",
     "ShardingSpec",
     "ThroughputModel",
     "AffinityPlanner",

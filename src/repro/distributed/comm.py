@@ -497,10 +497,5 @@ class SimComm:
         self.traffic.p2p_bytes += sum(self._nbytes(v) for i, v in enumerate(values) if i != root)
         return list(values)
 
-    def reduce_scalar(self, values: Sequence[float], op: Callable = sum) -> float:
-        """Convenience: reduce python scalars (metric aggregation)."""
-        self._check(values)
-        return float(op(values))
-
     def barrier(self) -> None:
         """No-op in simulation; present to keep call sites SPMD-shaped."""

@@ -106,7 +106,7 @@ class ThroughputModel:
         gradient_bytes: int,
         cluster: ClusterSpec = ENDEAVOUR,
     ):
-        if per_worker_samples_per_s <= 0:
+        if not per_worker_samples_per_s > 0:
             raise ValueError("per-worker rate must be positive")
         if batch_per_worker < 1:
             raise ValueError("batch per worker must be >= 1")
@@ -151,92 +151,6 @@ class ThroughputModel:
                     "samples_per_s": self.samples_per_second(n),
                     "epoch_minutes": self.epoch_seconds(n, dataset_size) / 60.0,
                     "efficiency": self.scaling_efficiency(n),
-                }
-            )
-        return rows
-
-
-# --------------------------------------------------------------------------- #
-# Failure-aware throughput
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FailureSpec:
-    """Failure and recovery characteristics of one worker rank.
-
-    Defaults describe a healthy production cluster: per-rank MTBF of
-    ~10k hours (a 512-rank job then fails about once every 19 hours),
-    two minutes to restart and rejoin, and npz checkpoints that take
-    seconds to write at bench-scale model sizes.
-    """
-
-    rank_mtbf_hours: float = 10_000.0
-    recovery_seconds: float = 120.0
-    checkpoint_write_seconds: float = 15.0
-
-    def job_mtbf_seconds(self, world_size: int) -> float:
-        """Mean time between failures of the whole job (any rank failing)."""
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
-        return self.rank_mtbf_hours * 3600.0 / world_size
-
-
-class FailureAwareThroughputModel:
-    """Throughput projection that accounts for failures and checkpointing.
-
-    Wraps a healthy :class:`ThroughputModel` and discounts it by the
-    first-order availability of a checkpoint-restart scheme: writing a
-    checkpoint every ``tau`` seconds costs ``delta/tau`` of the run,
-    each failure loses on average ``tau/2`` of work plus the restart
-    time.  With the Young/Daly-optimal interval tau* = sqrt(2 delta M),
-    the overhead fraction is ``sqrt(2 delta / M) + R / M`` for job MTBF
-    ``M`` and restart cost ``R`` — sub-percent in the paper's regime,
-    which is why Fig. 2 can ignore failures at 512 ranks but a
-    naive no-checkpoint strategy could not.
-    """
-
-    def __init__(self, base: ThroughputModel, failures: FailureSpec = FailureSpec()):
-        self.base = base
-        self.failures = failures
-
-    def optimal_checkpoint_interval(self, world_size: int) -> float:
-        """Young/Daly first-order optimum: sqrt(2 * delta * MTBF)."""
-        mtbf = self.failures.job_mtbf_seconds(world_size)
-        return math.sqrt(2.0 * self.failures.checkpoint_write_seconds * mtbf)
-
-    def overhead_fraction(self, world_size: int) -> float:
-        """Fraction of wall-clock lost to checkpoints, rework, and restarts."""
-        mtbf = self.failures.job_mtbf_seconds(world_size)
-        delta = self.failures.checkpoint_write_seconds
-        tau = self.optimal_checkpoint_interval(world_size)
-        frac = delta / tau + tau / (2.0 * mtbf) + self.failures.recovery_seconds / mtbf
-        return min(frac, 1.0)
-
-    def availability(self, world_size: int) -> float:
-        """Useful-work fraction under the optimal checkpoint cadence."""
-        return 1.0 - self.overhead_fraction(world_size)
-
-    def samples_per_second(self, world_size: int) -> float:
-        """Failure-discounted aggregate training throughput."""
-        return self.base.samples_per_second(world_size) * self.availability(world_size)
-
-    def epoch_seconds(self, world_size: int, dataset_size: int) -> float:
-        rate = self.samples_per_second(world_size)
-        if rate <= 0:
-            return float("inf")
-        return dataset_size / rate
-
-    def sweep(self, world_sizes: List[int], dataset_size: int) -> List[Dict[str, float]]:
-        """Fig. 2's series with failure accounting columns added."""
-        rows = []
-        for n in world_sizes:
-            rows.append(
-                {
-                    "workers": n,
-                    "samples_per_s": self.samples_per_second(n),
-                    "availability": self.availability(n),
-                    "checkpoint_interval_s": self.optimal_checkpoint_interval(n),
-                    "job_mtbf_hours": self.failures.job_mtbf_seconds(n) / 3600.0,
-                    "epoch_minutes": self.epoch_seconds(n, dataset_size) / 60.0,
                 }
             )
         return rows
@@ -317,13 +231,6 @@ class BucketedThroughputModel:
             return 0.0
         payload = self.base.gradient_bytes
         return 2.0 * (nodes - 1) / nodes * payload * nodes
-
-    def comm_seconds(self, world_size: int) -> float:
-        """Total (un-overlapped) collective time across all buckets."""
-        per_bucket = self.base.gradient_bytes / self.num_buckets
-        return 2.0 * self.num_buckets * ring_half_seconds(
-            self.base.cluster, per_bucket, world_size
-        )
 
     def exposed_comm_seconds(self, world_size: int) -> float:
         """Comm time left on the critical path after backward overlap."""

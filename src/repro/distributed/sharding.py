@@ -211,18 +211,6 @@ class GradientBucketer:
     def total_elements(self) -> int:
         return sum(b.size for b in self.buckets)
 
-    def describe(self) -> str:
-        lines = [
-            f"{len(self.buckets)} buckets over {len(self.params)} params, "
-            f"cap {self.bucket_bytes} B"
-        ]
-        for b in self.buckets:
-            lines.append(
-                f"  bucket {b.index}: dtype={b.dtype.name}, "
-                f"{len(b.segments)} tensors, {b.nbytes} B"
-            )
-        return "\n".join(lines)
-
 
 # --------------------------------------------------------------------------- #
 # Sharded optimizer

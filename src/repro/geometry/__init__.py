@@ -26,7 +26,6 @@ from repro.geometry.detection import (
     detect_point_group,
     is_invariant_under,
     symmetry_operations_of,
-    symmetry_order_profile,
 )
 from repro.geometry.lattice import (
     Lattice,
@@ -52,7 +51,6 @@ __all__ = [
     "detect_point_group",
     "is_invariant_under",
     "symmetry_operations_of",
-    "symmetry_order_profile",
     "crystallographic_point_groups",
     "CRYSTAL_POINT_GROUP_NAMES",
     "POINT_GROUP_ORDERS",

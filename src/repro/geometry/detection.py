@@ -11,7 +11,7 @@ symmetry) and available as a library utility for users' own structures.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,22 +90,3 @@ def detect_point_group(
     if best is None:  # only possible with a restricted candidate list
         raise ValueError("no candidate group leaves the cloud invariant")
     return best
-
-
-def symmetry_order_profile(
-    points: np.ndarray, tol: float = 1e-3
-) -> List[tuple]:
-    """(name, satisfied_ops, order) for every group — a symmetry fingerprint.
-
-    Useful for diagnosing near-symmetric structures: a cloud that is
-    "almost" D4h shows up with 15/16 operations satisfied.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if len(points):
-        points = points - points.mean(axis=0, keepdims=True)
-    profile = []
-    for group in crystallographic_point_groups():
-        profile.append(
-            (group.name, symmetry_operations_of(points, group, tol), group.order)
-        )
-    return profile

@@ -79,17 +79,6 @@ class OpStat:
         self.alloc_bytes = 0
         self.allocs = 0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "phase": self.phase,
-            "calls": self.calls,
-            "total": self.total,
-            "self": self.self_time,
-            "alloc_bytes": self.alloc_bytes,
-            "allocs": self.allocs,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OpStat({self.name}/{self.phase}: calls={self.calls} "
@@ -277,10 +266,6 @@ class OpProfiler:
                 if phase is None or s.phase == phase
             ]
         return sorted(rows, key=lambda s: -s.total)
-
-    def total_time(self, phase: Optional[str] = None) -> float:
-        """Summed *self* time (avoids double counting nested ops)."""
-        return sum(s.self_time for s in self.summary(phase))
 
     def backward_by_op(self) -> Dict[str, float]:
         """Backward time per creating op — the Fig. 3 attribution view."""

@@ -1,24 +1,16 @@
 """Optimizers and learning-rate schedulers.
 
 ``AdamW`` reproduces decoupled weight decay (Loshchilov & Hutter), the
-optimizer the paper uses everywhere; schedulers reproduce the paper's
-linear-warmup → exponential-decay schedule and Goyal et al.'s
-scale-lr-with-world-size rule for distributed data parallelism.
+optimizer the paper uses everywhere; ``WarmupExponential`` reproduces the
+paper's linear-warmup → exponential-decay schedule and ``scale_lr_for_ddp``
+Goyal et al.'s scale-lr-with-world-size rule for distributed data
+parallelism.
 """
 
 from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam, AdamW
-from repro.optim.schedulers import (
-    LRScheduler,
-    ConstantLR,
-    LinearWarmup,
-    ExponentialDecay,
-    WarmupExponential,
-    SequentialLR,
-    CosineAnnealing,
-    scale_lr_for_ddp,
-)
+from repro.optim.schedulers import LRScheduler, WarmupExponential, scale_lr_for_ddp
 from repro.optim.clip import NonFiniteGradientError, clip_grad_norm
 from repro.optim.grouped import MultiGroupOptimizer
 
@@ -28,12 +20,7 @@ __all__ = [
     "Adam",
     "AdamW",
     "LRScheduler",
-    "ConstantLR",
-    "LinearWarmup",
-    "ExponentialDecay",
     "WarmupExponential",
-    "SequentialLR",
-    "CosineAnnealing",
     "scale_lr_for_ddp",
     "NonFiniteGradientError",
     "clip_grad_norm",

@@ -10,9 +10,6 @@ by ten to mitigate forgetting.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 from repro.optim.optimizer import Optimizer
 
 
@@ -50,88 +47,6 @@ class LRScheduler:
     @property
     def current_lr(self) -> float:
         return self.optimizer.lr
-
-
-class ConstantLR(LRScheduler):
-    """Fixed learning rate (the no-schedule baseline)."""
-
-    def lr_at(self, epoch: int) -> float:
-        return self.target_lr
-
-
-class LinearWarmup(LRScheduler):
-    """Ramp lr linearly from ``target/warmup`` to ``target`` over warmup epochs."""
-
-    def __init__(self, optimizer: Optimizer, warmup_epochs: int, target_lr: float | None = None):
-        if warmup_epochs < 1:
-            raise ValueError("warmup_epochs must be >= 1")
-        self.warmup_epochs = warmup_epochs
-        super().__init__(optimizer, target_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        frac = min((epoch + 1) / self.warmup_epochs, 1.0)
-        return self.target_lr * frac
-
-
-class ExponentialDecay(LRScheduler):
-    """``lr = target * gamma^epoch`` (paper: gamma = 0.8)."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.8, target_lr: float | None = None):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.gamma = gamma
-        super().__init__(optimizer, target_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        return self.target_lr * self.gamma**epoch
-
-
-class CosineAnnealing(LRScheduler):
-    """Cosine decay to ``min_lr`` over ``total_epochs`` (extension schedule)."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        total_epochs: int,
-        min_lr: float = 0.0,
-        target_lr: float | None = None,
-    ):
-        if total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-        super().__init__(optimizer, target_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        frac = min(epoch / self.total_epochs, 1.0)
-        return self.min_lr + 0.5 * (self.target_lr - self.min_lr) * (1 + math.cos(math.pi * frac))
-
-
-class SequentialLR(LRScheduler):
-    """Chain schedules with switch points, e.g. warmup then decay."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        schedulers: Sequence[LRScheduler],
-        milestones: Sequence[int],
-    ):
-        if len(milestones) != len(schedulers) - 1:
-            raise ValueError("need exactly len(schedulers) - 1 milestones")
-        if list(milestones) != sorted(milestones):
-            raise ValueError("milestones must be increasing")
-        self.schedulers = list(schedulers)
-        self.milestones = list(milestones)
-        super().__init__(optimizer, self.schedulers[-1].target_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        idx = 0
-        offset = 0
-        for i, milestone in enumerate(self.milestones):
-            if epoch >= milestone:
-                idx = i + 1
-                offset = milestone
-        return self.schedulers[idx].lr_at(epoch - offset)
 
 
 class WarmupExponential(LRScheduler):

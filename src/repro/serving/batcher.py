@@ -78,7 +78,7 @@ class BatchPolicy:
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait < 0:
+        if not self.max_wait >= 0:
             raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
 
 
@@ -94,7 +94,7 @@ class AdmissionPolicy:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
 
 

@@ -110,7 +110,7 @@ def chaos_schedule(
     """
     if isinstance(profile, str) or profile is None:
         profile = ServingChaosProfile.parse(profile)
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     engine = ChaosEngine(
         profile.kinds(),

@@ -93,7 +93,7 @@ class HedgePolicy:
     max_hedges: int = 1
 
     def __post_init__(self):
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
         if self.max_hedges < 1:
             raise ValueError(f"max_hedges must be >= 1, got {self.max_hedges}")

@@ -62,7 +62,7 @@ class AffineServiceModel:
     degenerate_fit: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.base < 0 or self.per_sample <= 0:
+        if not (self.base >= 0 and self.per_sample > 0):
             raise ValueError(
                 f"need base >= 0 and per_sample > 0, got {self.base}, {self.per_sample}"
             )

@@ -22,7 +22,7 @@ def poisson_arrivals(
     rate: float, count: int, seed: int = 0, start: float = 0.0
 ) -> np.ndarray:
     """``count`` arrival times from a Poisson process of ``rate`` req/s."""
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

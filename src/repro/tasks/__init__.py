@@ -10,7 +10,7 @@ paper identifies as where pretraining pays off.
 
 from repro.tasks.base import Task, ValResult
 from repro.tasks.regression import ScalarRegressionTask
-from repro.tasks.classification import BinaryClassificationTask, MultiClassClassificationTask
+from repro.tasks.classification import MultiClassClassificationTask
 from repro.tasks.forces import EnergyForceTask
 from repro.tasks.multitask import TaskSpec, MultiTaskModule
 
@@ -18,7 +18,6 @@ __all__ = [
     "Task",
     "ValResult",
     "ScalarRegressionTask",
-    "BinaryClassificationTask",
     "MultiClassClassificationTask",
     "EnergyForceTask",
     "TaskSpec",

@@ -1,5 +1,8 @@
-"""Classification tasks: material stability (binary) and the symmetry
-point-group pretraining objective (multiclass)."""
+"""Classification task: the symmetry point-group pretraining objective.
+
+Binary targets (material stability) are ``"binary"`` heads of
+:class:`repro.tasks.MultiTaskModule`, the Table-1 setting.
+"""
 
 from __future__ import annotations
 
@@ -13,57 +16,6 @@ from repro.data.structures import GraphBatch
 from repro.models.encoder import Encoder
 from repro.nn import OutputHead
 from repro.tasks.base import Task, ValResult
-
-
-class BinaryClassificationTask(Task):
-    """Binary classification from the graph embedding (e.g. ``is_stable``).
-
-    Reports the binary cross-entropy — the "stability" number in Table 1 —
-    plus accuracy.
-    """
-
-    def __init__(
-        self,
-        encoder: Encoder,
-        target: str,
-        hidden_dim: int = 256,
-        num_blocks: int = 3,
-        dropout: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        super().__init__(encoder)
-        self.target = target
-        self.head = OutputHead(
-            encoder.embed_dim, out_dim=1, hidden_dim=hidden_dim, num_blocks=num_blocks, dropout=dropout, rng=rng
-        )
-
-    def _targets(self, batch: GraphBatch) -> np.ndarray:
-        return np.asarray(batch.targets[self.target], dtype=np.float64).reshape(-1)
-
-    def logits(self, batch: GraphBatch) -> Tensor:
-        return self.head(self.encoder(batch).graph_embedding).squeeze(-1)
-
-    def training_step(self, batch: GraphBatch) -> Tuple[Tensor, dict]:
-        logits = self.logits(batch)
-        target = self._targets(batch)
-        loss = F.binary_cross_entropy_with_logits(logits, target)
-        acc = float(((logits.data > 0) == (target > 0.5)).mean())
-        return loss, {f"train_{self.target}_acc": acc}
-
-    def validation_step(self, batch: GraphBatch) -> ValResult:
-        with no_grad():
-            logits = self.logits(batch)
-        target = self._targets(batch)
-        n = len(target)
-        z = logits.data
-        bce = float(
-            (np.maximum(z, 0) - z * target + np.logaddexp(0.0, -np.abs(z))).sum()
-        )
-        correct = float(((z > 0) == (target > 0.5)).sum())
-        return {
-            f"{self.target}_bce": (bce, n),
-            f"{self.target}_acc": (correct, n),
-        }
 
 
 class MultiClassClassificationTask(Task):

@@ -7,7 +7,7 @@ PyTorch Lightning gives the original toolkit.
 """
 
 from repro.training.history import History
-from repro.training.metrics import Meter, mean_absolute_error, accuracy
+from repro.training.metrics import accuracy
 from repro.training.callbacks import (
     Callback,
     FaultEventMonitor,
@@ -17,7 +17,7 @@ from repro.training.callbacks import (
     SpikeDetector,
 )
 from repro.training.trainer import RecoveryConfig, Trainer, TrainerConfig
-from repro.training.finetune import transfer_encoder, finetune_lr
+from repro.training.finetune import finetune_lr
 from repro.training.checkpoint_io import (
     CheckpointIntegrityError,
     load_checkpoint,
@@ -30,8 +30,6 @@ from repro.training.checkpoint_io import (
 
 __all__ = [
     "History",
-    "Meter",
-    "mean_absolute_error",
     "accuracy",
     "Callback",
     "FaultEventMonitor",
@@ -42,7 +40,6 @@ __all__ = [
     "RecoveryConfig",
     "Trainer",
     "TrainerConfig",
-    "transfer_encoder",
     "finetune_lr",
     "CheckpointIntegrityError",
     "load_checkpoint",

@@ -1,13 +1,12 @@
 """Fine-tuning utilities: the pretrain -> downstream hinge.
 
 Implements the paper's recipe (Sec. 4.2): transplant the pretrained
-encoder into a fresh task (heads stay randomly initialized) and scale the
-base learning rate down by 10x to mitigate catastrophic forgetting.
+encoder into a fresh task with ``Task.load_encoder_state`` (heads stay
+randomly initialized) and scale the base learning rate down by 10x to
+mitigate catastrophic forgetting.
 """
 
 from __future__ import annotations
-
-from repro.tasks.base import Task
 
 #: The paper's fine-tuning learning-rate divisor.
 FINETUNE_LR_DIVISOR = 10.0
@@ -18,15 +17,3 @@ def finetune_lr(base_lr: float, divisor: float = FINETUNE_LR_DIVISOR) -> float:
     if divisor <= 0:
         raise ValueError("divisor must be positive")
     return base_lr / divisor
-
-
-def transfer_encoder(source: Task, target: Task, freeze: bool = False) -> Task:
-    """Copy the encoder weights of ``source`` into ``target``.
-
-    ``freeze=True`` additionally stops gradient flow into the encoder —
-    the linear-probe ablation.  Returns ``target`` for chaining.
-    """
-    target.load_encoder_state(source.encoder_state())
-    if freeze:
-        target.encoder.requires_grad_(False)
-    return target

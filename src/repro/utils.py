@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
@@ -16,25 +16,6 @@ def seed_everything(seed: int) -> np.random.Generator:
     and benches use to make runs reproducible.
     """
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` independent child generators.
-
-    Used to give each DDP rank / dataset / module its own stream, mirroring
-    per-process seeding in real distributed training.
-    """
-    seeds = rng.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Simple trailing moving average used when summarizing training curves."""
-    values = np.asarray(values, dtype=np.float64)
-    if window <= 1 or values.size == 0:
-        return values.copy()
-    kernel = np.ones(min(window, values.size)) / min(window, values.size)
-    return np.convolve(values, kernel, mode="valid")
 
 
 def human_count(n: float) -> str:

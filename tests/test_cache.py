@@ -24,13 +24,12 @@ import pytest
 
 from repro.core.pipeline import transform_once
 from repro.data import DataLoader, array_fingerprint, collate_graphs
-from repro.data.structures import GraphSample, Structure
+from repro.data.structures import GraphSample, PointCloudSample, Structure
 from repro.data.transforms import (
     Compose,
     DistanceEdgeFeatures,
     PointCloudToGraph,
     StructureToGraph,
-    StructureToPointCloud,
 )
 from repro.datasets import SymmetryPointCloudDataset
 from repro.observability import Observer
@@ -121,7 +120,7 @@ class TestLRUByteCache:
             assert np.array_equal(g.edge_dst, plain.edge_dst)
         knn = StructureToGraph(k=np.int64(1))(structure)
         assert knn.num_edges == 4
-        cloud = StructureToPointCloud()(structure)
+        cloud = PointCloudSample(structure.positions, structure.species)
         assert PointCloudToGraph(k=1)(cloud).num_edges == 4
         assert DistanceEdgeFeatures(num_basis=3, cutoff=np.float64(2.0)).width == 1.0
 
@@ -204,7 +203,7 @@ class TestFingerprints:
         change that changes the graph or features changes the fingerprint,
         and equal parameters give equal fingerprints and outputs."""
         structure = SymmetryPointCloudDataset(2, seed=3, group_names=["C4"])[0]
-        cloud = StructureToPointCloud()(structure)
+        cloud = PointCloudSample(structure.positions, structure.species)
 
         def output(tf):
             sample = cloud if isinstance(tf, PointCloudToGraph) else structure

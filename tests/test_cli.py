@@ -89,6 +89,32 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["explore", "--samples", "0"], "--samples"),
+        (["scaling", "--workers", "0", "8"], "--workers"),
+        (["scaling", "--workers", "-4", "8"], "--workers"),
+        (["scaling", "--workers", "64", "16"], "--workers"),
+        (["scaling", "--rate", "nan"], "--rate"),
+        (["scaling", "--rate", "0"], "--rate"),
+        (["scaling", "--params", "-1"], "--params"),
+        (["scaling", "--dataset-size", "0"], "--dataset-size"),
+        (["predict", "--registry", "/tmp/reg", "--samples", "0"], "--samples"),
+        (["serve", "--registry", "/tmp/reg", "--samples", "-2"], "--samples"),
+        (["serve", "--registry", "/tmp/reg", "--query-seed", "-1"], "--query-seed"),
+        (["predict", "--registry", "/tmp/reg", "--seed", "-1"], "--seed"),
+        (["serve", "--registry", "/tmp/reg", "--chaos-seed", "-1"], "--chaos-seed"),
+        (["screen", "--registry", "/tmp/reg", "--relax-steps", "-1"], "--relax-steps"),
+        (["screen", "--registry", "/tmp/reg", "--screen-seed", "-1"], "--screen-seed"),
+    ])
+    def test_other_bad_values_exit_2_naming_the_flag(self, argv, flag, capsys):
+        """Every numeric flag outside training is a bounded type too; before,
+        ``scaling --workers 0 8`` looped forever and ``--rate nan`` printed
+        a table of NaN."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_registry_verify_parses(self):
         args = build_parser().parse_args(
             ["registry", "verify", "--registry", "/tmp/reg"]

@@ -11,13 +11,10 @@ from repro.data import (
     DistributedSampler,
     GraphSample,
     InMemoryDataset,
-    PointCloudSample,
     Structure,
     Subset,
     collate_graphs,
-    collate_point_clouds,
     train_val_split,
-    train_val_test_split,
 )
 
 
@@ -117,17 +114,23 @@ class TestSplits:
         assert a[0].indices == b[0].indices
 
     def test_three_way(self, rng):
+        """A test split is a second ``train_val_split`` of the training part."""
         ds = InMemoryDataset(list(range(100)))
-        tr, va, te = train_val_test_split(ds, 0.2, 0.1, rng)
+        rest, te = train_val_split(ds, 0.1, rng)
+        tr, va = train_val_split(rest, 2 / 9, rng)
         assert len(tr) == 70 and len(va) == 20 and len(te) == 10
-        assert not (set(va.indices) & set(te.indices))
+        parts = [set(tr), set(va), set(te)]
+        assert set().union(*parts) == set(range(100))
+        assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
     def test_invalid_fraction(self, rng):
         ds = InMemoryDataset(list(range(10)))
         with pytest.raises(ValueError):
             train_val_split(ds, 1.5, rng)
         with pytest.raises(ValueError):
-            train_val_test_split(ds, 0.6, 0.5, rng)
+            train_val_split(ds, 0.0, rng)
+        with pytest.raises(ValueError, match="no training samples"):
+            train_val_split(InMemoryDataset([0]), 0.5, rng)
 
 
 class TestCollation:
@@ -167,9 +170,12 @@ class TestCollation:
             collate_graphs([])
 
     def test_point_cloud_collation(self):
-        pc1 = PointCloudSample(np.zeros((2, 3)), np.ones(2), targets={"y": 1.0})
-        pc2 = PointCloudSample(np.ones((3, 3)), np.ones(3), targets={"y": 2.0})
-        batch = collate_point_clouds([pc1, pc2])
+        """Point clouds batch as edgeless graphs: ``node_graph`` alone
+        carries membership, which is all GAANet's attention reads."""
+        no_edges = np.zeros(0, dtype=np.int64)
+        pc1 = GraphSample(np.zeros((2, 3)), np.ones(2), no_edges, no_edges, targets={"y": 1.0})
+        pc2 = GraphSample(np.ones((3, 3)), np.ones(3), no_edges, no_edges, targets={"y": 2.0})
+        batch = collate_graphs([pc1, pc2])
         assert batch.num_nodes == 5
         assert batch.num_edges == 0
         assert np.allclose(batch.node_graph, [0, 0, 1, 1, 1])

@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 
 from repro.data import GraphSample, PointCloudSample, Structure
 from repro.data.transforms import (
-    CenterPositions,
     Compose,
     DistanceEdgeFeatures,
-    GaussianPositionNoise,
     Lambda,
     PermuteNodes,
     PointCloudToGraph,
-    RandomRotation,
     StructureToGraph,
-    StructureToPointCloud,
     TargetNormalizer,
     knn_graph,
     periodic_radius_graph,
     radius_graph,
 )
+from repro.datasets import SymmetryPointCloudDataset
 
 
 def square_positions():
@@ -129,21 +126,22 @@ class TestConversionTransforms:
         assert g.num_edges == 8
 
     def test_structure_to_point_cloud(self):
-        pc = StructureToPointCloud()(self.make_structure())
-        assert isinstance(pc, PointCloudSample)
-        assert pc.num_points == 4
+        """Every atom of the structure is a node, species carried over."""
+        g = StructureToGraph(cutoff=1e-9)(self.make_structure())
+        assert g.num_nodes == 4 and g.num_edges == 0
+        assert np.array_equal(g.species, [1, 2, 3, 4])
 
     def test_point_cloud_to_graph(self):
-        pc = StructureToPointCloud()(self.make_structure())
+        structure = self.make_structure()
+        pc = PointCloudSample(structure.positions, structure.species)
         g = PointCloudToGraph(cutoff=1.1)(pc)
         assert g.num_edges == 8
 
     def test_compose_and_lambda(self):
         pipeline = Compose(
             [
-                StructureToPointCloud(),
                 Lambda(lambda s: s, name="identity"),
-                PointCloudToGraph(cutoff=1.1),
+                StructureToGraph(cutoff=1.1),
             ]
         )
         g = pipeline(self.make_structure())
@@ -152,34 +150,38 @@ class TestConversionTransforms:
 
 
 class TestAugments:
-    def make_sample(self, rng):
-        return PointCloudSample(
-            positions=rng.normal(size=(6, 3)) + 3.0,
-            species=np.arange(1, 7),
-        )
+    """Centring, orientation and noise are applied where samples are made:
+    ``StructureToGraph(center=True)`` and the pretraining set's own
+    ``random_orientation`` / ``noise_sigma`` draws."""
 
     def test_center(self, rng):
-        out = CenterPositions()(self.make_sample(rng))
+        structure = Structure(positions=rng.normal(size=(6, 3)) + 3.0, species=np.arange(1, 7))
+        out = StructureToGraph(cutoff=1.0)(structure)
         assert np.allclose(out.positions.mean(axis=0), 0.0)
 
-    def test_random_rotation_preserves_distances(self, rng):
+    def test_random_rotation_preserves_distances(self):
         from scipy.spatial.distance import pdist
 
-        sample = self.make_sample(rng)
-        out = RandomRotation(rng)(sample)
+        sample = SymmetryPointCloudDataset(1, seed=4, group_names=["C2"])[0]
+        out = SymmetryPointCloudDataset(
+            1, seed=4, group_names=["C2"], random_orientation=True
+        )[0]
         assert np.allclose(pdist(sample.positions), pdist(out.positions))
         assert not np.allclose(sample.positions, out.positions)
 
-    def test_gaussian_noise_scale(self, rng):
-        sample = self.make_sample(rng)
-        out = GaussianPositionNoise(0.01, rng)(sample)
-        assert np.abs(out.positions - sample.positions).max() < 0.1
-        same = GaussianPositionNoise(0.0, rng)(sample)
-        assert same is sample
+    def test_gaussian_noise_scale(self):
+        def cloud(sigma):
+            return SymmetryPointCloudDataset(1, seed=5, noise_sigma=sigma)[0].positions
 
-    def test_noise_rejects_negative_sigma(self, rng):
-        with pytest.raises(ValueError):
-            GaussianPositionNoise(-1.0, rng)
+        exact = cloud(0.0)
+        noisy = cloud(0.01)
+        assert 0.0 < np.abs(noisy - exact).max() < 0.1
+        assert np.array_equal(cloud(0.0), exact)
+
+    def test_noise_rejects_negative_sigma(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                SymmetryPointCloudDataset(4, noise_sigma=bad)
 
     def test_permute_preserves_graph_connectivity(self, rng):
         pos = rng.normal(size=(5, 3))

@@ -18,15 +18,12 @@ from repro.distributed import (
     AllreduceTimeout,
     DDPStrategy,
     EventLog,
-    FailureAwareThroughputModel,
-    FailureSpec,
     FaultInjector,
     FaultProfile,
     RetryPolicy,
     SimClock,
     SimComm,
     StepFailure,
-    ThroughputModel,
 )
 from repro.models import EGNN
 from repro.optim import AdamW
@@ -599,46 +596,6 @@ class TestFailedRestoreIsAtomic:
         with pytest.raises(CheckpointIntegrityError, match="optim.npz"):
             load_checkpoint(checkpoint, task, opt)
         _assert_unchanged(task, opt, before)
-
-
-# --------------------------------------------------------------------------- #
-# Failure-aware throughput model
-# --------------------------------------------------------------------------- #
-class TestFailureAwareThroughput:
-    def make(self, **kwargs):
-        base = ThroughputModel(
-            per_worker_samples_per_s=100.0, batch_per_worker=32, gradient_bytes=4_000_000
-        )
-        return FailureAwareThroughputModel(base, FailureSpec(**kwargs))
-
-    def test_optimal_interval_is_young_daly(self):
-        m = self.make(rank_mtbf_hours=1000.0, checkpoint_write_seconds=10.0)
-        mtbf = 1000.0 * 3600.0 / 64
-        assert m.optimal_checkpoint_interval(64) == pytest.approx(
-            np.sqrt(2 * 10.0 * mtbf)
-        )
-
-    def test_availability_decreases_with_world_size(self):
-        m = self.make()
-        avail = [m.availability(n) for n in (16, 64, 256, 512)]
-        assert all(a > b for a, b in zip(avail, avail[1:]))
-
-    def test_paper_regime_overhead_is_small(self):
-        # 10k-hour rank MTBF at N=512: checkpoint + rework + recovery costs
-        # a few percent of wall-clock, never more.
-        m = self.make()
-        assert 0.0 < m.overhead_fraction(512) < 0.05
-        assert m.samples_per_second(512) < m.base.samples_per_second(512)
-
-    def test_flaky_cluster_pays_visibly(self):
-        flaky = self.make(rank_mtbf_hours=20.0, recovery_seconds=600.0)
-        assert flaky.availability(512) < 0.9
-
-    def test_sweep_rows_carry_failure_columns(self):
-        rows = self.make().sweep([16, 512], dataset_size=2_000_000)
-        assert rows[0]["availability"] > rows[1]["availability"]
-        assert rows[1]["checkpoint_interval_s"] < rows[0]["checkpoint_interval_s"]
-        assert rows[1]["job_mtbf_hours"] < rows[0]["job_mtbf_hours"]
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,6 @@ from repro.geometry import (
     is_invariant_under,
     rotation_matrix,
     symmetry_operations_of,
-    symmetry_order_profile,
 )
 
 GROUPS = {g.name: g for g in crystallographic_point_groups()}
@@ -108,7 +107,10 @@ class TestDatasetAudit:
 
     def test_profile_fingerprint(self):
         cloud = generic_orbit("C4", seed=7)
-        profile = {name: (sat, order) for name, sat, order in symmetry_order_profile(cloud)}
+        profile = {
+            name: (symmetry_operations_of(cloud, group), group.order)
+            for name, group in GROUPS.items()
+        }
         assert profile["C4"] == (4, 4)
         assert profile["C2"] == (2, 2)  # subgroup fully satisfied
         sat, order = profile["C4v"]

@@ -1,21 +1,15 @@
-"""Learning-rate schedules: exact values of the paper's warmup + decay."""
+"""Learning-rate schedules: exact values of the paper's warmup + decay.
 
-import math
+``WarmupExponential`` is the one schedule; the per-phase classes below pin
+its phases: a constant plateau (gamma = 1), the linear warmup, the gamma
+decay, the decay's shape, and the switch from warmup to decay.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.optim import (
-    AdamW,
-    ConstantLR,
-    CosineAnnealing,
-    ExponentialDecay,
-    LinearWarmup,
-    SequentialLR,
-    WarmupExponential,
-    scale_lr_for_ddp,
-)
+from repro.optim import AdamW, WarmupExponential, scale_lr_for_ddp
 
 
 def make_opt(lr=1e-3):
@@ -37,7 +31,7 @@ class TestScaleRule:
 class TestConstant:
     def test_never_changes(self):
         opt = make_opt()
-        sched = ConstantLR(opt, target_lr=5e-4)
+        sched = WarmupExponential(opt, warmup_epochs=1, gamma=1.0, target_lr=5e-4)
         for _ in range(10):
             sched.step()
         assert opt.lr == pytest.approx(5e-4)
@@ -46,7 +40,7 @@ class TestConstant:
 class TestLinearWarmup:
     def test_ramp_values(self):
         opt = make_opt()
-        sched = LinearWarmup(opt, warmup_epochs=4, target_lr=1.0)
+        sched = WarmupExponential(opt, warmup_epochs=4, gamma=1.0, target_lr=1.0)
         values = [sched.current_lr]
         for _ in range(5):
             sched.step()
@@ -56,13 +50,13 @@ class TestLinearWarmup:
 
     def test_rejects_zero_warmup(self):
         with pytest.raises(ValueError):
-            LinearWarmup(make_opt(), warmup_epochs=0)
+            WarmupExponential(make_opt(), warmup_epochs=0)
 
 
 class TestExponentialDecay:
     def test_gamma_powers(self):
         opt = make_opt()
-        sched = ExponentialDecay(opt, gamma=0.8, target_lr=1.0)
+        sched = WarmupExponential(opt, warmup_epochs=1, gamma=0.8, target_lr=1.0)
         assert sched.current_lr == pytest.approx(1.0)
         sched.step()
         assert sched.current_lr == pytest.approx(0.8)
@@ -71,26 +65,28 @@ class TestExponentialDecay:
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
-            ExponentialDecay(make_opt(), gamma=0.0)
+            WarmupExponential(make_opt(), gamma=0.0)
         with pytest.raises(ValueError):
-            ExponentialDecay(make_opt(), gamma=1.5)
+            WarmupExponential(make_opt(), gamma=1.5)
 
 
 class TestCosine:
+    """The decay phase's shape (the cosine schedule itself is gone)."""
+
     def test_endpoints(self):
+        """Warmup starts at target / warmup; the decay tends to zero."""
         opt = make_opt()
-        sched = CosineAnnealing(opt, total_epochs=10, min_lr=0.1, target_lr=1.0)
-        assert sched.current_lr == pytest.approx(1.0)
-        for _ in range(10):
-            sched.step()
+        sched = WarmupExponential(opt, warmup_epochs=10, gamma=0.5, target_lr=1.0)
         assert sched.current_lr == pytest.approx(0.1)
+        for _ in range(60):
+            sched.step()
+        assert 0.0 < sched.current_lr < 1e-15
 
     def test_midpoint(self):
-        opt = make_opt()
-        sched = CosineAnnealing(opt, total_epochs=10, min_lr=0.0, target_lr=1.0)
-        for _ in range(5):
-            sched.step()
-        assert sched.current_lr == pytest.approx(0.5, abs=1e-9)
+        """With gamma = 2^(-1/5) the rate halves five epochs after the peak."""
+        sched = WarmupExponential(make_opt(), warmup_epochs=2, gamma=0.5 ** 0.2, target_lr=1.0)
+        assert sched.lr_at(1) == pytest.approx(1.0)
+        assert sched.lr_at(6) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestWarmupExponential:
@@ -124,26 +120,23 @@ class TestWarmupExponential:
 
 class TestSequential:
     def test_switches_at_milestone(self):
+        """Warmup hands over to decay at ``warmup_epochs``."""
         opt = make_opt()
-        warm = LinearWarmup(opt, warmup_epochs=3, target_lr=1.0)
-        decay = ExponentialDecay(opt, gamma=0.5, target_lr=1.0)
-        sched = SequentialLR(opt, [warm, decay], milestones=[3])
+        sched = WarmupExponential(opt, warmup_epochs=3, gamma=0.5, target_lr=1.0)
         values = [sched.current_lr]
         for _ in range(5):
             sched.step()
             values.append(sched.current_lr)
         assert values[0] == pytest.approx(1.0 / 3)
-        assert values[3] == pytest.approx(1.0)  # decay epoch 0
-        assert values[4] == pytest.approx(0.5)
+        assert values[2] == pytest.approx(1.0)  # last warmup epoch: the peak
+        assert values[3] == pytest.approx(0.5)  # first decay epoch
+        assert values[4] == pytest.approx(0.25)
 
     def test_validates_milestones(self):
-        opt = make_opt()
-        a = ConstantLR(opt, 1.0)
-        b = ConstantLR(opt, 0.5)
-        with pytest.raises(ValueError):
-            SequentialLR(opt, [a, b], milestones=[])
-        with pytest.raises(ValueError):
-            SequentialLR(opt, [a, b, a], milestones=[5, 2])
+        """The switch point must leave at least one warmup epoch."""
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="warmup_epochs"):
+                WarmupExponential(make_opt(), warmup_epochs=bad)
 
 
 class TestSchedulerOptimizerBinding:

@@ -1,6 +1,8 @@
-"""Repository-level meta checks: public API surface and documentation."""
+"""Repository-level meta checks: public API surface, documentation, and the
+examples and benches that keep the public names alive."""
 
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -89,3 +91,27 @@ class TestSourceHygiene:
                 if forbidden in text:
                     offenders.append(f"{path.name}: {forbidden}")
         assert not offenders
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+class TestKeptCallersImport:
+    """The examples and benches are the callers that keep public names
+    alive (a name stays only if a workflow, command, servable, example or
+    bench reaches it), so deleting a name one of them imports must fail
+    here, not at the next bench run.  Import only: nothing is executed."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(ROOT.glob("examples/*.py")), ids=lambda p: p.name
+    )
+    def test_example_imports(self, path):
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    @pytest.mark.parametrize(
+        "path", sorted(ROOT.glob("benchmarks/bench_*.py")), ids=lambda p: p.name
+    )
+    def test_bench_imports(self, path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT))
+        importlib.import_module(f"benchmarks.{path.stem}")

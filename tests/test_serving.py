@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.distributed import ThroughputModel
 from repro.distributed.events import SimClock
 from repro.observability import Observer
 from repro.serving import (
@@ -28,6 +29,7 @@ from repro.serving import (
     AffineServiceModel,
     BatchPolicy,
     DegenerateFitWarning,
+    HedgePolicy,
     InferenceServer,
     ModelRegistry,
     Request,
@@ -36,6 +38,7 @@ from repro.serving import (
     STATUS_TIMEOUT,
     ServableSpec,
     calibrate_service_model,
+    chaos_schedule,
     load_servable,
     make_requests,
     poisson_arrivals,
@@ -113,6 +116,30 @@ def test_poisson_arrivals_seeded_and_monotone():
     assert all(x <= y for x, y in zip(a, a[1:]))
     with pytest.raises(ValueError):
         poisson_arrivals(0.0, 5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: BatchPolicy(max_wait=NAN), "max_wait"),
+    (lambda: AdmissionPolicy(deadline=NAN), "deadline"),
+    (lambda: HedgePolicy(delay=NAN), "delay"),
+    (lambda: poisson_arrivals(NAN, 5), "rate"),
+    (lambda: chaos_schedule("replica_crash:1", 2, duration=NAN), "duration"),
+    (lambda: AffineServiceModel(NAN, 1e-3), "base"),
+    (lambda: AffineServiceModel(1e-3, NAN), "per_sample"),
+    (lambda: ThroughputModel(NAN, 32, 1000), "rate"),
+], ids=[
+    "BatchPolicy.max_wait", "AdmissionPolicy.deadline", "HedgePolicy.delay",
+    "poisson_arrivals.rate", "chaos_schedule.duration", "AffineServiceModel.base",
+    "AffineServiceModel.per_sample", "ThroughputModel.rate",
+])
+def test_serving_and_scaling_inputs_reject_nan(build, name):
+    """Each bound is written so NaN fails it: a NaN ``max_wait`` used to
+    dispatch every batch at once, a NaN deadline never timed out."""
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_make_requests_cycles_clients_and_sets_deadlines():

@@ -10,7 +10,6 @@ from repro.data.structures import GraphSample
 from repro.datasets import SymmetryPointCloudDataset
 from repro.models import EGNN
 from repro.tasks import (
-    BinaryClassificationTask,
     EnergyForceTask,
     MultiClassClassificationTask,
     MultiTaskModule,
@@ -85,10 +84,15 @@ class TestScalarRegression:
 
 class TestBinaryClassification:
     def test_steps(self, rng, encoder):
-        task = BinaryClassificationTask(encoder, "stable", hidden_dim=8, num_blocks=1, rng=rng)
+        """A binary (stability) target is a ``"binary"`` multi-task head."""
+        task = MultiTaskModule(
+            encoder, [TaskSpec("stable", "stable", "binary")],
+            hidden_dim=8, num_blocks=1, rng=rng,
+        )
         batch = collate_graphs(make_samples(rng, stable=lambda i: float(i % 2)))
         loss, metrics = task.training_step(batch)
         assert np.isfinite(loss.item())
+        assert 0.0 <= metrics["train_stable_acc"] <= 1.0
         result = finalize_val_results(task.validation_step(batch))
         assert 0.0 <= result["stable_acc"] <= 1.0
         assert result["stable_bce"] > 0
@@ -213,29 +217,31 @@ class TestMultiTask:
         assert len(task.heads) == 4
 
     def test_encoder_transplant(self, rng, encoder):
-        from repro.training import transfer_encoder
-
+        """The fine-tune hinge: ``load_encoder_state`` of another task's
+        ``encoder_state()``, exactly as the fine-tune workflow calls it."""
         task_a = self.make_task(rng, encoder)
         enc_b = EGNN(hidden_dim=8, num_layers=1, position_dim=4, num_species=8,
                      rng=np.random.default_rng(99))
         task_b = self.make_task(np.random.default_rng(98), enc_b)
-        transfer_encoder(task_a, task_b)
+        task_b.load_encoder_state(task_a.encoder_state())
         for (na, pa), (nb, pb) in zip(
             task_a.encoder.named_parameters(), task_b.encoder.named_parameters()
         ):
             assert np.allclose(pa.data, pb.data), na
 
     def test_freeze_on_transfer(self, rng, encoder):
-        from repro.training import transfer_encoder
-
+        """A transplanted encoder frozen with ``requires_grad_(False)`` (the
+        linear-probe ablation) receives no gradient; its heads still train."""
         task_a = self.make_task(rng, encoder)
         enc_b = EGNN(hidden_dim=8, num_layers=1, position_dim=4, num_species=8,
                      rng=np.random.default_rng(99))
         task_b = self.make_task(np.random.default_rng(98), enc_b)
-        transfer_encoder(task_a, task_b, freeze=True)
+        task_b.load_encoder_state(task_a.encoder_state())
+        task_b.encoder.requires_grad_(False)
         loss, _ = task_b.training_step(self.make_mixed_batch(rng))
         loss.backward()
         assert all(p.grad is None for p in task_b.encoder.parameters())
+        assert any(p.grad is not None for p in task_b.heads.parameters())
 
 
 class TestValResultHelpers:

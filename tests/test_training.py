@@ -13,16 +13,16 @@ from repro.training import (
     Callback,
     History,
     LRMonitor,
-    Meter,
     ModelCheckpoint,
     SpikeDetector,
     ThroughputMeter,
     Trainer,
     TrainerConfig,
     finetune_lr,
-    transfer_encoder,
 )
-from repro.training.metrics import accuracy, cross_entropy_np, mean_absolute_error
+from repro.autograd import functional as F
+from repro.tasks.base import finalize_val_results, merge_val_results
+from repro.training.metrics import accuracy
 
 
 def make_setup(seed=21, n_train=24, n_val=12, group_names=("C1", "C2", "C4", "D2")):
@@ -75,15 +75,15 @@ class TestHistory:
 
 class TestMeterAndMetrics:
     def test_meter_weighted_mean(self):
-        m = Meter()
-        m.update(1.0, n=3)
-        m.update(5.0, n=1)
-        assert m.mean == pytest.approx(2.0)
-        m.reset()
-        assert m.count == 0
+        """Validation metrics stream as (sum, count) pairs: the merged mean
+        is weighted by count, and no batch means no metric."""
+        merged = merge_val_results({"m": (1.0 * 3, 3)}, {"m": (5.0, 1)})
+        assert finalize_val_results(merged)["m"] == pytest.approx(2.0)
+        assert finalize_val_results(merge_val_results({}, {})) == {}
 
     def test_mae(self):
-        assert mean_absolute_error([1.0, 3.0], [2.0, 1.0]) == pytest.approx(1.5)
+        """MAE is the tape's ``l1_loss`` (``ScalarRegressionTask(loss="l1")``)."""
+        assert F.l1_loss(np.array([1.0, 3.0]), np.array([2.0, 1.0])).item() == pytest.approx(1.5)
 
     def test_accuracy_binary_and_multiclass(self):
         assert accuracy(np.array([1.0, -1.0]), np.array([1.0, 0.0])) == 1.0
@@ -92,7 +92,7 @@ class TestMeterAndMetrics:
 
     def test_cross_entropy_np_uniform(self):
         logits = np.zeros((4, 3))
-        assert cross_entropy_np(logits, np.zeros(4, dtype=int)) == pytest.approx(np.log(3))
+        assert F.cross_entropy(logits, np.zeros(4, dtype=int)).item() == pytest.approx(np.log(3))
 
 
 class TestTrainerLoop:
@@ -262,12 +262,14 @@ class TestFinetuneUtils:
             finetune_lr(1e-3, divisor=0)
 
     def test_transfer_encoder_copies_weights(self):
+        """``load_encoder_state(encoder_state())``, as the fine-tune workflow
+        transplants a pretrained encoder."""
         task_a, *_ = make_setup(seed=1)
         task_b, *_ = make_setup(seed=2)
         p_a = next(iter(task_a.encoder.parameters())).data
         p_b = next(iter(task_b.encoder.parameters())).data
         assert not np.allclose(p_a, p_b)
-        transfer_encoder(task_a, task_b)
+        task_b.load_encoder_state(task_a.encoder_state())
         assert np.allclose(
             next(iter(task_a.encoder.parameters())).data,
             next(iter(task_b.encoder.parameters())).data,

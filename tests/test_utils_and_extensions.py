@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.autograd import Tensor, gradcheck
 from repro.autograd import functional as F
-from repro.utils import human_count, moving_average, seed_everything, spawn_rngs
+from repro.datasets import SymmetryPointCloudDataset
+from repro.utils import human_count, seed_everything, time_callable
 
 
 class TestUtils:
@@ -17,22 +18,36 @@ class TestUtils:
         assert np.allclose(a, b)
 
     def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(seed_everything(1), 4)
-        draws = [r.random(8) for r in rngs]
+        """Each sample draws from its own ``(seed, index)`` stream, so
+        neighbouring samples are independent draws."""
+        ds = SymmetryPointCloudDataset(4, seed=1, group_names=["C1"])
+        draws = [ds[i].positions for i in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
-                assert not np.allclose(draws[i], draws[j])
+                assert draws[i].shape != draws[j].shape or not np.allclose(draws[i], draws[j])
 
     def test_spawn_rngs_deterministic(self):
-        a = spawn_rngs(seed_everything(2), 3)[1].random(4)
-        b = spawn_rngs(seed_everything(2), 3)[1].random(4)
-        assert np.allclose(a, b)
+        """Sample ``i`` is a pure function of ``(seed, i)``: a fresh dataset
+        with the same seed yields the same arrays."""
+        a = SymmetryPointCloudDataset(3, seed=2)
+        b = SymmetryPointCloudDataset(3, seed=2)
+        assert np.array_equal(a[1].positions, b[1].positions)
 
-    def test_moving_average(self):
-        out = moving_average(np.array([1.0, 2.0, 3.0, 4.0]), window=2)
-        assert np.allclose(out, [1.5, 2.5, 3.5])
-        assert np.allclose(moving_average(np.array([1.0, 2.0]), 1), [1.0, 2.0])
-        assert moving_average(np.array([]), 3).size == 0
+    def test_moving_average(self, monkeypatch):
+        """``time_callable`` summarizes its timed rounds by the median (mean
+        of the middle two for an even count) or by the minimum."""
+        import repro.utils
+
+        def script(*durations):
+            stamps = iter(np.cumsum([0.0, *durations]).repeat(2)[1:-1])
+            monkeypatch.setattr(repro.utils.time, "perf_counter", lambda: next(stamps))
+
+        script(5.0, 1.0, 3.0)
+        assert time_callable(lambda: None, rounds=3, warmup=0) == 3.0
+        script(5.0, 1.0, 3.0)
+        assert time_callable(lambda: None, rounds=3, warmup=0, reduce="min") == 1.0
+        script(4.0, 2.0, 6.0, 1.0)
+        assert time_callable(lambda: None, rounds=4, warmup=0) == 3.0
 
     def test_human_count(self):
         assert human_count(2_000_000) == "2.0M"
@@ -43,11 +58,14 @@ class TestUtils:
 
 class TestChemicalSpaceExtension:
     def test_explore_chemical_space_runs(self):
+        """The Sec. 5.3 extension composes two workflows: the Fig. 4
+        exploration run on an encoder trained by ``train_multitask``."""
         from repro.core import (
             EncoderConfig,
             MultiTaskConfig,
             OptimizerConfig,
-            explore_chemical_space,
+            explore_datasets,
+            train_multitask,
         )
 
         cfg = MultiTaskConfig(
@@ -61,9 +79,8 @@ class TestChemicalSpaceExtension:
             head_blocks=1,
             seed=3,
         )
-        result = explore_chemical_space(
-            cfg, samples_per_dataset=10, umap_epochs=15
-        )
+        encoder = train_multitask(cfg).task.encoder
+        result = explore_datasets(encoder, samples_per_dataset=10, seed=3, umap_epochs=15)
         assert result.projection.shape == (50, 2)
         assert np.allclose(result.overlap.sum(axis=1), 1.0)
 
