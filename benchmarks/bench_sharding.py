@@ -2,12 +2,11 @@
 
 Two measurement families, both machine-portable:
 
-* **Measured traffic** — a real simulated-DDP step runs twice over the
-  same task, once through the per-parameter allreduce (an empty fault
-  injector selects it) and once as a ZeRO step (bucketed reduce_scatter
-  plus the sharded optimizer's parameter allgather); ``SimComm``'s
-  traffic log gives exact collective-launch counts and bytes on the
-  wire.  Counts and byte ratios are deterministic, so the committed
+* **Measured traffic** — the per-tensor baseline meters one
+  ``SimComm.allreduce`` per parameter (touched or not), and a real
+  simulated-DDP step runs as a ZeRO step (bucketed reduce_scatter plus
+  the sharded optimizer's parameter allgather); ``SimComm``'s traffic
+  log gives exact collective-launch counts and bytes on the wire.  Counts and byte ratios are deterministic, so the committed
   baseline (``benchmarks/BENCH_sharding.json``) gates them on any host.
 * **Modeled step time** — :class:`BucketedThroughputModel` converts the
   measured payload geometry into projected step time on the paper's
@@ -31,7 +30,6 @@ from repro.datasets import SymmetryPointCloudDataset
 from repro.distributed import (
     BucketedThroughputModel,
     DDPStrategy,
-    FaultInjector,
     ShardedAdamW,
     ShardingSpec,
     SimComm,
@@ -74,24 +72,25 @@ def bench_traffic(rounds: int, warmup: int, tiny: bool = False) -> List[Dict]:
     """Per-parameter vs bucketed traffic for one identical DDP step."""
     task, samples = _setup(tiny)
 
-    def run(strategy, optimizer=None) -> Dict[str, float]:
-        strategy.execute(task, samples)
-        if optimizer is not None:
-            optimizer.step()
-        t = strategy.comm.traffic
+    def traffic(comm: SimComm) -> Dict[str, float]:
+        t = comm.traffic
         return {
             "calls": float(t.collective_calls),
             "bytes": float(t.useful_bytes),
         }
 
-    dense = run(
-        DDPStrategy(WORLD, comm=SimComm(WORLD, injector=FaultInjector(None, WORLD)))
-    )
+    # Per-tensor baseline: one allreduce per parameter, touched or not.
+    dense_comm = SimComm(WORLD)
+    for p in task.parameters():
+        dense_comm.allreduce([np.zeros_like(p.data)] * WORLD, op="mean")
+    dense = traffic(dense_comm)
     zero = DDPStrategy(WORLD, bucket_bytes=4 << 20)
     optimizer = ShardedAdamW(
         task.parameters(), lr=1e-3, comm=zero.comm, bucket_bytes=4 << 20
     )
-    bucketed = run(zero, optimizer)
+    zero.execute(task, samples)
+    optimizer.step()
+    bucketed = traffic(zero.comm)
     num_buckets = optimizer.bucketer.num_buckets
 
     ratio = dense["calls"] / bucketed["calls"]

@@ -23,8 +23,8 @@
 #                      nothing there)
 #   SMOKE_LANE=full    the whole suite, markers included
 #
-# Scenario suites run on demand: -m fault / -m stability (anomaly tracing
-# and the Fig. 3 remedy) / -m profile.
+# Scenario suites run on demand: -m stability (anomaly tracing and the
+# Fig. 3 remedy) / -m profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 REPO="$PWD"
@@ -44,7 +44,7 @@ LANE="${SMOKE_LANE:-default}"
 case "$LANE" in
 default)
     PYTHONPATH=src python -m pytest -x -q \
-        -m "not fault and not stability and not slow" "$@"
+        -m "not stability and not slow" "$@"
     ;;
 profile)
     PYTHONPATH=src python -m pytest -x -q -m profile "$@"

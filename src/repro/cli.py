@@ -90,9 +90,6 @@ def cmd_pretrain(args) -> int:
         head_hidden_dim=args.hidden_dim,
         head_blocks=2,
         seed=args.seed,
-        fault_profile=args.fault_profile,
-        fault_seed=args.fault_seed,
-        on_fault=args.on_fault,
         stability_guard=args.stability_guard,
         detect_anomaly=args.detect_anomaly,
         max_steps=args.steps,
@@ -107,9 +104,6 @@ def cmd_pretrain(args) -> int:
     )
     if cfg.zero:
         print(f"zero sharding: bucket_mb={cfg.bucket_mb:g}")
-    if cfg.fault_profile:
-        print(f"fault profile: {cfg.fault_profile} (on_fault={cfg.on_fault}, "
-              f"seed={cfg.fault_seed})")
     result = pretrain_symmetry(cfg)
     _, ce = result.history.series("val", "ce")
     _, acc = result.history.series("val", "acc")
@@ -120,7 +114,7 @@ def cmd_pretrain(args) -> int:
     if result.events is not None:
         counts = result.events.summary()
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"fault events: {summary if summary else 'none'}")
+        print(f"guard events: {summary if summary else 'none'}")
     if result.guard is not None:
         g = result.guard.summary()
         print(f"stability: spikes={g['spikes']}, interventions={g['interventions']}, "
@@ -422,6 +416,17 @@ _positive_float = _bounded(float, 0, inclusive=False)
 _nonnegative_float = _bounded(float, 0)
 
 
+def _chaos_spec(text: str) -> str:
+    """argparse type for ``--chaos-profile``: the spec must parse."""
+    from repro.serving.resilience.chaos import ServingChaosProfile
+
+    try:
+        ServingChaosProfile.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
 class _OrderedPair(argparse.Action):
     """``nargs=2`` action that rejects ``LO > HI``."""
 
@@ -443,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, world_size=8)
     p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--batch-per-worker", type=_positive_int, default=2)
-    p.add_argument("--fault-profile", default=None,
-                   help="inject faults, e.g. 'crash:1' or 'timeout:2,corrupt:1'")
-    p.add_argument("--fault-seed", type=_nonnegative_int, default=0)
-    p.add_argument("--on-fault", default="recover", choices=["recover", "elastic"],
-                   help="crash handling: checkpoint recovery (exact) or "
-                        "elastic rank drop (re-shard + Goyal LR re-scale)")
     p.add_argument("--stability-guard", action="store_true",
                    help="attach the loss-spike guard (skip the step, halve "
                         "the LR, re-warm)")
@@ -540,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=_positive_int, default=1, metavar="N",
                    help="replicas behind the router; N > 1 switches on health "
                         "checks, circuit breakers, hedging, failover")
-    p.add_argument("--chaos-profile", default=None, metavar="SPEC",
+    p.add_argument("--chaos-profile", type=_chaos_spec, default=None, metavar="SPEC",
                    help="seeded serving faults, e.g. "
                         "'replica_crash:1,replica_slow:1,servable_corrupt:1'")
     p.add_argument("--chaos-seed", type=_nonnegative_int, default=0,

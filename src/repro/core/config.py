@@ -79,18 +79,6 @@ class PretrainConfig:
     head_hidden_dim: int = 48
     head_blocks: int = 3
     seed: int = 7
-    #: Fault-injection spec, e.g. ``"crash:1"`` or ``"timeout:2,corrupt:1"``
-    #: (None = healthy run).  See repro.distributed.faults.FaultProfile.
-    fault_profile: Optional[str] = None
-    fault_seed: int = 0
-    #: Faults land on seeded allreduce-call indices within this horizon.
-    fault_horizon: int = 12
-    #: "recover": crashes escalate to checkpoint restore-and-retry (exact);
-    #: "elastic": the dead rank is dropped, the batch re-shards over the
-    #: survivors and the LR re-scales by the Goyal rule.
-    on_fault: str = "recover"
-    #: Recovery-point directory; a temporary directory when None.
-    checkpoint_dir: Optional[str] = None
     #: Attach the loss-spike guard (skip the step, halve the LR, re-warm;
     #: repro.stability).
     stability_guard: bool = False
@@ -105,7 +93,7 @@ class PretrainConfig:
     #: ZeRO sharding: pack gradients into fixed-byte buckets reduced via
     #: reduce_scatter, shard Adam's m/v state across ranks, and allgather
     #: updated parameters (repro.distributed.sharding).  Bit-identical to
-    #: the dense path in no-fault runs — the golden-metrics guard pins it.
+    #: the dense path — the golden-metrics guard pins it.
     zero: bool = False
     #: Bucket capacity in MiB for the ZeRO gradient bucketer.
     bucket_mb: float = 1.0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -47,10 +46,8 @@ from repro.datasets import (
 from repro.distributed import (
     DDPStrategy,
     EventLog,
-    FaultInjector,
     ShardedAdamW,
     SimClock,
-    SimComm,
     SingleProcessStrategy,
 )
 from repro.analysis import (
@@ -70,10 +67,8 @@ from repro.tasks import (
     TaskSpec,
 )
 from repro.training import (
-    FaultEventMonitor,
     History,
     LRMonitor,
-    RecoveryConfig,
     SpikeDetector,
     ThroughputMeter,
     Trainer,
@@ -146,7 +141,7 @@ class PretrainResult:
     throughput: ThroughputMeter
     lr_trace: List[tuple]
     config: PretrainConfig
-    #: Fault/recovery and guard event log; None for healthy unguarded runs.
+    #: The loss-spike guard's event log; None unless ``config.stability_guard``.
     events: Optional[EventLog] = None
     #: Loss-spike guard; None unless ``config.stability_guard``.
     guard: Optional[StabilityGuard] = None
@@ -165,10 +160,6 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     The learning rate follows the paper exactly: eta = eta_base * N with a
     linear warmup and gamma = 0.8 exponential decay per epoch.
     """
-    if config.on_fault not in ("recover", "elastic"):
-        raise ValueError(
-            f"on_fault must be 'recover' or 'elastic', got {config.on_fault!r}"
-        )
     if config.zero and config.optimizer.update_clip is not None:
         raise ValueError(
             "update_clip (StableAdamW) is not supported with ZeRO sharding: "
@@ -207,32 +198,13 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     world = config.world_size
     target_lr = scale_lr_for_ddp(opt_cfg.base_lr, world)
 
-    # Any non-None profile — even an empty one ("") — attaches an injector,
-    # so gradients reduce through fault-aware collectives (per-parameter
-    # allreduce, or ZeRO's bucket collectives under --zero; same bits as
-    # the plain path) and recovery points are written.
-    faults = config.fault_profile is not None
-    events = EventLog(SimClock()) if faults or config.stability_guard else None
-    injector = None
-    if faults:
-        injector = FaultInjector(
-            config.fault_profile,
-            world,
-            seed=config.fault_seed,
-            horizon=config.fault_horizon,
-            events=events,
-            clock=events.clock,
-        )
-    if injector is None and not config.zero and world == 1:
+    if not config.zero and world == 1:
         strategy = SingleProcessStrategy()
     else:
-        # Faults and ZeRO run the DDP strategy even at world_size 1, where
-        # its collectives degrade to identity.
+        # ZeRO runs the DDP strategy even at world_size 1, where its
+        # collectives degrade to identity.
         strategy = DDPStrategy(
-            world,
-            comm=SimComm(world, injector=injector),
-            elastic=config.on_fault == "elastic",
-            bucket_bytes=config.bucket_bytes if config.zero else None,
+            world, bucket_bytes=config.bucket_bytes if config.zero else None
         )
 
     opt_kwargs = dict(
@@ -257,21 +229,13 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
         gamma=opt_cfg.gamma,
         target_lr=target_lr,
     )
+    events = EventLog(SimClock()) if config.stability_guard else None
     guard = StabilityGuard(events=events) if config.stability_guard else None
-    recovery: Optional[RecoveryConfig] = None
-    if injector is not None and config.on_fault == "recover":
-        recovery = RecoveryConfig(
-            checkpoint_dir=config.checkpoint_dir or tempfile.mkdtemp(prefix="repro-recovery-"),
-            checkpoint_every_n_steps=1,
-            events=events,
-        )
 
     spikes = SpikeDetector(monitor="ce")
     throughput = ThroughputMeter()
     lr_monitor = LRMonitor()
     callbacks = [spikes, throughput, lr_monitor]
-    if events is not None:
-        callbacks.append(FaultEventMonitor(events))
     observer: Optional[Observer] = None
     if config.profile or config.trace_out is not None:
         observer = Observer(profile_ops=config.profile)
@@ -287,7 +251,6 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
         ),
         strategy=strategy,
         callbacks=callbacks,
-        recovery=recovery,
         stability=guard,
         observer=observer,
     )

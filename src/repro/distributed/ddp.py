@@ -7,19 +7,6 @@ order and divided by N — step for step the computation a real N-rank MPI
 job performs, with one fixed reduction order.  What the simulation does
 not reproduce is wall-clock overlap; that is the performance model's job
 (Fig. 2).
-
-Fault handling: with a fault injector attached to the communicator, the
-gradient reduction always goes through ``comm.allreduce`` (so injected
-faults actually hit it).  A rank crash is handled in one of two ways:
-
-* **elastic** (default): the dead rank is dropped, the global batch is
-  re-sharded over the survivors, and the step re-executes in the shrunken
-  world.  The Goyal linear-scaling rule says the learning rate must track
-  the world size; the strategy accumulates the pending ``(new/old)``
-  factor, which the trainer consumes via :meth:`consume_lr_rescale`.
-* **non-elastic**: the crash escalates as :class:`StepFailure`, which the
-  trainer's checkpoint-recovery path catches (restore last checkpoint,
-  revive the world, retry the step).
 """
 
 from __future__ import annotations
@@ -31,12 +18,6 @@ import numpy as np
 
 from repro.data.batching import collate_graphs
 from repro.distributed.comm import SimComm
-from repro.distributed.events import LR_RESCALE, RESHARD
-from repro.distributed.faults import (
-    AllreduceTimeout,
-    RankCrash,
-    StepFailure,
-)
 
 #: Shared no-op context used when no tracer is attached (kept local so the
 #: distributed layer does not depend on repro.observability).
@@ -86,13 +67,6 @@ class Strategy:
     def execute(self, task, samples: Sequence) -> Tuple[float, dict]:
         raise NotImplementedError
 
-    def consume_lr_rescale(self) -> float:
-        """Pending LR multiplier from world-size changes (1.0 = none)."""
-        return 1.0
-
-    def on_recover(self) -> None:
-        """Hook the trainer calls after restoring a checkpoint."""
-
 
 class SingleProcessStrategy(Strategy):
     """Plain single-worker training."""
@@ -123,14 +97,11 @@ class DDPStrategy(Strategy):
 
     * ``bucket_bytes`` set — ZeRO: one ``comm.reduce_scatter`` per bucket,
       with the sharded optimizer's parameter allgather as the second ring
-      half (with an injector attached, faults hit each bucket collective);
-    * otherwise, a fault injector on ``comm`` — one ``comm.allreduce`` per
-      parameter, so injected faults land on the communicator's call-index
-      stream;
+      half;
     * otherwise — a local reduction metered as the one allreduce a real
       job performs.
 
-    All three leave byte-identical gradients.
+    Both leave byte-identical gradients.
 
     Parameters
     ----------
@@ -141,10 +112,6 @@ class DDPStrategy(Strategy):
     comm:
         Communicator used for the gradient reduction.  Shared across steps
         so its traffic log accumulates — the scale-out bench reads it.
-    elastic:
-        When True (default), a rank crash shrinks the world and the step
-        re-executes on the survivors; when False it raises
-        :class:`StepFailure` for the trainer to recover from a checkpoint.
     bucket_bytes:
         ZeRO mode: gradients are packed into fixed-byte flat buckets
         (:class:`~repro.distributed.sharding.GradientBucketer`) and reduced
@@ -158,7 +125,6 @@ class DDPStrategy(Strategy):
         world_size: int,
         comm: Optional[SimComm] = None,
         collate_fn: Callable = collate_graphs,
-        elastic: bool = True,
         bucket_bytes: Optional[int] = None,
     ):
         if world_size < 1:
@@ -168,27 +134,9 @@ class DDPStrategy(Strategy):
         self.world_size = world_size
         self.comm = comm if comm is not None else SimComm(world_size)
         self.collate_fn = collate_fn
-        self.elastic = elastic
         self.bucket_bytes = bucket_bytes
         self._bucketer = None
         self._bucketer_key = None
-        self._pending_lr_scale = 1.0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def events(self):
-        return self.comm.events
-
-    def consume_lr_rescale(self) -> float:
-        factor = self._pending_lr_scale
-        self._pending_lr_scale = 1.0
-        return factor
-
-    def on_recover(self) -> None:
-        """Checkpoint recovery restarts every rank: restore the full world."""
-        self.comm.restore_world()
-        self.world_size = self.comm.world_size
-        self._pending_lr_scale = 1.0
 
     # ------------------------------------------------------------------ #
     def shard(self, samples: Sequence) -> List[List]:
@@ -206,41 +154,6 @@ class DDPStrategy(Strategy):
         # drop_last sharding in the real sampler.
         return shards
 
-    # ------------------------------------------------------------------ #
-    def _drop_rank(self, dead_rank: int, batch_size: int) -> None:
-        """Elastic degradation: shrink the world and schedule the LR rescale."""
-        old = self.world_size
-        new = self.comm.shrink(dead_rank)
-        self.world_size = new
-        self._pending_lr_scale *= new / old
-        if self.events is not None:
-            self.events.record(
-                RESHARD,
-                world_size=new,
-                batch_size=batch_size,
-                per_rank=batch_size // new,
-            )
-            self.events.record(LR_RESCALE, factor=new / old, world_size=new)
-
-    def execute(self, task, samples: Sequence) -> Tuple[float, dict]:
-        while True:
-            try:
-                return self._execute_once(task, samples)
-            except RankCrash as crash:
-                if not self.elastic:
-                    raise StepFailure(
-                        f"rank {crash.rank} crashed (elastic mode off)", cause=crash
-                    ) from crash
-                if self.world_size <= 1:
-                    raise StepFailure(
-                        "no surviving ranks to re-shard onto", cause=crash
-                    ) from crash
-                self._drop_rank(crash.rank, len(samples))
-            except AllreduceTimeout as timeout:
-                raise StepFailure(
-                    "allreduce retry budget exhausted", cause=timeout
-                ) from timeout
-
     def _get_bucketer(self, params: List):
         """The cached bucket layout (rebuilt if the parameter set changes)."""
         from repro.distributed.sharding import GradientBucketer
@@ -251,7 +164,7 @@ class DDPStrategy(Strategy):
             self._bucketer_key = key
         return self._bucketer
 
-    def _execute_once(self, task, samples: Sequence) -> Tuple[float, dict]:
+    def execute(self, task, samples: Sequence) -> Tuple[float, dict]:
         shards = self.shard(samples)
         params = list(task.parameters())
         rank_grads: List[List[Optional[np.ndarray]]] = []
@@ -273,28 +186,24 @@ class DDPStrategy(Strategy):
     ) -> None:
         """Leave Σ_r g_r / N on every parameter some rank touched."""
         touched = [any(g[i] is not None for g in rank_grads) for i in range(len(params))]
-
-        def contributions(i: int) -> List[np.ndarray]:
-            return [
-                g[i] if g[i] is not None else np.zeros_like(params[i].data)
-                for g in rank_grads
-            ]
-
         if self.bucket_bytes is not None:
             bucketer = self._get_bucketer(params)
             for bucket in bucketer.buckets:
                 flats = [bucketer.flatten_grads(bucket, g) for g in rank_grads]
                 shards = self.comm.reduce_scatter(flats, op="mean")
                 bucketer.assign_grads(bucket, np.concatenate(shards))
-        elif self.comm.injector is not None:
-            for i, p in enumerate(params):
-                p.grad = self.comm.allreduce(contributions(i), op="mean")[0]
         else:
             with _span(self.tracer, "comm.allreduce", ranks=self.world_size):
                 payload = 0
                 for i, p in enumerate(params):
                     if touched[i]:
-                        p.grad = SimComm._reduce(contributions(i), "mean")
+                        p.grad = SimComm._reduce(
+                            [
+                                g[i] if g[i] is not None else np.zeros_like(p.data)
+                                for g in rank_grads
+                            ],
+                            "mean",
+                        )
                         payload += p.grad.nbytes
                 self.comm._meter_allreduce(payload)
                 if self.tracer is not None:

@@ -1,34 +1,25 @@
-"""Structured fault/recovery event log and the simulated clock behind it.
+"""Structured incident event log and the simulated clock behind it.
 
-Every fault-tolerance action in the distributed and training layers —
-injected faults, allreduce retries, backoff waits, elastic rank drops,
-checkpoint saves/restores — is recorded as a :class:`FaultEvent` in an
-:class:`EventLog`.  Benches and tests assert on the *sequence* of events
-(e.g. ``crash -> restore -> retry -> recover``), which is what makes the
-recovery behaviour testable rather than anecdotal.
+Every intervention the serving pool and the loss-spike guard make —
+injected replica faults, health and breaker transitions, hedges,
+failovers, brownouts, spikes and LR cuts — is recorded as a
+:class:`FaultEvent` in an :class:`EventLog`, stamped with a
+:class:`SimClock`'s time.  Benches and tests assert on the recorded kinds
+and counts, which is what makes the recovery behaviour testable rather
+than anecdotal.
 
-Backoff never sleeps: all waiting is modelled by advancing a
-:class:`SimClock`, so fault scenarios run deterministically and in
-milliseconds regardless of the backoff schedule they exercise.
+Waiting never sleeps: the serving loop's backoffs, probes and service
+times advance the :class:`SimClock`, so every scenario runs
+deterministically and in milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 # Canonical event kinds, in the vocabulary tests assert against.
-CRASH = "crash"
-TIMEOUT = "timeout"
-CORRUPT = "corrupt"
-BACKOFF = "backoff"
-RETRY = "retry"
-RANK_DROP = "rank_drop"
-RESHARD = "reshard"
-LR_RESCALE = "lr_rescale"
-CHECKPOINT_SAVE = "checkpoint_save"
-RESTORE = "restore"
-RECOVER = "recover"
+#: A bounded recovery stopped trying (the guard's intervention budget).
 GIVE_UP = "give_up"
 # Serving-resilience vocabulary (replica chaos, health, breakers, hedging).
 REPLICA_CRASH = "replica_crash"
@@ -49,17 +40,6 @@ LR_BACKOFF = "lr_backoff"
 LR_REWARM = "lr_rewarm"
 
 EVENT_KINDS = (
-    CRASH,
-    TIMEOUT,
-    CORRUPT,
-    BACKOFF,
-    RETRY,
-    RANK_DROP,
-    RESHARD,
-    LR_RESCALE,
-    CHECKPOINT_SAVE,
-    RESTORE,
-    RECOVER,
     GIVE_UP,
     REPLICA_CRASH,
     REPLICA_SLOW,
@@ -97,7 +77,7 @@ class SimClock:
 
 @dataclass
 class FaultEvent:
-    """One fault-tolerance event: what happened, to whom, and when."""
+    """One recorded incident: what happened, to whom, and when."""
 
     time: float
     kind: str
@@ -112,7 +92,7 @@ class FaultEvent:
 
 
 class EventLog:
-    """Append-only record of fault/retry/recovery events.
+    """Append-only record of incident events.
 
     The log owns (or shares) a :class:`SimClock`; every recorded event is
     stamped with the clock's current simulated time.
@@ -150,11 +130,6 @@ class EventLog:
 
     def count(self, kind: str) -> int:
         return len(self.of_kind(kind))
-
-    def has_sequence(self, kinds: Sequence[str]) -> bool:
-        """True when ``kinds`` appears in order (not necessarily contiguous)."""
-        it = iter(self.kinds())
-        return all(any(k == logged for logged in it) for k in kinds)
 
     def summary(self) -> Dict[str, int]:
         """Event counts by kind (only kinds that occurred)."""

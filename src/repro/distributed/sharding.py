@@ -15,7 +15,7 @@ way ZeRO (Rajbhandari et al., 2020) does:
   only the parameters in its shard, and the updated parameter shards are
   reassembled through ``SimComm.allgather_flat``.  Because every Adam
   operation is elementwise, the sharded step is *bit-identical* to dense
-  Adam in no-fault runs — the determinism tests assert exact equality.
+  Adam — the determinism tests assert exact equality.
 
 The wire protocol per bucket is reduce-scatter (each rank receives its
 shard of the averaged gradient) followed by allgather (each rank
@@ -227,8 +227,8 @@ class ShardedAdam(Adam):
 
     Each simulated rank owns a contiguous shard of every gradient bucket;
     only the owner steps the parameters in its shard, then the updated
-    parameter shards are reassembled through the communicator's fault-
-    aware ``allgather_flat``.  Every update operation is elementwise, so
+    parameter shards are reassembled through the communicator's
+    ``allgather_flat``.  Every update operation is elementwise, so
     the result is bit-identical to dense :class:`~repro.optim.Adam` on
     the same gradients — sharding changes who computes, not what.
 
@@ -296,8 +296,8 @@ class ShardedAdam(Adam):
             for lo, hi in bounds:
                 self._step_shard(bucket, lo, hi, bias1, bias2)
             # Reassemble the updated parameters: each rank contributes the
-            # shard it owns; the fault-aware ring allgather moves
-            # (N-1)/N * bucket bytes per rank and retries injected faults.
+            # shard it owns; the ring allgather moves (N-1)/N * bucket
+            # bytes per rank.
             flat = self.bucketer.flatten_params(bucket)
             shards = [flat[lo:hi] for lo, hi in bounds]
             gathered = self.comm.allgather_flat(shards)

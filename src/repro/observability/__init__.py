@@ -1,6 +1,6 @@
 """Observability: hierarchical trace spans, per-op autograd profiling, metrics.
 
-The measurement counterpart to the fault-tolerance event log: where that
+The measurement counterpart to the incident event log: where that
 records *what* happened, this layer records
 *how long* and *how much* — per-phase step-time breakdown (data /
 forward / backward / comm / optim), per-op forward/backward timing with

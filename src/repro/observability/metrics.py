@@ -2,13 +2,13 @@
 
 The registry is the numeric side of the observability layer: spans say
 *where time went*, metrics say *how much of everything happened* —
-samples trained, bytes allreduced, retries survived, peak live tensor
-bytes.  Naming follows a dotted ``subsystem.metric`` convention
-(``train.samples``, ``comm.allreduce.bytes``, ``comm.retry.calls``,
+samples trained, bytes allreduced, requests failed over, peak live
+tensor bytes.  Naming follows a dotted ``subsystem.metric`` convention
+(``train.samples``, ``comm.allreduce.bytes``, ``serve.failover.launched``,
 ``mem.peak_live_tensor_bytes``).
 
 Instruments are get-or-create by name and type-checked on collision, so
-two call sites incrementing ``comm.retry.calls`` share one counter and a
+two call sites incrementing ``train.samples`` share one counter and a
 site that mistakes it for a gauge fails loudly.
 """
 

@@ -14,9 +14,9 @@ constructor argument turns a run from dark to fully observed:
 ``train.samples`` / ``train.steps`` / the ``train.step_seconds``
 histogram and mirrors communicator traffic into ``comm.*`` counters;
 every ``every_n_steps`` it emits a one-line progress report (kept on
-``.lines``; printed when a stream is given) with samples/sec, allreduce
-volume and retry counts — the periodic reporter the scale-out benches
-read instead of guessing at throughput.
+``.lines``; printed when a stream is given) with samples/sec and
+allreduce volume — the periodic reporter the scale-out benches read
+instead of guessing at throughput.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ _COMM_COUNTERS = (
     ("comm.bucket.reduce_scatter.bytes", "reduce_scatter_bytes"),
     ("comm.bucket.allgather.calls", "allgather_calls"),
     ("comm.bucket.allgather.bytes", "allgather_bytes"),
-    ("comm.retry.calls", "retry_calls"),
-    ("comm.retry.bytes", "retry_bytes"),
 )
 
 
@@ -201,8 +199,7 @@ class MetricsReporter(Callback):
         line = (
             f"[obs] step {step}: {rate:.1f} samples/s, "
             f"step p50 {hist.percentile(50) * 1e3:.1f} ms, "
-            f"allreduce {registry.value('comm.allreduce.bytes') / 1e6:.2f} MB, "
-            f"retries {registry.value('comm.retry.calls'):.0f}"
+            f"allreduce {registry.value('comm.allreduce.bytes') / 1e6:.2f} MB"
         )
         self.lines.append(line)
         if self.stream is not None:

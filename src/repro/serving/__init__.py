@@ -46,6 +46,7 @@ from repro.serving.resilience import (
     HealthPolicy,
     HedgePolicy,
     ReplicaPool,
+    RetryPolicy,
     ServingChaosProfile,
     chaos_schedule,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "InferenceServer",
     "ModelRegistry",
     "ReplicaPool",
+    "RetryPolicy",
     "Request",
     "Response",
     "SINGLE_SERVER",

@@ -2,13 +2,13 @@
 
 See DESIGN.md §12–13.  The subpackage holds the serving layer's one event
 loop and its failure story: a :class:`ReplicaPool` micro-batches for N
-replicas of one servable behind a deterministic router with health checking (:class:`HealthChecker`),
-per-replica circuit breakers (:class:`CircuitBreaker`), hedged requests
-and failover retries (:class:`HedgePolicy` +
-:class:`~repro.distributed.faults.RetryPolicy`), and a graceful
-degradation ladder (:class:`DegradationPolicy`) — all on the shared
-simulated clock, all seeded, all bit-reproducible.  Chaos is planned by
-:func:`chaos_schedule` on the same engine that drives training faults.
+replicas of one servable behind a deterministic router with health
+checking (:class:`HealthChecker`), per-replica circuit breakers
+(:class:`CircuitBreaker`), hedged requests and failover retries
+(:class:`HedgePolicy` + :class:`RetryPolicy`), and a graceful degradation
+ladder (:class:`DegradationPolicy`) — all on the shared simulated clock,
+all seeded, all bit-reproducible.  Chaos is planned by
+:func:`chaos_schedule`, a seeded planner over slots of the trace.
 """
 
 from repro.serving.resilience.breaker import (
@@ -29,6 +29,7 @@ from repro.serving.resilience.pool import (
     DegradationPolicy,
     HedgePolicy,
     ReplicaPool,
+    RetryPolicy,
 )
 
 __all__ = [
@@ -46,4 +47,5 @@ __all__ = [
     "DegradationPolicy",
     "HedgePolicy",
     "ReplicaPool",
+    "RetryPolicy",
 ]

@@ -29,7 +29,7 @@ one replica and everything below the first two bullets switched off.
   first-response-wins, the loser is suppressed (and counted);
 * **failover retries** — a failed dispatch (crash, flaky predict,
   corrupt servable) re-routes to a sibling after a seeded-jitter
-  :class:`~repro.distributed.faults.RetryPolicy` backoff;
+  :class:`RetryPolicy` backoff;
 * **graceful degradation** — as replicas drop out or queues fill, the
   admission policy tightens (shallower queues, shorter max-wait) instead
   of letting the pool collapse (the brownout ladder, DESIGN.md §13).
@@ -65,7 +65,6 @@ from repro.distributed.events import (
     EventLog,
     SimClock,
 )
-from repro.distributed.faults import RetryPolicy
 from repro.serving.batcher import (
     STATUS_FAILED,
     STATUS_OK,
@@ -81,6 +80,43 @@ from repro.serving.batcher import (
 from repro.serving.resilience.breaker import OPEN, BreakerPolicy, CircuitBreaker
 from repro.serving.resilience.chaos import ChaosFault
 from repro.serving.resilience.health import HealthChecker, HealthPolicy
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Exponential-backoff failover retries.
+
+    ``backoff(attempt)`` returns the simulated wait before re-attempting
+    after the ``attempt``-th failure (0-indexed): base * factor**attempt.
+
+    ``jitter`` (opt-in, fraction in [0, 1)) decorrelates the waits: the
+    deterministic backoff is scaled by ``1 + jitter * u`` with ``u`` drawn
+    uniformly from [-1, 1) by a generator seeded from ``(jitter_seed, key,
+    attempt)``.  Identical retriers that pass distinct ``key`` values (a
+    request id) therefore spread out instead of re-colliding in a
+    synchronized retry storm — while any given ``(key, attempt)`` pair
+    always waits the exact same simulated time.  ``jitter=0.0`` (the
+    default) returns the undisturbed exponential schedule, bit for bit.
+    """
+
+    max_retries: int = 3
+    backoff_base_s: float = 0.5
+    backoff_factor: float = 2.0
+    jitter: float = 0.0
+    jitter_seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.jitter < 1.0:
+            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+
+    def backoff(self, attempt: int, key: int = 0) -> float:
+        if attempt < 0:
+            raise ValueError(f"attempt must be >= 0, got {attempt}")
+        wait = self.backoff_base_s * self.backoff_factor**attempt
+        if self.jitter == 0.0:
+            return wait
+        rng = np.random.default_rng((self.jitter_seed, int(key), attempt))
+        return wait * (1.0 + self.jitter * rng.uniform(-1.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.distributed.events import SimClock
-from repro.distributed.faults import RetryPolicy
 from repro.observability import Observer
 from repro.serving.batcher import (
     AdmissionPolicy,
@@ -32,7 +31,7 @@ from repro.serving.batcher import (
     ServeReport,
     summarize,
 )
-from repro.serving.resilience.pool import ReplicaPool
+from repro.serving.resilience.pool import ReplicaPool, RetryPolicy
 from repro.serving.servable import Servable
 from repro.utils import time_callable
 

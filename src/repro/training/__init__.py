@@ -10,13 +10,12 @@ from repro.training.history import History
 from repro.training.metrics import accuracy
 from repro.training.callbacks import (
     Callback,
-    FaultEventMonitor,
     ModelCheckpoint,
     LRMonitor,
     ThroughputMeter,
     SpikeDetector,
 )
-from repro.training.trainer import RecoveryConfig, Trainer, TrainerConfig
+from repro.training.trainer import Trainer, TrainerConfig
 from repro.training.finetune import finetune_lr
 from repro.training.checkpoint_io import (
     CheckpointIntegrityError,
@@ -32,12 +31,10 @@ __all__ = [
     "History",
     "accuracy",
     "Callback",
-    "FaultEventMonitor",
     "ModelCheckpoint",
     "LRMonitor",
     "ThroughputMeter",
     "SpikeDetector",
-    "RecoveryConfig",
     "Trainer",
     "TrainerConfig",
     "finetune_lr",

@@ -158,23 +158,3 @@ class SpikeDetector(Callback):
             return True
         return self.last_value <= self.recovery_factor * self.best
 
-
-class FaultEventMonitor(Callback):
-    """Surface the fault/recovery event log in the run history.
-
-    Bound to the distributed layer's :class:`EventLog`, it logs the event
-    counts (crashes, timeouts, retries, restores, ...) into the history at
-    the end of training under the ``fault`` split, so persisted histories
-    carry the run's fault story alongside its loss curves.
-    """
-
-    def __init__(self, events):
-        self.events = events
-
-    def summary(self) -> Dict[str, int]:
-        return self.events.summary()
-
-    def on_train_end(self, trainer, task) -> None:
-        counts = self.events.summary()
-        if counts:
-            trainer.history.log(trainer.global_step, 0, "fault", **counts)

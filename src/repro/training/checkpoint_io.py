@@ -8,12 +8,13 @@ Integrity: every archive written here embeds a CRC32 over its sorted
 contents (``__checksum__``).  Loading verifies the checksum — and wraps
 container-level decode failures — so a corrupted checkpoint raises a
 clear :class:`CheckpointIntegrityError` instead of silently restoring
-wrong weights.  This is the contract the fault-tolerant trainer relies
-on when it restores state after a failed step.
+wrong weights.
 
 Full trainer snapshots (:func:`save_checkpoint`/:func:`load_checkpoint`)
-bundle module + optimizer + loop position + run history in one directory,
-which is what crash recovery restores.
+bundle module + optimizer + loop position + run history in one directory;
+a run resumed from one continues bit-identically to an uninterrupted run.
+A failed restore (bad metadata, a malformed archive) raises before any
+live state is touched.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def load_optimizer(optimizer: Optimizer, path: str) -> Optimizer:
 
 
 # --------------------------------------------------------------------------- #
-# Full trainer snapshots (crash recovery)
+# Full trainer snapshots (resume)
 # --------------------------------------------------------------------------- #
 def _collect_rng_states(module: Module) -> Dict[str, dict]:
     """Snapshot every submodule generator (e.g. dropout masks).
@@ -220,7 +221,7 @@ def save_checkpoint(
     epoch: int = 0,
     history: Optional[History] = None,
 ) -> str:
-    """Write a complete recovery point under ``directory``; returns the path.
+    """Write a complete resume point under ``directory``; returns the path.
 
     Layout: ``model.npz`` + ``optim.npz`` (both checksummed) and
     ``meta.json`` holding loop position and the full history record list.
@@ -273,7 +274,7 @@ def load_checkpoint(
     optimizer: Optimizer,
     history: Optional[History] = None,
 ) -> Dict[str, int]:
-    """Restore a recovery point written by :func:`save_checkpoint`.
+    """Restore a resume point written by :func:`save_checkpoint`.
 
     Restores module and optimizer state in place; when ``history`` is
     given, its records are replaced by the checkpointed ones so the run's

@@ -6,19 +6,6 @@ how a global batch becomes gradients — one collated batch for a single
 worker, N rank shards for simulated DDP.  Validation always runs
 single-process (it is metric aggregation, not gradient work).
 
-Fault tolerance: with a :class:`RecoveryConfig`, the trainer writes a
-full recovery point (model + optimizer + loop position + history) every
-``checkpoint_every_n_steps`` steps and guards each training step.  A
-:class:`~repro.distributed.faults.StepFailure` from the strategy — a
-rank crash with elastic mode off, or an exhausted allreduce retry
-budget — triggers restore-and-retry: the last checkpoint is loaded, the
-world is revived (``strategy.on_recover``), and the same global batch
-re-executes.  Because the failed attempt never reached
-``optimizer.step`` and the injected fault is one-shot, the recovered
-run is bit-identical to an uninterrupted one.  Elastic world shrinks
-inside the strategy surface here only as an LR re-scale
-(``consume_lr_rescale``, the Goyal rule tracking the new world size).
-
 Numerical stability: the Fig. 3 remedy is an optimizer option,
 ``Adam(update_clip=)``.  Under ``TrainerConfig.detect_anomaly`` the first
 non-finite value on the autograd tape raises a
@@ -26,10 +13,13 @@ non-finite value on the autograd tape raises a
 error propagates out of ``fit``.  With a
 :class:`~repro.stability.StabilityGuard` attached, every completed
 forward/backward is scored *before* ``optimizer.step``; a spike skips the
-step (gradients dropped, no clipping, no optimizer step, no recovery
-point) while the guard halves the LR through :meth:`Trainer.scale_lr`.
-The skipped step still counts toward ``max_steps``, and its loss never
-enters the history's train series.
+step (gradients dropped, no clipping, no optimizer step) while the guard
+halves the LR through :meth:`Trainer.scale_lr`.  The skipped step still
+counts toward ``max_steps``, and its loss never enters the history's
+train series.
+
+An exception from the strategy propagates out of ``fit`` unchanged: a
+step either completes or ends the run.
 """
 
 from __future__ import annotations
@@ -40,15 +30,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.data.batching import collate_graphs
 from repro.distributed.ddp import SingleProcessStrategy, Strategy
-from repro.distributed.events import CHECKPOINT_SAVE, LR_RESCALE, RECOVER, RESTORE, RETRY, EventLog
-from repro.distributed.faults import StepFailure
 from repro.autograd.anomaly import detect_anomaly
 from repro.optim.clip import clip_grad_norm
 from repro.optim.optimizer import Optimizer
 from repro.optim.schedulers import LRScheduler
 from repro.tasks.base import Task, finalize_val_results, merge_val_results
 from repro.training.callbacks import Callback
-from repro.training.checkpoint_io import load_checkpoint, save_checkpoint
 from repro.training.history import History
 
 #: Shared no-op context for un-observed runs (stateless, reusable).
@@ -79,21 +66,6 @@ class TrainerConfig:
     val_max_batches: Optional[int] = None
 
 
-@dataclass
-class RecoveryConfig:
-    """Checkpoint-based crash recovery.
-
-    ``checkpoint_dir`` receives ``model.npz``/``optim.npz``/``meta.json``
-    recovery points; ``max_recoveries`` bounds restore-retry loops so an
-    unrecoverable fault cannot spin forever.
-    """
-
-    checkpoint_dir: str
-    checkpoint_every_n_steps: int = 1
-    max_recoveries: int = 8
-    events: Optional[EventLog] = None
-
-
 class Trainer:
     """Fit a task against train/validation loaders."""
 
@@ -103,7 +75,6 @@ class Trainer:
         strategy: Optional[Strategy] = None,
         callbacks: Optional[Sequence[Callback]] = None,
         collate_fn: Callable = collate_graphs,
-        recovery: Optional[RecoveryConfig] = None,
         stability=None,
         observer=None,
     ):
@@ -111,7 +82,6 @@ class Trainer:
         self.strategy = strategy if strategy is not None else SingleProcessStrategy(collate_fn)
         self.callbacks: List[Callback] = list(callbacks or [])
         self.collate_fn = collate_fn
-        self.recovery = recovery
         #: Optional :class:`~repro.stability.StabilityGuard`; duck-typed so
         #: the training layer does not import the stability package.
         self.stability = stability
@@ -132,7 +102,6 @@ class Trainer:
         self.optimizer: Optional[Optimizer] = None
         self.scheduler: Optional[LRScheduler] = None
         self.last_batch_size = 0
-        self.recoveries = 0
 
     # ------------------------------------------------------------------ #
     def _emit(self, hook: str, *args) -> None:
@@ -156,18 +125,6 @@ class Trainer:
                 except StopIteration:
                     return
             yield samples
-
-    # ------------------------------------------------------------------ #
-    @property
-    def _events(self) -> Optional[EventLog]:
-        if self.recovery is not None and self.recovery.events is not None:
-            return self.recovery.events
-        return getattr(self.strategy, "events", None)
-
-    def _record(self, kind: str, **detail) -> None:
-        events = self._events
-        if events is not None:
-            events.record(kind, step=self.global_step, **detail)
 
     # ------------------------------------------------------------------ #
     def validate(self, task: Task, val_loader) -> Dict[str, float]:
@@ -196,54 +153,12 @@ class Trainer:
         return metrics
 
     # ------------------------------------------------------------------ #
-    # Fault-tolerant step execution
-    # ------------------------------------------------------------------ #
-    def _save_recovery_point(self, task: Task, epoch: int) -> None:
-        assert self.recovery is not None and self.optimizer is not None
-        save_checkpoint(
-            self.recovery.checkpoint_dir,
-            task,
-            self.optimizer,
-            step=self.global_step,
-            epoch=epoch,
-            history=self.history,
-        )
-        self._record(CHECKPOINT_SAVE)
-
-    def _restore_recovery_point(self, task: Task) -> None:
-        assert self.recovery is not None and self.optimizer is not None
-        meta = load_checkpoint(
-            self.recovery.checkpoint_dir, task, self.optimizer, history=self.history
-        )
-        self.global_step = meta["step"]
-        self._record(RESTORE, checkpoint_step=meta["step"])
-        self.strategy.on_recover()
-
-    def _execute_step(self, task: Task, samples: Sequence, optimizer: Optimizer):
-        """One guarded strategy execution with restore-retry on StepFailure."""
-        while True:
-            try:
-                if self.config.detect_anomaly:
-                    with detect_anomaly():
-                        loss, metrics = self.strategy.execute(task, samples)
-                else:
-                    loss, metrics = self.strategy.execute(task, samples)
-            except StepFailure:
-                if self.recovery is None:
-                    raise
-                if self.recoveries >= self.recovery.max_recoveries:
-                    raise
-                self.recoveries += 1
-                self._restore_recovery_point(task)
-                optimizer.zero_grad()
-                self._record(RETRY, recovery=self.recoveries)
-                continue
-            # Elastic world shrinks re-scale the LR by the Goyal rule.
-            factor = self.strategy.consume_lr_rescale()
-            if factor != 1.0:
-                self.scale_lr(factor)
-                self._record(LR_RESCALE, factor=factor, lr=optimizer.lr)
-            return loss, metrics
+    def _execute_step(self, task: Task, samples: Sequence):
+        """One strategy execution, under anomaly detection when configured."""
+        if self.config.detect_anomaly:
+            with detect_anomaly():
+                return self.strategy.execute(task, samples)
+        return self.strategy.execute(task, samples)
 
     def scale_lr(self, factor: float) -> None:
         """Scale the live LR and the scheduler's target, so the next
@@ -279,9 +194,6 @@ class Trainer:
         self.should_stop = False
         task.train()
         self._emit("on_train_start", task)
-        if self.recovery is not None:
-            # Step-0 recovery point: a first-step failure restores to init.
-            self._save_recovery_point(task, epoch=0)
 
         for epoch in range(self.config.max_epochs):
             self.current_epoch = epoch
@@ -293,8 +205,7 @@ class Trainer:
                 self.last_batch_size = len(samples)
                 with self._span("step", step=self.global_step):
                     optimizer.zero_grad()
-                    had_failure = self.recoveries
-                    loss, metrics = self._execute_step(task, samples, optimizer)
+                    loss, metrics = self._execute_step(task, samples)
                     skipped = self.stability is not None and self.stability.guard_step(
                         self, loss
                     )
@@ -310,18 +221,6 @@ class Trainer:
                                 )
                             optimizer.step()
                     self.global_step += 1
-                    if self.recoveries > had_failure:
-                        # The retried step completed: the run has recovered.
-                        self._record(RECOVER)
-
-                    if (
-                        self.recovery is not None
-                        and not skipped
-                        and self.global_step % self.recovery.checkpoint_every_n_steps
-                        == 0
-                    ):
-                        with self._span("checkpoint"):
-                            self._save_recovery_point(task, epoch)
 
                 if (
                     not skipped

@@ -13,8 +13,6 @@ from repro.models import EGNN
 #: suite stays warning-free when run from a directory where pyproject's
 #: [tool.pytest.ini_options] is not picked up.
 MARKERS = [
-    "fault: fault-tolerant DDP scenarios (seeded injection, retry, recovery); "
-    "select with -m fault",
     "stability: anomaly tracing and the Fig. 3 remedy (update_clip, the "
     "loss-spike guard); select with -m stability",
     "profile: observability-layer scenarios (spans, op profiler, metrics); "

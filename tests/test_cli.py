@@ -73,7 +73,6 @@ class TestParser:
         ("pretrain", "--batch-per-worker", "0"),
         ("pretrain", "--warmup", "0"),
         ("pretrain", "--seed", "-1"),
-        ("pretrain", "--fault-seed", "-1"),
         ("finetune", "--epochs", "0"),
         ("finetune", "--hidden-dim", "0"),
         ("finetune", "--layers", "0"),
@@ -105,6 +104,12 @@ class TestParser:
         (["serve", "--registry", "/tmp/reg", "--chaos-seed", "-1"], "--chaos-seed"),
         (["screen", "--registry", "/tmp/reg", "--relax-steps", "-1"], "--relax-steps"),
         (["screen", "--registry", "/tmp/reg", "--screen-seed", "-1"], "--screen-seed"),
+        (["serve", "--registry", "/tmp/reg", "--chaos-profile", "bogus:1"],
+         "--chaos-profile"),
+        (["serve", "--registry", "/tmp/reg", "--chaos-profile", "replica_crash"],
+         "--chaos-profile"),
+        (["serve", "--registry", "/tmp/reg", "--chaos-profile", "replica_crash:-1"],
+         "--chaos-profile"),
     ])
     def test_other_bad_values_exit_2_naming_the_flag(self, argv, flag, capsys):
         """Every numeric flag outside training is a bounded type too; before,

@@ -10,10 +10,10 @@ because every parameter of this EGNN receives one contribution per
 backward and 1/4 is a power of two.  Any hidden state (RNG consumed during
 forward, stale optimizer moments, order-dependent reductions) breaks it.
 
-Every reduction ``DDPStrategy`` can pick — local, fault-aware
-per-parameter allreduce, ZeRO buckets — computes Σ_r g_r in rank order
-divided by N, so the three must leave byte-identical gradients (and the
-same ``grad=None`` parameters) for every encoder at every world size.
+Both reductions ``DDPStrategy`` can pick — local and ZeRO buckets —
+compute Σ_r g_r in rank order divided by N, so they must leave
+byte-identical gradients (and the same ``grad=None`` parameters) for every
+encoder at every world size.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.core.pipeline import build_encoder_from_config
 from repro.data.batching import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import DDPStrategy, FaultInjector, ShardedAdamW, SimComm
+from repro.distributed import DDPStrategy, ShardedAdamW, SimComm
 from repro.models import EGNN
 from repro.observability import OpProfiler
 from repro.optim import AdamW
@@ -272,18 +272,10 @@ def _encoder_task(name: str) -> MultiClassClassificationTask:
 
 
 def _reduction_paths(world: int):
-    """The three reductions ``DDPStrategy`` selects from what it observes."""
+    """The two reductions ``DDPStrategy`` selects from what it observes."""
     return {
         "local": DDPStrategy(world),
-        "allreduce": DDPStrategy(
-            world, comm=SimComm(world, injector=FaultInjector(None, world))
-        ),
         "zero": DDPStrategy(world, bucket_bytes=1 << 20),
-        "zero+faults": DDPStrategy(
-            world,
-            comm=SimComm(world, injector=FaultInjector(None, world)),
-            bucket_bytes=1 << 20,
-        ),
     }
 
 
@@ -315,10 +307,9 @@ class TestEveryReductionPath:
                 assert a == b, f"{label}: param {i} bytes differ"
 
     def test_buckets_win_over_injector(self, samples):
-        """With both an injector and ``bucket_bytes``, ZeRO's bucket
-        collectives carry the faults: one reduce_scatter per bucket and no
-        per-tensor allreduce."""
-        comm = SimComm(4, injector=FaultInjector(None, 4))
+        """With ``bucket_bytes`` set, ZeRO's bucket collectives carry the
+        reduction: one reduce_scatter per bucket and no allreduce."""
+        comm = SimComm(4)
         strategy = DDPStrategy(4, comm=comm, bucket_bytes=256)
         strategy.execute(_encoder_task("egnn"), samples)
         assert len(strategy._bucketer.buckets) > 1

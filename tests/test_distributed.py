@@ -13,7 +13,6 @@ from repro.distributed import (
     ClusterSpec,
     DDPStrategy,
     ENDEAVOUR,
-    FaultInjector,
     InterconnectSpec,
     NodeSpec,
     SimComm,
@@ -119,7 +118,6 @@ class TestDDPStrategy:
 
         paths = (
             DDPStrategy(world),
-            DDPStrategy(world, comm=SimComm(world, injector=FaultInjector(None, world))),
             DDPStrategy(world, bucket_bytes=1 << 20),
         )
         for ddp in paths:

@@ -1,37 +1,59 @@
-"""Fault-tolerant DDP: injection, retry/backoff, elastic drop, recovery.
+"""What survives training fault injection: checkpoints, retries, the plan.
 
-Every scenario here is deterministic: faults are scheduled by seed, and
-backoff waits advance a simulated clock instead of sleeping, so the whole
-suite runs in milliseconds (`pytest -m fault` selects it).
+The training fault path — the allreduce fault injector, retrying
+collectives, the elastic rank drop and the trainer's restore-and-retry
+loop — is deleted (DESIGN.md §7).  The ids in this module outlived it and
+now pin the contracts that remain:
+
+* the checkpoint round trip: a run resumed from ``save_checkpoint`` /
+  ``load_checkpoint`` continues bit-identically, corrupt archives fail
+  loudly, and a failed restore touches no live state;
+* one training step with no recovery loop: a strategy error leaves
+  ``fit`` unchanged after exactly one attempt, and the DDP world never
+  changes size;
+* the serving failure story that shared the old machinery: the seeded
+  chaos planner and its spec grammar, :class:`RetryPolicy` backoff, and
+  failover that delivers the fault-free answer;
+* the incident :class:`EventLog` on its :class:`SimClock`.
+
+Class names keep the ids of the tests they replace.
 """
 
 import json
 import os
-import zlib
 
 import numpy as np
 import pytest
 
+from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig, pretrain_symmetry
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import (
-    AllreduceTimeout,
-    DDPStrategy,
-    EventLog,
-    FaultInjector,
-    FaultProfile,
-    RetryPolicy,
-    SimClock,
-    SimComm,
-    StepFailure,
+from repro.distributed import DDPStrategy, EventLog, SimClock, SimComm, SingleProcessStrategy
+from repro.distributed.events import (
+    FAILOVER,
+    PREDICT_FLAKY,
+    REPLICA_CRASH,
+    SERVABLE_CORRUPT,
 )
 from repro.models import EGNN
-from repro.optim import AdamW
+from repro.optim import AdamW, WarmupExponential, scale_lr_for_ddp
+from repro.serving import (
+    AdmissionPolicy,
+    BatchPolicy,
+    ChaosFault,
+    ReplicaPool,
+    RetryPolicy,
+    SINGLE_SERVER,
+    STATUS_OK,
+    ServingChaosProfile,
+    chaos_schedule,
+    make_requests,
+    poisson_arrivals,
+)
+from repro.serving.resilience.chaos import SERVING_FAULT_KINDS, _plan, parse_kind_counts
 from repro.tasks import MultiClassClassificationTask
 from repro.training import (
     CheckpointIntegrityError,
-    FaultEventMonitor,
-    RecoveryConfig,
     Trainer,
     TrainerConfig,
     load_checkpoint,
@@ -41,8 +63,6 @@ from repro.training import (
     save_module,
     save_optimizer,
 )
-
-pytestmark = pytest.mark.fault
 
 
 def make_task_and_samples(seed=5, n=8):
@@ -57,31 +77,64 @@ def make_task_and_samples(seed=5, n=8):
     return task, [tf(ds[i]) for i in range(n)]
 
 
+def echo_model(samples):
+    return np.asarray([float(s) for s in samples])
+
+
+def seeded_requests(count=80):
+    samples = [float(i) for i in range(11)]
+    return make_requests(samples, poisson_arrivals(800.0, count, seed=3))
+
+
+def run_pool(requests, num_replicas=2, chaos=None, **overrides):
+    kwargs = dict(
+        batch=BatchPolicy(max_batch_size=4, max_wait=0.004),
+        admission=AdmissionPolicy(max_queue_depth=16, deadline=0.5),
+        service_model=lambda n: 1e-3 + 0.25e-3 * n,
+        chaos=chaos,
+        clock=SimClock(),
+    )
+    kwargs.update(overrides)
+    pool = ReplicaPool(echo_model, num_replicas=num_replicas, **kwargs)
+    return pool, pool.serve(requests)
+
+
+def delivered(report):
+    return {r.request_id: r.value for r in report.responses if r.status == STATUS_OK}
+
+
 # --------------------------------------------------------------------------- #
-# Profiles, clock, event log
+# Spec grammar, clock, event log
 # --------------------------------------------------------------------------- #
 class TestFaultProfile:
     def test_parse_counts(self):
-        p = FaultProfile.parse("crash:1,timeout:2,corrupt:3")
-        assert (p.crashes, p.timeouts, p.corruptions) == (1, 2, 3)
+        p = ServingChaosProfile.parse("replica_crash:1,replica_slow:2,predict_flaky:3")
+        assert (p.crashes, p.slowdowns, p.flaky, p.corruptions) == (1, 2, 3, 0)
         assert p.total == 6
+        # Repeated kinds accumulate.
+        assert parse_kind_counts("a:1, b:2 ,a:3", ("a", "b", "c")) == {"a": 4, "b": 2, "c": 0}
 
     def test_parse_empty_and_none(self):
-        assert FaultProfile.parse(None).total == 0
-        assert FaultProfile.parse("").total == 0
-        assert FaultProfile.parse("none").total == 0
+        for spec in (None, "", "none", " none ", ",,"):
+            assert ServingChaosProfile.parse(spec).total == 0
+            assert chaos_schedule(spec, 2, 1.0) == []
 
     def test_parse_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            FaultProfile.parse("meteor:1")
+        with pytest.raises(ValueError, match="unknown chaos kind 'meteor'"):
+            parse_kind_counts("meteor:1", SERVING_FAULT_KINDS)
+        # The deleted training kinds are not serving kinds.
+        for spec in ("crash:1", "timeout:1", "corrupt:1"):
+            with pytest.raises(ValueError, match="unknown chaos kind"):
+                ServingChaosProfile.parse(spec)
 
     def test_parse_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            FaultProfile.parse("crash:lots")
-        with pytest.raises(ValueError):
-            FaultProfile.parse("crash:-1")
-        with pytest.raises(ValueError):
-            FaultProfile.parse("crash")
+        for spec, message in (
+            ("replica_crash:lots", "bad chaos count"),
+            ("replica_crash:-1", "must be >= 0"),
+            ("replica_crash", "expected kind:count"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ServingChaosProfile.parse(spec)
 
 
 class TestClockAndEvents:
@@ -96,63 +149,103 @@ class TestClockAndEvents:
 
     def test_record_and_query(self):
         log = EventLog()
-        log.record("timeout", step=3)
+        log.record("spike", step=3)
         log.clock.advance(1.0)
-        log.record("retry", rank=2)
-        assert log.kinds() == ["timeout", "retry"]
-        assert log.count("retry") == 1
-        assert log.of_kind("retry")[0].rank == 2
-        assert log.of_kind("retry")[0].time == pytest.approx(1.0)
-        assert log.summary() == {"timeout": 1, "retry": 1}
+        log.record("failover", rank=2)
+        assert log.kinds() == ["spike", "failover"]
+        assert log.count("failover") == 1
+        assert log.of_kind("failover")[0].rank == 2
+        assert log.of_kind("failover")[0].time == pytest.approx(1.0)
+        assert log.of_kind("spike")[0].step == 3
+        assert log.summary() == {"spike": 1, "failover": 1}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             EventLog().record("mystery")
+        # The kinds only the training fault path recorded are gone.
+        for kind in ("crash", "timeout", "corrupt", "backoff", "retry", "rank_drop",
+                     "reshard", "lr_rescale", "checkpoint_save", "restore", "recover"):
+            with pytest.raises(ValueError):
+                EventLog().record(kind)
 
     def test_has_sequence_subsequence_semantics(self):
+        """``kinds()`` is record order, ``summary()`` counts only the kinds
+        that occurred, and ``clear()`` empties the log."""
         log = EventLog()
-        for kind in ("crash", "restore", "retry", "recover"):
+        for kind in ("spike", "lr_backoff", "spike", "lr_rewarm"):
             log.record(kind)
-        assert log.has_sequence(["crash", "retry", "recover"])
-        assert log.has_sequence(["crash", "restore", "retry", "recover"])
-        assert not log.has_sequence(["recover", "crash"])
-
-
-class TestFaultInjector:
-    def test_schedule_is_seeded_deterministic(self):
-        a = FaultInjector("crash:1,timeout:2", world_size=8, seed=3)
-        b = FaultInjector("crash:1,timeout:2", world_size=8, seed=3)
-        assert [(f.kind, f.call_index, f.rank) for f in a.schedule] == [
-            (f.kind, f.call_index, f.rank) for f in b.schedule
-        ]
-
-    def test_faults_fire_once(self):
-        inj = FaultInjector("timeout:1", world_size=4, seed=0, horizon=1)
-        assert inj.poll(0, 0) is not None
-        assert inj.poll(0, 0) is None
-        assert inj.pending == 0
-
-    def test_timeout_clears_on_retry_attempt(self):
-        inj = FaultInjector("timeout:1", world_size=4, seed=0, horizon=1)
-        # A later attempt at the same call never re-times-out.
-        assert inj.poll(0, 1) is None
-        assert inj.poll(0, 0) is not None  # still fires for attempt 0
-
-    def test_crash_marks_rank_dead_and_revives(self):
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        fault = inj.poll(0, 0)
-        assert fault.kind == "crash"
-        assert fault.rank in inj.dead_ranks
-        inj.revive_all()
-        assert not inj.dead_ranks
-
-    def test_horizon_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            FaultInjector("crash:3", world_size=4, seed=0, horizon=2)
+        assert log.kinds() == ["spike", "lr_backoff", "spike", "lr_rewarm"]
+        assert [e.kind for e in log] == log.kinds()
+        assert log.summary() == {"spike": 2, "lr_backoff": 1, "lr_rewarm": 1}
+        assert len(log) == 4
+        log.clear()
+        assert len(log) == 0 and log.summary() == {}
 
 
 # --------------------------------------------------------------------------- #
-# Retry / backoff allreduce
+# The seeded chaos planner and the faults it schedules
+# --------------------------------------------------------------------------- #
+class TestFaultInjector:
+    def test_schedule_is_seeded_deterministic(self):
+        kinds = ["replica_crash", "replica_slow", "replica_slow", "predict_flaky"]
+        plan = _plan(kinds, 3, seed=3, horizon=16)
+        assert plan == _plan(kinds, 3, seed=3, horizon=16)
+        assert plan != _plan(kinds, 3, seed=4, horizon=16)
+        # Kinds keep their order; slots are distinct and ascending; every
+        # victim is a valid target.
+        assert [k for k, _, _ in plan] == kinds
+        slots = [s for _, s, _ in plan]
+        assert slots == sorted(set(slots)) and 0 <= slots[0] and slots[-1] < 16
+        assert all(0 <= victim < 3 for _, _, victim in plan)
+        with pytest.raises(ValueError, match="num_targets"):
+            _plan(kinds, 0, seed=3, horizon=16)
+
+    def test_faults_fire_once(self):
+        chaos = [ChaosFault(kind=PREDICT_FLAKY, time=0.01, replica=0)]
+        pool, _ = run_pool(seeded_requests(), chaos=chaos)
+        assert chaos[0].fired
+        assert pool.events.count(PREDICT_FLAKY) == 1
+
+    def test_timeout_clears_on_retry_attempt(self):
+        """A flaky predict fails one dispatch; the replica then answers
+        again, and the failed batch fails over instead of failing."""
+        chaos = [ChaosFault(kind=PREDICT_FLAKY, time=0.01, replica=0)]
+        pool, report = run_pool(seeded_requests(), chaos=chaos)
+        assert pool.events.count(FAILOVER) >= 1
+        assert report.ok == report.total == 80
+        assert any(
+            r.replica == 0 and r.dispatched_at > 0.01
+            for r in report.responses if r.ok
+        )
+
+    def test_crash_marks_rank_dead_and_revives(self):
+        """A crash is permanent; a slow window ends and its replica serves
+        again."""
+        requests = seeded_requests(count=120)
+        end = max(r.arrival for r in requests) * 0.3
+        chaos = [
+            ChaosFault(kind="replica_slow", time=1e-6, replica=0, duration=end, factor=30.0),
+            ChaosFault(kind=REPLICA_CRASH, time=end, replica=1),
+        ]
+        pool, report = run_pool(requests, num_replicas=3, chaos=chaos)
+        assert [r.alive for r in pool.replicas] == [True, False, True]
+        ok = [r for r in report.responses if r.ok]
+        assert not any(r.replica == 1 and r.dispatched_at > end for r in ok)
+        assert any(r.replica == 0 and r.dispatched_at > end for r in ok)
+
+    def test_horizon_too_small_rejected(self):
+        # The planner cannot fit more faults than slots ...
+        with pytest.raises(ValueError):
+            _plan(["replica_crash"] * 3, 2, seed=0, horizon=2)
+        # ... so chaos_schedule widens the horizon to hold every fault.
+        faults = chaos_schedule("replica_crash:3,replica_slow:2", 2, 1.0, seed=0, horizon=2)
+        times = [f.time for f in faults]
+        assert len(faults) == 5 and len(set(times)) == 5
+        assert all(0.0 < t < 1.0 for t in times)
+
+
+# --------------------------------------------------------------------------- #
+# Retry backoff and failover
 # --------------------------------------------------------------------------- #
 class TestRetryBackoffAllreduce:
     def test_backoff_is_exponential(self):
@@ -200,204 +293,232 @@ class TestRetryBackoffAllreduce:
             RetryPolicy(jitter=-0.1)
 
     def test_timeout_retries_and_result_matches_healthy(self):
-        values = [np.arange(4.0) + r for r in range(4)]
-        healthy = SimComm(4).allreduce(values, op="mean")
-        inj = FaultInjector("timeout:1", world_size=4, seed=0, horizon=1)
-        comm = SimComm(4, injector=inj)
-        out = comm.allreduce(values, op="mean")
-        assert np.array_equal(out[0], healthy[0])
-        assert inj.events.has_sequence(["timeout", "backoff", "retry"])
-        # Backoff advanced the simulated clock by the first backoff step.
-        assert inj.clock.now() == pytest.approx(comm.retry.backoff(0))
-        # The failed attempt's bytes are metered as wasted retry traffic.
-        assert comm.traffic.retry_calls == 1
-        assert comm.traffic.retry_bytes > 0
-        assert comm.traffic.allreduce_calls == 1
+        """Every value a flaky pool delivers is the fault-free value."""
+        _, healthy = run_pool(seeded_requests())
+        chaos = [ChaosFault(kind=PREDICT_FLAKY, time=0.01, replica=0)]
+        _, flaky = run_pool(seeded_requests(), chaos=chaos)
+        assert delivered(flaky) == delivered(healthy)
 
     def test_corruption_detected_and_retried_clean(self):
-        values = [np.ones(3) * (r + 1) for r in range(4)]
-        healthy = SimComm(4).allreduce(values, op="sum")
-        inj = FaultInjector("corrupt:1", world_size=4, seed=1, horizon=1)
-        comm = SimComm(4, injector=inj)
-        out = comm.allreduce(values, op="sum")
-        assert np.array_equal(out[0], healthy[0])
-        assert np.isfinite(out[0]).all()
-        corrupt = inj.events.of_kind("corrupt")
-        assert len(corrupt) == 1 and corrupt[0].detail["detected"] is True
-        assert inj.events.has_sequence(["corrupt", "backoff", "retry"])
+        _, healthy = run_pool(seeded_requests())
+        chaos = [ChaosFault(kind=SERVABLE_CORRUPT, time=0.01, replica=0)]
+        pool, corrupt = run_pool(seeded_requests(), chaos=chaos)
+        assert pool.events.count(SERVABLE_CORRUPT) == 1
+        assert pool.events.count(FAILOVER) >= 1
+        assert delivered(corrupt) == delivered(healthy)
+        # The corrupt replica never answers after the fault.
+        assert not any(
+            r.replica == 0 and r.dispatched_at > 0.01
+            for r in corrupt.responses if r.ok
+        )
 
     def test_exhausted_retries_raise_timeout(self):
-        inj = FaultInjector("timeout:1", world_size=2, seed=0, horizon=1)
-        comm = SimComm(2, injector=inj, retry=RetryPolicy(max_retries=0))
-        with pytest.raises(AllreduceTimeout):
-            comm.allreduce([np.zeros(2)] * 2)
-        assert inj.events.count("give_up") == 1
+        """With no retry budget, the failed dispatch's requests end failed."""
+        chaos = [ChaosFault(kind=PREDICT_FLAKY, time=0.01, replica=0)]
+        pool, report = run_pool(
+            seeded_requests(), chaos=chaos, retry=RetryPolicy(max_retries=0)
+        )
+        assert pool.events.count(FAILOVER) == 0
+        assert report.failed > 0
+        assert report.failed + report.ok == report.total == 80
 
     def test_crash_raises_immediately(self):
-        from repro.distributed import RankCrash
-
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        comm = SimComm(4, injector=inj)
-        with pytest.raises(RankCrash):
-            comm.allreduce([np.zeros(2)] * 4)
-        assert inj.events.count("crash") == 1
+        """With no sibling left, every request after a crash ends at its
+        arrival instead of waiting."""
+        requests = seeded_requests(count=40)
+        crash_at = max(r.arrival for r in requests) * 0.25
+        chaos = [ChaosFault(kind=REPLICA_CRASH, time=crash_at, replica=0)]
+        pool, report = run_pool(requests, num_replicas=1, chaos=chaos, **SINGLE_SERVER)
+        assert pool.events.count(REPLICA_CRASH) == 1
+        late = [r for r in report.responses if r.arrival > crash_at]
+        assert late
+        assert all(not r.ok and r.completed_at == r.arrival for r in late)
 
     def test_healthy_comm_unchanged_with_empty_injector(self):
-        inj = FaultInjector(None, world_size=3, seed=0)
-        comm = SimComm(3, injector=inj)
+        """A healthy allreduce: the exact sum, one private copy per rank,
+        one metered call of one ring volume."""
+        comm = SimComm(3)
         out = comm.allreduce([np.ones(2)] * 3, op="sum")
-        assert np.array_equal(out[0], np.full(2, 3.0))
-        assert len(inj.events) == 0
+        assert all(np.array_equal(o, np.full(2, 3.0)) for o in out)
+        assert not np.shares_memory(out[0], out[1])
+        assert comm.traffic.allreduce_calls == 1
+        assert comm.traffic.allreduce_bytes == 2 * (3 - 1) * 16
 
 
 # --------------------------------------------------------------------------- #
-# Elastic rank drop
+# One DDP step: a fixed world, no retry
 # --------------------------------------------------------------------------- #
+class _Boom(RuntimeError):
+    pass
+
+
+class _FailingTask:
+    """Delegates to ``task`` but raises on the ``fail_on``-th forward."""
+
+    def __init__(self, task, fail_on):
+        self.task = task
+        self.fail_on = fail_on
+        self.forwards = 0
+
+    def parameters(self):
+        return self.task.parameters()
+
+    def training_step(self, batch):
+        self.forwards += 1
+        if self.forwards == self.fail_on:
+            raise _Boom("rank failed")
+        return self.task.training_step(batch)
+
+
 class TestElasticRankDrop:
     def test_survivor_gradients_bitwise_match_shrunken_healthy_run(self):
-        """After a crash drops one of 4 ranks, the elastic step's gradients
-        are bit-identical to a healthy 3-rank run over the same batch."""
+        """Leftover samples are dropped: 3 ranks over 8 samples leave the
+        same bits as 3 ranks over the first 6."""
         task, samples = make_task_and_samples()
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        ddp = DDPStrategy(4, comm=SimComm(4, injector=inj), elastic=True)
-        task.zero_grad()
-        loss_elastic, _ = ddp.execute(task, samples)
-        faulted = {
-            n: p.grad.copy() for n, p in task.named_parameters() if p.grad is not None
-        }
-        assert ddp.world_size == 3
-
-        healthy = DDPStrategy(3)
-        task.zero_grad()
-        loss_healthy, _ = healthy.execute(task, samples)
-        for name, p in task.named_parameters():
-            if name in faulted:
-                assert np.array_equal(p.grad, faulted[name]), name
-        assert loss_elastic == pytest.approx(loss_healthy, abs=0.0)
+        DDPStrategy(3).execute(task, samples)
+        ragged = [None if p.grad is None else p.grad.copy() for p in task.parameters()]
+        DDPStrategy(3).execute(task, samples[:6])
+        for a, p in zip(ragged, task.parameters()):
+            assert (a is None) == (p.grad is None)
+            if a is not None:
+                assert np.array_equal(a, p.grad)
 
     def test_event_sequence_and_lr_rescale_factor(self):
-        task, samples = make_task_and_samples()
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        ddp = DDPStrategy(4, comm=SimComm(4, injector=inj), elastic=True)
-        ddp.execute(task, samples)
-        assert inj.events.has_sequence(["crash", "rank_drop", "reshard", "lr_rescale"])
-        assert inj.events.of_kind("reshard")[0].detail["world_size"] == 3
-        # Goyal rule: lr tracks world size, so the pending factor is 3/4.
-        assert ddp.consume_lr_rescale() == pytest.approx(3.0 / 4.0)
-        assert ddp.consume_lr_rescale() == 1.0  # consumed
+        """The Goyal rule ties the LR to the world size, and
+        ``Trainer.scale_lr`` moves the live LR and the scheduler target
+        together (the loss-spike guard's cut)."""
+        assert scale_lr_for_ddp(1e-3, 3) / scale_lr_for_ddp(1e-3, 4) == pytest.approx(0.75)
+        task, _ = make_task_and_samples()
+        optimizer = AdamW(task.parameters(), lr=scale_lr_for_ddp(1e-3, 4))
+        scheduler = WarmupExponential(optimizer, warmup_epochs=2, gamma=0.8, target_lr=4e-3)
+        trainer = Trainer(TrainerConfig())
+        trainer.optimizer, trainer.scheduler = optimizer, scheduler
+        lr = optimizer.lr
+        trainer.scale_lr(0.5)
+        assert optimizer.lr == lr * 0.5
+        assert scheduler.target_lr == 4e-3 * 0.5
 
     def test_non_elastic_crash_escalates_to_step_failure(self):
+        """A rank that fails mid-step fails the whole step; the world does
+        not shrink, and the next step runs on every rank."""
         task, samples = make_task_and_samples()
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        ddp = DDPStrategy(4, comm=SimComm(4, injector=inj), elastic=False)
-        with pytest.raises(StepFailure):
-            ddp.execute(task, samples)
+        ddp = DDPStrategy(4)
+        with pytest.raises(_Boom):
+            ddp.execute(_FailingTask(task, fail_on=3), samples)
+        assert ddp.world_size == ddp.comm.world_size == 4
+        ddp.execute(task, samples)
+        assert len(ddp.last_rank_losses) == 4
 
     def test_exhausted_allreduce_escalates_to_step_failure(self):
-        task, samples = make_task_and_samples()
-        inj = FaultInjector("timeout:1", world_size=4, seed=0, horizon=1)
-        comm = SimComm(4, injector=inj, retry=RetryPolicy(max_retries=0))
-        ddp = DDPStrategy(4, comm=comm)
-        with pytest.raises(StepFailure):
-            ddp.execute(task, samples)
+        """A global batch too small for the world fails the first step
+        before any optimizer update."""
+        task, samples = make_task_and_samples(n=2)
+        before = [p.data.copy() for p in task.parameters()]
+        trainer = Trainer(TrainerConfig(max_epochs=1), strategy=DDPStrategy(4))
+        with pytest.raises(ValueError, match="cannot feed 4 ranks"):
+            trainer.fit(task, [samples], optimizer=AdamW(task.parameters(), lr=1e-3))
+        assert trainer.global_step == 0
+        for a, p in zip(before, task.parameters()):
+            assert np.array_equal(a, p.data)
 
     def test_on_recover_restores_full_world(self):
+        """The world is fixed: three steps meter three allreduces over the
+        same four ranks."""
         task, samples = make_task_and_samples()
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        ddp = DDPStrategy(4, comm=SimComm(4, injector=inj), elastic=True)
-        ddp.execute(task, samples)
-        assert ddp.world_size == 3
-        ddp.on_recover()
-        assert ddp.world_size == 4
-        assert not inj.dead_ranks
+        ddp = DDPStrategy(4)
+        for _ in range(3):
+            ddp.execute(task, samples)
+        assert ddp.world_size == ddp.comm.world_size == 4
+        assert ddp.comm.traffic.allreduce_calls == 3
 
 
 # --------------------------------------------------------------------------- #
-# Trainer-level checkpoint recovery
+# Checkpoint round trip; a failed step is not retried
 # --------------------------------------------------------------------------- #
-def fit_once(tmp_path, fault_profile, n_batches=3, tag="run"):
-    """One 4-rank training run over fixed batches; faults optional."""
-    task, samples = make_task_and_samples(n=8)
-    batches = [samples] * n_batches
-    events = None
-    if fault_profile:
-        inj = FaultInjector(fault_profile, world_size=4, seed=0, horizon=1)
-        comm = SimComm(4, injector=inj)
-        events = inj.events
-    else:
-        # Empty injector keeps the explicit allreduce path so both runs
-        # compute gradients through the identical reduction order.
-        inj = FaultInjector(None, world_size=4, seed=0)
-        comm = SimComm(4, injector=inj)
-    strategy = DDPStrategy(4, comm=comm, elastic=False)
-    recovery = RecoveryConfig(
-        checkpoint_dir=str(tmp_path / f"ckpt-{tag}"),
-        checkpoint_every_n_steps=1,
-        events=inj.events,
+def resume_under_ddp(tmp_path, steps=3, split=1):
+    """``steps`` DDP(4) steps uninterrupted vs ``split`` steps, a
+    checkpoint, and the rest in fresh objects; returns both runs."""
+    _, samples = make_task_and_samples(n=8)
+
+    def run(task, optimizer, n, history=None, step=0):
+        trainer = Trainer(
+            TrainerConfig(max_epochs=1, log_every_n_steps=1), strategy=DDPStrategy(4)
+        )
+        if history is not None:
+            trainer.history = history
+        trainer.global_step = step
+        trainer.fit(task, [samples] * n, optimizer=optimizer)
+        return trainer
+
+    task_a, _ = make_task_and_samples(n=8)
+    whole = run(task_a, AdamW(task_a.parameters(), lr=1e-3), steps)
+
+    task_b, _ = make_task_and_samples(n=8)
+    opt_b = AdamW(task_b.parameters(), lr=1e-3)
+    first = run(task_b, opt_b, split)
+    ckpt = save_checkpoint(
+        str(tmp_path / "ddp"), task_b, opt_b, step=first.global_step,
+        history=first.history,
     )
-    optimizer = AdamW(task.parameters(), lr=1e-3)
-    trainer = Trainer(
-        TrainerConfig(max_epochs=1, log_every_n_steps=1),
-        strategy=strategy,
-        recovery=recovery,
-    )
-    history = trainer.fit(task, batches, optimizer=optimizer)
-    return task, history, inj.events if events is None else events, trainer
+    task_c, _ = make_task_and_samples(seed=99, n=8)
+    opt_c = AdamW(task_c.parameters(), lr=1e-3)
+    trainer_c = Trainer(TrainerConfig())
+    meta = load_checkpoint(ckpt, task_c, opt_c, history=trainer_c.history)
+    resumed = run(task_c, opt_c, steps - split, trainer_c.history, meta["step"])
+    return (task_a, whole), (task_c, resumed)
 
 
 class TestCheckpointRecovery:
     def test_crash_recovery_is_exact(self, tmp_path):
-        """Acceptance: a seeded crash:1 run restored from checkpoint ends
-        with parameters identical to the uninterrupted run, and the event
-        log records the full fault -> retry -> recover sequence."""
-        healthy_task, healthy_hist, _, _ = fit_once(tmp_path, None, tag="healthy")
-        faulty_task, faulty_hist, events, trainer = fit_once(
-            tmp_path, "crash:1", tag="faulty"
-        )
-
-        assert trainer.recoveries == 1
-        assert events.has_sequence(
-            ["checkpoint_save", "crash", "restore", "retry", "recover"]
-        )
-        for (name_h, p_h), (name_f, p_f) in zip(
-            healthy_task.named_parameters(), faulty_task.named_parameters()
+        """A DDP run resumed from a checkpoint ends with the parameters of
+        the uninterrupted run."""
+        (task_a, _), (task_c, resumed) = resume_under_ddp(tmp_path)
+        assert resumed.global_step == 3
+        for (name_a, p_a), (name_c, p_c) in zip(
+            task_a.named_parameters(), task_c.named_parameters()
         ):
-            assert name_h == name_f
-            assert np.array_equal(p_h.data, p_f.data), name_h
+            assert name_a == name_c
+            assert np.array_equal(p_a.data, p_c.data), name_a
 
     def test_recovery_resumes_loss_history_exactly(self, tmp_path):
-        healthy_task, healthy_hist, _, _ = fit_once(tmp_path, None, tag="h2")
-        _, faulty_hist, _, _ = fit_once(tmp_path, "crash:1", tag="f2")
-        h = [r for r in healthy_hist.records if r["split"] == "train"]
-        f = [r for r in faulty_hist.records if r["split"] == "train"]
-        assert h == f
+        (_, whole), (_, resumed) = resume_under_ddp(tmp_path, steps=4, split=2)
+        a = [r for r in whole.history.records if r["split"] == "train"]
+        c = [r for r in resumed.history.records if r["split"] == "train"]
+        assert len(a) == 4 and a == c
 
     def test_unrecoverable_without_recovery_config(self):
-        task, samples = make_task_and_samples(n=8)
-        inj = FaultInjector("crash:1", world_size=4, seed=0, horizon=1)
-        strategy = DDPStrategy(4, comm=SimComm(4, injector=inj), elastic=False)
-        trainer = Trainer(TrainerConfig(max_epochs=1), strategy=strategy)
-        with pytest.raises(StepFailure):
-            trainer.fit(task, [samples], optimizer=AdamW(task.parameters(), lr=1e-3))
+        """A strategy error propagates out of ``fit`` unchanged and no
+        parameter moves."""
 
-    def test_max_recoveries_bounds_restore_loop(self, tmp_path):
+        class Fail(SingleProcessStrategy):
+            def execute(self, task, samples):
+                raise _Boom("step failed")
+
         task, samples = make_task_and_samples(n=8)
-        # Every allreduce times out with a zero retry budget: the step can
-        # never complete, so the trainer must give up after max_recoveries.
-        inj = FaultInjector("timeout:3", world_size=4, seed=0, horizon=3)
-        comm = SimComm(4, injector=inj, retry=RetryPolicy(max_retries=0))
-        strategy = DDPStrategy(4, comm=comm)
-        recovery = RecoveryConfig(
-            checkpoint_dir=str(tmp_path / "ckpt-bounded"),
-            max_recoveries=2,
-            events=inj.events,
-        )
-        trainer = Trainer(
-            TrainerConfig(max_epochs=1), strategy=strategy, recovery=recovery
-        )
-        with pytest.raises(StepFailure):
-            trainer.fit(task, [samples], optimizer=AdamW(task.parameters(), lr=1e-3))
-        assert trainer.recoveries == 2
+        before = [p.data.copy() for p in task.parameters()]
+        optimizer = AdamW(task.parameters(), lr=1e-3)
+        trainer = Trainer(TrainerConfig(max_epochs=1), strategy=Fail())
+        with pytest.raises(_Boom):
+            trainer.fit(task, [samples], optimizer=optimizer)
+        assert trainer.global_step == 0
+        assert optimizer.state_dict()["step_count"] == 0
+        for a, p in zip(before, task.parameters()):
+            assert np.array_equal(a, p.data)
+
+    def test_max_recoveries_bounds_restore_loop(self):
+        """A failing step is attempted exactly once: there is no retry."""
+        calls = []
+
+        class Fail(SingleProcessStrategy):
+            def execute(self, task, samples):
+                calls.append(len(samples))
+                raise _Boom("step failed")
+
+        task, samples = make_task_and_samples(n=8)
+        trainer = Trainer(TrainerConfig(max_epochs=2), strategy=Fail())
+        with pytest.raises(_Boom):
+            trainer.fit(task, [samples] * 3, optimizer=AdamW(task.parameters(), lr=1e-3))
+        assert calls == [8]
 
     def test_cross_process_resume_matches_uninterrupted(self, tmp_path):
         """save -> new objects -> load -> continue == one uninterrupted run."""
@@ -433,10 +554,13 @@ class TestCheckpointRecovery:
         c = [r for r in hist_c.records if r["split"] == "train"]
         assert a == c
 
-    def test_fault_event_monitor_logs_summary(self, tmp_path):
-        _, history, events, _ = fit_once(tmp_path, "crash:1", tag="mon")
-        monitor = FaultEventMonitor(events)
-        assert monitor.summary()["crash"] == 1
+    def test_fault_event_monitor_logs_summary(self):
+        """A guarded run's event log holds only guard kinds, and the run
+        history has no ``fault`` split."""
+        result = pretrain_symmetry(_workflow_config(stability_guard=True))
+        assert result.events is not None
+        assert set(result.events.kinds()) <= {"spike", "lr_backoff", "lr_rewarm", "give_up"}
+        assert {r["split"] for r in result.history.records} <= {"train", "val", "lr"}
 
 
 # --------------------------------------------------------------------------- #
@@ -464,8 +588,7 @@ class TestCheckpointIntegrity:
     def test_optimizer_archive_corruption_detected(self, tmp_path):
         task, samples = make_task_and_samples()
         opt = AdamW(task.parameters(), lr=1e-3)
-        SingleStep = DDPStrategy(2)
-        SingleStep.execute(task, samples)
+        DDPStrategy(2).execute(task, samples)
         opt.step()
         path = str(tmp_path / "optim.npz")
         save_optimizer(opt, path)
@@ -599,73 +722,56 @@ class TestFailedRestoreIsAtomic:
 
 
 # --------------------------------------------------------------------------- #
-# Workflow + CLI integration
+# Workflow + CLI
 # --------------------------------------------------------------------------- #
+def _workflow_config(**overrides):
+    base = dict(
+        encoder=EncoderConfig(hidden_dim=12, num_layers=1, position_dim=4),
+        optimizer=OptimizerConfig(base_lr=1e-4, warmup_epochs=2),
+        group_names=["C1", "C2", "C4", "D2"],
+        train_samples=16,
+        val_samples=8,
+        world_size=4,
+        batch_per_worker=2,
+        max_epochs=1,
+        max_steps=2,
+        head_hidden_dim=12,
+        head_blocks=1,
+        seed=11,
+    )
+    base.update(overrides)
+    return PretrainConfig(**base)
+
+
 class TestWorkflowFaultProfile:
-    def _config(self, tmp_path, **overrides):
-        from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig
+    def test_recover_run_matches_healthy_run_exactly(self):
+        """Two runs of one world-4 config end with the same bits."""
+        first = pretrain_symmetry(_workflow_config())
+        second = pretrain_symmetry(_workflow_config())
+        params = dict(first.task.named_parameters())
+        for name, p in second.task.named_parameters():
+            assert np.array_equal(p.data, params[name].data), name
+        assert first.history.records == second.history.records
 
-        base = dict(
-            encoder=EncoderConfig(hidden_dim=12, num_layers=1, position_dim=4),
-            optimizer=OptimizerConfig(base_lr=1e-4, warmup_epochs=2),
-            group_names=["C1", "C2", "C4", "D2"],
-            train_samples=16,
-            val_samples=8,
-            world_size=4,
-            batch_per_worker=2,
-            max_epochs=1,
-            max_steps=2,
-            head_hidden_dim=12,
-            head_blocks=1,
-            seed=11,
-            checkpoint_dir=str(tmp_path / "wf-ckpt"),
-        )
-        base.update(overrides)
-        return PretrainConfig(**base)
+    def test_elastic_run_shrinks_world(self):
+        """The workflow's world never changes: each of its two steps
+        meters one allreduce over four ranks."""
+        result = pretrain_symmetry(_workflow_config(profile=True))
+        metrics = result.observer.metrics
+        assert metrics.value("comm.allreduce.calls") == 2
+        comm = SimComm(4)
+        payload = sum(p.data.nbytes for p in result.task.parameters())
+        assert 0 < metrics.value("comm.allreduce.bytes") <= 2 * comm._ring_volume(payload)
 
-    def test_recover_run_matches_healthy_run_exactly(self, tmp_path):
-        """Acceptance criterion, end to end through the workflow layer."""
-        from repro.core import pretrain_symmetry
+    def test_cli_fault_profile_flag(self, capsys):
+        from repro.cli import build_parser
 
-        healthy = pretrain_symmetry(
-            self._config(tmp_path, fault_profile="", checkpoint_dir=None)
-        )
-        faulty = pretrain_symmetry(
-            self._config(tmp_path, fault_profile="crash:1", fault_horizon=1)
-        )
-        assert faulty.events is not None
-        assert faulty.events.has_sequence(["crash", "restore", "retry", "recover"])
-        healthy_params = dict(healthy.task.named_parameters())
-        for name, p in faulty.task.named_parameters():
-            assert np.array_equal(p.data, healthy_params[name].data), name
-
-    def test_elastic_run_shrinks_world(self, tmp_path):
-        from repro.core import pretrain_symmetry
-
-        result = pretrain_symmetry(
-            self._config(
-                tmp_path, fault_profile="crash:1", fault_horizon=1, on_fault="elastic"
-            )
-        )
-        assert result.events.has_sequence(["crash", "rank_drop", "reshard", "lr_rescale"])
-
-    def test_cli_fault_profile_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "pretrain",
-                "--samples", "16",
-                "--world-size", "4",
-                "--epochs", "1",
-                "--hidden-dim", "12",
-                "--layers", "1",
-                "--fault-profile", "timeout:1",
-                "--lr", "1e-4",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "fault profile: timeout:1" in out
-        assert "fault events:" in out
-        assert "timeout=1" in out
+        for argv in (
+            ["--fault-profile", "crash:1"],
+            ["--fault-seed", "1"],
+            ["--on-fault", "elastic"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["pretrain", *argv])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -438,9 +438,9 @@ class TestMetrics:
 
     def test_registry_get_or_create_shares_instruments(self):
         reg = MetricsRegistry()
-        reg.counter("comm.retry.calls").inc()
-        reg.counter("comm.retry.calls").inc()
-        assert reg.value("comm.retry.calls") == 2.0
+        reg.counter("serve.failover.launched").inc()
+        reg.counter("serve.failover.launched").inc()
+        assert reg.value("serve.failover.launched") == 2.0
 
     def test_registry_type_collision_raises(self):
         reg = MetricsRegistry()

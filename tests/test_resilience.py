@@ -34,7 +34,6 @@ from repro.distributed.events import (
     EventLog,
     SimClock,
 )
-from repro.distributed.faults import RetryPolicy
 from repro.kernels import use_fused
 from repro.serving import (
     AdmissionPolicy,
@@ -49,6 +48,7 @@ from repro.serving import (
     ModelRegistry,
     ReplicaPool,
     Request,
+    RetryPolicy,
     STATUS_FAILED,
     STATUS_OK,
     Servable,
@@ -297,6 +297,21 @@ class TestChaosSchedule:
         slow = [f for f in faults if f.kind == "replica_slow"]
         assert all(f.duration == pytest.approx(0.2 * 3.0) for f in slow)
         assert all(f.factor == 8.0 for f in slow)
+
+    def test_plan_is_pinned(self):
+        """The exact schedule behind the ``serve_trace`` digest: one slot
+        draw without replacement, sorted, then one victim per fault in
+        kind order."""
+        faults = chaos_schedule(
+            "replica_crash:1,replica_slow:1,predict_flaky:1,servable_corrupt:1",
+            3, 2.0, seed=11,
+        )
+        assert [(f.kind, f.time, f.replica, f.duration, f.factor) for f in faults] == [
+            ("replica_crash", 0.1875, 0, 0, 1),
+            ("replica_slow", 0.9375, 1, 0.4, 8),
+            ("predict_flaky", 1.4375, 0, 0, 1),
+            ("servable_corrupt", 1.6875, 1, 0, 1),
+        ]
 
     def test_slot_times_independent_of_replica_count(self):
         # Same seed: the slot draws are identical whatever the target

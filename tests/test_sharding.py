@@ -5,11 +5,10 @@ Three layers are swept with randomized geometry:
 * the bucket partition — random shapes/dtypes/bucket sizes must always
   produce a disjoint exact cover of every parameter element;
 * the bucket collectives — reduce_scatter composed with allgather_flat
-  must equal allreduce elementwise, and fault-injected runs must retry
-  to the *same bits* as healthy ones;
+  must equal allreduce elementwise, move exactly one allreduce's bytes at
+  every world size, and give the same bits when traced;
 * the sharded optimizer — ShardedAdam(W) must be bit-identical to dense
-  Adam(W) at every world size, including amsgrad, and the wasted-byte
-  accounting under a seeded fault profile is pinned exactly;
+  Adam(W) at every world size, including amsgrad;
 * the DDP rank loop feeding them — rank gradients move into one
   rank-ordered reduction, and every collective meters its real payload.
 """
@@ -29,9 +28,8 @@ from repro.distributed import (
     ShardedAdamW,
     SimComm,
 )
-from repro.distributed.events import EventLog, SimClock
-from repro.distributed.faults import FaultInjector, FaultProfile
 from repro.models import EGNN
+from repro.observability import Tracer
 from repro.optim import Adam, AdamW
 from repro.tasks import MultiClassClassificationTask
 
@@ -51,14 +49,10 @@ def _random_params(rng, count=None, dtypes=(np.float64,)):
     return params
 
 
-def _faulty_comm(world, profile, seed=0, horizon=64):
-    clock = SimClock()
-    events = EventLog(clock)
-    injector = FaultInjector(
-        FaultProfile.parse(profile), world, seed=seed, horizon=horizon,
-        events=events, clock=clock,
-    )
-    return SimComm(world, injector=injector)
+def _traced_comm(world):
+    comm = SimComm(world)
+    comm.tracer = Tracer()
+    return comm
 
 
 # --------------------------------------------------------------------------- #
@@ -158,23 +152,26 @@ class TestBucketCollectives:
             assert np.array_equal(shard, full[lo:hi])
 
     def test_fault_injected_retry_converges_to_same_bits(self):
-        """Timeouts and corruptions burn retries, never change results."""
+        """A traced communicator returns the untraced bits and records one
+        ``comm.<collective>`` span per call, carrying its payload."""
         rng = np.random.default_rng(227)
         world = 4
-        healthy = SimComm(world)
-        faulty = _faulty_comm(world, "timeout:2,corrupt:2", seed=3, horizon=16)
+        plain = SimComm(world)
+        traced = _traced_comm(world)
         for call in range(8):
             values = [rng.normal(size=29) for _ in range(world)]
-            h_shards = healthy.reduce_scatter(values, op="mean")
-            f_shards = faulty.reduce_scatter(values, op="mean")
-            for h, f in zip(h_shards, f_shards):
-                assert np.array_equal(h, f), f"call {call}"
-            h_full = healthy.allgather_flat(h_shards)
-            f_full = faulty.allgather_flat(f_shards)
-            for h, f in zip(h_full, f_full):
-                assert np.array_equal(h, f), f"call {call}"
-        assert faulty.traffic.retry_calls > 0  # the profile actually fired
-        assert faulty.events.summary().get("retry", 0) > 0
+            p_shards = plain.reduce_scatter(values, op="mean")
+            t_shards = traced.reduce_scatter(values, op="mean")
+            for p, t in zip(p_shards, t_shards):
+                assert np.array_equal(p, t), f"call {call}"
+            p_full = plain.allgather_flat(p_shards)
+            t_full = traced.allgather_flat(t_shards)
+            for p, t in zip(p_full, t_full):
+                assert np.array_equal(p, t), f"call {call}"
+        names = [s.name for s in traced.tracer.completed()]
+        assert names == ["comm.reduce_scatter", "comm.allgather"] * 8
+        assert all(s.attrs["bytes"] == 29 * 8 for s in traced.tracer.completed())
+        assert traced.traffic == plain.traffic
 
     def test_reduce_scatter_rejects_ragged_input(self):
         comm = SimComm(2)
@@ -187,29 +184,33 @@ class TestBucketCollectives:
 # --------------------------------------------------------------------------- #
 class TestTrafficAccounting:
     def test_wasted_bytes_pinned_under_seeded_faults(self):
-        """Regression pin: the seeded profile wastes exactly one ring half
-        per injected fault, metered to retry_* and never to useful bytes."""
+        """Regression pin: every reduce_scatter meters exactly one ring
+        half, (N-1) * payload bytes, and nothing else."""
         world = 4
         n = 64
-        payload = n * 8  # float64
-        per_pass = int((world - 1) / world * payload * world)  # one ring half
-        faulty = _faulty_comm(world, "timeout:2,corrupt:1", seed=0, horizon=8)
+        per_pass = (world - 1) * n * 8  # one ring half of float64
+        comm = SimComm(world)
         rng = np.random.default_rng(229)
         calls = 8
         for _ in range(calls):
-            faulty.reduce_scatter(
-                [rng.normal(size=n) for _ in range(world)], op="mean"
-            )
-        t = faulty.traffic
-        # Timeouts and corruptions fire on the first attempt only, so each
-        # of the 3 planned faults wastes exactly one failed pass.
-        assert t.retry_calls == 3
-        assert t.retry_bytes == 3 * per_pass
-        assert t.wasted_bytes == t.retry_bytes
-        # Useful traffic is unaffected by the retries.
-        assert t.reduce_scatter_calls == calls
-        assert t.reduce_scatter_bytes == calls * per_pass
-        assert t.useful_bytes == calls * per_pass
+            comm.reduce_scatter([rng.normal(size=n) for _ in range(world)], op="mean")
+        t = comm.traffic
+        assert t.reduce_scatter_calls == t.collective_calls == calls
+        assert t.reduce_scatter_bytes == t.useful_bytes == calls * per_pass == 12288
+
+    def test_ring_halves_sum_to_one_allreduce_at_every_world(self):
+        """``_ring_volume`` is integer arithmetic: at N = 3, 5, 9 a 200-byte
+        allreduce meters 2 * (N-1) * 200 B, and a reduce_scatter +
+        allgather_flat pair meters exactly the same."""
+        for world in (3, 5, 9):
+            values = [np.zeros(25) for _ in range(world)]  # 200 B each
+            whole = SimComm(world)
+            whole.allreduce(values)
+            assert whole.traffic.allreduce_bytes == 2 * (world - 1) * 200, world
+            pair = SimComm(world)
+            pair.allgather_flat(pair.reduce_scatter(values))
+            halves = pair.traffic.reduce_scatter_bytes + pair.traffic.allgather_bytes
+            assert halves == whole.traffic.allreduce_bytes, world
 
     def test_ragged_shard_metering_sums_elements(self):
         """_nbytes regression: ragged per-rank shards meter their true
@@ -221,8 +222,7 @@ class TestTrafficAccounting:
         assert [s.size for s in shards] == [6, 6, 5]
         comm.traffic.reset()
         comm.allgather_flat(shards)
-        expected = int((world - 1) / world * n * 8 * world)
-        assert comm.traffic.allgather_bytes == expected
+        assert comm.traffic.allgather_bytes == (world - 1) * n * 8
         # And the helper itself on a ragged list:
         assert SimComm._nbytes([np.zeros(6), np.zeros(5)]) == 11 * 8
 
@@ -302,25 +302,26 @@ class TestShardedAdamBitIdentity:
             assert np.array_equal(a.data, b.data), f"param {i}"
 
     def test_fault_injected_step_converges_to_same_bits(self):
-        """Allgather retries inside the sharded step never change params."""
+        """Tracing the sharded step's allgathers never changes params."""
         rng = np.random.default_rng(313)
         world = 4
         h_params = [Tensor(rng.normal(size=(5, 5)), requires_grad=True) for _ in range(4)]
-        f_params = [Tensor(p.data.copy(), requires_grad=True) for p in h_params]
-        healthy = ShardedAdamW(h_params, lr=1e-3, comm=SimComm(world), bucket_bytes=100)
-        faulty_comm = _faulty_comm(world, "timeout:2,corrupt:1", seed=5, horizon=12)
-        faulty = ShardedAdamW(f_params, lr=1e-3, comm=faulty_comm, bucket_bytes=100)
+        t_params = [Tensor(p.data.copy(), requires_grad=True) for p in h_params]
+        plain = ShardedAdamW(h_params, lr=1e-3, comm=SimComm(world), bucket_bytes=100)
+        traced_comm = _traced_comm(world)
+        traced = ShardedAdamW(t_params, lr=1e-3, comm=traced_comm, bucket_bytes=100)
         for step in range(3):
             grng = np.random.default_rng(2000 + step)
-            for a, b in zip(h_params, f_params):
+            for a, b in zip(h_params, t_params):
                 g = grng.normal(size=a.shape)
                 a.grad = g.copy()
                 b.grad = g.copy()
-            healthy.step()
-            faulty.step()
-            for i, (a, b) in enumerate(zip(h_params, f_params)):
+            plain.step()
+            traced.step()
+            for i, (a, b) in enumerate(zip(h_params, t_params)):
                 assert np.array_equal(a.data, b.data), f"step={step} param={i}"
-        assert faulty_comm.traffic.retry_calls > 0
+        spans = [s.name for s in traced_comm.tracer.completed()]
+        assert spans == ["comm.allgather"] * (3 * traced.bucketer.num_buckets)
 
     def test_state_bytes_shrink_with_world(self):
         rng = np.random.default_rng(317)
@@ -394,6 +395,28 @@ class _SpyTask:
         return _Loss(loss, record), metrics
 
 
+class _PoisonTask(_SpyTask):
+    """Writes a NaN into one rank's first gradient after its backward."""
+
+    def __init__(self, task, rank):
+        super().__init__(task)
+        self.rank = rank
+        self.index = None
+
+    def training_step(self, batch):
+        loss, metrics = self.task.training_step(batch)
+        rank = len(self.produced)
+
+        def poison():
+            self.produced.append(rank)
+            if rank == self.rank:
+                grads = [p.grad for p in self.parameters()]
+                self.index = next(i for i, g in enumerate(grads) if g is not None)
+                grads[self.index].flat[0] = np.nan
+
+        return _Loss(loss, poison), metrics
+
+
 class _CapturingDDP(DDPStrategy):
     def _reduce(self, params, rank_grads):
         self.rank_grads = [list(g) for g in rank_grads]
@@ -428,16 +451,25 @@ class TestBf16Wire:
                 assert not any(np.shares_memory(p.grad, g) for g in arrays)
 
     def test_exactly_representable_values_roundtrip_exactly(self):
-        """A fault-injected step consumes one call index per parameter —
-        touched or not — so a profile's horizon counts tensors."""
+        """The local reduction leaves the bits of one explicit
+        ``comm.allreduce(op="mean")`` per touched parameter — the per-tensor
+        baseline the sharding bench meters."""
         task, samples = _ddp_task_and_samples()
         world = 4
-        comm = SimComm(world, injector=FaultInjector(None, world))
-        DDPStrategy(world, comm=comm).execute(task, samples)
-        num_params = len(list(task.parameters()))
-        assert comm._collective_index == num_params
-        assert comm.traffic.allreduce_calls == num_params
-        assert any(p.grad is None for p in task.parameters())
+        ddp = _CapturingDDP(world)
+        ddp.execute(task, samples)
+        comm = SimComm(world)
+        params = list(task.parameters())
+        assert any(p.grad is None for p in params)
+        for i, p in enumerate(params):
+            if p.grad is None:
+                assert all(g[i] is None for g in ddp.rank_grads)
+                continue
+            explicit = comm.allreduce(
+                [g[i] if g[i] is not None else np.zeros_like(p.data) for g in ddp.rank_grads],
+                op="mean",
+            )[0]
+            assert np.array_equal(p.grad, explicit), i
 
     def test_payload_is_two_bytes_per_element(self):
         """The local path meters exactly one allreduce of
@@ -452,19 +484,20 @@ class TestBf16Wire:
             assert ddp.comm.traffic.reduce_scatter_calls == 0
 
     def test_nan_survives_compression(self):
-        """A NaN-poisoned contribution is detected, retried, and leaves the
-        plain path's bits."""
+        """A NaN in one rank's gradient reaches the reduced gradient on both
+        reduction paths: nothing masks a non-finite contribution."""
         task, samples = _ddp_task_and_samples()
-        world = 4
-        DDPStrategy(world).execute(task, samples)
-        plain = [None if p.grad is None else p.grad.copy() for p in task.parameters()]
-        comm = _faulty_comm(world, "corrupt:2", seed=1, horizon=8)
-        DDPStrategy(world, comm=comm).execute(task, samples)
-        assert comm.events.count("corrupt") == 2
-        for a, p in zip(plain, task.parameters()):
-            assert (a is None) == (p.grad is None)
-            if a is not None:
-                assert np.array_equal(a, p.grad)
+        for ddp in (DDPStrategy(4), DDPStrategy(4, bucket_bytes=1 << 20)):
+            poison = _PoisonTask(task, rank=2)
+            ddp.execute(poison, samples)
+            params = list(task.parameters())
+            grad = params[poison.index].grad
+            assert np.isnan(grad.flat[0])
+            assert np.isfinite(grad.flat[1:]).all()
+            assert all(
+                np.isfinite(p.grad).all()
+                for i, p in enumerate(params) if i != poison.index and p.grad is not None
+            )
 
     def test_rounding_is_to_nearest(self):
         """``sum``/``mean`` accumulate in rank order, then divide by N — the

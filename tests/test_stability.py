@@ -24,8 +24,7 @@ from repro.autograd import Tensor, functional as F
 from repro.autograd.anomaly import NumericalAnomalyError, detect_anomaly
 from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig, pretrain_symmetry
 from repro.data.batching import collate_graphs
-from repro.distributed import DDPStrategy, ShardedAdamW, SimComm, SingleProcessStrategy
-from repro.distributed.faults import StepFailure
+from repro.distributed import DDPStrategy, EventLog, ShardedAdamW, SimComm, SingleProcessStrategy
 from repro.nn.module import Parameter
 from repro.optim import Adam, AdamW, clip_grad_norm
 from repro.stability import StabilityGuard
@@ -710,13 +709,17 @@ class TestMultitaskNaNTargetsDoNotMisfire:
 
 class TestGuardedStepFailureInterplay:
     def test_guard_and_step_failure_paths_compose(self):
-        # A StepFailure (fault-tolerance path) escalates when no recovery
-        # config exists.
+        # A failed strategy step propagates through an attached guard: the
+        # guard never scores it and records nothing.
         class Fail(SingleProcessStrategy):
             def execute(self, task, samples):
-                raise StepFailure("boom")
+                raise RuntimeError("boom")
 
         task, samples = _task_and_samples(4)
-        trainer = Trainer(TrainerConfig(max_epochs=1), strategy=Fail())
-        with pytest.raises(StepFailure):
+        guard = StabilityGuard(events=EventLog())
+        trainer = Trainer(TrainerConfig(max_epochs=1), strategy=Fail(), stability=guard)
+        with pytest.raises(RuntimeError, match="boom"):
             trainer.fit(task, [samples], optimizer=AdamW(task.parameters(), lr=1e-3))
+        assert trainer.global_step == 0
+        assert len(guard.events) == 0
+        assert guard.summary()["interventions"] == 0
