@@ -36,19 +36,17 @@ class EncoderConfig:
 
 @dataclass
 class OptimizerConfig:
-    """AdamW settings.  Paper: defaults betas, eta_base 1e-3 or 1e-5."""
+    """AdamW settings.  Paper: default betas (AdamW's own), eta_base 1e-3
+    or 1e-5."""
 
     base_lr: float = 1e-3
     weight_decay: float = 1e-2
-    betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
     warmup_epochs: int = 8
     gamma: float = 0.8
     grad_clip_norm: Optional[float] = None
-    #: Stable-variant switches (see repro.optim.Adam): AMSGrad second-moment
-    #: maximum and StableAdamW-style RMS update clipping.  ``update_clip=0.1``
-    #: is the Fig. 3 remedy (DESIGN.md §8).
-    amsgrad: bool = False
+    #: StableAdamW-style RMS update clipping (see repro.optim.Adam).
+    #: ``update_clip=0.1`` is the Fig. 3 remedy (DESIGN.md §8).
     update_clip: Optional[float] = None
 
 
@@ -66,7 +64,6 @@ class PretrainConfig:
     train_samples: int = 512
     val_samples: int = 128
     max_points: int = 32
-    noise_sigma: float = 0.02
     #: Shell radii for seed particles.  The transfer recipe widens this to
     #: interatomic scale (1.5-4.0 A) so the pretrained geometry filters see
     #: the same distance distribution materials data produces.
@@ -139,7 +136,6 @@ class MultiTaskConfig:
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(base_lr=1e-3))
     mp_samples: int = 192
     carolina_samples: int = 96
-    val_fraction: float = 0.25
     batch_size: int = 16
     max_epochs: int = 30
     #: See FinetuneConfig.world_size.

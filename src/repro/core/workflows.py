@@ -90,7 +90,7 @@ def _build_finetune_optimizer(task, opt_cfg, base_lr: float, pretrained: bool):
     while the freshly initialized heads train at the full rate (they have
     nothing to forget — see EXPERIMENTS.md).
     """
-    kwargs = dict(betas=opt_cfg.betas, eps=opt_cfg.eps, weight_decay=opt_cfg.weight_decay)
+    kwargs = dict(eps=opt_cfg.eps, weight_decay=opt_cfg.weight_decay)
     if not pretrained:
         return AdamW(task.parameters(), lr=base_lr, **kwargs)
     encoder_ids = {id(p) for p in task.encoder.parameters()}
@@ -149,10 +149,6 @@ class PretrainResult:
     #: ``config.profile`` or ``config.trace_out``.
     observer: Optional[Observer] = None
 
-    @property
-    def final_val_ce(self) -> Optional[float]:
-        return self.history.last("val", "ce")
-
 
 def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     """Train the symmetry-group classifier under simulated DDP.
@@ -169,7 +165,6 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     common = dict(
         group_names=config.group_names,
         max_points=config.max_points,
-        noise_sigma=config.noise_sigma,
         radius_range=config.radius_range,
     )
     clouds = SymmetryPointCloudDataset(config.train_samples, seed=config.seed, **common)
@@ -209,10 +204,8 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
 
     opt_kwargs = dict(
         lr=target_lr,
-        betas=opt_cfg.betas,
         eps=opt_cfg.eps,
         weight_decay=opt_cfg.weight_decay,
-        amsgrad=opt_cfg.amsgrad,
     )
     if config.zero:
         optimizer = ShardedAdamW(
@@ -433,9 +426,6 @@ class MultiTaskResult:
     final_metrics: Dict[str, float]
     config: Optional[MultiTaskConfig] = None
 
-    def table_row(self) -> List[float]:
-        return [self.final_metrics.get(k, float("nan")) for k in TABLE1_METRICS]
-
 
 def train_multitask(
     config: MultiTaskConfig,
@@ -452,12 +442,9 @@ def train_multitask(
         CarolinaSurrogate(config.carolina_samples, seed=config.seed + 1).materialize(),
         transform,
     )
-    mp_train, mp_val = train_val_split(
-        mp, config.val_fraction, np.random.default_rng((config.seed, 56))
-    )
-    cmd_train, cmd_val = train_val_split(
-        cmd, config.val_fraction, np.random.default_rng((config.seed, 57))
-    )
+    # A quarter of each dataset validates.
+    mp_train, mp_val = train_val_split(mp, 0.25, np.random.default_rng((config.seed, 56)))
+    cmd_train, cmd_val = train_val_split(cmd, 0.25, np.random.default_rng((config.seed, 57)))
     train_ds = ConcatDataset([mp_train, cmd_train])
     val_ds = ConcatDataset([mp_val, cmd_val])
 

@@ -1,16 +1,16 @@
 """Data pipeline: structures, datasets, loaders, batching, transforms.
 
 Mirrors the paper's Fig. 1 data path: a *dataset* yields
-:class:`repro.data.structures.Structure` samples; a chain of *transforms*
-converts them between representations (point cloud <-> graph) and injects
-inductive biases; a *collator* batches them for the encoder.
+:class:`repro.data.structures.Structure` samples; a *transform* converts
+them into graphs and injects inductive biases; a *collator* batches them
+for the encoder.
 """
 
 from repro.data.structures import Structure, GraphSample, PointCloudSample, GraphBatch
 from repro.data.dataset import Dataset, InMemoryDataset, ConcatDataset, Subset
 from repro.data.splits import train_val_split
 from repro.data.batching import collate_graphs
-from repro.data.loaders import DataLoader, DistributedSampler, SequentialSampler, RandomSampler
+from repro.data.loaders import DataLoader, SequentialSampler, RandomSampler
 from repro.data.transforms.base import array_fingerprint
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "train_val_split",
     "collate_graphs",
     "DataLoader",
-    "DistributedSampler",
     "SequentialSampler",
     "RandomSampler",
 ]

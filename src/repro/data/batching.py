@@ -68,9 +68,6 @@ def collate_graphs(samples: Sequence[GraphSample]) -> GraphBatch:
     node_graph = np.concatenate(
         [np.full(s.num_nodes, i, dtype=np.int64) for i, s in enumerate(samples)]
     )
-    edge_attr = None
-    if all(s.edge_attr is not None for s in samples):
-        edge_attr = np.concatenate([s.edge_attr for s in samples], axis=0)
     global_attr = None
     if all(s.global_attr is not None for s in samples):
         global_attr = np.concatenate(
@@ -87,7 +84,6 @@ def collate_graphs(samples: Sequence[GraphSample]) -> GraphBatch:
         edge_dst=edge_dst,
         node_graph=node_graph,
         num_graphs=len(samples),
-        edge_attr=edge_attr,
         global_attr=global_attr,
         targets=_stack_targets(samples),
         metadata=metadata,

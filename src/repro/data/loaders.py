@@ -1,8 +1,8 @@
 """Samplers and the DataLoader.
 
-``DistributedSampler`` reproduces the DDP sharding rule from the paper's
-Sec. 4.2: the dataset is divided across N ranks, each receiving the same
-number of samples per batch, so the effective batch is ``B_eff = N * B``.
+Rank sharding is not a sampler: the loader yields one global batch of
+``N * B`` samples and ``DDPStrategy.shard`` splits it across the N ranks
+(paper Sec. 4.2, ``B_eff = N * B``).
 """
 
 from __future__ import annotations
@@ -41,65 +41,6 @@ class RandomSampler:
 
     def __len__(self) -> int:
         return len(self.dataset)
-
-
-class DistributedSampler:
-    """Rank-sharded sampler: rank r sees indices r, r+N, r+2N, ... of a
-    deterministic per-epoch permutation shared by all ranks.
-
-    All ranks must call :meth:`set_epoch` with the same value so their
-    permutations agree — the same contract as
-    ``torch.utils.data.DistributedSampler``.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        world_size: int,
-        rank: int,
-        shuffle: bool = True,
-        seed: int = 0,
-        drop_last: bool = True,
-    ):
-        if not 0 <= rank < world_size:
-            raise ValueError(f"rank {rank} out of range for world size {world_size}")
-        self.dataset = dataset
-        self.world_size = world_size
-        self.rank = rank
-        self.shuffle = shuffle
-        self.seed = seed
-        self.drop_last = drop_last
-        self.epoch = 0
-
-    def set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
-
-    def _global_order(self) -> np.ndarray:
-        n = len(self.dataset)
-        if self.shuffle:
-            rng = np.random.default_rng((self.seed, self.epoch))
-            order = rng.permutation(n)
-        else:
-            order = np.arange(n)
-        if self.drop_last:
-            usable = (n // self.world_size) * self.world_size
-            order = order[:usable]
-        else:
-            # Pad by wrapping so each rank gets the same count.
-            target = math.ceil(n / self.world_size) * self.world_size
-            pad = target - n
-            order = np.concatenate([order, order[:pad]])
-        return order
-
-    def __iter__(self) -> Iterator[int]:
-        order = self._global_order()
-        return iter(order[self.rank :: self.world_size].tolist())
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.world_size
-        return math.ceil(n / self.world_size)
 
 
 class DataLoader:

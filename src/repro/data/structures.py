@@ -87,16 +87,14 @@ class GraphSample:
 
     ``edge_src``/``edge_dst`` index into the sample's own nodes; directed
     edges, with both directions present for undirected connectivity.
-    ``edge_attr`` optionally carries per-edge features a_ij;
-    ``global_attr`` an optional per-graph state vector u, shape (gdim,)
-    (the MEGNet global stream's input).
+    ``global_attr`` optionally carries a per-graph state vector u, shape
+    (gdim,) (the MEGNet global stream's input).
     """
 
     positions: np.ndarray
     species: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_attr: Optional[np.ndarray] = None
     global_attr: Optional[np.ndarray] = None
     targets: Dict[str, np.ndarray] = field(default_factory=dict)
     metadata: Dict[str, object] = field(default_factory=dict)
@@ -133,7 +131,6 @@ class GraphBatch:
     edge_dst: np.ndarray
     node_graph: np.ndarray
     num_graphs: int
-    edge_attr: Optional[np.ndarray] = None
     global_attr: Optional[np.ndarray] = None
     targets: Dict[str, np.ndarray] = field(default_factory=dict)
     metadata: Dict[str, object] = field(default_factory=dict)

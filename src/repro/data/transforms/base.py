@@ -1,11 +1,10 @@
-"""Transform protocol and composition."""
+"""Transform protocol and content fingerprints."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import numbers
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,41 +44,3 @@ class Transform:
         produce different outputs would share one identity.
         """
         return repr(self)
-
-
-class Compose(Transform):
-    """Apply transforms left to right."""
-
-    def __init__(self, transforms: Sequence[Callable]):
-        self.transforms = list(transforms)
-
-    def __call__(self, sample):
-        for t in self.transforms:
-            sample = t(sample)
-        return sample
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(t) for t in self.transforms)
-        return f"Compose([{inner}])"
-
-    def fingerprint(self) -> str:
-        """Combine child fingerprints so any stage change changes the identity."""
-        inner = ", ".join(
-            t.fingerprint() if isinstance(t, Transform) else repr(t)
-            for t in self.transforms
-        )
-        return f"Compose([{inner}])"
-
-
-class Lambda(Transform):
-    """Wrap a plain function as a transform."""
-
-    def __init__(self, fn: Callable, name: str = "lambda"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, sample):
-        return self.fn(sample)
-
-    def __repr__(self) -> str:
-        return f"Lambda({self.name})"

@@ -1,4 +1,4 @@
-"""Feature-engineering transforms."""
+"""Target normalization."""
 
 from __future__ import annotations
 
@@ -7,41 +7,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from repro.data.structures import GraphSample
-from repro.data.transforms.base import Transform, check_cutoff
-
-
-class DistanceEdgeFeatures(Transform):
-    """Attach ``a_ij`` edge features derived from interatomic distance.
-
-    Produces a radial-basis expansion of the edge length — the standard way
-    of giving the message MLP a smooth view of distance beyond the raw
-    squared norm that E(n)-GNN already consumes.
-    """
-
-    def __init__(self, num_basis: int = 8, cutoff: float = 6.0):
-        if num_basis < 1:
-            raise ValueError(f"num_basis must be >= 1, got {num_basis!r}")
-        check_cutoff(cutoff)
-        self.num_basis = num_basis
-        self.cutoff = cutoff
-        self.centers = np.linspace(0.0, cutoff, num_basis)
-        self.width = cutoff / max(num_basis - 1, 1)
-
-    def fingerprint(self) -> str:
-        """Identity covering the basis layout (matches ``__repr__``)."""
-        return repr(self)
-
-    def __call__(self, sample: GraphSample) -> GraphSample:
-        if sample.num_edges == 0:
-            return replace(sample, edge_attr=np.zeros((0, self.num_basis)))
-        diff = sample.positions[sample.edge_src] - sample.positions[sample.edge_dst]
-        dist = np.linalg.norm(diff, axis=1, keepdims=True)
-        rbf = np.exp(-((dist - self.centers[None, :]) ** 2) / (2.0 * self.width**2))
-        return replace(sample, edge_attr=rbf)
-
-    def __repr__(self) -> str:
-        return f"DistanceEdgeFeatures(num_basis={self.num_basis}, cutoff={self.cutoff})"
+from repro.data.transforms.base import Transform
 
 
 class TargetNormalizer(Transform):

@@ -1,21 +1,20 @@
 """Structure / point cloud -> graph conversions.
 
 Graph construction is the step the paper contrasts against point-cloud
-models (Sec. 2.1): it imposes connectivity via a radius or k-NN rule.  Both
-builders use a ``scipy.spatial.cKDTree`` so neighbour search is
-O(n log n) instead of the naive O(n^2) scan.
+models (Sec. 2.1): it imposes connectivity via a radius rule.  The builders
+use a ``scipy.spatial.cKDTree`` so neighbour search is O(n log n) instead
+of the naive O(n^2) scan.
 """
 
 from __future__ import annotations
 
 import itertools
-import numbers
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.data.structures import GraphSample, PointCloudSample, Structure
+from repro.data.structures import GraphSample, Structure
 from repro.data.transforms.base import Transform, check_cutoff
 
 
@@ -34,22 +33,6 @@ def radius_graph(positions: np.ndarray, cutoff: float) -> Tuple[np.ndarray, np.n
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     src = np.concatenate([pairs[:, 0], pairs[:, 1]]).astype(np.int64)
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]]).astype(np.int64)
-    return src, dst
-
-
-def knn_graph(positions: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Directed edges from each node to its k nearest neighbours."""
-    positions = np.asarray(positions, dtype=np.float64)
-    n = len(positions)
-    if n <= 1:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    k_eff = min(k, n - 1)
-    tree = cKDTree(positions)
-    # First neighbour is the point itself; drop it.
-    _, idx = tree.query(positions, k=k_eff + 1)
-    neighbours = idx[:, 1:]
-    src = np.repeat(np.arange(n, dtype=np.int64), k_eff)
-    dst = neighbours.reshape(-1).astype(np.int64)
     return src, dst
 
 
@@ -132,42 +115,24 @@ def global_state_features(species: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_rule(cutoff, k) -> None:
-    """Reject a neighbour rule that would silently build a wrong graph."""
-    check_cutoff(cutoff)
-    if k is not None and not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-
-
-def _rule_edges(
-    pos: np.ndarray, cutoff: float, k: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Edges of the k-NN rule when ``k`` is set, else of the radius rule."""
-    if k is not None:
-        return knn_graph(pos, k)
-    return radius_graph(pos, cutoff)
-
-
 class StructureToGraph(Transform):
-    """Build a graph sample from a structure with a radius or k-NN rule."""
+    """Build a graph sample from a structure with a radius rule."""
 
     def __init__(
         self,
         cutoff: float = 5.0,
-        k: Optional[int] = None,
         center: bool = True,
         global_features: bool = False,
     ):
-        _check_rule(cutoff, k)
+        check_cutoff(cutoff)
         self.cutoff = cutoff
-        self.k = k
         self.center = center
         self.global_features = global_features
 
     def fingerprint(self) -> str:
-        """Identity covering cutoff, k, centring, and the global-u flag."""
+        """Identity covering cutoff, centring, and the global-u flag."""
         return (
-            f"StructureToGraph(cutoff={self.cutoff}, k={self.k}, "
+            f"StructureToGraph(cutoff={self.cutoff}, "
             f"center={self.center}, global_features={self.global_features})"
         )
 
@@ -175,7 +140,7 @@ class StructureToGraph(Transform):
         pos = structure.positions
         if self.center:
             pos = pos - pos.mean(axis=0, keepdims=True)
-        src, dst = _rule_edges(pos, self.cutoff, self.k)
+        src, dst = radius_graph(pos, self.cutoff)
         return GraphSample(
             positions=pos,
             species=structure.species.copy(),
@@ -191,33 +156,4 @@ class StructureToGraph(Transform):
         )
 
     def __repr__(self) -> str:
-        rule = f"k={self.k}" if self.k is not None else f"cutoff={self.cutoff}"
-        return f"StructureToGraph({rule})"
-
-
-class PointCloudToGraph(Transform):
-    """Impose connectivity on a point-cloud sample."""
-
-    def __init__(self, cutoff: float = 5.0, k: Optional[int] = None):
-        _check_rule(cutoff, k)
-        self.cutoff = cutoff
-        self.k = k
-
-    def fingerprint(self) -> str:
-        """Identity covering both the radius and k-NN rule parameters."""
-        return f"PointCloudToGraph(cutoff={self.cutoff}, k={self.k})"
-
-    def __call__(self, sample: PointCloudSample) -> GraphSample:
-        src, dst = _rule_edges(sample.positions, self.cutoff, self.k)
-        return GraphSample(
-            positions=sample.positions,
-            species=sample.species,
-            edge_src=src,
-            edge_dst=dst,
-            targets=dict(sample.targets),
-            metadata=dict(sample.metadata),
-        )
-
-    def __repr__(self) -> str:
-        rule = f"k={self.k}" if self.k is not None else f"cutoff={self.cutoff}"
-        return f"PointCloudToGraph({rule})"
+        return f"StructureToGraph(cutoff={self.cutoff})"

@@ -75,25 +75,6 @@ class AffinityPlanner:
                 rank += 1
         return placements
 
-    def plan_job(self, world_size: int, workers_per_node: int | None = None) -> List[WorkerPlacement]:
-        """Place a full job across as many nodes as needed."""
-        workers_per_node = workers_per_node or self.node.workers
-        if world_size % workers_per_node != 0:
-            raise ValueError(
-                f"world size {world_size} is not a multiple of {workers_per_node} workers/node"
-            )
-        placements = []
-        nodes = world_size // workers_per_node
-        for node_index in range(nodes):
-            placements.extend(
-                self.plan_node(
-                    workers_per_node,
-                    node_index=node_index,
-                    rank_base=node_index * workers_per_node,
-                )
-            )
-        return placements
-
     def omp_num_threads(self, workers_per_node: int | None = None) -> int:
         """Threads per worker under the pinning policy."""
         workers_per_node = workers_per_node or self.node.workers

@@ -3,8 +3,9 @@
 Rank-local values are held as Python lists indexed by rank; collectives
 compute exactly what their MPI counterparts would and additionally meter
 traffic (message counts and bytes, ring-allreduce accounting), which the
-performance model consumes.  The interface intentionally shadows mpi4py's
-lower-case object API (``allreduce``, ``bcast``, ``gather``, ...).
+performance model consumes.  The three collectives are the ones the
+gradient paths run: ``allreduce`` (dense DDP) and the
+``reduce_scatter``/``allgather_flat`` pair (ZeRO buckets).
 
 Traffic is metered per collective kind (``allreduce_bytes``,
 ``reduce_scatter_bytes``, ``allgather_bytes``): the volume one pass of
@@ -29,38 +30,16 @@ class TrafficLog:
     reduce_scatter_bytes: int = 0
     allgather_calls: int = 0
     allgather_bytes: int = 0
-    bcast_calls: int = 0
-    bcast_bytes: int = 0
-    p2p_messages: int = 0
-    p2p_bytes: int = 0
-
-    def reset(self) -> None:
-        self.allreduce_calls = 0
-        self.allreduce_bytes = 0
-        self.reduce_scatter_calls = 0
-        self.reduce_scatter_bytes = 0
-        self.allgather_calls = 0
-        self.allgather_bytes = 0
-        self.bcast_calls = 0
-        self.bcast_bytes = 0
-        self.p2p_messages = 0
-        self.p2p_bytes = 0
 
     @property
     def collective_calls(self) -> int:
-        """Gradient/param collective messages (no p2p)."""
+        """Gradient/param collective messages."""
         return self.allreduce_calls + self.reduce_scatter_calls + self.allgather_calls
 
     @property
     def useful_bytes(self) -> int:
         """Bytes moved by every metered operation."""
-        return (
-            self.allreduce_bytes
-            + self.reduce_scatter_bytes
-            + self.allgather_bytes
-            + self.bcast_bytes
-            + self.p2p_bytes
-        )
+        return self.allreduce_bytes + self.reduce_scatter_bytes + self.allgather_bytes
 
 
 class SimComm:
@@ -255,38 +234,3 @@ class SimComm:
             return [full.copy() for _ in range(self.world_size)]
 
         return self._traced("allgather", payload, run)
-
-    # ------------------------------------------------------------------ #
-    def bcast(self, value, root: int = 0) -> List:
-        """Every rank receives the root's value."""
-        if not 0 <= root < self.world_size:
-            raise ValueError(f"invalid root {root}")
-        self.traffic.bcast_calls += 1
-        if self.world_size > 1:
-            self.traffic.bcast_bytes += self._nbytes(value) * (self.world_size - 1)
-        arr = np.asarray(value)
-        return [arr.copy() for _ in range(self.world_size)]
-
-    def gather(self, values: Sequence, root: int = 0) -> List:
-        """Root receives the list of per-rank values; others receive None."""
-        self._check(values)
-        self.traffic.p2p_messages += self.world_size - 1
-        self.traffic.p2p_bytes += sum(self._nbytes(v) for i, v in enumerate(values) if i != root)
-        return [list(values) if rank == root else None for rank in range(self.world_size)]
-
-    def allgather(self, values: Sequence) -> List[List]:
-        """Every rank receives every rank's value."""
-        self._check(values)
-        self.traffic.p2p_messages += self.world_size * (self.world_size - 1)
-        self.traffic.p2p_bytes += sum(self._nbytes(v) for v in values) * (self.world_size - 1)
-        return [list(values) for _ in range(self.world_size)]
-
-    def scatter(self, values: Sequence, root: int = 0) -> List:
-        """Rank r receives values[r] (values live on the root)."""
-        self._check(values)
-        self.traffic.p2p_messages += self.world_size - 1
-        self.traffic.p2p_bytes += sum(self._nbytes(v) for i, v in enumerate(values) if i != root)
-        return list(values)
-
-    def barrier(self) -> None:
-        """No-op in simulation; present to keep call sites SPMD-shaped."""

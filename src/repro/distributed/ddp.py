@@ -151,7 +151,7 @@ class DDPStrategy(Strategy):
             for r in range(self.world_size)
         ]
         # Leftover samples (n not divisible by N) are dropped, matching
-        # drop_last sharding in the real sampler.
+        # drop_last rank sharding in torch's distributed sampler.
         return shards
 
     def _get_bucketer(self, params: List):

@@ -69,7 +69,7 @@ class SimClock:
         return self._t
 
     def advance(self, seconds: float) -> float:
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError(f"cannot advance clock by {seconds}")
         self._t += float(seconds)
         return self._t

@@ -195,9 +195,7 @@ class BucketedThroughputModel:
       ``ready_i = (i+1) * bwd_seconds / num_buckets``.
 
     ZeRO optimizer-state sharding does not change the modeled wire volume
-    (the gradient allgather is traded for the parameter allgather) but
-    divides optimizer state across ranks; ``optimizer_state_bytes``
-    reports that footprint.
+    (the gradient allgather is traded for the parameter allgather).
     """
 
     #: Fraction of a training step spent in backward — the window gradient
@@ -212,10 +210,6 @@ class BucketedThroughputModel:
         )
 
     # ------------------------------------------------------------------ #
-    def _nodes(self, world_size: int) -> int:
-        return max(1, math.ceil(world_size / self.base.cluster.node.workers))
-
-    # ------------------------------------------------------------------ #
     def messages_per_step(self) -> int:
         """Collective launches per step: reduce-scatter + allgather per bucket."""
         return 2 * self.num_buckets
@@ -223,14 +217,6 @@ class BucketedThroughputModel:
     def dense_messages_per_step(self) -> int:
         """The per-tensor baseline: one allreduce launch per parameter."""
         return self.sharding.num_tensors
-
-    def bytes_on_wire(self, world_size: int) -> float:
-        """Per-step inter-node bytes (both ring halves)."""
-        nodes = self._nodes(world_size)
-        if nodes == 1:
-            return 0.0
-        payload = self.base.gradient_bytes
-        return 2.0 * (nodes - 1) / nodes * payload * nodes
 
     def exposed_comm_seconds(self, world_size: int) -> float:
         """Comm time left on the critical path after backward overlap."""
@@ -258,41 +244,9 @@ class BucketedThroughputModel:
         )
         return compute + comm
 
-    def samples_per_second(self, world_size: int) -> float:
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
-        return world_size * self.base.batch / self.step_seconds(world_size)
-
     def modeled_speedup(self, world_size: int) -> float:
         """Dense per-tensor step time over bucketed/overlapped step time."""
         return self.dense_step_seconds(world_size) / self.step_seconds(world_size)
-
-    # ------------------------------------------------------------------ #
-    def optimizer_state_bytes(self, world_size: int, sharded: bool = True,
-                              entries_per_param: int = 2) -> int:
-        """Adam m/v footprint per rank: divided by world when ZeRO-sharded."""
-        total = entries_per_param * self.base.gradient_bytes
-        if not sharded or world_size <= 1:
-            return total
-        return math.ceil(total / world_size)
-
-    def sweep(self, world_sizes: List[int]) -> List[Dict[str, float]]:
-        rows = []
-        for n in world_sizes:
-            rows.append(
-                {
-                    "workers": n,
-                    "num_buckets": self.num_buckets,
-                    "messages": self.messages_per_step(),
-                    "dense_messages": self.dense_messages_per_step(),
-                    "bytes_on_wire": self.bytes_on_wire(n),
-                    "step_seconds": self.step_seconds(n),
-                    "dense_step_seconds": self.dense_step_seconds(n),
-                    "modeled_speedup": self.modeled_speedup(n),
-                    "state_bytes_per_rank": self.optimizer_state_bytes(n),
-                }
-            )
-        return rows
 
 
 def linear_fit_r2(xs: List[float], ys: List[float]) -> float:

@@ -61,10 +61,6 @@ class Bucket:
     segments: Tuple[BucketSegment, ...]
     size: int  # total elements
 
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.dtype.itemsize
-
 
 class GradientBucketer:
     """Deterministic fixed-byte bucketing of a parameter list.
@@ -208,9 +204,6 @@ class GradientBucketer:
     def num_buckets(self) -> int:
         return len(self.buckets)
 
-    def total_elements(self) -> int:
-        return sum(b.size for b in self.buckets)
-
 
 # --------------------------------------------------------------------------- #
 # Sharded optimizer
@@ -259,7 +252,6 @@ class ShardedAdam(Adam):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        amsgrad: bool = False,
         comm: Optional[SimComm] = None,
         bucket_bytes: int = DEFAULT_BUCKET_BYTES,
         bucketer: Optional[GradientBucketer] = None,
@@ -270,7 +262,6 @@ class ShardedAdam(Adam):
             betas=betas,
             eps=eps,
             weight_decay=weight_decay,
-            amsgrad=amsgrad,
             update_clip=None,
         )
         self.comm = comm if comm is not None else SimComm(1)
@@ -315,35 +306,21 @@ class ShardedAdam(Adam):
             if p.grad is None:
                 continue
             state = self.state.setdefault(seg.param_index, {})
-            names = ("m", "v", "vmax") if self.amsgrad else ("m", "v")
             if "m" not in state:
-                for name in names:
-                    state[name] = np.zeros_like(p.data)
-            moments = {name: _flat_view(state[name])[a:b] for name in names}
+                state["m"] = np.zeros_like(p.data)
+                state["v"] = np.zeros_like(p.data)
+            moments = {name: _flat_view(state[name])[a:b] for name in ("m", "v")}
             self._update(_flat_view(p.grad)[a:b], _flat_view(p.data)[a:b], moments,
                          np.empty(b - a), np.empty(b - a), bias1, bias2)
 
     # ------------------------------------------------------------------ #
-    def shard_ownership(self, rank: Optional[int] = None) -> List[Tuple[int, int, int]]:
-        """(bucket, lo, hi) slices owned by ``rank`` (or all ranks' slices)."""
-        world = self.comm.world_size
-        out = []
-        for bucket in self.bucketer.buckets:
-            bounds = SimComm.shard_bounds(bucket.size, world)
-            if rank is None:
-                out.extend((bucket.index, lo, hi) for lo, hi in bounds)
-            else:
-                lo, hi = bounds[rank]
-                out.append((bucket.index, lo, hi))
-        return out
-
     def state_bytes(self, rank: Optional[int] = None) -> int:
         """Optimizer-state bytes held by one rank (or replicated-dense total).
 
         ``rank=None`` reports what dense Adam replicates on *every* rank;
         a specific rank reports only its owned shard — the ZeRO memory win.
         """
-        per_entry = 3 if self.amsgrad else 2  # m, v (, vmax)
+        per_entry = 2  # m, v
         if rank is None:
             return per_entry * sum(
                 b.size * b.dtype.itemsize for b in self.bucketer.buckets
@@ -366,7 +343,6 @@ class ShardedAdamW(ShardedAdam):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 1e-2,
-        amsgrad: bool = False,
         comm: Optional[SimComm] = None,
         bucket_bytes: int = DEFAULT_BUCKET_BYTES,
         bucketer: Optional[GradientBucketer] = None,
@@ -377,7 +353,6 @@ class ShardedAdamW(ShardedAdam):
             betas=betas,
             eps=eps,
             weight_decay=weight_decay,
-            amsgrad=amsgrad,
             comm=comm,
             bucket_bytes=bucket_bytes,
             bucketer=bucketer,

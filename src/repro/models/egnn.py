@@ -32,7 +32,7 @@ class EGCL(Module):
 
     Implements Eqs. (1)-(2) of the paper's Appendix A:
 
-        m_ij      = phi_e(h_i, h_j, ||x_i - x_j||^2, a_ij)
+        m_ij      = phi_e(h_i, h_j, ||x_i - x_j||^2)
         x_i^{l+1} = x_i + C * sum_{j != i} (x_i - x_j) phi_x(m_ij)
         h_i^{l+1} = phi_h(h_i, sum_{j != i} m_ij)
 
@@ -46,7 +46,6 @@ class EGCL(Module):
         hidden_dim: int,
         message_dim: Optional[int] = None,
         position_dim: int = 64,
-        edge_attr_dim: int = 0,
         update_positions: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
@@ -55,7 +54,7 @@ class EGCL(Module):
         message_dim = message_dim or hidden_dim
         self.hidden_dim = hidden_dim
         self.update_positions = update_positions
-        edge_in = 2 * hidden_dim + 1 + edge_attr_dim
+        edge_in = 2 * hidden_dim + 1
         self.phi_e = Sequential(
             Linear(edge_in, message_dim, rng=rng),
             SiLU(),
@@ -79,7 +78,6 @@ class EGCL(Module):
         x: Tensor,
         edge_src: np.ndarray,
         edge_dst: np.ndarray,
-        edge_attr: Optional[np.ndarray] = None,
     ):
         num_nodes = h.shape[0]
         if len(edge_src) == 0:
@@ -90,10 +88,7 @@ class EGCL(Module):
 
         diff = K.gather_diff(x, edge_src, edge_dst)
         sq_dist = K.row_sq_norm(diff)
-        tails = [sq_dist]
-        if edge_attr is not None:
-            tails.append(Tensor(edge_attr))
-        m = self.phi_e(K.gather_pair_concat(h, edge_src, edge_dst, tails))
+        m = self.phi_e(K.gather_pair_concat(h, edge_src, edge_dst, [sq_dist]))
 
         if self.update_positions:
             scale = F.tanh(self.phi_x(m))
@@ -117,7 +112,6 @@ class EGNN(Encoder):
         num_layers: int = 3,
         position_dim: int = 64,
         num_species: int = 100,
-        edge_attr_dim: int = 0,
         update_positions: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
@@ -134,7 +128,6 @@ class EGNN(Encoder):
                 EGCL(
                     hidden_dim,
                     position_dim=position_dim,
-                    edge_attr_dim=edge_attr_dim,
                     update_positions=update_positions,
                     rng=rng,
                 )
@@ -147,7 +140,7 @@ class EGNN(Encoder):
         x0 = Tensor(batch.positions)
         x = x0
         for layer in self.layers:
-            h, x = layer(h, x, batch.edge_src, batch.edge_dst, batch.edge_attr)
+            h, x = layer(h, x, batch.edge_src, batch.edge_dst)
         graph = K.segment_sum(h, batch.node_graph, batch.num_graphs)
         update = (x - x0) if self.update_positions else None
         return EncoderOutput(

@@ -13,7 +13,7 @@ from repro.nn.embedding import Embedding
 from repro.nn.activations import SiLU, SELU, ReLU, Tanh, Sigmoid, Identity, Softplus
 from repro.nn.norm import RMSNorm, LayerNorm, BatchNorm1d
 from repro.nn.dropout import Dropout
-from repro.nn.mlp import MLP, ResidualMLPBlock, OutputHead
+from repro.nn.mlp import ResidualMLPBlock, OutputHead
 from repro.nn import init
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "LayerNorm",
     "BatchNorm1d",
     "Dropout",
-    "MLP",
     "ResidualMLPBlock",
     "OutputHead",
     "init",

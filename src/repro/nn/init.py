@@ -1,6 +1,6 @@
-"""Weight initialization schemes.
+"""Weight initialization.
 
-All initializers take an explicit ``numpy.random.Generator`` so model
+The initializer takes an explicit ``numpy.random.Generator`` so model
 construction is reproducible and independent of global RNG state — the same
 discipline the toolkit needs for pretrain-vs-scratch comparisons to be fair.
 """
@@ -11,54 +11,13 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "kaiming_uniform",
-    "xavier_uniform",
-    "lecun_normal",
-    "uniform",
-    "normal",
-    "zeros",
-    "ones",
-]
+__all__ = ["kaiming_uniform"]
 
 
-def kaiming_uniform(shape, rng: np.random.Generator, gain: float = math.sqrt(5.0)) -> np.ndarray:
+def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """He-style uniform init (PyTorch ``Linear`` default)."""
     # Matches torch.nn.init.kaiming_uniform_ with a=sqrt(5) on (fan_in, fan_out)
     # weights: std = sqrt(1/3)/sqrt(fan_in), bound = sqrt(3)*std = 1/sqrt(fan_in).
     fan_in = shape[0]
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot uniform init: bound = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = shape[0], shape[-1]
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def lecun_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """LeCun normal — the init SELU's self-normalizing property assumes."""
-    fan_in = shape[0]
-    return rng.normal(0.0, math.sqrt(1.0 / fan_in), size=shape)
-
-
-def uniform(shape, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    """Uniform init on [low, high]."""
-    return rng.uniform(low, high, size=shape)
-
-
-def normal(shape, rng: np.random.Generator, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """Gaussian init."""
-    return rng.normal(mean, std, size=shape)
-
-
-def zeros(shape) -> np.ndarray:
-    """All-zeros init (biases)."""
-    return np.zeros(shape, dtype=np.float64)
-
-
-def ones(shape) -> np.ndarray:
-    """All-ones init (norm gains)."""
-    return np.ones(shape, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Multilayer perceptrons and the paper's residual output-head blocks.
+"""The paper's residual output-head blocks.
 
 Appendix A: each output head is a sequence of residual blocks, each block
 being ``MLP -> non-linearity -> normalization -> dropout`` with the block
@@ -8,43 +8,18 @@ activation, RMSNorm, and dropout 0.2.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.autograd import Tensor
 from repro.kernels import dispatch as K
 from repro.nn.activations import get_activation
-from repro.nn.containers import ModuleList, Sequential
+from repro.nn.containers import ModuleList
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.nn.norm import get_norm
-
-
-class MLP(Module):
-    """Plain feed-forward stack: Linear (+ activation) per hidden layer."""
-
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dims: Sequence[int],
-        out_dim: int,
-        activation: str = "silu",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
-        dims = [in_dim, *hidden_dims, out_dim]
-        layers = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            layers.append(Linear(a, b, rng=rng))
-            if i < len(dims) - 2:
-                layers.append(get_activation(activation))
-        self.net = Sequential(*layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)
 
 
 class ResidualMLPBlock(Module):

@@ -28,7 +28,7 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1) -> float:
-        if amount < 0:
+        if not amount >= 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
         self.value += amount
         return self.value

@@ -8,7 +8,6 @@ parallelism.
 """
 
 from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
 from repro.optim.adam import Adam, AdamW
 from repro.optim.schedulers import LRScheduler, WarmupExponential, scale_lr_for_ddp
 from repro.optim.clip import NonFiniteGradientError, clip_grad_norm
@@ -16,7 +15,6 @@ from repro.optim.grouped import MultiGroupOptimizer
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "AdamW",
     "LRScheduler",

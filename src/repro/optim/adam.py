@@ -4,15 +4,14 @@ The paper trains everything with AdamW at the default momenta
 (beta1 = 0.9, beta2 = 0.999) and attributes its large-batch loss spikes to
 the Adam instability analyzed by Molybog et al. (2023): when gradients decay
 to the order of ``eps``, the update direction decouples across layers and the
-time-correlation assumption behind Adam's convergence breaks.  To support
-that analysis, the implementation exposes per-step diagnostics
-(:meth:`Adam.update_statistics`) including the fraction of second-moment
-entries at the eps floor.
+time-correlation assumption behind Adam's convergence breaks.  The moments
+live in ``state[i]["m"]``/``["v"]``, so that analysis reads them directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,11 +23,11 @@ class _FlatState:
     """One contiguous buffer per moment over every parameter that has
     moments, plus the step's work buffers.
 
-    ``state[i]["m"]`` (and ``"v"``, ``"vmax"``) of every covered parameter
-    is a view into the moment buffers, so per-parameter state, its
-    checkpoints and :meth:`Adam.update_statistics` read exactly what the
-    flat update writes.  Moments a parameter already had are copied in;
-    a parameter meeting its first gradient starts from zeros.
+    ``state[i]["m"]`` and ``state[i]["v"]`` of every covered parameter are
+    views into the moment buffers, so per-parameter state and its
+    checkpoints read exactly what the flat update writes.  Moments a
+    parameter already had are copied in; a parameter meeting its first
+    gradient starts from zeros.
 
     The layout only grows: it covers every parameter that has had a
     gradient (or arrived with moments in a loaded state).  A covered
@@ -49,8 +48,7 @@ class _FlatState:
             (p.data.shape, lo, hi) for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:])
         ]
         total = self.bounds[-1]
-        names = ("m", "v", "vmax") if opt.amsgrad else ("m", "v")
-        self.moments = {name: np.zeros(total) for name in names}
+        self.moments = {name: np.zeros(total) for name in ("m", "v")}
         for i, (shape, lo, hi) in zip(self.covered, spans):
             entry = opt.state.setdefault(i, {})
             for name, buf in self.moments.items():
@@ -90,17 +88,10 @@ class _FlatState:
 class Adam(Optimizer):
     """Adam with coupled (L2) weight decay.
 
-    Two stabilised variants of the update rule are available for the
-    spike-mitigation ablations:
-
-    * ``amsgrad=True`` — divide by the running *maximum* of the
-      second-moment estimate (Reddi et al., 2018) instead of its current
-      value, so the effective step size is monotonically non-increasing
-      and cannot rebound when ``v`` decays toward the eps floor.
-    * ``update_clip=r`` — StableAdamW-style clipping of the per-tensor
-      RMS of the final update to at most ``r``: a spike in ``m/sqrt(v)``
-      is bounded before it reaches the parameters.  ``r = 0.1`` is the
-      repository's remedy for the Fig. 3 divergence (DESIGN.md §8).
+    ``update_clip=r`` is StableAdamW-style clipping of the per-tensor RMS
+    of the final update to at most ``r``: a spike in ``m/sqrt(v)`` is
+    bounded before it reaches the parameters.  ``r = 0.1`` is the
+    repository's remedy for the Fig. 3 divergence (DESIGN.md §8).
 
     The update is elementwise, so it runs once over flat buffers that
     cover every parameter that has had a gradient (:class:`_FlatState`)
@@ -116,20 +107,22 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        amsgrad: bool = False,
         update_clip: Optional[float] = None,
     ) -> None:
         super().__init__(params, lr)
         beta1, beta2 = betas
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got {betas}")
+        if not (eps > 0 and math.isfinite(eps)):
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
+        if not (weight_decay >= 0 and math.isfinite(weight_decay)):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         if update_clip is not None and not update_clip > 0:
             raise ValueError(f"update_clip must be > 0, got {update_clip}")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.amsgrad = amsgrad
         self.update_clip = update_clip
         self._decoupled = False
         # Rebuilt when a parameter meets its first gradient or
@@ -163,7 +156,7 @@ class Adam(Optimizer):
 
     def _update(self, g, pdata, moments, work, update, bias1, bias2, update_views=()):
         """The elementwise Adam update over one flat range, in place on
-        ``pdata`` and ``moments`` (``m``, ``v`` and, with amsgrad, ``vmax``).
+        ``pdata`` and ``moments`` (``m`` and ``v``).
 
         ``work``/``update`` are same-length scratch; ``update_clip`` rescales
         each per-tensor view of ``update`` in ``update_views``.  The dense
@@ -181,12 +174,7 @@ class Adam(Optimizer):
         np.multiply(g, 1.0 - self.beta2, out=update)
         update *= g
         v += update
-        if self.amsgrad:
-            vmax = moments["vmax"]
-            np.maximum(vmax, v, out=vmax)
-            np.divide(vmax, bias2, out=work)
-        else:
-            np.divide(v, bias2, out=work)
+        np.divide(v, bias2, out=work)
         np.sqrt(work, out=work)
         work += self.eps
         np.divide(m, bias1, out=update)
@@ -201,33 +189,6 @@ class Adam(Optimizer):
             pdata -= work
         update *= self.lr
         pdata -= update
-
-    # ------------------------------------------------------------------ #
-    # Instability diagnostics
-    # ------------------------------------------------------------------ #
-    def update_statistics(self) -> Dict[str, float]:
-        """Summaries of the optimizer's internal state for spike analysis.
-
-        Returns the global gradient norm, mean |m|, mean v, and the fraction
-        of v entries below eps^2 (the "eps floor" — large fractions mean the
-        effective update is dominated by the division-guard and layer-wise
-        dynamics decouple, the precondition for the Molybog-style spikes).
-        """
-        grad_norm = self.grad_global_norm()
-        m_abs, v_sum, n, floor = 0.0, 0.0, 0, 0
-        for state in self.state.values():
-            if "m" in state:
-                m_abs += float(np.abs(state["m"]).sum())
-                v_sum += float(state["v"].sum())
-                floor += int((state["v"] < self.eps**2).sum())
-                n += state["m"].size
-        n = max(n, 1)
-        return {
-            "grad_norm": grad_norm,
-            "mean_abs_m": m_abs / n,
-            "mean_v": v_sum / n,
-            "eps_floor_fraction": floor / n,
-        }
 
 
 class AdamW(Adam):
@@ -244,7 +205,6 @@ class AdamW(Adam):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 1e-2,
-        amsgrad: bool = False,
         update_clip: Optional[float] = None,
     ) -> None:
         super().__init__(
@@ -253,7 +213,6 @@ class AdamW(Adam):
             betas=betas,
             eps=eps,
             weight_decay=weight_decay,
-            amsgrad=amsgrad,
             update_clip=update_clip,
         )
         self._decoupled = True

@@ -32,7 +32,7 @@ class MultiGroupOptimizer:
         if not groups:
             raise ValueError("need at least one optimizer group")
         for _, scale in groups:
-            if scale <= 0:
+            if not scale > 0:
                 raise ValueError(f"group scale must be positive, got {scale}")
         self.groups: List[Tuple[Optimizer, float]] = list(groups)
         self._base_lr = self.groups[0][0].lr / self.groups[0][1]
@@ -64,26 +64,3 @@ class MultiGroupOptimizer:
     @property
     def step_count(self) -> int:
         return self.groups[0][0].step_count
-
-    def grad_global_norm(self) -> float:
-        import numpy as np
-
-        return float(
-            np.sqrt(sum(opt.grad_global_norm() ** 2 for opt, _ in self.groups))
-        )
-
-    def update_statistics(self) -> dict:
-        """Aggregate member diagnostics (weighted by parameter count)."""
-        merged: dict = {}
-        total = 0
-        for opt, _ in self.groups:
-            if not hasattr(opt, "update_statistics"):
-                continue
-            stats = opt.update_statistics()
-            n = sum(p.size for p in opt.params)
-            total += n
-            for k, v in stats.items():
-                merged[k] = merged.get(k, 0.0) + v * n
-        if total:
-            merged = {k: v / total for k, v in merged.items()}
-        return merged

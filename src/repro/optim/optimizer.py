@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List
 
 import numpy as np
@@ -14,15 +15,14 @@ class Optimizer:
 
     Parameters are identified by position; ``state`` maps parameter index to
     a dict of numpy arrays (e.g. Adam moments), so optimizer state can be
-    captured and restored for checkpointing and for the instability analyses
-    that inspect moment statistics.
+    captured and restored for checkpointing.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float) -> None:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
-        if lr <= 0:
+        if not (lr > 0 and math.isfinite(lr)):
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
         self.state: Dict[int, Dict[str, np.ndarray]] = {}
@@ -34,18 +34,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Introspection for the training-dynamics experiments
-    # ------------------------------------------------------------------ #
-    def grad_global_norm(self) -> float:
-        """L2 norm of the concatenated gradient — the quantity Molybog et
-        al. correlate with Adam divergence events."""
-        total = 0.0
-        for p in self.params:
-            if p.grad is not None:
-                total += float((p.grad * p.grad).sum())
-        return float(np.sqrt(total))
 
     def state_dict(self) -> dict:
         return {

@@ -100,13 +100,6 @@ class TopK:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def threshold(self) -> Optional[Tuple[float, str, int]]:
-        """Current admission cut (the worst kept key), once full."""
-        if len(self._keys) < self.k:
-            return None
-        return self._keys[-1]
-
     # ------------------------------------------------------------------ #
     @classmethod
     def merge(cls, parts: Iterable["TopK"], k: Optional[int] = None) -> "TopK":

@@ -17,7 +17,7 @@ bit-identical trajectories (asserted by
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class ForceFieldRelaxer:
                 species=s.species,
                 edge_src=s.edge_src,
                 edge_dst=s.edge_dst,
-                edge_attr=s.edge_attr,
                 targets=dict(s.targets),
                 metadata=dict(s.metadata),
             )

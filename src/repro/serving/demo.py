@@ -10,10 +10,7 @@ hand-built model.
 
 from __future__ import annotations
 
-import os
 from typing import List, Tuple
-
-import numpy as np
 
 from repro.core import EncoderConfig, FinetuneConfig, OptimizerConfig, train_property
 from repro.core.workflows import MATERIALS_CUTOFF

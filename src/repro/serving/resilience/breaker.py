@@ -73,7 +73,7 @@ class BreakerPolicy:
             )
         if self.min_events < 1:
             raise ValueError(f"min_events must be >= 1, got {self.min_events}")
-        if self.cooldown < 0:
+        if not self.cooldown >= 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
         if not 0.0 < self.probe_admission <= 1.0:
             raise ValueError(

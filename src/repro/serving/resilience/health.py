@@ -43,9 +43,9 @@ class HealthPolicy:
     healthy_after: int = 2
 
     def __post_init__(self):
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ValueError(f"interval must be > 0, got {self.interval}")
-        if self.latency_threshold <= 0:
+        if not self.latency_threshold > 0:
             raise ValueError(
                 f"latency_threshold must be > 0, got {self.latency_threshold}"
             )

@@ -7,8 +7,6 @@ curves.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Dict, List, Optional, Tuple
 
 
@@ -37,38 +35,6 @@ class History:
             if r["split"] == split and metric in r:
                 return float(r[metric])
         return None
-
-    def best(self, split: str, metric: str, mode: str = "min") -> Optional[float]:
-        _, values = self.series(split, metric)
-        if not values:
-            return None
-        return min(values) if mode == "min" else max(values)
-
-    def metrics_logged(self, split: str) -> List[str]:
-        keys: List[str] = []
-        for r in self.records:
-            if r["split"] != split:
-                continue
-            for k in r:
-                if k not in ("step", "epoch", "split") and k not in keys:
-                    keys.append(k)
-        return keys
-
-    def to_csv(self) -> str:
-        """Serialize to CSV (benches drop these next to their output)."""
-        if not self.records:
-            return ""
-        keys: List[str] = []
-        for r in self.records:
-            for k in r:
-                if k not in keys:
-                    keys.append(k)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=keys)
-        writer.writeheader()
-        for r in self.records:
-            writer.writerow(r)
-        return buf.getvalue()
 
     def __len__(self) -> int:
         return len(self.records)

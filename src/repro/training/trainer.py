@@ -63,7 +63,19 @@ class TrainerConfig:
     #: NumericalAnomalyError naming the offending op.
     detect_anomaly: bool = False
     log_every_n_steps: int = 10
-    val_max_batches: Optional[int] = None
+
+    def __post_init__(self):
+        # Every count is a step or epoch budget or a modulus: 0 would
+        # train nothing or divide by zero at the first step.
+        counts = {
+            "max_epochs": self.max_epochs,
+            "max_steps": self.max_steps,
+            "val_every_n_steps": self.val_every_n_steps,
+            "log_every_n_steps": self.log_every_n_steps,
+        }
+        for name, value in counts.items():
+            if value is not None and not value >= 1:
+                raise ValueError(f"TrainerConfig.{name} must be >= 1, got {value}")
 
 
 class Trainer:
@@ -128,15 +140,10 @@ class Trainer:
 
     # ------------------------------------------------------------------ #
     def validate(self, task: Task, val_loader) -> Dict[str, float]:
-        """Aggregate validation metrics over (at most val_max_batches) batches."""
+        """Aggregate validation metrics over every validation batch."""
         task.eval()
         acc: dict = {}
-        for i, samples in enumerate(val_loader):
-            if (
-                self.config.val_max_batches is not None
-                and i >= self.config.val_max_batches
-            ):
-                break
+        for samples in val_loader:
             with self._span("data", source="val_collate"):
                 batch = self.collate_fn(list(samples))
             with self._span("forward", mode="val"):
@@ -197,9 +204,6 @@ class Trainer:
 
         for epoch in range(self.config.max_epochs):
             self.current_epoch = epoch
-            sampler = getattr(train_loader, "sampler", None)
-            if hasattr(sampler, "set_epoch"):
-                sampler.set_epoch(epoch)
             for samples in self._iter_observed(train_loader):
                 samples = list(samples)
                 self.last_batch_size = len(samples)

@@ -5,9 +5,11 @@ every array they return is new, writable and owned by its caller.  The
 tests here pin what that buys: editing a batch in place cannot reach the
 samples it came from, the next batch, or a ``transform_once`` dataset;
 a transform's fingerprint changes exactly with the parameters that change
-its output; and a neighbour rule that would build a silently wrong graph
-(a negative or NaN cutoff, ``k < 1``) is refused when the transform is
-built, with a ``ValueError`` naming the parameter and its value.
+its output; and a radius rule that would build a silently wrong graph (a
+negative or NaN cutoff) is refused when the transform is built, with a
+``ValueError`` naming the parameter and its value.  Samples and batches
+carry no per-edge feature array: the encoders read edge geometry from the
+positions.
 
 The class names are this file's history (it once tested an LRU transform
 cache and reusable collate buffers); each test's docstring says what it
@@ -24,13 +26,8 @@ import pytest
 
 from repro.core.pipeline import transform_once
 from repro.data import DataLoader, array_fingerprint, collate_graphs
-from repro.data.structures import GraphSample, PointCloudSample, Structure
-from repro.data.transforms import (
-    Compose,
-    DistanceEdgeFeatures,
-    PointCloudToGraph,
-    StructureToGraph,
-)
+from repro.data.structures import GraphBatch, GraphSample, Structure
+from repro.data.transforms import PermuteNodes, StructureToGraph, TargetNormalizer, radius_graph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.observability import Observer
 
@@ -45,7 +42,6 @@ def _make_samples(count=4, nodes=10, edges=40, seed=0):
             species=rng.integers(0, 4, size=nodes),
             edge_src=rng.integers(0, nodes, size=edges).astype(np.int64),
             edge_dst=rng.integers(0, nodes, size=edges).astype(np.int64),
-            edge_attr=rng.normal(size=(edges, 2)),
             global_attr=rng.normal(size=3),
             targets={"y": float(rng.normal())},
         )
@@ -55,8 +51,7 @@ def _make_samples(count=4, nodes=10, edges=40, seed=0):
 
 def _arrays(obj):
     """Every ndarray a sample or batch holds, targets and metadata included."""
-    fields = ("positions", "species", "edge_src", "edge_dst", "node_graph",
-              "edge_attr", "global_attr")
+    fields = ("positions", "species", "edge_src", "edge_dst", "node_graph", "global_attr")
     found = [getattr(obj, f) for f in fields if getattr(obj, f, None) is not None]
     for mapping in (obj.targets, obj.metadata):
         found += [v for v in mapping.values() if isinstance(v, np.ndarray)]
@@ -81,48 +76,53 @@ class TestLRUByteCache:
         negative one used to build a full graph, NaN an empty one)."""
         for bad in BAD_CUTOFFS:
             _rejects(lambda: StructureToGraph(cutoff=bad), "cutoff", bad)
-        # The radius is checked even when the k-NN rule is selected.
-        _rejects(lambda: StructureToGraph(cutoff=-1.0, k=2), "cutoff", -1.0)
 
     def test_lru_eviction_at_byte_budget(self):
-        """Both graph transforms refuse ``k`` that is not an integer >= 1
-        (PointCloudToGraph used to fail on a call with ``k=0`` as a raw
-        IndexError, with ``k=-2`` as a numpy reduction error)."""
-        for cls in (StructureToGraph, PointCloudToGraph):
-            for bad in (0, -2, np.int64(0), 2.5, "3"):
-                _rejects(lambda: cls(k=bad), "k", bad)
+        """The radius rule emits exactly the pairs of a brute-force O(n^2)
+        scan within the cutoff: both directions, no self-loops."""
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 2, 17):
+            pos = rng.uniform(0.0, 3.0, size=(n, 3))
+            src, dst = radius_graph(pos, 1.2)
+            assert src.dtype == dst.dtype == np.int64
+            dist = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+            want = {(i, j) for i in range(n) for j in range(n) if i != j and dist[i, j] <= 1.2}
+            got = list(zip(src.tolist(), dst.tolist()))
+            assert len(got) == len(set(got)) and set(got) == want
 
     def test_oversized_value_is_not_cached(self):
-        """PointCloudToGraph refuses the same cutoffs StructureToGraph does."""
+        """StructureToGraph refuses the bad cutoffs whatever its other flags."""
         for bad in BAD_CUTOFFS:
-            _rejects(lambda: PointCloudToGraph(cutoff=bad), "cutoff", bad)
-            _rejects(lambda: PointCloudToGraph(cutoff=bad, k=3), "cutoff", bad)
+            for center in (True, False):
+                _rejects(
+                    lambda: StructureToGraph(cutoff=bad, center=center, global_features=True),
+                    "cutoff", bad,
+                )
 
     def test_cached_arrays_are_frozen(self):
-        """DistanceEdgeFeatures refuses a cutoff that is not finite and > 0 (0
-        used to give all-zero features, a negative one centres below zero)."""
-        for bad in BAD_CUTOFFS:
-            _rejects(lambda: DistanceEdgeFeatures(cutoff=bad), "cutoff", bad)
-        _rejects(lambda: DistanceEdgeFeatures(num_basis=0), "num_basis", 0)
+        """A graph sample refuses an edge index outside its own nodes, so a
+        wrong graph cannot reach collation."""
+        with pytest.raises(ValueError, match="edge index out of range"):
+            GraphSample(np.zeros((3, 3)), np.ones(3), edge_src=[0, 3], edge_dst=[1, 0])
+        with pytest.raises(ValueError, match="edge index out of range"):
+            GraphSample(np.zeros((3, 3)), np.ones(3), edge_src=[0, 1], edge_dst=[1, 5])
+        ok = GraphSample(np.zeros((3, 3)), np.ones(3), edge_src=[0, 2], edge_dst=[2, 0])
+        assert ok.edge_src.dtype == np.int64 and ok.num_edges == 2
 
     def test_reinsert_replaces_and_reaccounts(self):
-        """Legal edge values pass: a tiny cutoff, numpy scalars, ``k=1``; numpy
-        and Python numbers of equal value build the same graph."""
+        """Legal edge values pass: a tiny cutoff and numpy scalars; numpy and
+        Python numbers of equal value build the same graph."""
         structure = Structure(
             positions=np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]) + 5.0,
             species=np.array([1, 2, 3, 4]),
         )
         assert StructureToGraph(cutoff=1e-9)(structure).num_edges == 0
         plain = StructureToGraph(cutoff=1.1)(structure)
-        for cutoff in (np.float64(1.1), np.float32(1.1)):
+        assert plain.num_edges == 8  # the four unit sides, both directions
+        for cutoff in (np.float64(1.1), np.float32(1.1), np.int64(1)):
             g = StructureToGraph(cutoff=cutoff)(structure)
             assert np.array_equal(g.edge_src, plain.edge_src)
             assert np.array_equal(g.edge_dst, plain.edge_dst)
-        knn = StructureToGraph(k=np.int64(1))(structure)
-        assert knn.num_edges == 4
-        cloud = PointCloudSample(structure.positions, structure.species)
-        assert PointCloudToGraph(k=1)(cloud).num_edges == 4
-        assert DistanceEdgeFeatures(num_basis=3, cutoff=np.float64(2.0)).width == 1.0
 
     def test_clear_resets_contents_but_counts_survive(self):
         """``edge_src``/``edge_dst``/``node_graph`` come out int64 with the
@@ -141,18 +141,18 @@ class TestLRUByteCache:
         assert np.array_equal(batch.node_graph, np.repeat(np.arange(3), 5))
 
     def test_resolve_cache_names(self):
-        """``edge_attr``/``global_attr`` are batched all-or-none: one sample
-        without them drops the field from the whole batch."""
+        """``global_attr`` is batched all-or-none: one sample without it drops
+        the field from the whole batch.  No per-edge feature array exists on
+        a sample or a batch."""
         full = _make_samples(count=3, edges=4)
         batch = collate_graphs(full)
-        assert batch.edge_attr.shape == (12, 2)
         assert batch.global_attr.shape == (3, 3)
-        for field in ("edge_attr", "global_attr"):
-            mixed = _make_samples(count=3, edges=4)
-            setattr(mixed[1], field, None)
-            assert getattr(collate_graphs(mixed), field) is None
-            other = "global_attr" if field == "edge_attr" else "edge_attr"
-            assert getattr(collate_graphs(mixed), other) is not None
+        mixed = _make_samples(count=3, edges=4)
+        mixed[1].global_attr = None
+        assert collate_graphs(mixed).global_attr is None
+        for record in (GraphSample, GraphBatch):
+            assert "edge_attr" not in record.__dataclass_fields__
+        assert not hasattr(batch, "edge_attr")
 
 
 # --------------------------------------------------------------------------- #
@@ -177,9 +177,16 @@ class TestFingerprints:
         )
 
     def test_compose_fingerprint_combines_children(self):
-        one = Compose([StructureToGraph(cutoff=2.5)])
-        two = Compose([StructureToGraph(cutoff=3.0)])
-        assert one.fingerprint() != two.fingerprint()
+        """Every StructureToGraph parameter enters its fingerprint, equal
+        parameters give equal fingerprints, and a different transform class
+        never shares one."""
+        base = dict(cutoff=2.5, center=True, global_features=False)
+        ref = StructureToGraph(**base).fingerprint()
+        assert StructureToGraph(**base).fingerprint() == ref
+        for key, value in (("cutoff", 3.0), ("center", False), ("global_features", True)):
+            assert StructureToGraph(**{**base, key: value}).fingerprint() != ref
+        other = PermuteNodes(np.random.default_rng(0)).fingerprint()
+        assert other != ref and other.startswith("PermuteNodes")
 
     def test_transform_hits_on_repeat_and_results_match(self):
         """A repeated StructureToGraph call returns equal but fresh, writable
@@ -203,58 +210,43 @@ class TestFingerprints:
         change that changes the graph or features changes the fingerprint,
         and equal parameters give equal fingerprints and outputs."""
         structure = SymmetryPointCloudDataset(2, seed=3, group_names=["C4"])[0]
-        cloud = PointCloudSample(structure.positions, structure.species)
 
         def output(tf):
-            sample = cloud if isinstance(tf, PointCloudToGraph) else structure
-            return array_fingerprint(*_arrays(tf(sample)))
+            return array_fingerprint(*_arrays(tf(structure)))
 
         pairs = [
             (StructureToGraph(cutoff=1.0), StructureToGraph(cutoff=4.0)),
-            (StructureToGraph(k=2), StructureToGraph(k=3)),
             (StructureToGraph(cutoff=2.5), StructureToGraph(cutoff=2.5, global_features=True)),
-            (PointCloudToGraph(cutoff=1.0), PointCloudToGraph(cutoff=4.0)),
-            (PointCloudToGraph(k=2), PointCloudToGraph(k=3)),
+            (StructureToGraph(cutoff=2.5), StructureToGraph(cutoff=2.5, center=False)),
         ]
         for a, b in pairs:
             assert a.fingerprint() != b.fingerprint()
             assert output(a) != output(b)
         for make in (
-            lambda: StructureToGraph(cutoff=2.5, k=3, global_features=True),
-            lambda: PointCloudToGraph(cutoff=2.5),
+            lambda: StructureToGraph(cutoff=2.5, global_features=True),
+            lambda: StructureToGraph(cutoff=2.5, center=False),
         ):
             assert make().fingerprint() == make().fingerprint()
             assert output(make()) == output(make())
 
-        graphed = StructureToGraph(cutoff=2.5)(structure)
-        features = [
-            DistanceEdgeFeatures(num_basis=4, cutoff=6.0),
-            DistanceEdgeFeatures(num_basis=5, cutoff=6.0),
-            DistanceEdgeFeatures(num_basis=4, cutoff=5.0),
-        ]
-        assert len({f.fingerprint() for f in features}) == 3
-        attrs = [f(graphed).edge_attr for f in features]
-        assert not np.array_equal(attrs[0], attrs[2])
-        assert attrs[0].shape != attrs[1].shape
-        same = DistanceEdgeFeatures(num_basis=4, cutoff=6.0)
-        assert same.fingerprint() == features[0].fingerprint()
-        assert np.array_equal(same(graphed).edge_attr, attrs[0])
-
     def test_feature_transform_caches(self):
-        """DistanceEdgeFeatures returns equal but fresh, writable features on
-        every call, and leaves its input sample untouched."""
-        ds = SymmetryPointCloudDataset(2, seed=3, group_names=["C4"])
-        graphed = StructureToGraph(cutoff=2.5)(ds[0])
-        before = array_fingerprint(*_arrays(graphed))
-        feat = DistanceEdgeFeatures(num_basis=4)
-        first, second = feat(graphed), feat(graphed)
-        assert np.array_equal(first.edge_attr, second.edge_attr)
-        assert first.edge_attr.flags.writeable
-        assert not np.shares_memory(first.edge_attr, second.edge_attr)
-        first.edge_attr[:] = 0.0
-        assert not np.array_equal(first.edge_attr, feat(graphed).edge_attr)
-        assert graphed.edge_attr is None
-        assert array_fingerprint(*_arrays(graphed)) == before
+        """TargetNormalizer returns new target arrays on every call and
+        leaves its input sample untouched."""
+        ds = transform_once(
+            SymmetryPointCloudDataset(4, seed=3, group_names=["C2", "C4"]),
+            StructureToGraph(cutoff=2.5),
+        )
+        samples = [ds[i] for i in range(len(ds))]
+        for i, s in enumerate(samples):
+            s.targets = {"y": np.float64(i)}
+        norm = TargetNormalizer(["y"]).fit(samples)
+        before = [array_fingerprint(*_arrays(s)) for s in samples]
+        first, second = norm(samples[3]), norm(samples[3])
+        assert np.array_equal(first.targets["y"], second.targets["y"])
+        assert not np.shares_memory(first.targets["y"], second.targets["y"])
+        assert first.targets["y"] != samples[3].targets["y"]
+        assert [array_fingerprint(*_arrays(s)) for s in samples] == before
+        assert samples[3].targets["y"] == 3.0
 
 
 # --------------------------------------------------------------------------- #
@@ -273,9 +265,9 @@ class TestCacheMetrics:
         """``Observer.finalize`` publishes comm totals and no ``cache.*``
         gauge, even after transforms have run."""
         ds = SymmetryPointCloudDataset(4, seed=3, group_names=["C2"])
-        feat = Compose([StructureToGraph(cutoff=2.5), DistanceEdgeFeatures(num_basis=4)])
+        to_graph = StructureToGraph(cutoff=2.5)
         for _ in range(2):
-            [feat(ds[i]) for i in range(4)]
+            [to_graph(ds[i]) for i in range(4)]
         observer = Observer()
         observer.finalize(strategy=_finalize_inputs())
         names = observer.metrics.names()
@@ -355,7 +347,7 @@ class TestCollateBuffers:
             assert np.all(batch.node_graph[node_base : node_base + n] == i)
             node_base += n
             edge_base += e
-        assert batch.edge_attr.shape == (batch.num_edges, 2)
+        assert batch.global_attr.shape == (len(sizes), 3)
 
     def test_loader_reuse_buffers_batches_match_plain(self):
         """Editing a batch in place leaves a ``transform_once`` dataset

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.data import (
     ConcatDataset,
     DataLoader,
-    DistributedSampler,
     GraphSample,
     InMemoryDataset,
     Structure,
@@ -16,6 +15,9 @@ from repro.data import (
     collate_graphs,
     train_val_split,
 )
+from repro.core.pipeline import make_train_loader
+from repro.data.loaders import RandomSampler, SequentialSampler
+from repro.distributed import DDPStrategy
 
 
 def make_structure(n=4, seed=0, **targets):
@@ -222,6 +224,10 @@ class TestLoaders:
 
 
 class TestDistributedSampler:
+    """Rank sharding lives in ``DDPStrategy.shard``; the loader's samplers
+    only order the global batch.  (The class keeps the name of the rank
+    sampler these ids used to pin; it is gone — DESIGN.md §3.)"""
+
     @given(
         n=st.integers(8, 100),
         world=st.sampled_from([2, 4, 8]),
@@ -229,46 +235,44 @@ class TestDistributedSampler:
     )
     @settings(max_examples=30, deadline=None)
     def test_ranks_partition_the_data(self, n, world, epoch):
-        ds = InMemoryDataset(list(range(n)))
-        all_indices = []
-        for rank in range(world):
-            s = DistributedSampler(ds, world, rank, seed=1)
-            s.set_epoch(epoch)
-            all_indices.append(list(s))
-        flat = [i for sub in all_indices for i in sub]
-        # Disjoint across ranks, equal share each, subset of the dataset.
-        assert len(flat) == len(set(flat))
-        usable = (n // world) * world
-        assert len(flat) == usable
-        sizes = {len(sub) for sub in all_indices}
-        assert sizes == {n // world}
+        batch = list(np.random.default_rng(epoch).permutation(n))
+        shards = DDPStrategy(world).shard(batch)
+        flat = [i for sub in shards for i in sub]
+        # Disjoint across ranks, equal share each, in global-batch order;
+        # the n % world leftovers are dropped.
+        assert len(shards) == world
+        assert {len(sub) for sub in shards} == {n // world}
+        assert flat == batch[: (n // world) * world]
 
     def test_epoch_changes_order(self):
+        """A RandomSampler reshuffles on every pass from its own generator."""
         ds = InMemoryDataset(list(range(64)))
-        s = DistributedSampler(ds, 4, 0, seed=3)
-        s.set_epoch(0)
-        a = list(s)
-        s.set_epoch(1)
-        b = list(s)
+        s = RandomSampler(ds, np.random.default_rng(3))
+        a, b = list(s), list(s)
         assert a != b
+        assert sorted(a) == sorted(b) == list(range(64))
 
     def test_same_epoch_reproducible(self):
+        """Equal seeds give equal orders, pass for pass, and the training
+        loader built from one seed repeats its batches."""
         ds = InMemoryDataset(list(range(32)))
-        s1 = DistributedSampler(ds, 2, 1, seed=9)
-        s2 = DistributedSampler(ds, 2, 1, seed=9)
-        s1.set_epoch(5)
-        s2.set_epoch(5)
-        assert list(s1) == list(s2)
+        s1 = RandomSampler(ds, np.random.default_rng(9))
+        s2 = RandomSampler(ds, np.random.default_rng(9))
+        for _ in range(3):
+            assert list(s1) == list(s2)
+        first = [list(b) for b in make_train_loader(ds, 8, seed=5)]
+        assert first == [list(b) for b in make_train_loader(ds, 8, seed=5)]
+        assert first != [list(b) for b in make_train_loader(ds, 8, seed=6)]
 
     def test_pad_mode_covers_everything(self):
+        """SequentialSampler visits every index once, in order; without
+        drop_last the loader's last batch is short instead of padded."""
         ds = InMemoryDataset(list(range(10)))
-        collected = []
-        for rank in range(4):
-            s = DistributedSampler(ds, 4, rank, shuffle=False, drop_last=False)
-            collected.extend(s)
-        assert set(collected) == set(range(10))
-        assert len(collected) == 12  # padded to multiple of 4
+        assert list(SequentialSampler(ds)) == list(range(10))
+        batches = list(DataLoader(ds, batch_size=4, collate_fn=list))
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_invalid_rank(self):
-        with pytest.raises(ValueError):
-            DistributedSampler(InMemoryDataset([1]), 2, 2)
+        """A global batch smaller than the world cannot feed every rank."""
+        with pytest.raises(ValueError, match="cannot feed 2 ranks"):
+            DDPStrategy(2).shard([1])

@@ -1,24 +1,26 @@
-"""Transforms: graph construction, augmentation, features, normalization."""
+"""Transforms: graph construction, augmentation, normalization.
+
+Graphs come from one radius rule and carry no per-edge feature array; the
+encoders read edge geometry from positions.  ``TestKnnGraph`` and
+``TestDistanceEdgeFeatures`` keep the names of the k-NN builder and the
+radial-basis edge features these ids used to pin; both are gone
+(DESIGN.md §3), and the ids now pin the radius graph and the
+edge-feature-free encoder input.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.data import GraphSample, PointCloudSample, Structure
+from repro.data import GraphSample, PointCloudSample, Structure, collate_graphs
 from repro.data.transforms import (
-    Compose,
-    DistanceEdgeFeatures,
-    Lambda,
     PermuteNodes,
-    PointCloudToGraph,
     StructureToGraph,
     TargetNormalizer,
-    knn_graph,
     periodic_radius_graph,
     radius_graph,
 )
 from repro.datasets import SymmetryPointCloudDataset
+from repro.models import EGNN
 
 
 def square_positions():
@@ -59,25 +61,35 @@ class TestRadiusGraph:
 
 class TestKnnGraph:
     def test_out_degree(self):
-        src, dst = knn_graph(np.random.default_rng(0).normal(size=(10, 3)), k=3)
-        assert len(src) == 30
-        counts = np.bincount(src, minlength=10)
-        assert np.all(counts == 3)
+        """Each atom's out-degree is its count of neighbours within the
+        cutoff: 3 at a corner of a cubic grid, 4 on an edge, 5 on a face,
+        6 inside."""
+        grid = np.array(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij")).reshape(3, -1).T
+        g = StructureToGraph(cutoff=1.1)(Structure(grid, np.ones(27)))
+        degree = np.bincount(g.edge_src, minlength=27)
+        boundary = ((grid == 0) | (grid == 2)).sum(axis=1)
+        assert np.array_equal(degree, 6 - boundary)
 
     def test_k_clamped_to_n_minus_one(self):
-        src, dst = knn_graph(np.random.default_rng(0).normal(size=(3, 3)), k=10)
-        counts = np.bincount(src, minlength=3)
-        assert np.all(counts == 2)
+        """A cutoff wider than the structure gives the complete graph."""
+        pos = np.random.default_rng(0).normal(size=(5, 3))
+        g = StructureToGraph(cutoff=100.0)(Structure(pos, np.ones(5)))
+        assert g.num_edges == 5 * 4
+        assert np.all(np.bincount(g.edge_src, minlength=5) == 4)
 
     def test_nearest_is_selected(self):
+        """At a cutoff between the two spacings only the near pair is
+        joined; the far atom stays isolated."""
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [5.0, 0, 0]])
-        src, dst = knn_graph(pos, k=1)
-        pairs = dict(zip(src.tolist(), dst.tolist()))
-        assert pairs[0] == 1 and pairs[1] == 0 and pairs[2] == 1
+        g = StructureToGraph(cutoff=1.5)(Structure(pos, np.ones(3)))
+        assert set(zip(g.edge_src.tolist(), g.edge_dst.tolist())) == {(0, 1), (1, 0)}
 
     def test_single_point(self):
-        src, _ = knn_graph(np.zeros((1, 3)), k=2)
-        assert len(src) == 0
+        """A one-atom structure is one node with no edges, and collates."""
+        g = StructureToGraph(cutoff=2.0)(Structure(np.zeros((1, 3)), np.ones(1)))
+        assert g.num_nodes == 1 and g.num_edges == 0
+        batch = collate_graphs([g, g])
+        assert batch.num_nodes == 2 and batch.num_edges == 0
 
 
 class TestPeriodicRadiusGraph:
@@ -122,8 +134,14 @@ class TestConversionTransforms:
         assert g.metadata["dataset"] == "toy"
 
     def test_structure_to_graph_knn_mode(self):
-        g = StructureToGraph(k=2)(self.make_structure())
-        assert g.num_edges == 8
+        """``center=False`` keeps the input coordinates; the edges are those
+        of the centred graph (the radius rule is translation-invariant)."""
+        structure = self.make_structure()
+        raw = StructureToGraph(cutoff=1.1, center=False)(structure)
+        centred = StructureToGraph(cutoff=1.1)(structure)
+        assert np.array_equal(raw.positions, structure.positions)
+        assert np.array_equal(raw.edge_src, centred.edge_src)
+        assert np.array_equal(raw.edge_dst, centred.edge_dst)
 
     def test_structure_to_point_cloud(self):
         """Every atom of the structure is a node, species carried over."""
@@ -132,21 +150,29 @@ class TestConversionTransforms:
         assert np.array_equal(g.species, [1, 2, 3, 4])
 
     def test_point_cloud_to_graph(self):
+        """The graph owns copies: editing its species, targets or metadata
+        cannot reach the structure."""
         structure = self.make_structure()
-        pc = PointCloudSample(structure.positions, structure.species)
-        g = PointCloudToGraph(cutoff=1.1)(pc)
-        assert g.num_edges == 8
+        g = StructureToGraph(cutoff=1.1)(structure)
+        g.species[:] = 0
+        g.targets["y"] = -1.0
+        g.metadata["dataset"] = "edited"
+        assert np.array_equal(structure.species, [1, 2, 3, 4])
+        assert structure.targets["y"] == 2.0
+        assert structure.metadata["dataset"] == "toy"
 
     def test_compose_and_lambda(self):
-        pipeline = Compose(
-            [
-                Lambda(lambda s: s, name="identity"),
-                StructureToGraph(cutoff=1.1),
-            ]
-        )
-        g = pipeline(self.make_structure())
-        assert isinstance(g, GraphSample)
-        assert "identity" in repr(pipeline)
+        """Transforms chain as plain callables: graph, permute, normalize."""
+        rng = np.random.default_rng(3)
+        graph = StructureToGraph(cutoff=1.1)(self.make_structure())
+        norm = TargetNormalizer(["y"])
+        norm.stats["y"] = (1.0, 2.0)
+        out = norm(PermuteNodes(rng)(graph))
+        assert isinstance(out, GraphSample)
+        assert out.num_edges == graph.num_edges
+        assert sorted(out.species.tolist()) == [1, 2, 3, 4]
+        assert out.targets["y"] == pytest.approx(0.5)
+        assert repr(StructureToGraph(cutoff=1.1)) == "StructureToGraph(cutoff=1.1)"
 
 
 class TestAugments:
@@ -206,26 +232,27 @@ class TestAugments:
 
 class TestDistanceEdgeFeatures:
     def test_rbf_shape_and_peak(self):
-        g = GraphSample(
-            positions=np.array([[0.0, 0, 0], [3.0, 0, 0]]),
-            species=np.array([1, 1]),
-            edge_src=np.array([0]),
-            edge_dst=np.array([1]),
+        """EGNN messages see distance only as the squared edge length: the
+        message MLP's input is ``2 * hidden + 1`` wide."""
+        enc = EGNN(hidden_dim=8, num_layers=2, position_dim=4, rng=np.random.default_rng(0))
+        for layer in enc.layers:
+            assert layer.phi_e[0].in_features == 2 * 8 + 1
+        g = StructureToGraph(cutoff=2.0)(
+            Structure(np.array([[0.0, 0, 0], [1.5, 0, 0]]), np.array([1, 2]))
         )
-        out = DistanceEdgeFeatures(num_basis=7, cutoff=6.0)(g)
-        assert out.edge_attr.shape == (1, 7)
-        # Basis centred at 3.0 (index 3 of linspace(0, 6, 7)) peaks.
-        assert out.edge_attr[0].argmax() == 3
+        out = enc(collate_graphs([g]))
+        assert out.graph_embedding.shape == (1, 8)
 
     def test_empty_edges(self):
-        g = GraphSample(
-            positions=np.zeros((2, 3)),
-            species=np.ones(2),
-            edge_src=np.zeros(0, dtype=int),
-            edge_dst=np.zeros(0, dtype=int),
-        )
-        out = DistanceEdgeFeatures(num_basis=4)(g)
-        assert out.edge_attr.shape == (0, 4)
+        """A batch of edgeless graphs runs through EGNN's isolated-node path
+        and leaves coordinates where they were."""
+        g = StructureToGraph(cutoff=1e-9)(Structure(np.eye(3), np.array([1, 2, 3])))
+        batch = collate_graphs([g, g])
+        assert batch.num_edges == 0
+        enc = EGNN(hidden_dim=8, num_layers=2, position_dim=4, rng=np.random.default_rng(0))
+        out = enc(batch)
+        assert out.graph_embedding.shape == (2, 8)
+        assert np.array_equal(out.coordinate_update.data, np.zeros((6, 3)))
 
 
 class TestTargetNormalizer:

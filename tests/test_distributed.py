@@ -1,4 +1,10 @@
-"""Distributed substrate: collectives, DDP exactness, perf model, affinity."""
+"""Distributed substrate: collectives, DDP exactness, perf model, affinity.
+
+``SimComm`` has the three collectives the gradient paths run; the ids that
+pinned its broadcast/gather/scatter/barrier (and the affinity planner's
+whole-job helper) now pin ``reduce_scatter``/``allgather_flat`` and
+``plan_node``'s rank and node bases.
+"""
 
 import numpy as np
 import pytest
@@ -50,27 +56,46 @@ class TestSimComm:
             SimComm(3).allreduce([np.zeros(1)] * 2)
 
     def test_bcast(self):
+        """Rank r receives shard r of the reduced vector."""
         comm = SimComm(3)
-        out = comm.bcast(np.array([7.0]))
-        assert len(out) == 3
-        assert all(np.allclose(o, [7.0]) for o in out)
+        values = [np.arange(7.0) * (r + 1) for r in range(3)]
+        out = comm.reduce_scatter(values, op="sum")
+        assert [len(o) for o in out] == [3, 2, 2]
+        assert np.array_equal(np.concatenate(out), np.arange(7.0) * 6)
         with pytest.raises(ValueError):
-            comm.bcast(np.zeros(1), root=5)
+            comm.reduce_scatter(values, op="xor")
 
     def test_gather_root_only(self):
+        """Every rank receives the concatenation of all ranks' shards."""
         comm = SimComm(3)
-        out = comm.gather([1, 2, 3], root=1)
-        assert out[1] == [1, 2, 3]
-        assert out[0] is None and out[2] is None
+        out = comm.allgather_flat([np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0])])
+        assert len(out) == 3
+        assert all(np.array_equal(o, [1.0, 2.0, 3.0, 4.0]) for o in out)
+        assert not np.shares_memory(out[0], out[1])
 
     def test_allgather(self):
-        comm = SimComm(2)
-        out = comm.allgather(["a", "b"])
-        assert out == [["a", "b"], ["a", "b"]]
+        """reduce_scatter then allgather_flat is one allreduce: the same
+        bits on every rank, and the two halves meter one allreduce's bytes."""
+        rng = np.random.default_rng(0)
+        values = [rng.normal(size=10) for _ in range(4)]
+        ring, pair = SimComm(4), SimComm(4)
+        dense = ring.allreduce(values, op="mean")
+        halves = pair.allgather_flat(pair.reduce_scatter(values, op="mean"))
+        for got in halves:
+            assert np.array_equal(got, dense[0])
+        t = pair.traffic
+        assert t.reduce_scatter_bytes + t.allgather_bytes == ring.traffic.allreduce_bytes
+        assert t.collective_calls == 2 and t.useful_bytes == ring.traffic.useful_bytes
 
     def test_scatter(self):
-        comm = SimComm(3)
-        assert comm.scatter([10, 20, 30]) == [10, 20, 30]
+        """reduce_scatter takes equal-length flat arrays, one per rank."""
+        comm = SimComm(2)
+        with pytest.raises(ValueError):
+            comm.reduce_scatter([np.zeros(4), np.zeros(3)])
+        with pytest.raises(ValueError):
+            comm.reduce_scatter([np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(ValueError):
+            comm.reduce_scatter([np.zeros(4)])
 
     def test_traffic_metering(self):
         comm = SimComm(4)
@@ -78,8 +103,8 @@ class TestSimComm:
         assert comm.traffic.allreduce_calls == 1
         # ring: 2 * 3/4 * 800 bytes * 4 ranks
         assert comm.traffic.allreduce_bytes == int(2 * 0.75 * 800 * 4)
-        comm.traffic.reset()
-        assert comm.traffic.allreduce_bytes == 0
+        assert comm.traffic.collective_calls == 1
+        assert comm.traffic.useful_bytes == comm.traffic.allreduce_bytes
 
     def test_single_rank_no_traffic(self):
         comm = SimComm(1)
@@ -91,7 +116,13 @@ class TestSimComm:
             SimComm(0)
 
     def test_barrier_is_noop(self):
-        SimComm(2).barrier()
+        """In a one-rank world the bucket collectives are identities and
+        move no bytes."""
+        comm = SimComm(1)
+        x = np.arange(5.0)
+        assert np.array_equal(comm.reduce_scatter([x])[0], x)
+        assert np.array_equal(comm.allgather_flat([x])[0], x)
+        assert comm.traffic.useful_bytes == 0
 
 
 def make_task_and_samples(seed=5, n=8):
@@ -277,12 +308,12 @@ class TestAffinity:
         assert all(p.num_threads == 7 for p in placements)
 
     def test_full_job_512_ranks(self):
+        """The last node of a 512-rank job holds ranks 496..511."""
         planner = AffinityPlanner()
-        placements = planner.plan_job(512)
-        assert len(placements) == 512
-        assert placements[-1].node_index == 31
-        ranks = [p.rank for p in placements]
-        assert ranks == list(range(512))
+        placements = planner.plan_node(16, node_index=31, rank_base=496)
+        assert [p.rank for p in placements] == list(range(496, 512))
+        assert {p.node_index for p in placements} == {31}
+        assert [p.cores for p in placements] == [p.cores for p in planner.plan_node(16)]
 
     def test_oversubscription_rejected(self):
         planner = AffinityPlanner()
@@ -294,8 +325,9 @@ class TestAffinity:
             AffinityPlanner().plan_node(10)  # not divisible over 4 domains
 
     def test_job_size_must_be_multiple(self):
-        with pytest.raises(ValueError):
-            AffinityPlanner().plan_job(100)
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                AffinityPlanner().plan_node(bad)
 
     def test_omp_num_threads(self):
         assert AffinityPlanner().omp_num_threads() == 7

@@ -32,7 +32,7 @@ from repro.datasets import SymmetryPointCloudDataset
 from repro.kernels import dispatch as K
 from repro.kernels import fused, reference, set_fused, use_fused
 from repro.models import EGNN
-from repro.optim import AdamW
+from repro.optim import Adam, AdamW
 from repro.tasks import MultiClassClassificationTask
 from tests.test_optim_flat_adam import PerTensorAdam
 
@@ -406,19 +406,23 @@ def test_fused_op_gradcheck(name, fused_mode):
 # Adam: one flat update, the same bits in both kernel modes and as the
 # per-tensor loop (tests/test_optim_flat_adam.py has the full sweep)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("weight_decay,amsgrad", [(0.0, False), (1e-2, False), (0.0, True)])
-def test_adam_fused_bit_identity(weight_decay, amsgrad):
+@pytest.mark.parametrize(
+    "weight_decay,coupled", [(0.0, False), (1e-2, False), (0.0, True), (1e-2, True)]
+)
+def test_adam_fused_bit_identity(weight_decay, coupled):
+    """AdamW (``coupled=False``) and coupled-decay Adam step the same bits in
+    both kernel modes as the per-tensor loop."""
+
     def run(enabled):
         rng = _rng(99)
         params = [
             Tensor(rng.normal(size=s), requires_grad=True) for s in [(4, 3), (7,), (2, 2)]
         ]
         if enabled is None:
-            opt = PerTensorAdam(
-                params, 1e-3, weight_decay=weight_decay, amsgrad=amsgrad, decoupled=True
-            )
+            opt = PerTensorAdam(params, 1e-3, weight_decay=weight_decay, decoupled=not coupled)
         else:
-            opt = AdamW(params, lr=1e-3, weight_decay=weight_decay, amsgrad=amsgrad)
+            cls = Adam if coupled else AdamW
+            opt = cls(params, lr=1e-3, weight_decay=weight_decay)
         with use_fused(bool(enabled)):
             for _ in range(5):
                 for p in params:
@@ -441,18 +445,18 @@ def test_adam_scratch_not_in_state():
     # state holds exactly the moments, none of which aliases a work buffer.
     rng = _rng(5)
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(3,), (2, 2)]]
-    opt = AdamW(params, lr=1e-3, amsgrad=True)
+    opt = AdamW(params, lr=1e-3)
     for p in params:
         p.grad = rng.normal(size=p.shape)
     opt.step()
     flat = opt._flat
     work = [flat.grad, flat.param, flat.work, flat.update]
     for i, entry in opt.state.items():
-        assert set(entry) == {"m", "v", "vmax"}
+        assert set(entry) == {"m", "v"}
         assert not any(np.shares_memory(w, arr) for w in work for arr in entry.values())
     saved = opt.state_dict()["state"]
     assert {(i, name) for i, entry in saved.items() for name in entry} == {
-        (i, name) for i in (0, 1) for name in ("m", "v", "vmax")
+        (i, name) for i in (0, 1) for name in ("m", "v")
     }
     assert not any(
         np.shares_memory(arr, buf)

@@ -29,7 +29,6 @@ class PerTensorAdam:
         betas=(0.9, 0.999),
         eps=1e-8,
         weight_decay=0.0,
-        amsgrad=False,
         update_clip=None,
         decoupled=False,
     ):
@@ -38,7 +37,6 @@ class PerTensorAdam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.amsgrad = amsgrad
         self.update_clip = update_clip
         self._decoupled = decoupled
         self.state = {}
@@ -59,20 +57,13 @@ class PerTensorAdam:
             if "m" not in state:
                 state["m"] = np.zeros_like(p.data)
                 state["v"] = np.zeros_like(p.data)
-                if self.amsgrad:
-                    state["vmax"] = np.zeros_like(p.data)
             m, v = state["m"], state["v"]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             m_hat = m / bias1
-            if self.amsgrad:
-                vmax = state["vmax"]
-                np.maximum(vmax, v, out=vmax)
-                v_hat = vmax / bias2
-            else:
-                v_hat = v / bias2
+            v_hat = v / bias2
             update = m_hat / (np.sqrt(v_hat) + self.eps)
             if self.update_clip is not None:
                 rms = float(np.sqrt(np.mean(update * update)))
@@ -85,15 +76,13 @@ class PerTensorAdam:
 
 SHAPES = [(4, 3), (7,), (2, 2), (), (1, 5), (3, 1, 2)]
 
-#: (class, keyword arguments): both decay styles, amsgrad, and a clip small
-#: enough to fire on some tensors and not on others.
+#: (class, keyword arguments): both decay styles and a clip small enough to
+#: fire on some tensors and not on others.
 CONFIGS = {
     "adam": (Adam, dict()),
     "adam-coupled-decay": (Adam, dict(weight_decay=1e-2)),
     "adamw": (AdamW, dict(weight_decay=1e-2)),
-    "adamw-amsgrad": (AdamW, dict(weight_decay=1e-2, amsgrad=True)),
     "adam-clip": (Adam, dict(update_clip=0.9, weight_decay=5e-3)),
-    "adamw-amsgrad-clip": (AdamW, dict(amsgrad=True, update_clip=0.9)),
 }
 
 
@@ -201,7 +190,7 @@ def test_flat_adam_equals_oracle_under_any_gradient_pattern(config, mask, seed):
     run_twins(cls, kwargs, mask, seed=seed)
 
 
-@pytest.mark.parametrize("config", ["adamw", "adamw-amsgrad", "adam-coupled-decay"])
+@pytest.mark.parametrize("config", ["adamw", "adam-coupled-decay"])
 def test_save_load_continue_equals_uninterrupted_run(config, tmp_path):
     cls, kwargs = CONFIGS[config]
     rng = np.random.default_rng(5)

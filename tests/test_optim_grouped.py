@@ -1,17 +1,21 @@
-"""MultiGroupOptimizer: per-group lr ratios under one schedule."""
+"""MultiGroupOptimizer: per-group lr ratios under one schedule.
+
+The groups are plain Adam: its first step moves each parameter by
+``lr * sign(g)`` (bias-corrected), so a group's lr is visible in one step.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.optim import AdamW, MultiGroupOptimizer, SGD, WarmupExponential
+from repro.optim import Adam, AdamW, MultiGroupOptimizer, WarmupExponential, clip_grad_norm
 
 
 def make_groups():
     p_enc = Parameter(np.ones(3))
     p_head = Parameter(np.ones(2))
-    enc_opt = SGD([p_enc], lr=0.01)
-    head_opt = SGD([p_head], lr=0.1)
+    enc_opt = Adam([p_enc], lr=0.01)
+    head_opt = Adam([p_head], lr=0.1)
     grouped = MultiGroupOptimizer([(enc_opt, 0.1), (head_opt, 1.0)])
     return grouped, enc_opt, head_opt, p_enc, p_head
 
@@ -50,12 +54,19 @@ class TestMultiGroup:
         assert p_enc.grad is None and p_head.grad is None
 
     def test_grad_global_norm_combines(self):
-        grouped, _, _, p_enc, p_head = make_groups()
+        """Clipping spans the groups: one global norm over every member's
+        parameters, one scale applied to all of them."""
+        grouped, enc_opt, head_opt, p_enc, p_head = make_groups()
         p_enc.grad = np.array([3.0, 0.0, 0.0])
         p_head.grad = np.array([0.0, 4.0])
-        assert grouped.grad_global_norm() == pytest.approx(5.0)
+        params = [p for opt, _ in grouped.groups for p in opt.params]
+        assert clip_grad_norm(params, max_norm=1.0) == pytest.approx(5.0)
+        assert np.allclose(p_enc.grad, [0.6, 0.0, 0.0])
+        assert np.allclose(p_head.grad, [0.0, 0.8])
 
     def test_update_statistics_aggregates_adam_members(self):
+        """Each member keeps its own moments; the lr scale moves the
+        parameters, never the moments."""
         p1, p2 = Parameter(np.ones(4)), Parameter(np.ones(4))
         grouped = MultiGroupOptimizer(
             [(AdamW([p1], lr=1e-4), 0.1), (AdamW([p2], lr=1e-3), 1.0)]
@@ -63,15 +74,19 @@ class TestMultiGroup:
         p1.grad = np.ones(4)
         p2.grad = np.ones(4)
         grouped.step()
-        stats = grouped.update_statistics()
-        assert "eps_floor_fraction" in stats
+        (a, _), (b, _) = grouped.groups
+        assert grouped.step_count == a.step_count == b.step_count == 1
+        assert set(a.state) == set(b.state) == {0}
+        assert np.array_equal(a.state[0]["v"], b.state[0]["v"])
+        assert a.state[0]["v"] is not b.state[0]["v"]
+        assert p1.data[0] > p2.data[0]  # the 10x smaller step
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MultiGroupOptimizer([])
         p = Parameter(np.ones(1))
         with pytest.raises(ValueError):
-            MultiGroupOptimizer([(SGD([p], lr=0.1), 0.0)])
+            MultiGroupOptimizer([(Adam([p], lr=0.1), 0.0)])
 
 
 class TestFinetuneOptimizerFactory:

@@ -4,26 +4,25 @@ examples and benches that keep the public names alive."""
 import importlib
 import importlib.util
 import pathlib
+import pkgutil
 
 import pytest
 
-SUBPACKAGES = [
-    "repro",
-    "repro.autograd",
-    "repro.nn",
-    "repro.optim",
-    "repro.distributed",
-    "repro.geometry",
-    "repro.data",
-    "repro.data.transforms",
-    "repro.datasets",
-    "repro.models",
-    "repro.tasks",
-    "repro.training",
-    "repro.analysis",
-    "repro.core",
-    "repro.cli",
-]
+import repro
+
+
+def _subpackages():
+    """Every package under ``repro`` (walked, so a new one cannot be
+    missed), plus the CLI module."""
+    walked = [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.ispkg
+    ]
+    return ["repro", *sorted(walked), "repro.cli"]
+
+
+SUBPACKAGES = _subpackages()
 
 
 class TestPublicAPI:

@@ -320,13 +320,13 @@ class TestTopK:
 
     def test_threshold_and_admission_accounting(self):
         ranker = TopK(2)
-        assert ranker.threshold is None
+        assert ranker.ranked() == []
         assert ranker.offer(2.0, "b", 0)
         assert ranker.offer(1.0, "a", 1)
-        assert ranker.threshold == (2.0, "b", 0)
+        assert ranker.ranked()[-1].key == (2.0, "b", 0)
         assert not ranker.offer(3.0, "c", 2)  # above the cut: rejected
         assert ranker.offer(0.5, "d", 3)      # below: evicts the worst
-        assert ranker.threshold == (1.0, "a", 1)
+        assert ranker.ranked()[-1].key == (1.0, "a", 1)
         assert ranker.offered == 4
         assert ranker.admitted == 3
 

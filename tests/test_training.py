@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, InMemoryDataset
+from repro.data import DataLoader
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.models import EGNN
@@ -50,22 +50,22 @@ class TestHistory:
         steps, values = h.series("train", "loss")
         assert steps == [1, 2] and values == [1.0, 0.5]
         assert h.last("val", "ce") == 2.0
-        assert h.best("train", "loss") == 0.5
-        assert h.best("train", "loss", mode="max") == 1.0
+        assert h.last("train", "loss") == 0.5
 
     def test_missing_metric(self):
         h = History()
         assert h.last("val", "nope") is None
-        assert h.best("val", "nope") is None
         assert h.series("val", "nope") == ([], [])
 
     def test_metrics_logged_and_csv(self):
+        """Records keep step, epoch, split and every metric; ``series``
+        skips a None value."""
         h = History()
         h.log(1, 0, "val", a=1.0, b=2.0)
-        assert h.metrics_logged("val") == ["a", "b"]
-        csv_text = h.to_csv()
-        assert "step" in csv_text and "a" in csv_text
-        assert History().to_csv() == ""
+        h.log(2, 1, "val", a=None, b=3.0)
+        assert h.records[0] == {"step": 1, "epoch": 0, "split": "val", "a": 1.0, "b": 2.0}
+        assert h.series("val", "a") == ([1], [1.0])
+        assert h.series("val", "b") == ([1, 2], [2.0, 3.0])
 
     def test_len(self):
         h = History()
@@ -141,10 +141,36 @@ class TestTrainerLoop:
         )
 
     def test_val_max_batches(self):
+        """Validation covers every batch: three batches of 8 give the
+        metrics of one batch of all 24."""
         task, train_loader, val_loader, opt = make_setup(n_val=24)
-        trainer = Trainer(TrainerConfig(max_epochs=1, val_max_batches=1))
+        trainer = Trainer(TrainerConfig(max_epochs=1))
         metrics = trainer.validate(task, val_loader)
-        assert "ce" in metrics
+        whole = DataLoader(val_loader.dataset, batch_size=24, collate_fn=list,
+                           transform=val_loader.transform)
+        assert len(val_loader) == 3
+        assert metrics == pytest.approx(trainer.validate(task, whole), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "field", ["max_epochs", "max_steps", "val_every_n_steps", "log_every_n_steps"]
+    )
+    def test_config_domain(self, field):
+        """Every count must be >= 1: 0 trained nothing (an empty history)
+        or divided by zero at the first step."""
+        for bad in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match=rf"^TrainerConfig\.{field} must be >= 1"):
+                TrainerConfig(**{field: bad})
+        TrainerConfig(**{field: 1})
+
+    def test_zero_epoch_finetune_is_refused(self):
+        """``train_property`` at ``max_epochs=0`` used to return a result
+        whose ``final_mae`` raised IndexError."""
+        from repro.core import FinetuneConfig, train_property
+
+        config = FinetuneConfig(train_samples=4, val_samples=2, batch_size=2,
+                                max_epochs=0, world_size=1)
+        with pytest.raises(ValueError, match="max_epochs must be >= 1, got 0"):
+            train_property(config)
 
 
 class TestCallbacks:
@@ -212,14 +238,18 @@ class TestCallbacks:
         assert meter.samples_per_second > 0
 
     def test_gradient_stats_monitor(self):
-        # The optimizer's own statistics are readable after a fit, with the
-        # last step's gradients still in place.
+        # The optimizer's moments are readable after a fit, with the last
+        # step's gradients still in place: one (m, v) pair per parameter.
         task, train_loader, val_loader, opt = make_setup()
         trainer = Trainer(TrainerConfig(max_epochs=1))
         trainer.fit(task, train_loader, None, opt)
-        stats = opt.update_statistics()
-        assert stats["grad_norm"] > 0
-        assert 0.0 <= stats["eps_floor_fraction"] <= 1.0
+        params = list(task.parameters())
+        assert any(p.grad is not None and np.any(p.grad) for p in params)
+        assert opt.step_count == trainer.global_step == 3
+        for i, entry in opt.state.items():
+            assert set(entry) == {"m", "v"}
+            assert entry["v"].shape == params[i].data.shape
+            assert np.all(entry["v"] >= 0)
 
 
 class TestSpikeDetector:
