@@ -4,14 +4,13 @@
 Usage (from the repo root, with ``PYTHONPATH=src:.``)::
 
     python scripts/bench_gate.py                   # run + gate all suites
-    python scripts/bench_gate.py --suite sharding  # one suite only
+    python scripts/bench_gate.py --suite serving   # one suite only
     python scripts/bench_gate.py --update-baseline # re-pin the baselines
     python scripts/bench_gate.py --tiny --rounds 2 # quick smoke
     python scripts/bench_gate.py --absolute        # also gate absolute times
 
 Suites: ``hotpaths`` (fused kernels and one training step, vs
-``benchmarks/BENCH_hotpaths.json``), ``sharding`` (ZeRO bucketed comm,
-vs ``benchmarks/BENCH_sharding.json``), ``serving`` (micro-batched
+``benchmarks/BENCH_hotpaths.json``), ``serving`` (micro-batched
 goodput at a fixed SLO, vs ``benchmarks/BENCH_serving.json``),
 ``resilience`` (replicated-pool availability under seeded chaos, vs
 ``benchmarks/BENCH_resilience.json``), ``screening`` (batched vs
@@ -39,7 +38,6 @@ from benchmarks import (  # noqa: E402
     bench_resilience,
     bench_screening,
     bench_serving,
-    bench_sharding,
     bench_table1_multitask,
 )
 from benchmarks.common import write_bench_json  # noqa: E402
@@ -52,7 +50,6 @@ _BENCH_DIR = os.path.join(
 #: suite name -> (module with collect_results/print_results, baseline JSON)
 SUITES = {
     "hotpaths": (bench_hotpaths, os.path.join(_BENCH_DIR, "BENCH_hotpaths.json")),
-    "sharding": (bench_sharding, os.path.join(_BENCH_DIR, "BENCH_sharding.json")),
     "serving": (bench_serving, os.path.join(_BENCH_DIR, "BENCH_serving.json")),
     "resilience": (
         bench_resilience,

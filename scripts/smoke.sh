@@ -5,7 +5,6 @@
 #   default            everything except slow scenario suites
 #   SMOKE_LANE=profile only the observability suite (-m profile)
 #   SMOKE_LANE=bench   bench-marked tests, then the hot-path regression gate
-#   SMOKE_LANE=shard   ZeRO sharding suite (-m shard) plus a --zero CLI smoke
 #   SMOKE_LANE=serve   serving suite (-m serve) plus a predict/serve CLI smoke
 #                      (serve runs from a temp cwd) and the serve_trace
 #                      digest check of the e2e lane
@@ -54,18 +53,6 @@ bench)
     # Gate both suites against the committed baselines (speedup ratios,
     # machine-portable); exits 1 on a >25% regression.
     PYTHONPATH=src:. python scripts/bench_gate.py
-    exit 0
-    ;;
-shard)
-    PYTHONPATH=src python -m pytest -x -q -m shard "$@"
-    # End-to-end: the --zero CLI path must run and report the bucket knob.
-    ZERO_OUT="$(PYTHONPATH=src python -m repro.cli pretrain \
-        --steps 3 --samples 16 --world-size 2 --hidden-dim 16 --layers 2 \
-        --epochs 1 --zero --bucket-mb 0.25)"
-    grep -q "zero sharding" <<<"$ZERO_OUT"
-    echo "zero sharding smoke ok"
-    # Gate the sharding bench against its committed baseline.
-    PYTHONPATH=src:. python scripts/bench_gate.py --suite sharding
     exit 0
     ;;
 serve)
@@ -165,7 +152,7 @@ full)
     PYTHONPATH=src python -m pytest -x -q "$@"
     ;;
 *)
-    echo "unknown SMOKE_LANE: $LANE (expected default|profile|bench|shard|serve|chaos|screen|megnet|e2e|full)" >&2
+    echo "unknown SMOKE_LANE: $LANE (expected default|profile|bench|serve|chaos|screen|megnet|e2e|full)" >&2
     exit 2
     ;;
 esac

@@ -95,15 +95,11 @@ def cmd_pretrain(args) -> int:
         max_steps=args.steps,
         profile=args.profile,
         trace_out=args.trace_out,
-        zero=args.zero,
-        bucket_mb=args.bucket_mb,
     )
     print(
         f"pretraining: N={cfg.world_size}, B_eff={cfg.effective_batch}, "
         f"lr={cfg.optimizer.base_lr * cfg.world_size:g}"
     )
-    if cfg.zero:
-        print(f"zero sharding: bucket_mb={cfg.bucket_mb:g}")
     result = pretrain_symmetry(cfg)
     _, ce = result.history.series("val", "ce")
     _, acc = result.history.series("val", "acc")
@@ -461,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "autograd profiling, metrics; prints the report")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a chrome://tracing JSON of the run's spans")
-    p.add_argument("--zero", action="store_true",
-                   help="ZeRO sharding: bucketed reduce_scatter gradients + "
-                        "rank-sharded AdamW state (bit-identical, less memory)")
-    p.add_argument("--bucket-mb", type=_positive_float, default=1.0, metavar="MB",
-                   help="gradient bucket capacity in MiB for --zero")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="single-task fine-tuning (Fig. 5)")

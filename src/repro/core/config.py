@@ -87,17 +87,6 @@ class PretrainConfig:
     #: spans; ``trace_out`` writes the Chrome-trace JSON after the run.
     profile: bool = False
     trace_out: Optional[str] = None
-    #: ZeRO sharding: pack gradients into fixed-byte buckets reduced via
-    #: reduce_scatter, shard Adam's m/v state across ranks, and allgather
-    #: updated parameters (repro.distributed.sharding).  Bit-identical to
-    #: the dense path — the golden-metrics guard pins it.
-    zero: bool = False
-    #: Bucket capacity in MiB for the ZeRO gradient bucketer.
-    bucket_mb: float = 1.0
-
-    @property
-    def bucket_bytes(self) -> int:
-        return max(1, int(self.bucket_mb * (1 << 20)))
 
     @property
     def effective_batch(self) -> int:

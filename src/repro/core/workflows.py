@@ -46,7 +46,6 @@ from repro.datasets import (
 from repro.distributed import (
     DDPStrategy,
     EventLog,
-    ShardedAdamW,
     SimClock,
     SingleProcessStrategy,
 )
@@ -156,11 +155,6 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     The learning rate follows the paper exactly: eta = eta_base * N with a
     linear warmup and gamma = 0.8 exponential decay per epoch.
     """
-    if config.zero and config.optimizer.update_clip is not None:
-        raise ValueError(
-            "update_clip (StableAdamW) is not supported with ZeRO sharding: "
-            "the per-tensor update RMS is not shard-local"
-        )
     rng = np.random.default_rng(config.seed)
     common = dict(
         group_names=config.group_names,
@@ -193,29 +187,14 @@ def pretrain_symmetry(config: PretrainConfig) -> PretrainResult:
     world = config.world_size
     target_lr = scale_lr_for_ddp(opt_cfg.base_lr, world)
 
-    if not config.zero and world == 1:
-        strategy = SingleProcessStrategy()
-    else:
-        # ZeRO runs the DDP strategy even at world_size 1, where its
-        # collectives degrade to identity.
-        strategy = DDPStrategy(
-            world, bucket_bytes=config.bucket_bytes if config.zero else None
-        )
-
-    opt_kwargs = dict(
+    strategy = SingleProcessStrategy() if world == 1 else DDPStrategy(world)
+    optimizer = AdamW(
+        task.parameters(),
         lr=target_lr,
         eps=opt_cfg.eps,
         weight_decay=opt_cfg.weight_decay,
+        update_clip=opt_cfg.update_clip,
     )
-    if config.zero:
-        optimizer = ShardedAdamW(
-            task.parameters(),
-            comm=strategy.comm,
-            bucket_bytes=config.bucket_bytes,
-            **opt_kwargs,
-        )
-    else:
-        optimizer = AdamW(task.parameters(), update_clip=opt_cfg.update_clip, **opt_kwargs)
     scheduler = WarmupExponential(
         optimizer,
         warmup_epochs=opt_cfg.warmup_epochs,

@@ -49,6 +49,10 @@ class TargetNormalizer(Transform):
                 targets[k] = (np.asarray(targets[k], dtype=np.float64) - mean) / std
         return replace(sample, targets=targets)
 
+    def fingerprint(self) -> str:
+        """Identity covering the target keys and the fitted statistics."""
+        return f"TargetNormalizer(keys={self.keys!r}, stats={self.stats!r})"
+
     def denormalize(self, key: str, value: np.ndarray) -> np.ndarray:
         mean, std = self.stats[key]
         return np.asarray(value) * std + mean

@@ -90,18 +90,10 @@ class DDPStrategy(Strategy):
     Every step is one rank loop followed by one reduction.  Each rank
     collates its shard, runs forward/backward, and hands over its gradient
     list (the arrays move; ``p.grad`` goes back to None).  The reduction is
-    always Σ_r g_r accumulated in rank order, then divided by N — a rank
-    that never touched a parameter contributes zeros, and a parameter no
-    rank touched keeps ``grad=None``.  Which collective carries it depends
-    only on what the strategy can observe:
-
-    * ``bucket_bytes`` set — ZeRO: one ``comm.reduce_scatter`` per bucket,
-      with the sharded optimizer's parameter allgather as the second ring
-      half;
-    * otherwise — a local reduction metered as the one allreduce a real
-      job performs.
-
-    Both leave byte-identical gradients.
+    Σ_r g_r accumulated in rank order, then divided by N — a rank that
+    never touched a parameter contributes zeros, and a parameter no rank
+    touched keeps ``grad=None`` — computed locally and metered as the one
+    allreduce a real job performs.
 
     Parameters
     ----------
@@ -110,14 +102,8 @@ class DDPStrategy(Strategy):
         at least N samples; it is split into N contiguous shards (real DDP
         gives each rank B samples of the same global batch).
     comm:
-        Communicator used for the gradient reduction.  Shared across steps
-        so its traffic log accumulates — the scale-out bench reads it.
-    bucket_bytes:
-        ZeRO mode: gradients are packed into fixed-byte flat buckets
-        (:class:`~repro.distributed.sharding.GradientBucketer`) and reduced
-        per bucket — O(buckets) messages per step instead of O(tensors).
-        Pair with :class:`~repro.distributed.sharding.ShardedAdamW` built
-        with the same ``bucket_bytes``.
+        Communicator the gradient reduction is metered on.  Shared across
+        steps so its traffic log accumulates.
     """
 
     def __init__(
@@ -125,18 +111,12 @@ class DDPStrategy(Strategy):
         world_size: int,
         comm: Optional[SimComm] = None,
         collate_fn: Callable = collate_graphs,
-        bucket_bytes: Optional[int] = None,
     ):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if bucket_bytes is not None and bucket_bytes < 1:
-            raise ValueError(f"bucket_bytes must be >= 1, got {bucket_bytes}")
         self.world_size = world_size
         self.comm = comm if comm is not None else SimComm(world_size)
         self.collate_fn = collate_fn
-        self.bucket_bytes = bucket_bytes
-        self._bucketer = None
-        self._bucketer_key = None
 
     # ------------------------------------------------------------------ #
     def shard(self, samples: Sequence) -> List[List]:
@@ -153,16 +133,6 @@ class DDPStrategy(Strategy):
         # Leftover samples (n not divisible by N) are dropped, matching
         # drop_last rank sharding in torch's distributed sampler.
         return shards
-
-    def _get_bucketer(self, params: List):
-        """The cached bucket layout (rebuilt if the parameter set changes)."""
-        from repro.distributed.sharding import GradientBucketer
-
-        key = tuple(id(p) for p in params)
-        if self._bucketer is None or self._bucketer_key != key:
-            self._bucketer = GradientBucketer(params, bucket_bytes=self.bucket_bytes)
-            self._bucketer_key = key
-        return self._bucketer
 
     def execute(self, task, samples: Sequence) -> Tuple[float, dict]:
         shards = self.shard(samples)
@@ -185,29 +155,16 @@ class DDPStrategy(Strategy):
         self, params: List, rank_grads: List[List[Optional[np.ndarray]]]
     ) -> None:
         """Leave Σ_r g_r / N on every parameter some rank touched."""
-        touched = [any(g[i] is not None for g in rank_grads) for i in range(len(params))]
-        if self.bucket_bytes is not None:
-            bucketer = self._get_bucketer(params)
-            for bucket in bucketer.buckets:
-                flats = [bucketer.flatten_grads(bucket, g) for g in rank_grads]
-                shards = self.comm.reduce_scatter(flats, op="mean")
-                bucketer.assign_grads(bucket, np.concatenate(shards))
-        else:
-            with _span(self.tracer, "comm.allreduce", ranks=self.world_size):
-                payload = 0
-                for i, p in enumerate(params):
-                    if touched[i]:
-                        p.grad = SimComm._reduce(
-                            [
-                                g[i] if g[i] is not None else np.zeros_like(p.data)
-                                for g in rank_grads
-                            ],
-                            "mean",
-                        )
-                        payload += p.grad.nbytes
-                self.comm._meter_allreduce(payload)
-                if self.tracer is not None:
-                    self.tracer.set_attr("bytes", payload)
-        for p, hit in zip(params, touched):
-            if not hit:
-                p.grad = None
+        with _span(self.tracer, "comm.allreduce", ranks=self.world_size):
+            payload = 0
+            for p, grads in zip(params, zip(*rank_grads)):
+                if all(g is None for g in grads):
+                    continue  # no rank touched it: grad stays None
+                p.grad = SimComm._reduce(
+                    [g if g is not None else np.zeros_like(p.data) for g in grads],
+                    "mean",
+                )
+                payload += p.grad.nbytes
+            self.comm._meter_allreduce(payload)
+            if self.tracer is not None:
+                self.tracer.set_attr("bytes", payload)

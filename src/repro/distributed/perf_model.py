@@ -156,99 +156,6 @@ class ThroughputModel:
         return rows
 
 
-# --------------------------------------------------------------------------- #
-# Bucketed / ZeRO communication model
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardingSpec:
-    """Communication-relevant shape of a ZeRO-sharded step.
-
-    ``num_tensors`` is the parameter-tensor count — the dense baseline
-    launches one allreduce per tensor, which is what bucketing amortises.
-    """
-
-    bucket_bytes: int = 4 << 20
-    num_tensors: int = 1
-
-    def __post_init__(self):
-        if self.bucket_bytes < 1:
-            raise ValueError("bucket_bytes must be >= 1")
-        if self.num_tensors < 1:
-            raise ValueError("num_tensors must be >= 1")
-
-
-class BucketedThroughputModel:
-    """Step-time projection for bucketed reduce_scatter/allgather gradients.
-
-    Extends :class:`ThroughputModel` with the two effects the sharding
-    stack introduces:
-
-    * **Latency amortisation** — the dense baseline launches one allreduce
-      per parameter tensor, paying the full ``2 (M-1)`` hop latency each
-      time; bucketing launches ``2 x num_buckets`` collectives (one
-      reduce-scatter plus one allgather per bucket) over the same total
-      payload.
-    * **Compute/comm overlap** — bucket *i*'s collective runs while bucket
-      *i+1*'s backward chunk is still being computed, so only the comm
-      tail that outlives the backward pass is exposed:
-      ``comm_end_i = max(comm_end_{i-1}, ready_{i}) + comm_i`` with
-      ``ready_i = (i+1) * bwd_seconds / num_buckets``.
-
-    ZeRO optimizer-state sharding does not change the modeled wire volume
-    (the gradient allgather is traded for the parameter allgather).
-    """
-
-    #: Fraction of a training step spent in backward — the window gradient
-    #: buckets become ready in.  Forward + optimizer fill the rest.
-    backward_fraction: float = 0.6
-
-    def __init__(self, base: ThroughputModel, sharding: ShardingSpec):
-        self.base = base
-        self.sharding = sharding
-        self.num_buckets = max(
-            1, math.ceil(base.gradient_bytes / sharding.bucket_bytes)
-        )
-
-    # ------------------------------------------------------------------ #
-    def messages_per_step(self) -> int:
-        """Collective launches per step: reduce-scatter + allgather per bucket."""
-        return 2 * self.num_buckets
-
-    def dense_messages_per_step(self) -> int:
-        """The per-tensor baseline: one allreduce launch per parameter."""
-        return self.sharding.num_tensors
-
-    def exposed_comm_seconds(self, world_size: int) -> float:
-        """Comm time left on the critical path after backward overlap."""
-        compute = self.base.batch / self.base.rate
-        bwd = self.backward_fraction * compute
-        chunk = bwd / self.num_buckets
-        per_bucket = self.base.gradient_bytes / self.num_buckets
-        half = ring_half_seconds(self.base.cluster, per_bucket, world_size)
-        comm_end = 0.0
-        for i in range(self.num_buckets):
-            ready = (i + 1) * chunk  # bucket i's grads exist once its chunk ends
-            comm_end = max(comm_end, ready) + 2.0 * half
-        return max(0.0, comm_end - bwd)
-
-    def step_seconds(self, world_size: int) -> float:
-        compute = self.base.batch / self.base.rate
-        return compute + self.exposed_comm_seconds(world_size)
-
-    def dense_step_seconds(self, world_size: int) -> float:
-        """Per-tensor-allreduce baseline: no bucketing, no overlap."""
-        compute = self.base.batch / self.base.rate
-        per_tensor = self.base.gradient_bytes / self.sharding.num_tensors
-        comm = self.sharding.num_tensors * 2.0 * ring_half_seconds(
-            self.base.cluster, per_tensor, world_size
-        )
-        return compute + comm
-
-    def modeled_speedup(self, world_size: int) -> float:
-        """Dense per-tensor step time over bucketed/overlapped step time."""
-        return self.dense_step_seconds(world_size) / self.step_seconds(world_size)
-
-
 def linear_fit_r2(xs: List[float], ys: List[float]) -> float:
     """R^2 of a least-squares line — the paper overlays a linear fit on Fig. 2."""
     import numpy as np

@@ -33,10 +33,6 @@ from repro.training.callbacks import Callback
 _COMM_COUNTERS = (
     ("comm.allreduce.calls", "allreduce_calls"),
     ("comm.allreduce.bytes", "allreduce_bytes"),
-    ("comm.bucket.reduce_scatter.calls", "reduce_scatter_calls"),
-    ("comm.bucket.reduce_scatter.bytes", "reduce_scatter_bytes"),
-    ("comm.bucket.allgather.calls", "allgather_calls"),
-    ("comm.bucket.allgather.bytes", "allgather_bytes"),
 )
 
 

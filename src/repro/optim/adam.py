@@ -154,13 +154,12 @@ class Adam(Optimizer):
             for p, new in zip(params, flat.param_views[k0:k1]):
                 p.data[...] = new
 
-    def _update(self, g, pdata, moments, work, update, bias1, bias2, update_views=()):
+    def _update(self, g, pdata, moments, work, update, bias1, bias2, update_views):
         """The elementwise Adam update over one flat range, in place on
         ``pdata`` and ``moments`` (``m`` and ``v``).
 
         ``work``/``update`` are same-length scratch; ``update_clip`` rescales
-        each per-tensor view of ``update`` in ``update_views``.  The dense
-        step and the ZeRO per-shard step both run exactly this sequence.
+        each per-tensor view of ``update`` in ``update_views``.
         """
         m, v = moments["m"], moments["v"]
         if self.weight_decay and not self._decoupled:

@@ -42,7 +42,12 @@ def clip_grad_norm(
     * ``"error"`` (default) — raise :class:`NonFiniteGradientError`;
     * ``"zero"`` — zero every gradient so ``optimizer.step`` becomes a
       no-op for this batch, and return the (non-finite) pre-clip norm.
+
+    ``max_norm`` must be > 0: a negative bound would flip the gradient's
+    sign, zero would erase it, and NaN would never clip.
     """
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be > 0, got {max_norm}")
     if nonfinite not in ("error", "zero"):
         raise ValueError(
             f"nonfinite must be 'error' or 'zero', got {nonfinite!r}"
@@ -58,7 +63,7 @@ def clip_grad_norm(
         for p in params:
             p.grad = np.zeros_like(p.grad)
         return norm
-    if norm > max_norm and norm > 0:
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params:
             p.grad *= scale

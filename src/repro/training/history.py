@@ -31,8 +31,9 @@ class History:
         return steps, values
 
     def last(self, split: str, metric: str) -> Optional[float]:
+        """The latest non-None value of one metric on one split, or None."""
         for r in reversed(self.records):
-            if r["split"] == split and metric in r:
+            if r["split"] == split and r.get(metric) is not None:
                 return float(r[metric])
         return None
 

@@ -76,6 +76,10 @@ class TrainerConfig:
         for name, value in counts.items():
             if value is not None and not value >= 1:
                 raise ValueError(f"TrainerConfig.{name} must be >= 1, got {value}")
+        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
+            raise ValueError(
+                f"TrainerConfig.grad_clip_norm must be > 0, got {self.grad_clip_norm}"
+            )
 
 
 class Trainer:

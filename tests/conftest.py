@@ -21,8 +21,6 @@ MARKERS = [
     "-m 'not slow'",
     "bench: benchmark-gate integrations that time real workloads; select "
     "with -m bench",
-    "shard: ZeRO sharding scenarios (bucketed collectives, sharded optimizer "
-    "state, bit-identity); select with -m shard",
     "serve: online serving scenarios (micro-batching, registry, batch "
     "bit-identity); select with -m serve",
     "chaos: resilient-serving chaos scenarios (replica pool, breakers, "

@@ -176,6 +176,28 @@ class TestFingerprints:
             != StructureToGraph(cutoff=2.5, center=True).fingerprint()
         )
 
+    def test_target_normalizer_fingerprint_covers_keys_and_stats(self):
+        """Two normalizers share a fingerprint only when their keys and
+        fitted statistics agree."""
+        def fitted(keys, values):
+            samples = [
+                GraphSample(
+                    positions=np.zeros((1, 3)),
+                    species=np.zeros(1, dtype=np.int64),
+                    edge_src=np.zeros(0, dtype=np.int64),
+                    edge_dst=np.zeros(0, dtype=np.int64),
+                    targets={k: np.float64(v) for k in ("y", "z")},
+                )
+                for v in values
+            ]
+            return TargetNormalizer(keys).fit(samples)
+
+        ref = fitted(["y"], [0.0, 2.0]).fingerprint()
+        assert fitted(["y"], [0.0, 2.0]).fingerprint() == ref
+        assert fitted(["z"], [0.0, 2.0]).fingerprint() != ref
+        assert fitted(["y"], [0.0, 4.0]).fingerprint() != ref
+        assert TargetNormalizer(["y"]).fingerprint() != ref  # unfitted
+
     def test_compose_fingerprint_combines_children(self):
         """Every StructureToGraph parameter enters its fingerprint, equal
         parameters give equal fingerprints, and a different transform class
@@ -253,10 +275,7 @@ class TestFingerprints:
 # Observer.finalize after the cache gauges left
 # --------------------------------------------------------------------------- #
 def _finalize_inputs():
-    traffic = SimpleNamespace(
-        allreduce_calls=3, allreduce_bytes=4096, reduce_scatter_calls=1,
-        reduce_scatter_bytes=512, allgather_calls=1, allgather_bytes=512,
-    )
+    traffic = SimpleNamespace(allreduce_calls=3, allreduce_bytes=4096)
     return SimpleNamespace(comm=SimpleNamespace(traffic=traffic))
 
 
@@ -284,7 +303,7 @@ class TestCacheMetrics:
         first = observer.metrics.snapshot()
         observer.finalize(strategy=strategy)
         assert observer.metrics.snapshot() == first
-        assert set(first) >= {"comm.allreduce.calls", "comm.bucket.allgather.bytes",
+        assert set(first) >= {"comm.allreduce.calls", "comm.allreduce.bytes",
                               "mem.peak_live_tensor_bytes"}
         assert not [n for n in first if n.startswith("comm.retry.")]
         assert not [n for n in first if n.startswith("stability.")]

@@ -41,6 +41,13 @@ class TestParser:
         assert args.chaos_seed == 7
         assert args.hedge_ms == 2.5
 
+    @pytest.mark.parametrize("argv", [["--zero"], ["--bucket-mb", "1"]])
+    def test_zero_sharding_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["pretrain", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_resilience_defaults_to_single_replica(self):
         args = build_parser().parse_args(["serve", "--registry", "/tmp/reg"])
         assert args.replicas == 1
@@ -66,7 +73,7 @@ class TestParser:
     @pytest.mark.parametrize("command, flag, value", [
         ("pretrain", "--lr", "nan"),
         ("pretrain", "--lr", "0"),
-        ("pretrain", "--bucket-mb", "-1"),
+        ("pretrain", "--epochs", "0"),
         ("pretrain", "--steps", "0"),
         ("pretrain", "--world-size", "0"),
         ("pretrain", "--samples", "0"),

@@ -10,10 +10,10 @@ because every parameter of this EGNN receives one contribution per
 backward and 1/4 is a power of two.  Any hidden state (RNG consumed during
 forward, stale optimizer moments, order-dependent reductions) breaks it.
 
-Both reductions ``DDPStrategy`` can pick — local and ZeRO buckets —
-compute Σ_r g_r in rank order divided by N, so they must leave
-byte-identical gradients (and the same ``grad=None`` parameters) for every
-encoder at every world size.
+``DDPStrategy``'s one reduction computes Σ_r g_r in rank order divided by
+N, so it must leave the gradients (and the ``grad=None`` parameters) of a
+one-process rank-order accumulation of the same shards, byte for byte,
+for every encoder at every world size.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from repro.core.pipeline import build_encoder_from_config
 from repro.data.batching import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import DDPStrategy, ShardedAdamW, SimComm
+from repro.distributed import DDPStrategy, SimComm
 from repro.models import EGNN
-from repro.observability import OpProfiler
+from repro.observability import OpProfiler, Tracer
 from repro.optim import AdamW
 from repro.tasks import MultiClassClassificationTask
+from tests.test_sharding import _rank_order_step
 
 WORLD = 4
 STEPS = 5
@@ -64,8 +65,8 @@ def _optimizer(task) -> AdamW:
     return AdamW(task.parameters(), lr=3e-3, weight_decay=1e-4)
 
 
-def _train_ddp(task, batches):
-    strategy = DDPStrategy(WORLD)
+def _train_ddp(task, batches, strategy=None):
+    strategy = strategy if strategy is not None else DDPStrategy(WORLD)
     optimizer = _optimizer(task)
     losses = []
     for batch in batches:
@@ -94,25 +95,6 @@ def _train_single_accumulating(task, batches):
                 p.grad *= 1.0 / WORLD  # loss-scale correction == allreduce mean
         optimizer.step()
         losses.append(float(np.mean(shard_losses)))
-    return losses
-
-
-def _train_sharded(task, batches, bucket_bytes):
-    """ZeRO path: bucketed reduce_scatter gradients + sharded AdamW state."""
-    strategy = DDPStrategy(WORLD, bucket_bytes=bucket_bytes)
-    optimizer = ShardedAdamW(
-        task.parameters(),
-        lr=3e-3,
-        weight_decay=1e-4,
-        comm=strategy.comm,
-        bucket_bytes=bucket_bytes,
-    )
-    losses = []
-    for batch in batches:
-        optimizer.zero_grad()
-        loss, _ = strategy.execute(task, batch)
-        optimizer.step()
-        losses.append(loss)
     return losses
 
 
@@ -211,49 +193,48 @@ class TestCompiledDeterminism:
             assert np.array_equal(a.data, b.data), name
 
 
-@pytest.mark.shard
 class TestShardedDeterminism:
-    """ZeRO sharding is a pure reshuffling too: same bits as one rank."""
+    """Tracing and leftover samples are invisible: same bits as one rank.
+
+    (The class keeps the name of the ZeRO sharding variant it replaced.)
+    """
 
     def test_sharded_four_ranks_match_dense_single_rank(self):
-        task_sharded, task_single = _make_task(), _make_task()
-        losses_sharded = _train_sharded(task_sharded, _make_batches(), 1 << 20)
+        """4-rank DDP with a tracer on the strategy and its communicator
+        leaves the bits of plain 1-rank accumulation, and records one
+        ``comm.allreduce`` span per step."""
+        task_traced, task_single = _make_task(), _make_task()
+        strategy = DDPStrategy(WORLD)
+        strategy.tracer = strategy.comm.tracer = Tracer()
+        losses_traced = _train_ddp(task_traced, _make_batches(), strategy)
         losses_single = _train_single_accumulating(task_single, _make_batches())
 
         for (name, a), (_, b) in zip(
-            task_sharded.named_parameters(), task_single.named_parameters()
+            task_traced.named_parameters(), task_single.named_parameters()
         ):
             assert np.array_equal(a.data, b.data), (
                 f"{name}: max |delta| = "
                 f"{np.max(np.abs(a.data - b.data)):.3e} after {STEPS} steps"
             )
-        assert losses_sharded == losses_single
+        assert losses_traced == losses_single
+        spans = [s.name for s in strategy.tracer.completed()]
+        assert spans.count("comm.allreduce") == STEPS
 
     def test_bucket_bytes_never_changes_results(self):
-        """Tiny, exact-fit, and huge buckets all leave the same bits.
-
-        Bucket geometry decides message counts, never values: one bucket
-        per parameter (tiny), one bucket holding exactly every gradient
-        byte (exact fit), and one effectively unbounded bucket must agree
-        bit-for-bit.
-        """
-        probe = _make_task()
-        exact_fit = sum(p.data.nbytes for p in probe.parameters())
-        runs = {}
-        for label, bucket_bytes in (
-            ("tiny", 1),
-            ("exact_fit", exact_fit),
-            ("huge", 1 << 30),
-        ):
+        """Samples past the last full rank shard are dropped, never read:
+        global batches of 17, 18 and 19 samples train to the same bits as
+        their first 16."""
+        extra = _make_batches(seed=11)[0]
+        ref_task = _make_task()
+        ref_losses = _train_ddp(ref_task, _make_batches())
+        for k in (1, 2, 3):
             task = _make_task()
-            losses = _train_sharded(task, _make_batches(), bucket_bytes)
-            runs[label] = (losses, [p.data.copy() for p in task.parameters()])
-
-        ref_losses, ref_params = runs["exact_fit"]
-        for label, (losses, params) in runs.items():
-            assert losses == ref_losses, label
-            for i, (a, b) in enumerate(zip(params, ref_params)):
-                assert np.array_equal(a, b), f"{label}: param {i}"
+            batches = [batch + extra[:k] for batch in _make_batches()]
+            assert _train_ddp(task, batches) == ref_losses, k
+            for (name, a), (_, b) in zip(
+                task.named_parameters(), ref_task.named_parameters()
+            ):
+                assert np.array_equal(a.data, b.data), f"{k} extra: {name}"
 
 
 def _encoder_task(name: str) -> MultiClassClassificationTask:
@@ -271,17 +252,8 @@ def _encoder_task(name: str) -> MultiClassClassificationTask:
     )
 
 
-def _reduction_paths(world: int):
-    """The two reductions ``DDPStrategy`` selects from what it observes."""
-    return {
-        "local": DDPStrategy(world),
-        "zero": DDPStrategy(world, bucket_bytes=1 << 20),
-    }
-
-
-@pytest.mark.shard
 class TestEveryReductionPath:
-    """Identity-lattice row: every reduction path == plain, byte for byte."""
+    """Identity-lattice row N-rank == 1-rank, per encoder, byte for byte."""
 
     @pytest.fixture(scope="class")
     def samples(self):
@@ -290,28 +262,29 @@ class TestEveryReductionPath:
     @pytest.mark.parametrize("world", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("encoder", ["egnn", "gaanet", "schnet", "megnet"])
     def test_gradients_byte_identical(self, encoder, world, samples):
+        """``DDPStrategy(world)`` leaves the loss and the gradient bytes of
+        one process accumulating the same rank shards in rank order ÷ N,
+        including which parameters keep ``grad=None``."""
         task = _encoder_task(encoder)
-        grads, losses = {}, {}
-        for label, strategy in _reduction_paths(world).items():
-            losses[label], _ = strategy.execute(task, samples)
-            grads[label] = [
-                None if p.grad is None else p.grad.tobytes()
-                for p in task.parameters()
-            ]
-        plain = grads.pop("local")
-        assert any(g is not None for g in plain)
-        for label, got in grads.items():
-            assert losses[label] == losses["local"], label
-            for i, (a, b) in enumerate(zip(plain, got)):
-                assert (a is None) == (b is None), f"{label}: param {i} None-ness"
-                assert a == b, f"{label}: param {i} bytes differ"
+        loss_ddp, _ = DDPStrategy(world).execute(task, samples)
+        ddp = [None if p.grad is None else p.grad.tobytes() for p in task.parameters()]
+        loss_one = _rank_order_step(task, samples, world)
+        one = [None if p.grad is None else p.grad.tobytes() for p in task.parameters()]
+        assert any(g is not None for g in ddp)
+        assert loss_ddp == loss_one
+        for i, (a, b) in enumerate(zip(ddp, one)):
+            assert (a is None) == (b is None), f"param {i} None-ness"
+            assert a == b, f"param {i} bytes differ"
 
     def test_buckets_win_over_injector(self, samples):
-        """With ``bucket_bytes`` set, ZeRO's bucket collectives carry the
-        reduction: one reduce_scatter per bucket and no allreduce."""
+        """Each DDP step is exactly one allreduce of 2 * (N-1) * payload
+        bytes on the strategy's communicator, payload = the bytes of the
+        gradients some rank touched."""
         comm = SimComm(4)
-        strategy = DDPStrategy(4, comm=comm, bucket_bytes=256)
-        strategy.execute(_encoder_task("egnn"), samples)
-        assert len(strategy._bucketer.buckets) > 1
-        assert comm.traffic.reduce_scatter_calls == len(strategy._bucketer.buckets)
-        assert comm.traffic.allreduce_calls == 0
+        strategy = DDPStrategy(4, comm=comm)
+        task = _encoder_task("egnn")
+        for step in range(1, 3):
+            strategy.execute(task, samples)
+            payload = sum(p.grad.nbytes for p in task.parameters() if p.grad is not None)
+            assert comm.traffic.allreduce_calls == step
+            assert comm.traffic.allreduce_bytes == step * 2 * 3 * payload

@@ -1,9 +1,9 @@
 """Distributed substrate: collectives, DDP exactness, perf model, affinity.
 
-``SimComm`` has the three collectives the gradient paths run; the ids that
-pinned its broadcast/gather/scatter/barrier (and the affinity planner's
-whole-job helper) now pin ``reduce_scatter``/``allgather_flat`` and
-``plan_node``'s rank and node bases.
+``SimComm`` has the one collective the gradient path is metered as; the
+ids that pinned its broadcast/gather/scatter/allgather/barrier (and the
+affinity planner's whole-job helper) now pin ``allreduce``'s results,
+refusals and metering, and ``plan_node``'s rank and node bases.
 """
 
 import numpy as np
@@ -15,18 +15,16 @@ from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.distributed import (
     AffinityPlanner,
-    BucketedThroughputModel,
     ClusterSpec,
     DDPStrategy,
     ENDEAVOUR,
     InterconnectSpec,
     NodeSpec,
     SimComm,
-    ShardingSpec,
     SingleProcessStrategy,
     ThroughputModel,
 )
-from repro.distributed.perf_model import linear_fit_r2
+from repro.distributed.perf_model import linear_fit_r2, ring_half_seconds
 from repro.models import EGNN
 from repro.optim import scale_lr_for_ddp
 from repro.tasks import MultiClassClassificationTask
@@ -56,46 +54,43 @@ class TestSimComm:
             SimComm(3).allreduce([np.zeros(1)] * 2)
 
     def test_bcast(self):
-        """Rank r receives shard r of the reduced vector."""
+        """Every rank receives the whole reduced vector."""
         comm = SimComm(3)
         values = [np.arange(7.0) * (r + 1) for r in range(3)]
-        out = comm.reduce_scatter(values, op="sum")
-        assert [len(o) for o in out] == [3, 2, 2]
-        assert np.array_equal(np.concatenate(out), np.arange(7.0) * 6)
+        out = comm.allreduce(values, op="sum")
+        assert all(np.array_equal(o, np.arange(7.0) * 6) for o in out)
         with pytest.raises(ValueError):
-            comm.reduce_scatter(values, op="xor")
+            comm.allreduce(values, op="xor")
 
     def test_gather_root_only(self):
-        """Every rank receives the concatenation of all ranks' shards."""
+        """Ranks receive distinct arrays: no result shares memory with
+        another rank's."""
         comm = SimComm(3)
-        out = comm.allgather_flat([np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0])])
+        out = comm.allreduce([np.array([1.0, 2.0])] * 3)
         assert len(out) == 3
-        assert all(np.array_equal(o, [1.0, 2.0, 3.0, 4.0]) for o in out)
+        assert all(np.array_equal(o, [3.0, 6.0]) for o in out)
         assert not np.shares_memory(out[0], out[1])
 
     def test_allgather(self):
-        """reduce_scatter then allgather_flat is one allreduce: the same
-        bits on every rank, and the two halves meter one allreduce's bytes."""
+        """``mean`` is the rank-order sum divided by N on every rank, and
+        one call meters one allreduce's bytes."""
         rng = np.random.default_rng(0)
         values = [rng.normal(size=10) for _ in range(4)]
-        ring, pair = SimComm(4), SimComm(4)
-        dense = ring.allreduce(values, op="mean")
-        halves = pair.allgather_flat(pair.reduce_scatter(values, op="mean"))
-        for got in halves:
-            assert np.array_equal(got, dense[0])
-        t = pair.traffic
-        assert t.reduce_scatter_bytes + t.allgather_bytes == ring.traffic.allreduce_bytes
-        assert t.collective_calls == 2 and t.useful_bytes == ring.traffic.useful_bytes
+        comm = SimComm(4)
+        for got in comm.allreduce(values, op="mean"):
+            assert np.array_equal(got, SimComm._reduce(values, "sum") / 4)
+        assert comm.traffic.allreduce_calls == 1
+        assert comm.traffic.allreduce_bytes == 2 * 3 * 80
 
     def test_scatter(self):
-        """reduce_scatter takes equal-length flat arrays, one per rank."""
+        """allreduce takes one equal-shape array per rank."""
         comm = SimComm(2)
         with pytest.raises(ValueError):
-            comm.reduce_scatter([np.zeros(4), np.zeros(3)])
+            comm.allreduce([np.zeros(4), np.zeros(3)])
         with pytest.raises(ValueError):
-            comm.reduce_scatter([np.zeros((2, 2)), np.zeros((2, 2))])
+            comm.allreduce([np.zeros((2, 2)), np.zeros(4)])
         with pytest.raises(ValueError):
-            comm.reduce_scatter([np.zeros(4)])
+            comm.allreduce([np.zeros(4)])
 
     def test_traffic_metering(self):
         comm = SimComm(4)
@@ -103,8 +98,6 @@ class TestSimComm:
         assert comm.traffic.allreduce_calls == 1
         # ring: 2 * 3/4 * 800 bytes * 4 ranks
         assert comm.traffic.allreduce_bytes == int(2 * 0.75 * 800 * 4)
-        assert comm.traffic.collective_calls == 1
-        assert comm.traffic.useful_bytes == comm.traffic.allreduce_bytes
 
     def test_single_rank_no_traffic(self):
         comm = SimComm(1)
@@ -116,13 +109,14 @@ class TestSimComm:
             SimComm(0)
 
     def test_barrier_is_noop(self):
-        """In a one-rank world the bucket collectives are identities and
-        move no bytes."""
+        """In a one-rank world every op is the identity and moves no
+        bytes."""
         comm = SimComm(1)
         x = np.arange(5.0)
-        assert np.array_equal(comm.reduce_scatter([x])[0], x)
-        assert np.array_equal(comm.allgather_flat([x])[0], x)
-        assert comm.traffic.useful_bytes == 0
+        for op in ("sum", "mean", "max", "min"):
+            assert np.array_equal(comm.allreduce([x], op=op)[0], x)
+        assert comm.traffic.allreduce_calls == 4
+        assert comm.traffic.allreduce_bytes == 0
 
 
 def make_task_and_samples(seed=5, n=8):
@@ -147,17 +141,12 @@ class TestDDPStrategy:
         loss_sp, _ = single.execute(task, samples)
         ref = {n: p.grad.copy() for n, p in task.named_parameters() if p.grad is not None}
 
-        paths = (
-            DDPStrategy(world),
-            DDPStrategy(world, bucket_bytes=1 << 20),
-        )
-        for ddp in paths:
-            task.zero_grad()
-            loss_ddp, _ = ddp.execute(task, samples)
-            for name, p in task.named_parameters():
-                if name in ref:
-                    assert np.allclose(p.grad, ref[name], atol=1e-12), name
-            assert loss_ddp == pytest.approx(loss_sp, abs=1e-9)
+        task.zero_grad()
+        loss_ddp, _ = DDPStrategy(world).execute(task, samples)
+        for name, p in task.named_parameters():
+            if name in ref:
+                assert np.allclose(p.grad, ref[name], atol=1e-12), name
+        assert loss_ddp == pytest.approx(loss_sp, abs=1e-9)
 
     def test_shard_sizes_equal(self):
         ddp = DDPStrategy(4)
@@ -242,9 +231,8 @@ class TestThroughputModel:
 
 
 class TestRingTimePinned:
-    """Dense and bucketed models share one ring-time formula; the modeled
-    numbers it feeds are pinned exactly to values recorded before the two
-    formulas were folded into one."""
+    """The ring-time formula and the Fig. 2 numbers it feeds are pinned
+    exactly to recorded values."""
 
     #: (workers, samples/s, epoch minutes, efficiency) at 302 samples/s per
     #: worker, 32 samples per worker, 4 MB of gradients, 2M samples.
@@ -258,13 +246,16 @@ class TestRingTimePinned:
         (256, 77046.59854507426, 0.4326386104356374, 0.9965671376380673),
         (512, 154009.18570509116, 0.21643730651990203, 0.9960238106962125),
     ]
-    #: ``sharding.modeled_step_speedup`` per world size for the sharding
-    #: bench's geometry (8383408 gradient bytes over 35 tensors).
-    MODELED_SPEEDUP = {
-        8: 1.0678642714570858,
-        16: 1.0678642714570858,
-        64: 1.1203737143488042,
-        512: 1.3992061815033134,
+    #: ``ring_half_seconds`` per world size for 8383408 gradient bytes:
+    #: zero at one rank, the shared-memory floor within one node, then
+    #: the inter-node ring plus one latency per hop.
+    RING_HALF = {
+        1: 0.0,
+        8: 1e-05,
+        16: 1e-05,
+        17: 0.00017916816000000001,
+        64: 0.00026600224,
+        512: 0.00038135706,
     }
 
     def test_fig2_sweep_pinned(self):
@@ -277,11 +268,11 @@ class TestRingTimePinned:
         assert got == self.FIG2_SWEEP
 
     def test_modeled_sharding_entries_pinned(self):
-        base = ThroughputModel(200.0, 2, 8383408)
-        model = BucketedThroughputModel(base, ShardingSpec(4 << 20, num_tensors=35))
-        speedups = {n: model.modeled_speedup(n) for n in self.MODELED_SPEEDUP}
-        assert speedups == self.MODELED_SPEEDUP
-        assert model.dense_messages_per_step() / model.messages_per_step() == 8.75
+        halves = {n: ring_half_seconds(ENDEAVOUR, 8383408, n) for n in self.RING_HALF}
+        assert halves == self.RING_HALF
+        model = ThroughputModel(200.0, 2, 8383408)
+        for n, half in self.RING_HALF.items():
+            assert model.allreduce_seconds(n) == 2.0 * half
 
 
 class TestEndeavourSpec:

@@ -100,23 +100,22 @@ class TestGoldenPretrain:
         assert loss == pytest.approx(GOLDEN_PRETRAIN_TRAIN_LOSS, abs=TOL)
 
 
-@pytest.mark.shard
 class TestGoldenPretrainZero:
-    """The ``--zero`` variant must reproduce the *dense* goldens exactly.
+    """The ``trace_out`` branch must reproduce the *plain* goldens exactly.
 
-    ZeRO sharding (bucketed reduce_scatter gradients + rank-sharded AdamW
-    state) is a pure re-layout of the same arithmetic, so it is pinned to
-    the same constants as the dense run — not to separately captured
-    values.  A drift here means the sharded path stopped being
-    bit-identical.
+    Writing a Chrome trace attaches the observer's spans (without the op
+    profiler) to the trainer, the strategy and its communicator; spans only
+    read, so the run is pinned to the plain constants.  (The class keeps the
+    name of the deleted ZeRO sharding variant these ids used to pin.)
     """
 
     @pytest.fixture(scope="class")
-    def result(self):
+    def result(self, tmp_path_factory):
         config = _pretrain_config()
-        config.zero = True
-        config.bucket_mb = 0.25
-        return pretrain_symmetry(config)
+        config.trace_out = str(tmp_path_factory.mktemp("trace") / "trace.json")
+        result = pretrain_symmetry(config)
+        assert result.observer is not None and result.observer.op_profiler is None
+        return result
 
     def test_final_val_cross_entropy(self, result):
         ce = result.history.last("val", "ce")
@@ -132,23 +131,22 @@ class TestGoldenPretrainZero:
 
 
 class TestGoldenPretrainAssemblyBranches:
-    """Every strategy/guard branch ``pretrain_symmetry`` assembles from
+    """Every guard/observer branch ``pretrain_symmetry`` assembles from
     one code path lands on the *plain* goldens.
 
-    ZeRO with buckets far smaller than any tensor reduces through one
-    explicit bucket collective per tensor; a healthy run under the
-    loss-spike guard never intervenes, with or without ZeRO.  (The
-    ``explicit_allreduce`` and ``guard_rollback`` ids are kept from the
-    deleted fault-aware allreduce and rollback branches; they now name the
-    per-tensor bucket and the guarded ZeRO branches.)
+    ``detect_anomaly`` alone scans every tape value without changing one;
+    a healthy run under the loss-spike guard never intervenes, with or
+    without the profiling observer attached.  (The ``explicit_allreduce``
+    and ``guard_rollback`` ids are kept from deleted branches; they now
+    name the anomaly-scanned and the guarded, profiled branches.)
     """
 
     @pytest.fixture(
         scope="class",
         params=[
-            {"zero": True, "bucket_mb": 1e-4},
+            {"detect_anomaly": True},
             {"stability_guard": True},
-            {"stability_guard": True, "zero": True},
+            {"stability_guard": True, "profile": True},
         ],
         ids=["explicit_allreduce", "guard_lr_backoff", "guard_rollback"],
     )
@@ -184,13 +182,13 @@ class TestGoldenPretrainAssemblyBranches:
 
     @pytest.mark.parametrize("encoder", ["egnn", "megnet"])
     def test_every_reduction_path_leaves_plain_parameters(self, encoder):
-        """Plain and ``zero=True`` at world 4 finish with the same bits in
-        every parameter — including the ones no rank ever touches, which
-        must stay undecayed on both paths."""
+        """Plain and observed (``profile`` + ``detect_anomaly``) runs at
+        world 4 finish with the same bits in every parameter — including
+        the ones no rank ever touches, which must stay undecayed on both."""
         finals = {}
         for label, overrides in (
             ("plain", {}),
-            ("zero", {"zero": True}),
+            ("observed", {"profile": True, "detect_anomaly": True}),
         ):
             config = _pretrain_config()
             config.encoder = EncoderConfig(

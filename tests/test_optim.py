@@ -19,6 +19,7 @@ from repro.nn.module import Parameter
 from repro.observability import MetricsRegistry
 from repro.optim import Adam, AdamW, MultiGroupOptimizer, NonFiniteGradientError, clip_grad_norm
 from repro.serving.resilience import BreakerPolicy, HealthPolicy
+from repro.training import TrainerConfig
 
 
 def make_param(values):
@@ -296,6 +297,19 @@ class TestClipGradNorm:
         p.grad = np.array([1.0])
         with pytest.raises(ValueError):
             clip_grad_norm([p], max_norm=1.0, nonfinite="ignore")
+
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, -0.0, math.nan, -math.inf])
+    def test_max_norm_not_positive_is_refused(self, max_norm):
+        """A bound that is not > 0 would flip the gradient's sign (-1),
+        erase it (0) or never clip (NaN); it is refused, and the gradient
+        is left as it was.  ``TrainerConfig`` refuses it when built."""
+        p = make_param([0.0, 0.0])
+        p.grad = np.array([3.0, 4.0])
+        with pytest.raises(ValueError, match="max_norm must be > 0"):
+            clip_grad_norm([p], max_norm=max_norm)
+        assert np.array_equal(p.grad, [3.0, 4.0])
+        with pytest.raises(ValueError, match="TrainerConfig.grad_clip_norm"):
+            TrainerConfig(grad_clip_norm=max_norm)
 
 
 class TestGradGlobalNorm:

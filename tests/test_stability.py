@@ -24,7 +24,7 @@ from repro.autograd import Tensor, functional as F
 from repro.autograd.anomaly import NumericalAnomalyError, detect_anomaly
 from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig, pretrain_symmetry
 from repro.data.batching import collate_graphs
-from repro.distributed import DDPStrategy, EventLog, ShardedAdamW, SimComm, SingleProcessStrategy
+from repro.distributed import DDPStrategy, EventLog, SimComm, SingleProcessStrategy
 from repro.nn.module import Parameter
 from repro.optim import Adam, AdamW, clip_grad_norm
 from repro.stability import StabilityGuard
@@ -334,14 +334,34 @@ class TestPolicies:
         assert np.allclose(a_clip, r * a_plain, rtol=1e-12)
 
     def test_rollback_requires_recovery_config(self):
-        # ZeRO rejects update_clip: the per-tensor RMS is not shard-local.
+        # update_clip under DDPStrategy: after one 2-rank step every
+        # tensor's update RMS is at most r * lr (Adam's first update has
+        # RMS ~1, so the clip binds), and the pretraining workflow runs it.
+        lr, r = 1e-2, 0.1
+        task, samples = _task_and_samples(8)
+        before = [p.data.copy() for p in task.parameters()]
+        opt = AdamW(task.parameters(), lr=lr, weight_decay=0.0, update_clip=r)
+        DDPStrategy(2).execute(task, samples)
+        opt.step()
+        rms = [
+            float(np.sqrt(np.mean((p.data - b) ** 2)))
+            for p, b in zip(task.parameters(), before)
+            if p.grad is not None
+        ]
+        assert rms and max(rms) <= r * lr * (1 + 1e-12) and min(rms) > 0
         config = PretrainConfig(
-            zero=True, optimizer=OptimizerConfig(update_clip=0.1), world_size=2
+            encoder=EncoderConfig(hidden_dim=8, num_layers=1, position_dim=4),
+            optimizer=OptimizerConfig(update_clip=r),
+            group_names=GROUPS,
+            train_samples=8,
+            val_samples=8,
+            world_size=2,
+            max_epochs=1,
+            head_hidden_dim=8,
+            head_blocks=1,
         )
-        with pytest.raises(ValueError, match="update_clip"):
-            pretrain_symmetry(config)
-        with pytest.raises(TypeError):
-            ShardedAdamW([_param([1.0])], update_clip=0.1)
+        result = pretrain_symmetry(config)
+        assert math.isfinite(result.history.last("val", "ce"))
 
     def test_rollback_restores_then_cuts(self):
         # The clip acts after the preconditioner.  Adam normalizes the

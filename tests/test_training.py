@@ -67,6 +67,15 @@ class TestHistory:
         assert h.series("val", "a") == ([1], [1.0])
         assert h.series("val", "b") == ([1, 2], [2.0, 3.0])
 
+    def test_last_skips_none_values(self):
+        """``last`` returns the latest non-None value, like ``series``
+        skips None, and None when every record holds None."""
+        h = History()
+        h.log(1, 0, "val", a=1.0, b=None)
+        h.log(2, 1, "val", a=None, b=None)
+        assert h.last("val", "a") == 1.0
+        assert h.last("val", "b") is None
+
     def test_len(self):
         h = History()
         h.log(1, 0, "train", loss=1.0)
