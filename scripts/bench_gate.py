@@ -132,7 +132,16 @@ def main(argv=None) -> int:
             "tiny": args.tiny,
             "python": platform.python_version(),
             "machine": platform.machine(),
+            # A co-runner skews timing ratios; record how loaded the host
+            # was so a verdict can be read against it.
+            "loadavg": list(os.getloadavg()),
+            "cpu_count": os.cpu_count(),
         }
+        print(
+            "host: load average {:.2f} {:.2f} {:.2f} over {} CPUs".format(
+                *meta["loadavg"], meta["cpu_count"]
+            )
+        )
         if args.out:
             write_bench_json(args.out, results, meta=meta)
         code = run_gate(

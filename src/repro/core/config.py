@@ -21,6 +21,14 @@ class EncoderConfig:
     position_dim: int = 16
     num_species: int = 100
 
+    def __post_init__(self):
+        # Every size is a layer width, a depth or a table length: 0 would
+        # divide by zero at build time or build a model of nothing.
+        for name in ("hidden_dim", "num_layers", "position_dim", "num_species"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"EncoderConfig.{name} must be >= 1, got {value}")
+
     def build_kwargs(self) -> dict:
         kwargs = {
             "hidden_dim": self.hidden_dim,

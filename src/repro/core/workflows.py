@@ -11,8 +11,10 @@ encoder is shared between downstream experiments through an on-disk cache
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -73,6 +75,8 @@ from repro.training import (
     Trainer,
     TrainerConfig,
     finetune_lr,
+    read_archive,
+    write_archive,
 )
 
 #: Transform used for the symmetry clouds (unit-scale geometry).
@@ -273,35 +277,36 @@ def transfer_pretrain_recipe() -> PretrainConfig:
     )
 
 
+#: Default home of the pretrained-encoder cache: ``.cache/`` at the repo root.
+_CACHE_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "..", ".cache")
+)
+
+
 def cached_pretrained_encoder(
     config: Optional[PretrainConfig] = None,
-    cache_path: Optional[str] = None,
+    cache_dir: Optional[str] = None,
 ) -> Dict[str, np.ndarray]:
     """Encoder state from the shared pretraining run, cached on disk.
 
     Downstream benches all fine-tune from the *same* pretrained model, as
-    the paper does; the cache keys on the encoder geometry and seed so
-    incompatible configs never collide.
+    the paper does.  The file is ``<cache_dir>/pretrained_<key>.npz``,
+    where the key is the first 16 hex digits of a sha256 over the
+    canonical JSON of the whole recipe (``dataclasses.asdict``): any
+    changed field names a new file and retrains.  It is written with
+    :func:`~repro.training.write_archive`; a corrupt file raises
+    :class:`~repro.training.CheckpointIntegrityError` naming its path and
+    is never retrained over.
     """
     config = config or transfer_pretrain_recipe()
-    if cache_path is None:
-        enc = config.encoder
-        # The encoder name leads the tag: different encoder families with
-        # the same geometry/seed must never share a cached state.
-        tag = (
-            f"{enc.name}_h{enc.hidden_dim}_l{enc.num_layers}"
-            f"_p{enc.position_dim}_s{config.seed}"
-        )
-        cache_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "..", ".cache")
-        cache_dir = os.path.abspath(cache_dir)
-        cache_path = os.path.join(cache_dir, f"pretrained_{tag}.npz")
-    if os.path.exists(cache_path):
-        with np.load(cache_path) as data:
-            return {k: data[k].copy() for k in data.files}
-    result = pretrain_symmetry(config)
-    state = result.task.encoder_state()
-    os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-    np.savez(cache_path, **state)
+    recipe = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
+    key = hashlib.sha256(recipe.encode("utf-8")).hexdigest()[:16]
+    directory = _CACHE_DIR if cache_dir is None else cache_dir
+    path = os.path.join(directory, f"pretrained_{key}.npz")
+    if os.path.exists(path):
+        return read_archive(path)
+    state = pretrain_symmetry(config).task.encoder_state()
+    write_archive(path, state)
     return state
 
 

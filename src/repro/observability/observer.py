@@ -73,22 +73,32 @@ class Observer:
         return MetricsReporter(self, every_n_steps=every_n_steps, stream=stream)
 
     # ------------------------------------------------------------------ #
+    def mirror_traffic(self, strategy) -> None:
+        """Top the ``comm.*`` counters up to ``strategy.comm``'s traffic log.
+
+        The one path from communicator traffic into the registry: the
+        :class:`MetricsReporter` calls it every step and :meth:`finalize`
+        once more, and a counter only ever rises to the log's value, so
+        repeated calls never double-count.  A strategy without a
+        communicator (single-process) is a no-op.
+        """
+        comm = getattr(strategy, "comm", None)
+        if comm is None:
+            return
+        for key, attr in _COMM_COUNTERS:
+            value = getattr(comm.traffic, attr)
+            counter = self.metrics.counter(key)
+            if value > counter.value:
+                counter.inc(value - counter.value)
+
     def finalize(self, strategy=None) -> None:
         """Fold end-of-run state into the registry.
 
         Reads the communicator's traffic log (authoritative byte counts)
         and the op profiler's memory high-water mark.  Safe to call
-        multiple times (counters are set via gauges or delta-corrected).
+        multiple times.
         """
-        comm = getattr(strategy, "comm", None) if strategy is not None else None
-        if comm is not None:
-            for key, attr in _COMM_COUNTERS:
-                value = getattr(comm.traffic, attr)
-                # Same counters the MetricsReporter feeds live; top up by
-                # delta so finalize stays idempotent either way.
-                counter = self.metrics.counter(key)
-                if value > counter.value:
-                    counter.inc(value - counter.value)
+        self.mirror_traffic(strategy)
         if self.op_profiler is not None:
             self.metrics.gauge("mem.peak_live_tensor_bytes").set(
                 self.op_profiler.peak_live_bytes
@@ -141,20 +151,6 @@ class MetricsReporter(Callback):
         self._start: Optional[float] = None
         self._last_report_t: Optional[float] = None
         self._last_report_samples = 0.0
-        self._traffic_seen: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------ #
-    def _sync_traffic(self, trainer) -> None:
-        comm = getattr(trainer.strategy, "comm", None)
-        if comm is None:
-            return
-        metrics = self.observer.metrics
-        for key, attr in _COMM_COUNTERS:
-            value = getattr(comm.traffic, attr)
-            prev = self._traffic_seen.get(key, 0.0)
-            if value > prev:
-                metrics.counter(key).inc(value - prev)
-                self._traffic_seen[key] = float(value)
 
     # ------------------------------------------------------------------ #
     def on_train_start(self, trainer, task) -> None:
@@ -169,12 +165,12 @@ class MetricsReporter(Callback):
         last_step = self.observer.tracer.last("step")
         if last_step is not None:
             registry.histogram("train.step_seconds").observe(last_step.duration)
-        self._sync_traffic(trainer)
+        self.observer.mirror_traffic(trainer.strategy)
         if step % self.every == 0:
             self._emit(trainer, step)
 
     def on_train_end(self, trainer, task) -> None:
-        self._sync_traffic(trainer)
+        self.observer.mirror_traffic(trainer.strategy)
         registry = self.observer.metrics
         if self._start is not None:
             elapsed = max(self._clock() - self._start, 1e-9)

@@ -46,9 +46,28 @@ class Optimizer:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.step_count = state["step_count"]
-        self.state = {
-            int(k): {name: np.asarray(arr).copy() for name, arr in sub.items()}
-            for k, sub in state["state"].items()
-        }
+        """Restore a :meth:`state_dict` snapshot.
+
+        Everything is checked before anything is assigned: a snapshot
+        with no ``lr`` or ``step_count``, an index that names no
+        parameter, or a moment that is not a named array shaped like its
+        parameter raises and leaves the optimizer as it was.
+        """
+        lr, step_count = state["lr"], state["step_count"]
+        moments: Dict[int, Dict[str, np.ndarray]] = {}
+        for k, sub in state["state"].items():
+            idx = int(k)
+            if not 0 <= idx < len(self.params) or not isinstance(sub, dict):
+                raise ValueError(
+                    f"optimizer state entry {k!r} is not a moment map of one "
+                    f"of {len(self.params)} parameters"
+                )
+            shape = self.params[idx].data.shape
+            for name, arr in sub.items():
+                if not (isinstance(name, str) and name) or np.shape(arr) != shape:
+                    raise ValueError(
+                        f"optimizer state {k!r}/{name!r} must be a named array "
+                        f"of shape {shape}, got {np.shape(arr)}"
+                    )
+            moments[idx] = {name: np.array(arr) for name, arr in sub.items()}
+        self.lr, self.step_count, self.state = lr, step_count, moments

@@ -1,7 +1,7 @@
 """Servable model archives and the registry that loads them.
 
 A *servable* is a directory pairing a CRC-checked weight archive
-(``model.npz``, written by :mod:`repro.training.checkpoint_io`) with a
+(``model.npz``, written by :func:`repro.training.write_archive`) with a
 ``servable.json`` spec describing how to rebuild the module around those
 weights: encoder family and geometry, head shape, the regression target,
 the graph-construction cutoff, and the target-normalizer statistics the
@@ -35,9 +35,9 @@ from repro.models.registry import build_encoder
 from repro.tasks import ScalarRegressionTask
 from repro.training.checkpoint_io import (
     CheckpointIntegrityError,
-    load_module,
-    save_module,
+    read_archive,
     verify_archive,
+    write_archive,
 )
 
 SPEC_FILENAME = "servable.json"
@@ -168,7 +168,7 @@ def matmul_mode_line(metrics) -> str:
 def save_servable(task: ScalarRegressionTask, spec: ServableSpec, directory: str) -> str:
     """Write ``model.npz`` (CRC-checked) + ``servable.json`` under ``directory``."""
     os.makedirs(directory, exist_ok=True)
-    save_module(task, os.path.join(directory, WEIGHTS_FILENAME))
+    write_archive(os.path.join(directory, WEIGHTS_FILENAME), task.state_dict())
     spec_path = os.path.join(directory, SPEC_FILENAME)
     tmp_path = spec_path + ".tmp"
     with open(tmp_path, "w") as fh:
@@ -194,7 +194,7 @@ def load_servable(directory: str) -> Servable:
             f"servable spec {spec_path!r} is unreadable: {exc}"
         ) from exc
     task = spec.build_task()
-    load_module(task, os.path.join(directory, WEIGHTS_FILENAME))
+    task.load_state_dict(read_archive(os.path.join(directory, WEIGHTS_FILENAME)))
     return Servable(task, spec)
 
 

@@ -19,12 +19,8 @@ from repro.training.trainer import Trainer, TrainerConfig
 from repro.training.finetune import finetune_lr
 from repro.training.checkpoint_io import (
     CheckpointIntegrityError,
-    load_checkpoint,
-    save_checkpoint,
-    save_module,
-    load_module,
-    save_optimizer,
-    load_optimizer,
+    read_archive,
+    write_archive,
 )
 
 __all__ = [
@@ -39,10 +35,6 @@ __all__ = [
     "TrainerConfig",
     "finetune_lr",
     "CheckpointIntegrityError",
-    "load_checkpoint",
-    "save_checkpoint",
-    "save_module",
-    "load_module",
-    "save_optimizer",
-    "load_optimizer",
+    "read_archive",
+    "write_archive",
 ]

@@ -185,6 +185,28 @@ class TestSuiteRegistration:
         assert exc.value.code == EXIT_USAGE
         assert "invalid choice: 'compile'" in capsys.readouterr().err
 
+    def test_meta_records_host_load(self, gate_script, monkeypatch, tmp_path, capsys):
+        """Each suite's meta carries the load average and CPU count, and
+        both are printed before the verdict."""
+        suite = type(
+            "Suite", (),
+            {"collect_results": staticmethod(lambda **kw: _results()),
+             "print_results": staticmethod(lambda results: None)},
+        )
+        baseline = tmp_path / "BENCH_fake.json"
+        monkeypatch.setitem(gate_script.SUITES, "hotpaths", (suite, str(baseline)))
+        out = tmp_path / "run.json"
+        argv = ["--suite", "hotpaths", "--out", str(out)]
+        assert gate_script.main(argv) == EXIT_PASS  # bootstrap
+        assert gate_script.main(argv) == EXIT_PASS  # self-compare
+        for payload in (load_bench_json(str(out)), load_bench_json(str(baseline))):
+            meta = payload["meta"]
+            assert len(meta["loadavg"]) == 3
+            assert meta["cpu_count"] == os.cpu_count()
+        printed = capsys.readouterr().out
+        host = printed.index("host: load average")
+        assert host < printed.index("gate: pass")
+
     def test_screening_suite_registered(self, gate_script):
         assert "screening" in gate_script.SUITES
         module, baseline = gate_script.SUITES["screening"]

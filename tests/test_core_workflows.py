@@ -1,5 +1,8 @@
 """Core workflows: each paper experiment runs end-to-end at tiny scale."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,11 @@ from repro.core.pipeline import (
     make_train_loader,
     transform_once,
 )
-from repro.core.workflows import TABLE1_METRICS, TABLE1_SPECS
+from repro.core import workflows
+from repro.core.workflows import TABLE1_METRICS, TABLE1_SPECS, transfer_pretrain_recipe
 from repro.data.transforms import StructureToGraph
 from repro.datasets import MaterialsProjectSurrogate
+from repro.training import CheckpointIntegrityError
 
 TINY_ENCODER = dict(hidden_dim=16, num_layers=1, position_dim=6)
 GROUPS = ["C1", "C2", "C4", "D2"]
@@ -77,20 +82,99 @@ class TestPretrainWorkflow:
 
 class TestCachedEncoder:
     def test_cache_roundtrip(self, tmp_path):
-        path = str(tmp_path / "enc.npz")
         cfg = tiny_pretrain_config()
-        state1 = cached_pretrained_encoder(cfg, cache_path=path)
-        state2 = cached_pretrained_encoder(cfg, cache_path=path)  # from disk
+        state1 = cached_pretrained_encoder(cfg, cache_dir=str(tmp_path))
+        state2 = cached_pretrained_encoder(cfg, cache_dir=str(tmp_path))  # from disk
+        assert len(list(tmp_path.glob("pretrained_*.npz"))) == 1
         assert set(state1) == set(state2)
         for k in state1:
-            assert np.allclose(state1[k], state2[k])
+            assert np.array_equal(state1[k], state2[k])
 
     def test_state_loads_into_fresh_encoder(self, tmp_path):
-        path = str(tmp_path / "enc.npz")
         cfg = tiny_pretrain_config()
-        state = cached_pretrained_encoder(cfg, cache_path=path)
+        state = cached_pretrained_encoder(cfg, cache_dir=str(tmp_path))
         enc = build_encoder_from_config(cfg.encoder, rng=np.random.default_rng(0))
         enc.load_state_dict(state)
+
+
+@pytest.fixture
+def stub_pretrain(monkeypatch):
+    """Replace the pretraining run behind the cache; returns its calls."""
+    calls = []
+    state = {"w": np.linspace(0.0, 1.0, 64).reshape(8, 8), "b": np.arange(8.0)}
+
+    def fake(config):
+        calls.append(config)
+        return SimpleNamespace(task=SimpleNamespace(encoder_state=lambda: dict(state)))
+
+    monkeypatch.setattr(workflows, "pretrain_symmetry", fake)
+    return calls
+
+
+def _leaves(tree, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _other(value):
+    """A different value of the same leaf (only hashed, never trained)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 2 + 1
+    if isinstance(value, str):
+        return value + "_other"
+    if isinstance(value, tuple):
+        return tuple(v + 1 for v in value)
+    assert value is None, value
+    return 1
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    list(_leaves(dataclasses.asdict(transfer_pretrain_recipe()))),
+    ids=".".join,
+)
+def test_every_recipe_field_keys_the_encoder_cache(leaf, tmp_path, stub_pretrain):
+    """Changing any one field of the recipe names a new cache file and
+    retrains, instead of returning the encoder of the old recipe."""
+    changed = transfer_pretrain_recipe()
+    owner = changed
+    for key in leaf[:-1]:
+        owner = getattr(owner, key)
+    setattr(owner, leaf[-1], _other(getattr(owner, leaf[-1])))
+    cached_pretrained_encoder(transfer_pretrain_recipe(), cache_dir=str(tmp_path))
+    cached_pretrained_encoder(changed, cache_dir=str(tmp_path))
+    assert len(stub_pretrain) == 2
+    assert len(list(tmp_path.glob("pretrained_*.npz"))) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped"])
+def test_corrupt_encoder_cache_raises_naming_the_file(damage, tmp_path, stub_pretrain):
+    """A damaged cache file is refused loudly, and never retrained over."""
+    cfg = transfer_pretrain_recipe()
+    cached_pretrained_encoder(cfg, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("pretrained_*.npz")
+    blob = bytearray(path.read_bytes())
+    if damage == "truncated":
+        blob = blob[: len(blob) // 2]
+    else:
+        blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointIntegrityError, match=path.name):
+        cached_pretrained_encoder(cfg, cache_dir=str(tmp_path))
+    assert len(stub_pretrain) == 1
+    assert path.read_bytes() == bytes(blob)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["hidden_dim", "num_layers", "position_dim", "num_species"])
+def test_encoder_config_refuses_sizes_that_cannot_build(field, value):
+    with pytest.raises(ValueError, match=rf"^EncoderConfig\.{field} must be >= 1, got {value}$"):
+        EncoderConfig(**{field: value})
 
 
 def tiny_finetune_config(**overrides):
@@ -119,9 +203,7 @@ class TestBandGapWorkflow:
         assert res.best_mae <= res.final_mae + 1e-12
 
     def test_pretrained_arm_uses_smaller_lr(self, tmp_path):
-        state = cached_pretrained_encoder(
-            tiny_pretrain_config(), cache_path=str(tmp_path / "e.npz")
-        )
+        state = cached_pretrained_encoder(tiny_pretrain_config(), cache_dir=str(tmp_path))
         res = train_property(tiny_finetune_config(), pretrained_state=state)
         assert np.isfinite(res.final_mae)
 

@@ -5,9 +5,11 @@ collectives, the elastic rank drop and the trainer's restore-and-retry
 loop — is deleted (DESIGN.md §7).  The ids in this module outlived it and
 now pin the contracts that remain:
 
-* the checkpoint round trip: a run resumed from ``save_checkpoint`` /
-  ``load_checkpoint`` continues bit-identically, corrupt archives fail
-  loudly, and a failed restore touches no live state;
+* the state round trip: ``state_dict()`` into fresh objects continues
+  bit-identically, an archive (:func:`write_archive` /
+  :func:`read_archive`) crosses processes bit for bit, corrupt or
+  unchecksummed archives fail loudly, and a failed restore touches no
+  live state;
 * one training step with no recovery loop: a strategy error leaves
   ``fit`` unchanged after exactly one attempt, and the DDP world never
   changes size;
@@ -19,8 +21,9 @@ now pin the contracts that remain:
 Class names keep the ids of the tests they replace.
 """
 
-import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,15 +57,13 @@ from repro.serving.resilience.chaos import SERVING_FAULT_KINDS, _plan, parse_kin
 from repro.tasks import MultiClassClassificationTask
 from repro.training import (
     CheckpointIntegrityError,
+    History,
     Trainer,
     TrainerConfig,
-    load_checkpoint,
-    load_module,
-    load_optimizer,
-    save_checkpoint,
-    save_module,
-    save_optimizer,
+    read_archive,
+    write_archive,
 )
+from repro.training.checkpoint_io import verify_archive
 
 
 def make_task_and_samples(seed=5, n=8):
@@ -433,11 +434,12 @@ class TestElasticRankDrop:
 
 
 # --------------------------------------------------------------------------- #
-# Checkpoint round trip; a failed step is not retried
+# State round trip; a failed step is not retried
 # --------------------------------------------------------------------------- #
-def resume_under_ddp(tmp_path, steps=3, split=1):
-    """``steps`` DDP(4) steps uninterrupted vs ``split`` steps, a
-    checkpoint, and the rest in fresh objects; returns both runs."""
+def resume_under_ddp(steps=3, split=1):
+    """``steps`` DDP(4) steps uninterrupted vs ``split`` steps, then
+    ``state_dict()`` into fresh objects and the rest there; returns both
+    runs."""
     _, samples = make_task_and_samples(n=8)
 
     def run(task, optimizer, n, history=None, step=0):
@@ -456,23 +458,29 @@ def resume_under_ddp(tmp_path, steps=3, split=1):
     task_b, _ = make_task_and_samples(n=8)
     opt_b = AdamW(task_b.parameters(), lr=1e-3)
     first = run(task_b, opt_b, split)
-    ckpt = save_checkpoint(
-        str(tmp_path / "ddp"), task_b, opt_b, step=first.global_step,
-        history=first.history,
-    )
     task_c, _ = make_task_and_samples(seed=99, n=8)
+    task_c.load_state_dict(task_b.state_dict())
     opt_c = AdamW(task_c.parameters(), lr=1e-3)
-    trainer_c = Trainer(TrainerConfig())
-    meta = load_checkpoint(ckpt, task_c, opt_c, history=trainer_c.history)
-    resumed = run(task_c, opt_c, steps - split, trainer_c.history, meta["step"])
+    opt_c.load_state_dict(opt_b.state_dict())
+    history = History()
+    history.records = list(first.history.records)
+    resumed = run(task_c, opt_c, steps - split, history, first.global_step)
     return (task_a, whole), (task_c, resumed)
 
 
+def train_steps(steps):
+    """A task after ``steps`` single-process AdamW steps on fixed batches."""
+    task, samples = make_task_and_samples(n=8)
+    optimizer = AdamW(task.parameters(), lr=1e-3)
+    Trainer(TrainerConfig(max_epochs=1)).fit(task, [samples] * steps, optimizer=optimizer)
+    return task
+
+
 class TestCheckpointRecovery:
-    def test_crash_recovery_is_exact(self, tmp_path):
-        """A DDP run resumed from a checkpoint ends with the parameters of
-        the uninterrupted run."""
-        (task_a, _), (task_c, resumed) = resume_under_ddp(tmp_path)
+    def test_crash_recovery_is_exact(self):
+        """A DDP run continued from ``state_dict()`` snapshots in fresh
+        objects ends with the parameters of the uninterrupted run."""
+        (task_a, _), (task_c, resumed) = resume_under_ddp()
         assert resumed.global_step == 3
         for (name_a, p_a), (name_c, p_c) in zip(
             task_a.named_parameters(), task_c.named_parameters()
@@ -480,8 +488,8 @@ class TestCheckpointRecovery:
             assert name_a == name_c
             assert np.array_equal(p_a.data, p_c.data), name_a
 
-    def test_recovery_resumes_loss_history_exactly(self, tmp_path):
-        (_, whole), (_, resumed) = resume_under_ddp(tmp_path, steps=4, split=2)
+    def test_recovery_resumes_loss_history_exactly(self):
+        (_, whole), (_, resumed) = resume_under_ddp(steps=4, split=2)
         a = [r for r in whole.history.records if r["split"] == "train"]
         c = [r for r in resumed.history.records if r["split"] == "train"]
         assert len(a) == 4 and a == c
@@ -521,38 +529,28 @@ class TestCheckpointRecovery:
         assert calls == [8]
 
     def test_cross_process_resume_matches_uninterrupted(self, tmp_path):
-        """save -> new objects -> load -> continue == one uninterrupted run."""
-        # Uninterrupted: 4 single-process steps over fixed batches.
-        task_a, samples = make_task_and_samples(n=8)
-        opt_a = AdamW(task_a.parameters(), lr=1e-3)
-        trainer_a = Trainer(TrainerConfig(max_epochs=1, log_every_n_steps=1))
-        hist_a = trainer_a.fit(task_a, [samples] * 4, optimizer=opt_a)
-
-        # Interrupted: 2 steps, checkpoint, resume into fresh objects.
-        task_b, _ = make_task_and_samples(n=8)
-        opt_b = AdamW(task_b.parameters(), lr=1e-3)
-        trainer_b = Trainer(TrainerConfig(max_epochs=1, log_every_n_steps=1))
-        trainer_b.fit(task_b, [samples] * 2, optimizer=opt_b)
-        ckpt = str(tmp_path / "resume")
-        save_checkpoint(
-            ckpt, task_b, opt_b, step=trainer_b.global_step, history=trainer_b.history
+        """An archive a child process trains and writes is read back by
+        this process bit for bit: same keys, dtypes and bytes as the same
+        run done here."""
+        root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+        path = str(tmp_path / "model.npz")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), root])}
+        subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; from repro.training import write_archive; "
+                "from tests.test_fault_tolerance import train_steps; "
+                "write_archive(sys.argv[1], train_steps(2).state_dict())",
+                path,
+            ],
+            cwd=root, env=env, check=True,
         )
-
-        task_c, _ = make_task_and_samples(n=8)
-        opt_c = AdamW(task_c.parameters(), lr=1e-3)
-        trainer_c = Trainer(TrainerConfig(max_epochs=1, log_every_n_steps=1))
-        meta = load_checkpoint(ckpt, task_c, opt_c, history=trainer_c.history)
-        trainer_c.global_step = meta["step"]
-        hist_c = trainer_c.fit(task_c, [samples] * 2, optimizer=opt_c)
-
-        for (n_a, p_a), (n_c, p_c) in zip(
-            task_a.named_parameters(), task_c.named_parameters()
-        ):
-            assert n_a == n_c
-            assert np.array_equal(p_a.data, p_c.data), n_a
-        a = [r for r in hist_a.records if r["split"] == "train"]
-        c = [r for r in hist_c.records if r["split"] == "train"]
-        assert a == c
+        expected = train_steps(2).state_dict()
+        state = read_archive(path)
+        assert list(state) == list(expected)
+        for name, arr in expected.items():
+            assert state[name].dtype == arr.dtype, name
+            assert state[name].tobytes() == arr.tobytes(), name
 
     def test_fault_event_monitor_logs_summary(self):
         """A guarded run's event log holds only guard kinds, and the run
@@ -564,37 +562,42 @@ class TestCheckpointRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# Checkpoint integrity
+# Archive integrity
 # --------------------------------------------------------------------------- #
-class TestCheckpointIntegrity:
-    def _flip_byte(self, path, offset_fraction):
-        with open(path, "rb") as fh:
-            blob = bytearray(fh.read())
-        idx = int(len(blob) * offset_fraction) % len(blob)
-        blob[idx] ^= 0xFF
-        with open(path, "wb") as fh:
-            fh.write(blob)
+def _flip_byte(path, offset_fraction):
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    idx = int(len(blob) * offset_fraction) % len(blob)
+    blob[idx] ^= 0xFF
+    with open(path, "wb") as fh:
+        fh.write(blob)
 
+
+class TestCheckpointIntegrity:
     @pytest.mark.parametrize("offset_fraction", [0.1, 0.35, 0.6, 0.85])
     def test_single_flipped_byte_raises_clear_error(self, tmp_path, offset_fraction):
         task, _ = make_task_and_samples()
         path = str(tmp_path / "model.npz")
-        save_module(task, path)
-        self._flip_byte(path, offset_fraction)
-        fresh, _ = make_task_and_samples()
-        with pytest.raises(CheckpointIntegrityError):
-            load_module(fresh, path)
+        write_archive(path, task.state_dict())
+        _flip_byte(path, offset_fraction)
+        with pytest.raises(CheckpointIntegrityError, match="model.npz"):
+            read_archive(path)
 
     def test_optimizer_archive_corruption_detected(self, tmp_path):
-        task, samples = make_task_and_samples()
-        opt = AdamW(task.parameters(), lr=1e-3)
-        DDPStrategy(2).execute(task, samples)
-        opt.step()
+        """``verify_archive`` (the registry audit) catches a flipped byte in
+        an archive of optimizer moments and names the file."""
+        _, opt = _trained(seed=5)
+        moments = {
+            f"{idx}/{name}": arr
+            for idx, sub in opt.state_dict()["state"].items()
+            for name, arr in sub.items()
+        }
         path = str(tmp_path / "optim.npz")
-        save_optimizer(opt, path)
-        self._flip_byte(path, 0.5)
-        with pytest.raises(CheckpointIntegrityError):
-            load_optimizer(AdamW(task.parameters(), lr=1e-3), path)
+        write_archive(path, moments)
+        assert verify_archive(path)["arrays"] == len(moments)
+        _flip_byte(path, 0.5)
+        with pytest.raises(CheckpointIntegrityError, match="optim.npz"):
+            verify_archive(path)
 
     def test_stale_checksum_detected_even_when_container_valid(self, tmp_path):
         # A syntactically valid archive whose embedded CRC does not match
@@ -604,16 +607,15 @@ class TestCheckpointIntegrity:
             path,
             **{"w": np.ones(4), "__checksum__": np.uint32(0xDEADBEEF)},
         )
-        task, _ = make_task_and_samples()
-        with pytest.raises(CheckpointIntegrityError):
-            load_module(task, path)
+        with pytest.raises(CheckpointIntegrityError, match="integrity check"):
+            read_archive(path)
 
     def test_round_trip_is_exact(self, tmp_path):
         task, _ = make_task_and_samples()
         path = str(tmp_path / "ok.npz")
-        save_module(task, path)
+        write_archive(path, task.state_dict())
         fresh, _ = make_task_and_samples(seed=99)
-        load_module(fresh, path)
+        fresh.load_state_dict(read_archive(path))
         for (n_a, p_a), (n_b, p_b) in zip(
             task.named_parameters(), fresh.named_parameters()
         ):
@@ -621,11 +623,13 @@ class TestCheckpointIntegrity:
             assert np.array_equal(p_a.data, p_b.data)
 
     def test_legacy_archive_without_checksum_still_loads(self, tmp_path):
+        """An archive without ``__checksum__`` is refused: every writer
+        embeds one, so its absence means the file is not ours."""
         task, _ = make_task_and_samples()
         path = str(tmp_path / "legacy.npz")
         np.savez(path, **task.state_dict())
-        fresh, _ = make_task_and_samples(seed=99)
-        load_module(fresh, path)  # no integrity error
+        with pytest.raises(CheckpointIntegrityError, match="__checksum__"):
+            read_archive(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -660,64 +664,90 @@ def _assert_unchanged(task, opt, snapshot):
             assert np.array_equal(arr, now["state"][idx][name]), (idx, name)
 
 
+def _overwrite(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    _overwrite(path, blob[: len(blob) // 2])
+
+
+def _rewrite(path, edit):
+    """Re-save ``path``'s arrays through ``np.savez`` after ``edit``."""
+    with np.load(path) as data:
+        state = {k: data[k] for k in data.files}
+    edit(state)
+    np.savez(path, **state)
+
+
 class TestFailedRestoreIsAtomic:
     @pytest.fixture
     def checkpoint(self, tmp_path):
-        task, opt = _trained(seed=5)
-        return save_checkpoint(str(tmp_path / "ckpt"), task, opt, step=3, epoch=1)
+        task, _ = _trained(seed=5)
+        path = str(tmp_path / "model.npz")
+        write_archive(path, task.state_dict())
+        return path
 
     @pytest.mark.parametrize(
-        "meta",
-        [{}, [], {"step": "3"}, {"step": True}, {"step": 3, "epoch": "1"},
-         {"step": 3, "history": 7}],
-        ids=["empty", "not-an-object", "str-step", "bool-step", "str-epoch",
-             "int-history"],
+        "corrupt",
+        [
+            lambda path: _overwrite(path, b""),
+            lambda path: _overwrite(path, b"[]"),
+            lambda path: _rewrite(path, lambda s: s.update(__checksum__=np.uint32(1))),
+            lambda path: _rewrite(path, lambda s: s.pop("__checksum__")),
+            _truncate,
+        ],
+        ids=["empty", "not-an-object", "stale-checksum", "no-checksum", "truncated"],
     )
-    def test_bad_meta_restores_nothing(self, checkpoint, meta):
-        with open(os.path.join(checkpoint, "meta.json"), "w") as fh:
-            json.dump(meta, fh)
+    def test_bad_meta_restores_nothing(self, checkpoint, corrupt):
+        """A hostile module archive raises naming the file, before any
+        parameter moves.  (The id predates the archive pair; its first
+        cases fed bad resume metadata.)"""
+        corrupt(checkpoint)
         task, opt = _trained(seed=9)
         before = _snapshot(task, opt)
-        with pytest.raises(CheckpointIntegrityError, match="meta.json"):
-            load_checkpoint(checkpoint, task, opt)
+        with pytest.raises(CheckpointIntegrityError, match="model.npz"):
+            task.load_state_dict(read_archive(checkpoint))
         _assert_unchanged(task, opt, before)
 
     def test_model_missing_a_late_key_restores_nothing(self, checkpoint):
-        path = os.path.join(checkpoint, "model.npz")
-        with np.load(path) as data:
-            state = {k: data[k] for k in data.files if k != "__checksum__"}
+        state = read_archive(checkpoint)
         del state[sorted(state)[-1]]
-        np.savez(path, **state)
+        write_archive(checkpoint, state)
         task, opt = _trained(seed=9)
         before = _snapshot(task, opt)
         with pytest.raises(KeyError):
-            load_checkpoint(checkpoint, task, opt)
+            task.load_state_dict(read_archive(checkpoint))
         _assert_unchanged(task, opt, before)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda state: state.pop("__lr__"),
-            lambda state: state.pop("__step_count__"),
-            lambda state: state.update({"moments": np.zeros(2)}),
-            lambda state: state.update({"x/m": np.zeros(2)}),
-            lambda state: state.update({"0/": np.zeros(2)}),
+            lambda state: state.pop("lr"),
+            lambda state: state.pop("step_count"),
+            lambda state: state["state"].update({0: np.zeros(2)}),
+            lambda state: state["state"].update({"x": {"m": np.zeros(2)}}),
+            lambda state: state["state"].update({0: {"": state["state"][0]["m"]}}),
+            lambda state: state["state"][0].update({"m": np.zeros(2)}),
+            lambda state: state["state"].update({10**6: {}}),
         ],
-        ids=["no-lr", "no-step-count", "no-slash", "non-int-index", "no-name"],
+        ids=["no-lr", "no-step-count", "no-slash", "non-int-index", "no-name",
+             "wrong-shape", "no-such-parameter"],
     )
-    def test_malformed_optimizer_archive_restores_nothing(self, checkpoint, edit):
-        path = os.path.join(checkpoint, "optim.npz")
-        with np.load(path) as data:
-            state = {k: data[k] for k in data.files if k != "__checksum__"}
+    def test_malformed_optimizer_archive_restores_nothing(self, edit):
+        """A malformed optimizer snapshot raises before anything is
+        assigned.  (The ids predate the archive pair: ``no-slash`` is now
+        a bare array where a name -> moment map belongs.)"""
+        _, donor = _trained(seed=5)
+        state = donor.state_dict()
         edit(state)
-        np.savez(path, **state)
         task, opt = _trained(seed=9)
         before = _snapshot(task, opt)
-        with pytest.raises(CheckpointIntegrityError, match="optim.npz"):
-            load_optimizer(opt, path)
-        _assert_unchanged(task, opt, before)
-        with pytest.raises(CheckpointIntegrityError, match="optim.npz"):
-            load_checkpoint(checkpoint, task, opt)
+        with pytest.raises((KeyError, ValueError)):
+            opt.load_state_dict(state)
         _assert_unchanged(task, opt, before)
 
 

@@ -1,5 +1,5 @@
-"""End-to-end integration: checkpoint round-trips, resume, cross-encoder
-task composition — the seams between subsystems."""
+"""End-to-end integration: archive and state round-trips, resume,
+cross-encoder task composition — the seams between subsystems."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,7 @@ from repro.datasets import MaterialsProjectSurrogate, SymmetryPointCloudDataset
 from repro.models import EGNN, GeometricAttentionEncoder, SchNet
 from repro.optim import AdamW
 from repro.tasks import MultiClassClassificationTask, ScalarRegressionTask
-from repro.training import (
-    Trainer,
-    TrainerConfig,
-    load_module,
-    load_optimizer,
-    save_module,
-    save_optimizer,
-)
+from repro.training import Trainer, TrainerConfig, read_archive, write_archive
 
 
 def make_task(rng, encoder_cls=EGNN, **enc_kwargs):
@@ -41,13 +34,13 @@ class TestCheckpointIO:
         task_b = make_task(np.random.default_rng(999))
         batch = make_batch(rng)
         path = str(tmp_path / "task.npz")
-        save_module(task_a, path)
-        load_module(task_b, path)
+        write_archive(path, task_a.state_dict())
+        task_b.load_state_dict(read_archive(path))
         out_a = task_a.logits(batch).data
         out_b = task_b.logits(batch).data
         assert np.allclose(out_a, out_b)
 
-    def test_optimizer_roundtrip_resumes_identically(self, rng, tmp_path):
+    def test_optimizer_roundtrip_resumes_identically(self, rng):
         task = make_task(rng)
         batch = make_batch(rng)
         opt = AdamW(task.parameters(), lr=1e-3)
@@ -56,16 +49,12 @@ class TestCheckpointIO:
             loss, _ = task.training_step(batch)
             loss.backward()
             opt.step()
-        m_path = str(tmp_path / "m.npz")
-        o_path = str(tmp_path / "o.npz")
-        save_module(task, m_path)
-        save_optimizer(opt, o_path)
-
-        # Continue training in two universes: live vs restored-from-disk.
+        # Continue training in two universes: live vs restored from
+        # ``state_dict()`` snapshots.
         task2 = make_task(np.random.default_rng(5))
-        load_module(task2, m_path)
+        task2.load_state_dict(task.state_dict())
         opt2 = AdamW(task2.parameters(), lr=1e-3)
-        load_optimizer(opt2, o_path)
+        opt2.load_state_dict(opt.state_dict())
 
         for t, o in ((task, opt), (task2, opt2)):
             o.zero_grad()
@@ -81,9 +70,9 @@ class TestCheckpointIO:
         task_a = make_task(rng)
         wrong = make_task(np.random.default_rng(1), num_layers=4)
         path = str(tmp_path / "task.npz")
-        save_module(task_a, path)
+        write_archive(path, task_a.state_dict())
         with pytest.raises(KeyError):
-            load_module(wrong, path)
+            wrong.load_state_dict(read_archive(path))
 
 
 class TestCrossEncoderComposition:
@@ -106,8 +95,9 @@ class TestCrossEncoderComposition:
 
 
 class TestResumeTraining:
-    def test_split_run_matches_continuous_run(self, rng, tmp_path):
-        """Two 1-epoch fits with a checkpoint in between == one 2-epoch fit."""
+    def test_split_run_matches_continuous_run(self, rng):
+        """Two 1-epoch fits with a ``state_dict()`` hand-over in between ==
+        one 2-epoch fit."""
 
         def build(seed):
             r = np.random.default_rng(seed)
@@ -127,18 +117,15 @@ class TestResumeTraining:
         opt_c = AdamW(task_c.parameters(), lr=1e-3)
         Trainer(TrainerConfig(max_epochs=2)).fit(task_c, loader_c(), None, opt_c)
 
-        # Split: 1 epoch, checkpoint, restore, 1 more epoch.
+        # Split: 1 epoch, snapshot, restore, 1 more epoch.
         task_s, loader_s = build(42)
         opt_s = AdamW(task_s.parameters(), lr=1e-3)
         Trainer(TrainerConfig(max_epochs=1)).fit(task_s, loader_s(), None, opt_s)
-        m_path, o_path = str(tmp_path / "m.npz"), str(tmp_path / "o.npz")
-        save_module(task_s, m_path)
-        save_optimizer(opt_s, o_path)
 
         task_r, loader_r = build(7)  # different init, will be overwritten
         opt_r = AdamW(task_r.parameters(), lr=1e-3)
-        load_module(task_r, m_path)
-        load_optimizer(opt_r, o_path)
+        task_r.load_state_dict(task_s.state_dict())
+        opt_r.load_state_dict(opt_s.state_dict())
         Trainer(TrainerConfig(max_epochs=1)).fit(task_r, loader_r(), None, opt_r)
 
         for (na, pa), (nb, pb) in zip(
