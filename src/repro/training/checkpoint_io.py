@@ -1,8 +1,8 @@
 """On-disk archives: the one checksummed ``.npz`` format the system writes.
 
-Everything persisted — servable weights, the cached pretrained encoder —
-is a flat ``{name: ndarray}`` map written by :func:`write_archive` and
-read back by :func:`read_archive`.
+Every array archive the system persists — servable weights, the cached
+pretrained encoder — is a flat ``{name: ndarray}`` map written by
+:func:`write_archive` and read back by :func:`read_archive`.
 
 Integrity: every archive embeds a CRC32 over its sorted contents
 (``__checksum__``).  Reading verifies the checksum — and wraps
