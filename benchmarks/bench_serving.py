@@ -33,6 +33,7 @@ import atexit
 import functools
 import shutil
 import tempfile
+import warnings
 from typing import Dict, List
 
 from benchmarks.common import bench_result, print_header
@@ -42,6 +43,7 @@ from repro.serving import (
     AdmissionPolicy,
     AffineServiceModel,
     BatchPolicy,
+    DegenerateFitWarning,
     InferenceServer,
     calibrate_service_model,
     make_requests,
@@ -92,9 +94,15 @@ def _run_arm(
 
 def collect_results(rounds: int = 5, warmup: int = 1, tiny: bool = False) -> List[Dict]:
     servable, samples = _demo()
-    measured = calibrate_service_model(
-        servable, samples, max_batch_size=BATCHED_SIZE, rounds=max(rounds, 2)
-    )
+    # A tie between batch 1 and batch 8 (a noisy host, or the tiny shape)
+    # takes the calibration's flat-cost fallback.  The measured entries are
+    # informational, so the fallback is recorded as one of them
+    # (``serve.measured.degenerate_fit``) instead of escaping as a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateFitWarning)
+        measured = calibrate_service_model(
+            servable, samples, max_batch_size=BATCHED_SIZE, rounds=max(rounds, 2)
+        )
     count = 80 if tiny else 400
     # Saturate both arms: arrivals beyond even the batched capacity, so each
     # arm's goodput converges to its capacity and the ratio measures the
@@ -132,6 +140,9 @@ def collect_results(rounds: int = 5, warmup: int = 1, tiny: bool = False) -> Lis
         bench_result("serve.measured.base", "time", measured.base, "s"),
         bench_result("serve.measured.per_sample", "time", measured.per_sample, "s"),
         bench_result("serve.measured.gain", "metric", measured_gain, "x"),
+        bench_result(
+            "serve.measured.degenerate_fit", "metric", float(measured.degenerate_fit), "flag"
+        ),
         bench_result("serve.goodput.batched", "metric", goodput_b, "req/s"),
         bench_result("serve.goodput.single", "metric", goodput_s, "req/s"),
         bench_result("serve.batch.mean_size", "metric", batched.mean_batch_size, "req"),
@@ -155,9 +166,11 @@ def print_results(results: List[Dict]) -> None:
     )
     base = by_name["serve.measured.base"]["value"] * 1e3
     per = by_name["serve.measured.per_sample"]["value"] * 1e3
+    degenerate = by_name["serve.measured.degenerate_fit"]["value"]
     print(
         f"measured service model: {base:.3f} ms + {per:.3f} ms/sample "
-        f"(implied gain {by_name['serve.measured.gain']['value']:.2f}x, not gated)"
+        f"(implied gain {by_name['serve.measured.gain']['value']:.2f}x, not gated"
+        f"{'; degenerate fit: flat per-sample cost' if degenerate else ''})"
     )
     print(
         f"goodput: batched {by_name['serve.goodput.batched']['value']:.1f} req/s "

@@ -51,13 +51,6 @@ from repro.distributed import (
     SimClock,
     SingleProcessStrategy,
 )
-from repro.analysis import (
-    UMAPLite,
-    cluster_spread,
-    embed_datasets,
-    neighbor_overlap_matrix,
-    silhouette_by_label,
-)
 from repro.observability import Observer
 from repro.optim import AdamW, MultiGroupOptimizer, WarmupExponential, scale_lr_for_ddp
 from repro.stability import StabilityGuard
@@ -481,6 +474,15 @@ def explore_datasets(
     ``umap_min_dist`` defaults to the paper's 0.05; ``n_neighbors`` scales
     with the (much smaller) per-dataset sample counts used on CPU.
     """
+    # The only user of UMAP and the cluster metrics, which load scipy.
+    from repro.analysis import (
+        UMAPLite,
+        cluster_spread,
+        embed_datasets,
+        neighbor_overlap_matrix,
+        silhouette_by_label,
+    )
+
     datasets = [
         OC20Surrogate(samples_per_dataset, seed=seed),
         OC22Surrogate(samples_per_dataset, seed=seed + 1),

@@ -1,9 +1,13 @@
 """Structure / point cloud -> graph conversions.
 
 Graph construction is the step the paper contrasts against point-cloud
-models (Sec. 2.1): it imposes connectivity via a radius rule.  The builders
-use a ``scipy.spatial.cKDTree`` so neighbour search is O(n log n) instead
-of the naive O(n^2) scan.
+models (Sec. 2.1): it imposes connectivity via a radius rule.  Neighbour
+search is a ``scipy.spatial.cKDTree`` (O(n log n)) above one tree leaf
+(``LEAF_SIZE`` points).  At or below it, the tree would be a single leaf
+that scans every pair anyway, so ``radius_graph`` runs that scan in numpy,
+with the same pair order and comparison, and never imports scipy: the
+crystals the serving, screening and fine-tuning paths see are all that
+small.
 """
 
 from __future__ import annotations
@@ -12,27 +16,52 @@ import itertools
 from typing import Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.data.structures import GraphSample, Structure
 from repro.data.transforms.base import Transform, check_cutoff
+
+
+#: Points per cKDTree leaf.  Clouds this small are one leaf, whose
+#: brute-force scan ``radius_graph`` reproduces in numpy.
+LEAF_SIZE = 16
+
+#: ``np.triu_indices(n, 1)`` for every n a single leaf holds: the i < j
+#: pairs in the order the leaf scans them.  Recomputing them per call costs
+#: more than the tree query they replace.
+_LEAF_PAIRS = tuple(np.triu_indices(n, 1) for n in range(LEAF_SIZE + 1))
 
 
 def radius_graph(positions: np.ndarray, cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edges (src, dst) between all pairs within ``cutoff``.
 
     Both (i, j) and (j, i) are emitted; self-loops are excluded, matching
-    the j != i sum in the E(n)-GNN update.
+    the j != i sum in the E(n)-GNN update.  For 3-D positions of any count
+    the edges equal, in value and order, those of
+    ``cKDTree(positions, leafsize=LEAF_SIZE).query_pairs``.  Raises ``ValueError`` for a cutoff that is not finite
+    and positive, or for non-finite positions.
     """
+    check_cutoff(cutoff)
     positions = np.asarray(positions, dtype=np.float64)
-    if len(positions) == 0:
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    n = len(positions)
+    if n < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(r=cutoff, output_type="ndarray")
-    if len(pairs) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]]).astype(np.int64)
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]]).astype(np.int64)
+    if n <= LEAF_SIZE:
+        i, j = _LEAF_PAIRS[n]
+        d = np.take(positions, i, axis=0) - np.take(positions, j, axis=0)
+        d *= d
+        keep = d.sum(axis=1) <= cutoff * cutoff
+        first, second = i[keep], j[keep]
+    else:
+        from scipy.spatial import cKDTree
+
+        pairs = cKDTree(positions, leafsize=LEAF_SIZE).query_pairs(
+            r=cutoff, output_type="ndarray"
+        )
+        first, second = pairs[:, 0], pairs[:, 1]
+    src = np.concatenate([first, second]).astype(np.int64, copy=False)
+    dst = np.concatenate([second, first]).astype(np.int64, copy=False)
     return src, dst
 
 
@@ -58,6 +87,8 @@ def periodic_radius_graph(
             np.zeros(0, dtype=np.int64),
             np.zeros((0, 3)),
         )
+    from scipy.spatial import cKDTree
+
     shifts = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.float64)
     image_offsets = shifts @ cell  # (27, 3)
     tiled = (positions[None, :, :] + image_offsets[:, None, :]).reshape(-1, 3)

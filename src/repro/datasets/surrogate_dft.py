@@ -35,7 +35,6 @@ import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.datasets.periodic_table import element
 from repro.geometry.lattice import Lattice, minimum_image_distances, supercell
@@ -150,6 +149,8 @@ class SurrogateDFT:
                 frac = positions @ np.linalg.inv(lattice.matrix)
             dists = minimum_image_distances(lattice, frac)
         else:
+            from scipy.spatial.distance import cdist
+
             dists = cdist(positions, positions)
         np.fill_diagonal(dists, np.inf)
         return dists

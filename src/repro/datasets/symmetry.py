@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from repro.data.dataset import Dataset
 from repro.data.structures import Structure
@@ -39,6 +38,8 @@ def merge_coincident(points: np.ndarray, tol: float = 1e-3) -> np.ndarray:
     """
     if len(points) <= 1:
         return points
+    from scipy.spatial.distance import pdist, squareform
+
     d = squareform(pdist(points))
     keep = np.ones(len(points), dtype=bool)
     for i in range(len(points)):

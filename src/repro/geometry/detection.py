@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geometry.point_groups import (
     PointGroup,
@@ -34,6 +33,8 @@ def is_invariant_under(
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return True
+    from scipy.spatial import cKDTree
+
     transformed = points @ np.asarray(operation, dtype=np.float64).T
     tree = cKDTree(points)
     dist, idx = tree.query(transformed, k=1)

@@ -31,22 +31,25 @@ def all_pairs_within_graphs(node_graph: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
     The attention encoder imposes no neighbourhood structure — pairs are
     enumerated per cloud, the "bypass graph construction" property the paper
-    credits point-cloud models with.
+    credits point-cloud models with.  Pairs come graph by graph in
+    ascending graph id, each graph's in row-major (i, j) order over its
+    nodes in ascending index, without a Python loop over graphs.
     """
     node_graph = np.asarray(node_graph, dtype=np.int64)
-    src_list, dst_list = [], []
-    for g in np.unique(node_graph):
-        nodes = np.nonzero(node_graph == g)[0]
-        n = len(nodes)
-        if n < 2:
-            continue
-        grid_i, grid_j = np.meshgrid(nodes, nodes, indexing="ij")
-        mask = ~np.eye(n, dtype=bool)
-        src_list.append(grid_i[mask])
-        dst_list.append(grid_j[mask])
-    if not src_list:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(src_list), np.concatenate(dst_list)
+    # Nodes grouped by graph, ascending index within a group.
+    order = np.argsort(node_graph, kind="stable")
+    grouped = node_graph[order]
+    first = np.ones(len(grouped), dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    group = np.cumsum(first) - 1
+    size = np.bincount(group)[group]  # per grouped node: its graph's size
+    start = np.flatnonzero(first)[group]  # per grouped node: its graph's first slot
+    # Row r of the grid repeats each node once per member of its graph;
+    # column c walks that graph's members from its first slot.
+    row = np.repeat(np.arange(len(grouped)), size)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size) + start[row]
+    off_diagonal = row != col
+    return order[row[off_diagonal]], order[col[off_diagonal]]
 
 
 class GeometricPairFeatures:

@@ -71,7 +71,7 @@ class ForceFieldRelaxer:
     def _forces(self, samples: Sequence[GraphSample]) -> np.ndarray:
         batch = collate_graphs(list(samples))
         with no_grad(), batch_invariant_kernels():
-            _, forces = self.task.predict(batch)
+            forces = self.task.forces(self.task.encoder(batch))
         return np.asarray(forces.data, dtype=np.float64)
 
     def _displacement(self, forces: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.autograd import functional as F
 from repro.data.structures import GraphBatch
-from repro.models.encoder import Encoder
+from repro.models.encoder import Encoder, EncoderOutput
 from repro.nn import OutputHead
 from repro.tasks.base import Task, ValResult
 
@@ -72,14 +72,20 @@ class EnergyForceTask(Task):
     def predict(self, batch: GraphBatch) -> Tuple[Tensor, Tensor]:
         out = self.encoder(batch)
         energy = self.energy_head(out.graph_embedding).squeeze(-1)
+        return energy, self.forces(out)
+
+    def forces(self, out: EncoderOutput) -> Tensor:
+        """Per-atom force vectors read from an encoder output.
+
+        ``predict`` calls this after the energy head; a caller that needs
+        forces alone (the screening relaxer) calls it on ``encoder(batch)``
+        and skips the energy head.
+        """
         if out.coordinate_update is not None:
-            gate = self.force_gate(out.node_embedding)
-            forces = out.coordinate_update * gate
             self.force_mode = "equivariant"
-        else:
-            forces = self.force_head(out.node_embedding)
-            self.force_mode = "direct"
-        return energy, forces
+            return out.coordinate_update * self.force_gate(out.node_embedding)
+        self.force_mode = "direct"
+        return self.force_head(out.node_embedding)
 
     def _labels(self, batch: GraphBatch) -> Tuple[np.ndarray, np.ndarray]:
         energy = np.asarray(batch.targets[self.energy_target], dtype=np.float64).reshape(-1)

@@ -309,6 +309,20 @@ def test_serving_suite_tiny_is_deterministic(tmp_path):
     assert run_gate(second, str(path)) == EXIT_PASS  # self-compare
 
 
+@pytest.mark.serve
+def test_serving_suite_records_a_degenerate_calibration(monkeypatch):
+    """Batch 1 and batch 8 timed as a tie take the calibration's flat-cost
+    fallback; the suite records it as a measured entry and still runs."""
+    import repro.serving.server
+    from benchmarks.bench_serving import collect_results
+
+    monkeypatch.setattr(repro.serving.server, "time_callable", lambda *a, **k: 1e-3)
+    results = {r["name"]: r for r in collect_results(rounds=1, warmup=0, tiny=True)}
+    flag = results["serve.measured.degenerate_fit"]
+    assert flag["kind"] == "metric" and flag["value"] == 1.0
+    assert results["serve.goodput.gain"]["value"] > 1.0
+
+
 @pytest.mark.screen
 def test_screening_suite_tiny_end_to_end(tmp_path):
     """The tiny screening suite must hold bit-identity across execution

@@ -10,6 +10,7 @@ edge-feature-free encoder input.
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.data import GraphSample, PointCloudSample, Structure, collate_graphs
 from repro.data.transforms import (
@@ -19,6 +20,7 @@ from repro.data.transforms import (
     periodic_radius_graph,
     radius_graph,
 )
+from repro.data.transforms.graph import LEAF_SIZE
 from repro.datasets import SymmetryPointCloudDataset
 from repro.models import EGNN
 
@@ -57,6 +59,78 @@ class TestRadiusGraph:
         assert len(src) == 0
         src, dst = radius_graph(np.zeros((1, 3)), 1.0)
         assert len(src) == 0
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("inf"), float("nan"), "2"])
+    def test_rejects_bad_cutoff(self, cutoff):
+        """The tree squared a negative radius into a positive one, took
+        inf as every pair and NaN as none; each is now refused."""
+        with pytest.raises(ValueError, match="cutoff"):
+            radius_graph(np.random.default_rng(0).normal(size=(5, 3)), cutoff)
+
+    @pytest.mark.parametrize("n", [3, LEAF_SIZE, LEAF_SIZE + 1, 40])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_positions(self, n, bad):
+        """On both sides of one leaf: a NaN atom must not vanish from the
+        graph silently."""
+        pos = np.random.default_rng(n).normal(size=(n, 3))
+        pos[n // 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            radius_graph(pos, 1.5)
+
+
+def _tree_edges(positions, cutoff):
+    pairs = cKDTree(positions, leafsize=LEAF_SIZE).query_pairs(
+        r=cutoff, output_type="ndarray"
+    )
+    return (
+        np.concatenate([pairs[:, 0], pairs[:, 1]]).astype(np.int64),
+        np.concatenate([pairs[:, 1], pairs[:, 0]]).astype(np.int64),
+    )
+
+
+def _assert_tree_edges(positions, cutoff):
+    src, dst = radius_graph(positions, cutoff)
+    tree_src, tree_dst = _tree_edges(positions, cutoff)
+    assert src.dtype == dst.dtype == np.int64
+    assert np.array_equal(src, tree_src) and np.array_equal(dst, tree_dst)
+
+
+class TestRadiusGraphMatchesTree:
+    """Up to ``LEAF_SIZE`` points ``radius_graph`` scans pairs in numpy
+    instead of building a one-leaf KD-tree; its edges must equal the
+    tree's bit for bit, order included."""
+
+    @pytest.mark.parametrize("n", range(LEAF_SIZE + 1))
+    def test_random_clouds(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            positions = rng.normal(size=(n, 3)) * rng.uniform(0.5, 3.0)
+            _assert_tree_edges(positions, float(rng.uniform(0.3, 4.0)))
+
+    @pytest.mark.parametrize(
+        "cutoff, pairs", [(1.5, 12), (np.nextafter(1.5, 0.0), 0), (1.5 * np.sqrt(2), 24)]
+    )
+    def test_lattice_pairs_at_the_cutoff(self, cutoff, pairs):
+        """A 2x2x2 cube of side 1.5: twelve edges sit exactly at 1.5 and
+        twelve face diagonals at 1.5 * sqrt(2)."""
+        cube = 1.5 * np.array(np.meshgrid(*[np.arange(2.0)] * 3, indexing="ij")).reshape(3, -1).T
+        _assert_tree_edges(cube, cutoff)
+        assert len(radius_graph(cube, cutoff)[0]) == 2 * pairs
+
+    def test_summation_order_at_the_cutoff(self):
+        """The tree sums squared components left to right: here that sum
+        equals cutoff**2 exactly, while x**2 + (y**2 + z**2) exceeds it."""
+        positions = np.array([[0.0, 0.0, 0.0], [2.02, -1.065, 0.373]])
+        _assert_tree_edges(positions, 2.313818056805677)
+        assert len(radius_graph(positions, 2.313818056805677)[0]) == 2
+
+    @pytest.mark.parametrize("n", [2, 7, LEAF_SIZE, LEAF_SIZE + 1])
+    def test_coincident_atoms(self, n):
+        positions = np.random.default_rng(n).normal(size=(n, 3))
+        positions[1] = positions[0]
+        positions[-1] = positions[0]
+        _assert_tree_edges(positions, 0.5)
+        _assert_tree_edges(np.zeros((n, 3)), 0.5)
 
 
 class TestKnnGraph:

@@ -38,6 +38,36 @@ class TestPairEnumeration:
         src, dst = all_pairs_within_graphs(np.array([], dtype=np.int64))
         assert len(src) == 0
 
+    @staticmethod
+    def _loop_oracle(node_graph):
+        """The per-graph loop the vectorised index replaced."""
+        src_list, dst_list = [], []
+        for g in np.unique(node_graph):
+            nodes = np.nonzero(node_graph == g)[0]
+            n = len(nodes)
+            if n < 2:
+                continue
+            grid_i, grid_j = np.meshgrid(nodes, nodes, indexing="ij")
+            mask = ~np.eye(n, dtype=bool)
+            src_list.append(grid_i[mask])
+            dst_list.append(grid_j[mask])
+        if not src_list:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.concatenate(src_list), np.concatenate(dst_list)
+
+    def test_equals_the_per_graph_loop(self):
+        """Bit-equal to the loop, order included, on sorted and unsorted
+        graph ids, skipped ids (empty graphs) and singletons."""
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            node_graph = rng.integers(0, int(rng.integers(1, 10)), size=int(rng.integers(0, 40)))
+            if trial % 2:
+                node_graph = np.sort(node_graph)
+            src, dst = all_pairs_within_graphs(node_graph)
+            want_src, want_dst = self._loop_oracle(node_graph)
+            assert src.dtype == dst.dtype == np.int64
+            assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+
 
 class TestInvariance:
     def test_rotation_and_translation(self, rng):

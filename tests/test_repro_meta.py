@@ -1,10 +1,14 @@
-"""Repository-level meta checks: public API surface, documentation, and the
-examples and benches that keep the public names alive."""
+"""Repository-level meta checks: public API surface, documentation, the
+examples and benches that keep the public names alive, and the import
+footprint of the serving and screening path."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -114,3 +118,41 @@ class TestKeptCallersImport:
     def test_bench_imports(self, path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT))
         importlib.import_module(f"benchmarks.{path.stem}")
+
+
+_SERVE_AND_SCREEN = """
+import sys
+
+import repro.cli
+from repro.datasets import MaterialsProjectSurrogate
+from repro.screening import ScreenConfig, run_screening
+from repro.serving import ModelRegistry, ServableSpec
+
+spec = ServableSpec(
+    target="band_gap", encoder_name="schnet", hidden_dim=8, num_layers=1,
+    position_dim=2, head_hidden_dim=8, head_blocks=1, normalizer=[0.5, 2.0],
+)
+registry = ModelRegistry(sys.argv[1])
+registry.save("tiny", spec.build_task(), spec)
+servable = registry.load("tiny")
+crystal = MaterialsProjectSurrogate(1, seed=0)[0]
+servable.predict([servable.prepare(crystal)])
+run_screening(
+    servable,
+    ScreenConfig(n_candidates=16, top_k=4, batch_size=8, relax_steps=1, base_samples=4),
+)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_serve_and_screen_never_load_scipy(tmp_path):
+    """Materials Project crystals have at most 10 atoms, one KD-tree leaf,
+    so importing the CLI, serving one crystal and screening candidates
+    runs no scipy code and must not pay its import (about 40 MiB)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_AND_SCREEN, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", f"scipy modules loaded: {proc.stdout}"

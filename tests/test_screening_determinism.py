@@ -16,7 +16,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.autograd import batch_invariant_kernels
+from repro.autograd import batch_invariant_kernels, no_grad
+from repro.data.batching import collate_graphs
 from repro.data.structures import GraphSample
 from repro.kernels import use_fused
 from repro.screening import (
@@ -166,6 +167,28 @@ def test_relaxation_does_not_mutate_inputs():
     before = sample.positions.copy()
     relaxer.relax([sample], steps=2)
     assert np.array_equal(sample.positions, before)
+
+
+@pytest.mark.parametrize("encoder_name", ["egnn", "schnet"])
+def test_relaxer_forces_skip_the_energy_head(encoder_name, monkeypatch):
+    """The relaxer reads forces through ``EnergyForceTask.forces``: the
+    same bits as ``predict(batch)[1]``, without the energy head that
+    ``predict`` also runs and the relaxer would throw away."""
+    servable = build_servable(encoder_name)
+    relaxer = ForceFieldRelaxer.from_spec(servable.spec)
+    samples = [servable.prepare(c.structure) for c in candidates(seed=3, count=4)]
+    with no_grad(), batch_invariant_kernels():
+        _, expected = relaxer.task.predict(collate_graphs(samples))
+
+    entered = []
+    head = relaxer.task.energy_head
+    forward = head.forward
+    monkeypatch.setattr(head, "forward", lambda *a: entered.append(a) or forward(*a))
+    forces = relaxer._forces(samples)
+    assert not entered
+    assert np.array_equal(forces, expected.data)
+    relaxer.task.predict(collate_graphs(samples))
+    assert entered  # the probe sees the head when it does run
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
