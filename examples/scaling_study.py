@@ -1,16 +1,16 @@
 #!/usr/bin/env python
-"""Scale-out planning: throughput projection and NUMA-aware placement.
+"""Scale-out planning: throughput projection on the paper's platform.
 
 Demonstrates the distributed substrate behind the paper's Fig. 2 and
 Sec. 4.1: measure the live single-worker training rate, project cluster
-throughput through the analytic performance model, and print the worker
-placement a pinned MPI launch would use on the Endeavour-class nodes.
+throughput through the analytic performance model, and print the thread
+count each of the 16 pinned workers per Endeavour-class node gets.
 
 Run:  python examples/scaling_study.py
 """
 
 from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig, pretrain_symmetry
-from repro.distributed import AffinityPlanner, ENDEAVOUR, ThroughputModel
+from repro.distributed import ENDEAVOUR, ThroughputModel
 from repro.distributed.perf_model import linear_fit_r2
 from repro.utils import human_count
 
@@ -45,16 +45,10 @@ def main() -> None:
     r2 = linear_fit_r2(sizes, [r["samples_per_s"] for r in rows])
     print(f"linear-fit R^2 = {r2:.6f}")
 
-    # 3. The Sec. 4.1 placement: 16 workers/node, map-by-NUMA, pin-to-core.
-    planner = AffinityPlanner(ENDEAVOUR.node)
-    placements = planner.plan_node(ENDEAVOUR.node.workers)
-    print(f"\nper-node placement ({ENDEAVOUR.node.workers} workers, "
-          f"OMP_NUM_THREADS={planner.omp_num_threads()}):")
-    for p in placements[:6]:
-        cores = f"{p.cores[0]}-{p.cores[-1]}"
-        print(f"  rank {p.rank:2d} -> NUMA {p.numa_domain}, cores {cores}")
-    print(f"  ... ({len(placements) - 6} more ranks)")
-
+    # 3. The Sec. 4.1 launch: 16 workers/node, each pinned to its cores.
+    node = ENDEAVOUR.node
+    print(f"\n{node.workers} workers/node on {node.physical_cores} cores: "
+          f"OMP_NUM_THREADS={node.threads_per_worker}")
 
 if __name__ == "__main__":
     main()

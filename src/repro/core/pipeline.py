@@ -30,12 +30,12 @@ def make_train_loader(
     batch_size: int,
     transform: Optional[Callable] = None,
     seed: int = 0,
-    drop_last: bool = True,
 ) -> DataLoader:
     """Shuffling loader that yields *lists of samples* (strategy collates).
 
-    ``transform`` runs on every draw; see :func:`transform_once` for
-    deterministic ones.
+    Every batch is a full global batch (``drop_last``), so DDP always
+    splits ``batch_size`` samples into its rank shards.  ``transform``
+    runs on every draw; see :func:`transform_once` for deterministic ones.
     """
     return DataLoader(
         dataset,
@@ -44,7 +44,7 @@ def make_train_loader(
         rng=np.random.default_rng((seed, 101)),
         collate_fn=list,
         transform=transform,
-        drop_last=drop_last,
+        drop_last=True,
     )
 
 

@@ -63,8 +63,11 @@ class SymmetryPointCloudDataset(Dataset[Structure]):
         Subset of point groups to sample from (default: all 32).  The class
         index of a sample is its position in this list.
     max_points:
-        Seed count is chosen so ``order * seeds <= max_points``, keeping the
-        largest clouds bounded (Oh with 2 seeds is 96 points).
+        Caps the seed count at ``max(1, min(max_seeds, max_points // order))``,
+        so a cloud holds at most ``max(max_points, order)`` points before
+        coincident points merge.  A group whose order exceeds
+        ``max_points`` still gets one whole orbit: at ``max_points=32``
+        an Oh cloud has 48 points.
     noise_sigma:
         Gaussian jitter applied after replication; breaks exact symmetry the
         way thermal motion does, hardening the classification task.

@@ -12,12 +12,12 @@ not reproduce is wall-clock overlap; that is the performance model's job
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.batching import collate_graphs
-from repro.distributed.comm import SimComm
 
 #: Shared no-op context used when no tracer is attached (kept local so the
 #: distributed layer does not depend on repro.observability).
@@ -47,6 +47,51 @@ def _take_grads(params: List) -> List[Optional[np.ndarray]]:
     return grads
 
 
+def rank_order_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Σ_r a_r accumulated in rank order, then ÷ N: DDP's one reduction.
+
+    A copy of rank 0's array takes each later rank's ``+=`` in turn, so
+    the bits depend only on the per-rank values.  Every rank must hand
+    over one shape: ``+=`` would silently broadcast a ragged array.
+    """
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        raise ValueError(
+            f"reduction expects one shape on every rank, got {[a.shape for a in arrays]}"
+        )
+    total = np.array(arrays[0], copy=True)
+    for a in arrays[1:]:
+        total += a
+    return total / len(arrays)
+
+
+@dataclass
+class TrafficLog:
+    """Accumulated allreduce metering."""
+
+    allreduce_calls: int = 0
+    allreduce_bytes: int = 0
+
+
+class TrafficMeter:
+    """The wire cost of DDP's reduction, read as ``strategy.comm.traffic``.
+
+    Each step is metered as the one ring allreduce a real job performs:
+    every rank moves 2 * (N-1)/N of the payload, ``2 * (N-1) * payload``
+    bytes over the world, in integer arithmetic (the algorithm oneCCL and
+    NCCL use for large tensors).
+    """
+
+    def __init__(self, world_size: int):
+        self.world_size = world_size
+        self.traffic = TrafficLog()
+
+    def meter_allreduce(self, payload: int) -> None:
+        """Account one allreduce of ``payload`` bytes per rank."""
+        self.traffic.allreduce_calls += 1
+        self.traffic.allreduce_bytes += 2 * (self.world_size - 1) * payload
+
+
 class Strategy:
     """Turns a list of samples into one optimizer-ready gradient.
 
@@ -71,13 +116,9 @@ class Strategy:
 class SingleProcessStrategy(Strategy):
     """Plain single-worker training."""
 
-    def __init__(self, collate_fn: Callable = collate_graphs):
-        self.collate_fn = collate_fn
-        self.world_size = 1
-
     def execute(self, task, samples: Sequence) -> Tuple[float, dict]:
         with _span(self.tracer, "data", source="collate"):
-            batch = self.collate_fn(list(samples))
+            batch = collate_graphs(list(samples))
         loss, metrics = _forward_backward(self.tracer, task, batch)
         value = float(loss.data)
         self.last_rank_losses = [value]
@@ -90,10 +131,11 @@ class DDPStrategy(Strategy):
     Every step is one rank loop followed by one reduction.  Each rank
     collates its shard, runs forward/backward, and hands over its gradient
     list (the arrays move; ``p.grad`` goes back to None).  The reduction is
-    Σ_r g_r accumulated in rank order, then divided by N — a rank that
-    never touched a parameter contributes zeros, and a parameter no rank
-    touched keeps ``grad=None`` — computed locally and metered as the one
-    allreduce a real job performs.
+    :func:`rank_order_mean` — a rank that never touched a parameter
+    contributes zeros, and a parameter no rank touched keeps ``grad=None``
+    — computed locally and metered on ``comm`` as the one allreduce a real
+    job performs.  The returned loss and each returned metric are the mean
+    over the ranks that report them.
 
     Parameters
     ----------
@@ -101,22 +143,14 @@ class DDPStrategy(Strategy):
         Number of simulated ranks N.  The incoming global batch must have
         at least N samples; it is split into N contiguous shards (real DDP
         gives each rank B samples of the same global batch).
-    comm:
-        Communicator the gradient reduction is metered on.  Shared across
-        steps so its traffic log accumulates.
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        comm: Optional[SimComm] = None,
-        collate_fn: Callable = collate_graphs,
-    ):
+    def __init__(self, world_size: int):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
-        self.comm = comm if comm is not None else SimComm(world_size)
-        self.collate_fn = collate_fn
+        #: Traffic meter shared across steps, so its log accumulates.
+        self.comm = TrafficMeter(world_size)
 
     # ------------------------------------------------------------------ #
     def shard(self, samples: Sequence) -> List[List]:
@@ -139,16 +173,19 @@ class DDPStrategy(Strategy):
         params = list(task.parameters())
         rank_grads: List[List[Optional[np.ndarray]]] = []
         losses = []
-        metrics: dict = {}
+        rank_metrics: dict = {}
         _take_grads(params)  # each rank starts from grad=None
         for rank, shard in enumerate(shards):
             with _span(self.tracer, "data", source="collate", rank=rank):
-                batch = self.collate_fn(shard)
-            loss, metrics = _forward_backward(self.tracer, task, batch, rank=rank)
+                batch = collate_graphs(shard)
+            loss, shard_metrics = _forward_backward(self.tracer, task, batch, rank=rank)
             losses.append(float(loss.data))
+            for key, value in shard_metrics.items():
+                rank_metrics.setdefault(key, []).append(value)
             rank_grads.append(_take_grads(params))
         self._reduce(params, rank_grads)
         self.last_rank_losses = losses
+        metrics = {key: float(np.mean(values)) for key, values in rank_metrics.items()}
         return float(np.mean(losses)), metrics
 
     def _reduce(
@@ -160,11 +197,10 @@ class DDPStrategy(Strategy):
             for p, grads in zip(params, zip(*rank_grads)):
                 if all(g is None for g in grads):
                     continue  # no rank touched it: grad stays None
-                p.grad = SimComm._reduce(
-                    [g if g is not None else np.zeros_like(p.data) for g in grads],
-                    "mean",
+                p.grad = rank_order_mean(
+                    [g if g is not None else np.zeros_like(p.data) for g in grads]
                 )
                 payload += p.grad.nbytes
-            self.comm._meter_allreduce(payload)
+            self.comm.meter_allreduce(payload)
             if self.tracer is not None:
                 self.tracer.set_attr("bytes", payload)

@@ -21,15 +21,12 @@ class NodeSpec:
     """One compute node.
 
     Defaults describe the paper's Endeavour nodes: dual Intel Xeon Platinum
-    8480+ (2 x 56 physical cores), four NUMA domains, 256 GB DDR5-4800.
+    8480+ (2 x 56 physical cores).
     """
 
     name: str = "xeon-8480+"
     sockets: int = 2
     cores_per_socket: int = 56
-    numa_domains: int = 4
-    memory_gb: int = 256
-    memory_bandwidth_gbs: float = 307.0  # 8 channels DDR5-4800 x 2 sockets
     workers: int = 16  # chosen to balance FLOP/s vs bandwidth per socket
 
     @property
@@ -62,26 +59,6 @@ class ClusterSpec:
 
 #: The paper's platform (Sec. 4.1).
 ENDEAVOUR = ClusterSpec(node=NodeSpec(), interconnect=InterconnectSpec(), max_nodes=32)
-
-
-def ring_half_seconds(cluster: ClusterSpec, payload_bytes: float, world_size: int) -> float:
-    """One ring half (reduce-scatter *or* allgather) across nodes.
-
-    Intra-node reduction over shared memory is folded into a small fixed
-    cost; the inter-node ring moves (M-1)/M x payload per node for M
-    participating nodes, plus one latency per hop.  A full allreduce is
-    exactly two halves.
-    """
-    if world_size <= 1:
-        return 0.0
-    nodes = max(1, math.ceil(world_size / cluster.node.workers))
-    intra = 1e-5  # shared-memory reduction, ~tens of microseconds per allreduce
-    if nodes == 1:
-        return intra
-    bw = cluster.interconnect.bandwidth_gbs * 1e9
-    lat = cluster.interconnect.latency_us * 1e-6
-    ring = (nodes - 1) / nodes * payload_bytes / bw
-    return intra + ring + (nodes - 1) * lat
 
 
 class ThroughputModel:
@@ -117,8 +94,22 @@ class ThroughputModel:
 
     # ------------------------------------------------------------------ #
     def allreduce_seconds(self, world_size: int) -> float:
-        """Ring allreduce time: both halves of :func:`ring_half_seconds`."""
-        return 2.0 * ring_half_seconds(self.cluster, self.gradient_bytes, world_size)
+        """Ring allreduce time across nodes: reduce-scatter plus allgather.
+
+        Intra-node reduction over shared memory is folded into a small
+        fixed cost; each inter-node ring half moves (M-1)/M x payload per
+        node for M participating nodes, plus one latency per hop.
+        """
+        if world_size <= 1:
+            return 0.0
+        nodes = max(1, math.ceil(world_size / self.cluster.node.workers))
+        intra = 1e-5  # shared-memory reduction, ~tens of microseconds per half
+        if nodes == 1:
+            return 2.0 * intra
+        bw = self.cluster.interconnect.bandwidth_gbs * 1e9
+        lat = self.cluster.interconnect.latency_us * 1e-6
+        ring = (nodes - 1) / nodes * self.gradient_bytes / bw
+        return 2.0 * (intra + ring + (nodes - 1) * lat)
 
     def step_seconds(self, world_size: int) -> float:
         """One synchronous DDP step: compute plus (non-overlapped) allreduce."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.data.batching import collate_graphs
 from repro.distributed.ddp import SingleProcessStrategy, Strategy
@@ -90,27 +90,22 @@ class Trainer:
         config: TrainerConfig,
         strategy: Optional[Strategy] = None,
         callbacks: Optional[Sequence[Callback]] = None,
-        collate_fn: Callable = collate_graphs,
         stability=None,
         observer=None,
     ):
         self.config = config
-        self.strategy = strategy if strategy is not None else SingleProcessStrategy(collate_fn)
+        self.strategy = strategy if strategy is not None else SingleProcessStrategy()
         self.callbacks: List[Callback] = list(callbacks or [])
-        self.collate_fn = collate_fn
         #: Optional :class:`~repro.stability.StabilityGuard`; duck-typed so
         #: the training layer does not import the stability package.
         self.stability = stability
         #: Optional :class:`~repro.observability.Observer`; duck-typed (only
         #: ``.span``/``.tracer`` are used).  When attached, the loop emits
         #: fit > data/step(forward/backward/comm)/optim/val spans and hands
-        #: the tracer to the strategy and its communicator.
+        #: the tracer to the strategy.
         self.observer = observer
         if observer is not None:
             self.strategy.tracer = observer.tracer
-            comm = getattr(self.strategy, "comm", None)
-            if comm is not None:
-                comm.tracer = observer.tracer
         self.history = History()
         self.global_step = 0
         self.current_epoch = 0
@@ -149,7 +144,7 @@ class Trainer:
         acc: dict = {}
         for samples in val_loader:
             with self._span("data", source="val_collate"):
-                batch = self.collate_fn(list(samples))
+                batch = collate_graphs(list(samples))
             with self._span("forward", mode="val"):
                 results = task.validation_step(batch)
             acc = merge_val_results(acc, results)

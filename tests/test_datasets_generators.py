@@ -21,7 +21,13 @@ from repro.datasets import (
 from repro.datasets.materials_project import place_atoms
 from repro.datasets.periodic_table import element
 from repro.datasets.symmetry import merge_coincident
-from repro.geometry import BRAVAIS_FAMILIES, POINT_GROUP_ORDERS, Lattice, random_lattice
+from repro.geometry import (
+    BRAVAIS_FAMILIES,
+    CRYSTAL_POINT_GROUP_NAMES,
+    POINT_GROUP_ORDERS,
+    Lattice,
+    random_lattice,
+)
 
 
 class TestSymmetryDataset:
@@ -56,6 +62,19 @@ class TestSymmetryDataset:
             s = ds[i]
             order = POINT_GROUP_ORDERS[s.metadata["group"]]
             assert s.num_atoms <= max(32, order)
+
+    @pytest.mark.parametrize("max_points", [8, 32, 64])
+    def test_max_points_bound_over_all_groups(self, max_points):
+        """Over all 32 groups a cloud holds at most ``max(max_points, order)``
+        points, and a group of order above ``max_points`` gets one whole
+        orbit, more than ``max_points`` points."""
+        for name in CRYSTAL_POINT_GROUP_NAMES:
+            ds = SymmetryPointCloudDataset(4, seed=11, group_names=[name], max_points=max_points)
+            order = POINT_GROUP_ORDERS[name]
+            sizes = [ds[i].num_atoms for i in range(len(ds))]
+            assert max(sizes) <= max(max_points, order), name
+            if order > max_points:
+                assert max(sizes) > max_points, name
 
     def test_clouds_are_centered(self):
         ds = SymmetryPointCloudDataset(5, seed=5, noise_sigma=0.0)

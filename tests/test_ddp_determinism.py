@@ -27,7 +27,7 @@ from repro.core.pipeline import build_encoder_from_config
 from repro.data.batching import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import DDPStrategy, SimComm
+from repro.distributed import DDPStrategy
 from repro.models import EGNN
 from repro.observability import OpProfiler, Tracer
 from repro.optim import AdamW
@@ -200,12 +200,12 @@ class TestShardedDeterminism:
     """
 
     def test_sharded_four_ranks_match_dense_single_rank(self):
-        """4-rank DDP with a tracer on the strategy and its communicator
-        leaves the bits of plain 1-rank accumulation, and records one
-        ``comm.allreduce`` span per step."""
+        """4-rank DDP with a tracer on the strategy leaves the bits of
+        plain 1-rank accumulation, and records one ``comm.allreduce`` span
+        per step."""
         task_traced, task_single = _make_task(), _make_task()
         strategy = DDPStrategy(WORLD)
-        strategy.tracer = strategy.comm.tracer = Tracer()
+        strategy.tracer = Tracer()
         losses_traced = _train_ddp(task_traced, _make_batches(), strategy)
         losses_single = _train_single_accumulating(task_single, _make_batches())
 
@@ -278,10 +278,10 @@ class TestEveryReductionPath:
 
     def test_buckets_win_over_injector(self, samples):
         """Each DDP step is exactly one allreduce of 2 * (N-1) * payload
-        bytes on the strategy's communicator, payload = the bytes of the
+        bytes on the strategy's traffic log, payload = the bytes of the
         gradients some rank touched."""
-        comm = SimComm(4)
-        strategy = DDPStrategy(4, comm=comm)
+        strategy = DDPStrategy(4)
+        comm = strategy.comm
         task = _encoder_task("egnn")
         for step in range(1, 3):
             strategy.execute(task, samples)

@@ -1,9 +1,10 @@
-"""Distributed substrate: collectives, DDP exactness, perf model, affinity.
+"""Distributed substrate: the DDP reduction and its meter, DDP exactness,
+the perf model, and the node shape.
 
-``SimComm`` has the one collective the gradient path is metered as; the
-ids that pinned its broadcast/gather/scatter/allgather/barrier (and the
-affinity planner's whole-job helper) now pin ``allreduce``'s results,
-refusals and metering, and ``plan_node``'s rank and node bases.
+``TestSimComm`` and ``TestAffinity`` keep the names of the in-process
+communicator and the NUMA placement planner they once pinned; both are
+gone.  Their ids now pin ``rank_order_mean``'s arithmetic and refusals,
+the strategy's traffic log, and the ``NodeSpec`` arithmetic Fig. 2 reads.
 """
 
 import numpy as np
@@ -14,109 +15,117 @@ from hypothesis import strategies as st
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
 from repro.distributed import (
-    AffinityPlanner,
     ClusterSpec,
     DDPStrategy,
     ENDEAVOUR,
     InterconnectSpec,
     NodeSpec,
-    SimComm,
     SingleProcessStrategy,
     ThroughputModel,
 )
-from repro.distributed.perf_model import linear_fit_r2, ring_half_seconds
+from repro.distributed.ddp import rank_order_mean
+from repro.distributed.perf_model import linear_fit_r2
 from repro.models import EGNN
 from repro.optim import scale_lr_for_ddp
 from repro.tasks import MultiClassClassificationTask
+from tests.test_sharding import _rank_order_oracle
 
 
 class TestSimComm:
     def test_allreduce_sum_mean_max_min(self):
-        comm = SimComm(3)
+        """The reduction is the mean over ranks, nothing else."""
         values = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
-        assert np.allclose(comm.allreduce(values, op="sum")[0], [9.0, 12.0])
-        assert np.allclose(comm.allreduce(values, op="mean")[1], [3.0, 4.0])
-        assert np.allclose(comm.allreduce(values, op="max")[2], [5.0, 6.0])
-        assert np.allclose(comm.allreduce(values, op="min")[0], [1.0, 2.0])
+        assert np.array_equal(rank_order_mean(values), [3.0, 4.0])
 
     def test_allreduce_all_ranks_identical(self):
-        comm = SimComm(4)
-        results = comm.allreduce([np.array([float(r)]) for r in range(4)])
-        for r in results[1:]:
-            assert np.allclose(r, results[0])
+        """N identical rank arrays reduce to that array, bit for bit at a
+        power-of-two N."""
+        x = np.random.default_rng(3).normal(size=6)
+        assert np.array_equal(rank_order_mean([x] * 4), x)
 
     def test_allreduce_unknown_op(self):
-        with pytest.raises(ValueError):
-            SimComm(2).allreduce([np.zeros(1)] * 2, op="xor")
+        """A rank array of another length is refused."""
+        with pytest.raises(ValueError, match="one shape on every rank"):
+            rank_order_mean([np.zeros(2), np.zeros(3)])
 
     def test_wrong_rank_count_rejected(self):
-        with pytest.raises(ValueError):
-            SimComm(3).allreduce([np.zeros(1)] * 2)
+        """The world fixes the rank count: a global batch that cannot feed
+        every rank is refused before anything is metered."""
+        task, samples = make_task_and_samples(n=2)
+        ddp = DDPStrategy(3)
+        with pytest.raises(ValueError, match="cannot feed 3 ranks"):
+            ddp.execute(task, samples)
+        assert ddp.comm.traffic.allreduce_calls == 0
 
     def test_bcast(self):
-        """Every rank receives the whole reduced vector."""
-        comm = SimComm(3)
-        values = [np.arange(7.0) * (r + 1) for r in range(3)]
-        out = comm.allreduce(values, op="sum")
-        assert all(np.array_equal(o, np.arange(7.0) * 6) for o in out)
-        with pytest.raises(ValueError):
-            comm.allreduce(values, op="xor")
+        """The reduced array keeps the ranks' shape."""
+        values = [np.arange(6.0).reshape(2, 3) * (r + 1) for r in range(3)]
+        out = rank_order_mean(values)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out, np.arange(6.0).reshape(2, 3) * 2)
 
     def test_gather_root_only(self):
-        """Ranks receive distinct arrays: no result shares memory with
-        another rank's."""
-        comm = SimComm(3)
-        out = comm.allreduce([np.array([1.0, 2.0])] * 3)
-        assert len(out) == 3
-        assert all(np.array_equal(o, [3.0, 6.0]) for o in out)
-        assert not np.shares_memory(out[0], out[1])
+        """The result is a fresh array, not rank 0's buffer, and rank 0's
+        input is left as it was."""
+        values = [np.array([1.0, 2.0]), np.array([3.0, 6.0])]
+        out = rank_order_mean(values)
+        assert np.array_equal(out, [2.0, 4.0])
+        assert not np.shares_memory(out, values[0])
+        assert np.array_equal(values[0], [1.0, 2.0])
 
     def test_allgather(self):
-        """``mean`` is the rank-order sum divided by N on every rank, and
-        one call meters one allreduce's bytes."""
+        """The mean is the rank-order sum divided by N: the oracle's bits."""
         rng = np.random.default_rng(0)
-        values = [rng.normal(size=10) for _ in range(4)]
-        comm = SimComm(4)
-        for got in comm.allreduce(values, op="mean"):
-            assert np.array_equal(got, SimComm._reduce(values, "sum") / 4)
-        assert comm.traffic.allreduce_calls == 1
-        assert comm.traffic.allreduce_bytes == 2 * 3 * 80
+        values = [rng.normal(size=10) * 10.0 ** rng.integers(-6, 6) for _ in range(4)]
+        assert np.array_equal(rank_order_mean(values), _rank_order_oracle(values))
 
     def test_scatter(self):
-        """allreduce takes one equal-shape array per rank."""
-        comm = SimComm(2)
-        with pytest.raises(ValueError):
-            comm.allreduce([np.zeros(4), np.zeros(3)])
-        with pytest.raises(ValueError):
-            comm.allreduce([np.zeros((2, 2)), np.zeros(4)])
-        with pytest.raises(ValueError):
-            comm.allreduce([np.zeros(4)])
+        """The reduction takes one equal-shape array per rank, even where
+        ``+=`` would broadcast."""
+        for values in (
+            [np.zeros(4), np.zeros(3)],
+            [np.zeros((2, 2)), np.zeros(4)],
+            [np.zeros(4), np.zeros(1)],
+            [np.zeros((1, 4)), np.zeros(4)],
+        ):
+            with pytest.raises(ValueError, match="one shape on every rank"):
+                rank_order_mean(values)
 
     def test_traffic_metering(self):
-        comm = SimComm(4)
-        comm.allreduce([np.zeros(100)] * 4)
-        assert comm.traffic.allreduce_calls == 1
-        # ring: 2 * 3/4 * 800 bytes * 4 ranks
-        assert comm.traffic.allreduce_bytes == int(2 * 0.75 * 800 * 4)
+        task, samples = make_task_and_samples()
+        ddp = DDPStrategy(4)
+        ddp.execute(task, samples)
+        payload = sum(p.grad.nbytes for p in task.parameters() if p.grad is not None)
+        assert ddp.comm.traffic.allreduce_calls == 1
+        # ring: 2 * 3/4 * payload bytes * 4 ranks
+        assert ddp.comm.traffic.allreduce_bytes == int(2 * 0.75 * payload * 4)
 
     def test_single_rank_no_traffic(self):
-        comm = SimComm(1)
-        comm.allreduce([np.zeros(10)])
-        assert comm.traffic.allreduce_bytes == 0
+        task, samples = make_task_and_samples(n=2)
+        ddp = DDPStrategy(1)
+        ddp.execute(task, samples)
+        assert ddp.comm.traffic.allreduce_calls == 1
+        assert ddp.comm.traffic.allreduce_bytes == 0
 
     def test_world_size_validation(self):
-        with pytest.raises(ValueError):
-            SimComm(0)
+        """The meter counts the strategy's ranks; no world below one."""
+        assert DDPStrategy(5).comm.world_size == 5
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="world_size must be >= 1"):
+                DDPStrategy(bad)
 
     def test_barrier_is_noop(self):
-        """In a one-rank world every op is the identity and moves no
-        bytes."""
-        comm = SimComm(1)
+        """In a one-rank world the reduction is the identity (a copy) and
+        moves no bytes."""
         x = np.arange(5.0)
-        for op in ("sum", "mean", "max", "min"):
-            assert np.array_equal(comm.allreduce([x], op=op)[0], x)
-        assert comm.traffic.allreduce_calls == 4
-        assert comm.traffic.allreduce_bytes == 0
+        out = rank_order_mean([x])
+        assert np.array_equal(out, x) and not np.shares_memory(out, x)
+        task, samples = make_task_and_samples(n=2)
+        ddp = DDPStrategy(1)
+        for _ in range(4):
+            ddp.execute(task, samples)
+        assert ddp.comm.traffic.allreduce_calls == 4
+        assert ddp.comm.traffic.allreduce_bytes == 0
 
 
 def make_task_and_samples(seed=5, n=8):
@@ -164,6 +173,37 @@ class TestDDPStrategy:
         ddp.execute(task, samples)
         assert ddp.comm.traffic.allreduce_calls == 1
         assert ddp.comm.traffic.allreduce_bytes > 0
+
+    def test_metrics_are_rank_means(self):
+        """Each returned metric is the mean over the ranks that report it,
+        like the loss, not the last rank's value."""
+        task, samples = make_task_and_samples()
+
+        class _RankMetricTask:
+            def __init__(self):
+                self.rank = 0
+
+            def parameters(self):
+                return task.parameters()
+
+            def training_step(self, batch):
+                loss, _ = task.training_step(batch)
+                metrics = {"rank": float(self.rank)}
+                if self.rank % 2:
+                    metrics["odd_rank"] = float(self.rank)
+                self.rank += 1
+                return loss, metrics
+
+        _, metrics = DDPStrategy(4).execute(_RankMetricTask(), samples)
+        assert metrics == {"rank": 1.5, "odd_rank": 2.0}
+
+    def test_train_acc_is_global_batch_accuracy(self):
+        """Equal shards: the rank mean of shard accuracies is the accuracy
+        over the whole global batch."""
+        task, samples = make_task_and_samples(n=16)
+        _, single = SingleProcessStrategy().execute(task, samples)
+        _, ddp = DDPStrategy(4).execute(task, samples)
+        assert ddp["train_acc"] == pytest.approx(single["train_acc"], abs=1e-12)
 
     def test_scale_lr(self):
         """The Goyal rule reads the strategy's world size."""
@@ -246,9 +286,9 @@ class TestRingTimePinned:
         (256, 77046.59854507426, 0.4326386104356374, 0.9965671376380673),
         (512, 154009.18570509116, 0.21643730651990203, 0.9960238106962125),
     ]
-    #: ``ring_half_seconds`` per world size for 8383408 gradient bytes:
-    #: zero at one rank, the shared-memory floor within one node, then
-    #: the inter-node ring plus one latency per hop.
+    #: Half of ``allreduce_seconds`` (one ring half) per world size for
+    #: 8383408 gradient bytes: zero at one rank, the shared-memory floor
+    #: within one node, then the inter-node ring plus one latency per hop.
     RING_HALF = {
         1: 0.0,
         8: 1e-05,
@@ -268,58 +308,34 @@ class TestRingTimePinned:
         assert got == self.FIG2_SWEEP
 
     def test_modeled_sharding_entries_pinned(self):
-        halves = {n: ring_half_seconds(ENDEAVOUR, 8383408, n) for n in self.RING_HALF}
-        assert halves == self.RING_HALF
-        model = ThroughputModel(200.0, 2, 8383408)
+        model = ThroughputModel(200.0, 2, 8383408, cluster=ENDEAVOUR)
         for n, half in self.RING_HALF.items():
-            assert model.allreduce_seconds(n) == 2.0 * half
+            assert model.allreduce_seconds(n) == 2.0 * half, n
 
 
 class TestEndeavourSpec:
     def test_paper_node_shape(self):
         node = ENDEAVOUR.node
         assert node.physical_cores == 112
-        assert node.numa_domains == 4
         assert node.workers == 16
         assert node.threads_per_worker == 7
         assert ENDEAVOUR.max_nodes == 32
 
 
 class TestAffinity:
+    """The node arithmetic of the Sec. 4.1 launch that Fig. 2 reads."""
+
     def test_sixteen_workers_per_node(self):
-        planner = AffinityPlanner()
-        placements = planner.plan_node(16)
-        assert len(placements) == 16
-        # 4 workers per NUMA domain
-        domains = [p.numa_domain for p in placements]
-        assert all(domains.count(d) == 4 for d in range(4))
-        # 7 threads each, no core shared
-        all_cores = [c for p in placements for c in p.cores]
-        assert len(all_cores) == len(set(all_cores)) == 112
-        assert all(p.num_threads == 7 for p in placements)
+        """16 workers of 7 threads fill the node's 112 cores."""
+        node = NodeSpec()
+        assert node.workers * node.threads_per_worker == node.physical_cores == 112
 
     def test_full_job_512_ranks(self):
-        """The last node of a 512-rank job holds ranks 496..511."""
-        planner = AffinityPlanner()
-        placements = planner.plan_node(16, node_index=31, rank_base=496)
-        assert [p.rank for p in placements] == list(range(496, 512))
-        assert {p.node_index for p in placements} == {31}
-        assert [p.cores for p in placements] == [p.cores for p in planner.plan_node(16)]
-
-    def test_oversubscription_rejected(self):
-        planner = AffinityPlanner()
-        with pytest.raises(ValueError):
-            planner.plan_node(256)
-
-    def test_uneven_split_rejected(self):
-        with pytest.raises(ValueError):
-            AffinityPlanner().plan_node(10)  # not divisible over 4 domains
-
-    def test_job_size_must_be_multiple(self):
-        for bad in (0, -4):
-            with pytest.raises(ValueError, match="workers must be >= 1"):
-                AffinityPlanner().plan_node(bad)
+        """512 ranks at 16 per node fill the platform's 32 nodes."""
+        model = ThroughputModel(302.0, 32, 4_000_000, cluster=ENDEAVOUR)
+        (row,) = model.sweep([512], dataset_size=2_000_000)
+        assert row["nodes"] == ENDEAVOUR.max_nodes == 32
 
     def test_omp_num_threads(self):
-        assert AffinityPlanner().omp_num_threads() == 7
-        assert AffinityPlanner().omp_num_threads(workers_per_node=8) == 14
+        assert ENDEAVOUR.node.threads_per_worker == 7
+        assert NodeSpec(workers=8).threads_per_worker == 14

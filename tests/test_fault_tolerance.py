@@ -31,7 +31,8 @@ import pytest
 from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig, pretrain_symmetry
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import DDPStrategy, EventLog, SimClock, SimComm, SingleProcessStrategy
+from repro.distributed import DDPStrategy, EventLog, SimClock, SingleProcessStrategy
+from repro.distributed.ddp import rank_order_mean
 from repro.distributed.events import (
     FAILOVER,
     PREDICT_FLAKY,
@@ -336,14 +337,17 @@ class TestRetryBackoffAllreduce:
         assert all(not r.ok and r.completed_at == r.arrival for r in late)
 
     def test_healthy_comm_unchanged_with_empty_injector(self):
-        """A healthy allreduce: the exact sum, one private copy per rank,
-        one metered call of one ring volume."""
-        comm = SimComm(3)
-        out = comm.allreduce([np.ones(2)] * 3, op="sum")
-        assert all(np.array_equal(o, np.full(2, 3.0)) for o in out)
-        assert not np.shares_memory(out[0], out[1])
-        assert comm.traffic.allreduce_calls == 1
-        assert comm.traffic.allreduce_bytes == 2 * (3 - 1) * 16
+        """A healthy reduction: the exact mean in a fresh array, and a
+        healthy step meters one call of one ring volume."""
+        ones = np.ones(2)
+        out = rank_order_mean([ones] * 3)
+        assert np.array_equal(out, ones) and not np.shares_memory(out, ones)
+        task, samples = make_task_and_samples()
+        ddp = DDPStrategy(3)
+        ddp.execute(task, samples)
+        payload = sum(p.grad.nbytes for p in task.parameters() if p.grad is not None)
+        assert ddp.comm.traffic.allreduce_calls == 1
+        assert ddp.comm.traffic.allreduce_bytes == 2 * (3 - 1) * payload
 
 
 # --------------------------------------------------------------------------- #
@@ -789,9 +793,8 @@ class TestWorkflowFaultProfile:
         result = pretrain_symmetry(_workflow_config(profile=True))
         metrics = result.observer.metrics
         assert metrics.value("comm.allreduce.calls") == 2
-        comm = SimComm(4)
         payload = sum(p.data.nbytes for p in result.task.parameters())
-        assert 0 < metrics.value("comm.allreduce.bytes") <= 2 * comm._ring_volume(payload)
+        assert 0 < metrics.value("comm.allreduce.bytes") <= 2 * (2 * 3 * payload)
 
     def test_cli_fault_profile_flag(self, capsys):
         from repro.cli import build_parser

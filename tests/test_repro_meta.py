@@ -113,11 +113,20 @@ class TestKeptCallersImport:
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
     @pytest.mark.parametrize(
-        "path", sorted(ROOT.glob("benchmarks/bench_*.py")), ids=lambda p: p.name
+        "path",
+        sorted(ROOT.glob("benchmarks/bench_*.py"))
+        + sorted(
+            p for p in ROOT.glob("benchmarks/e2e/*.py")
+            if not p.name.startswith(("_", "test_"))
+        ),
+        ids=lambda p: p.relative_to(ROOT / "benchmarks").as_posix(),
     )
     def test_bench_imports(self, path, monkeypatch):
+        """Every bench module, and every module of the end-to-end
+        benchmark, which reads ``repro`` names the tier-1 suite must see."""
         monkeypatch.syspath_prepend(str(ROOT))
-        importlib.import_module(f"benchmarks.{path.stem}")
+        module = path.relative_to(ROOT).with_suffix("").as_posix().replace("/", ".")
+        importlib.import_module(module)
 
 
 _SERVE_AND_SCREEN = """

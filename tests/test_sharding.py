@@ -6,8 +6,9 @@ parameter some rank touched.  Four layers are swept here:
 
 * the rank partition — ``DDPStrategy.shard`` is an exact, disjoint,
   deterministic drop-last cover of the global batch;
-* the collective — ``SimComm.allreduce`` computes rank-order sums and
-  means, refuses malformed input, and meters 2 * (N-1) * payload bytes;
+* the reduction — ``rank_order_mean`` sums in rank order then divides by
+  N, refuses ragged rank arrays, and each step meters 2 * (N-1) * payload
+  bytes on ``strategy.comm.traffic``;
 * N ranks == 1 rank — DDP + Adam(W) steps equal one process accumulating
   the same per-shard gradients in rank order, byte for byte;
 * the rank loop — rank gradients move into the one reduction, and a
@@ -15,8 +16,9 @@ parameter some rank touched.  Four layers are swept here:
 
 The class and parametrize names are this file's history: it once tested
 the ZeRO sharding stack (gradient buckets, reduce-scatter/allgather and a
-rank-sharded Adam), which is gone (EXPERIMENTS.md records why).  Each
-test's docstring says what it pins now.
+rank-sharded Adam), which is gone (EXPERIMENTS.md records why), and later
+an in-process communicator whose collective now lives here as
+``_rank_order_oracle``.  Each test's docstring says what it pins now.
 """
 
 from __future__ import annotations
@@ -29,17 +31,37 @@ import pytest
 from repro.data.batching import collate_graphs
 from repro.data.transforms import StructureToGraph
 from repro.datasets import SymmetryPointCloudDataset
-from repro.distributed import DDPStrategy, SimComm
+from repro.distributed import DDPStrategy
+from repro.distributed.ddp import rank_order_mean
 from repro.models import EGNN
-from repro.observability import Tracer
+from repro.nn import Parameter
+from repro.observability import Observer, Tracer
 from repro.optim import Adam, AdamW
 from repro.tasks import MultiClassClassificationTask
+from repro.training import Trainer, TrainerConfig
 
 
-def _traced_comm(world):
-    comm = SimComm(world)
-    comm.tracer = Tracer()
-    return comm
+def _rank_order_oracle(values):
+    """The rank-order oracle of DDP's reduction: Σ_r v_r in float64 with a
+    fresh array per addition, rank 0 first, then ÷ N."""
+    total = np.array(values[0], dtype=np.float64)
+    for v in values[1:]:
+        total = total + v
+    return total / len(values)
+
+
+class _VectorTask:
+    """One ``size``-element float64 parameter and a loss that ignores the
+    batch: every step touches exactly ``size`` gradient elements."""
+
+    def __init__(self, size):
+        self.weight = Parameter(np.arange(float(size)))
+
+    def parameters(self):
+        return [self.weight]
+
+    def training_step(self, batch):
+        return (self.weight * 0.5).sum(), {}
 
 
 def _make_task():
@@ -80,11 +102,9 @@ def _rank_order_step(task, samples, world):
         if all(g is None for g in contributions):
             p.grad = None
             continue
-        total = None
-        for g in contributions:
-            g = np.zeros_like(p.data) if g is None else g
-            total = g.copy() if total is None else total + g
-        p.grad = total / world
+        p.grad = _rank_order_oracle(
+            [np.zeros_like(p.data) if g is None else g for g in contributions]
+        )
     return float(np.mean(losses))
 
 
@@ -142,13 +162,12 @@ class TestBucketPartition:
         assert len(samples) == 11 and b[0] == samples[:3]
 
     def test_shard_bounds_exact_cover(self):
-        """A world below one rank is refused by the strategy and by the
-        communicator."""
+        """A world below one rank is refused; a valid world meters on its
+        own rank count."""
         for world in (0, -1):
             with pytest.raises(ValueError, match="world_size must be >= 1"):
                 DDPStrategy(world)
-            with pytest.raises(ValueError, match="world_size must be >= 1"):
-                SimComm(world)
+        assert DDPStrategy(3).comm.world_size == 3
 
     def test_flatten_assign_roundtrip(self):
         """A DDP step writes gradients only: every parameter's data and
@@ -164,68 +183,79 @@ class TestBucketPartition:
 
 
 # --------------------------------------------------------------------------- #
-# Collective properties
+# Reduction properties
 # --------------------------------------------------------------------------- #
 class TestBucketCollectives:
     @pytest.mark.parametrize("op", ["sum", "mean"])
     def test_reduce_scatter_allgather_equals_allreduce(self, op):
-        """``allreduce`` sums in rank order (then divides by N for
-        ``mean``), and every rank receives those bits."""
+        """``mean``: ``rank_order_mean`` leaves the oracle's bits at every
+        world size.  ``sum``: the order is the rank order — over these
+        magnitudes some reversed-order sum differs in the last bits, and
+        the reduction never matches it there."""
         rng = np.random.default_rng(211)
+        reorders = 0
         for world in (1, 2, 3, 5, 8):
             values = [rng.normal(size=37) * 10.0 ** rng.integers(-6, 6) for _ in range(world)]
-            expected = values[0].copy()
-            for v in values[1:]:
-                expected = expected + v
+            got = rank_order_mean(values)
             if op == "mean":
-                expected = expected / world
-            for rank, got in enumerate(SimComm(world).allreduce(values, op=op)):
-                assert np.array_equal(got, expected), f"world={world} rank={rank}"
+                assert np.array_equal(got, _rank_order_oracle(values)), f"world={world}"
+            else:
+                reversed_ = _rank_order_oracle(values[::-1])
+                differ = got != reversed_
+                reorders += int(differ.any())
+                assert np.array_equal(got[differ], _rank_order_oracle(values)[differ])
+        if op == "sum":
+            assert reorders > 0
 
     def test_shards_are_disjoint_slices_of_the_reduction(self):
-        """Each rank receives its own array: no two ranks' results share
-        memory with each other or with the inputs, which stay unmodified."""
+        """The result is a fresh array: it shares memory with no rank's
+        input, and the inputs stay unmodified."""
         rng = np.random.default_rng(223)
         world = 4
         values = [rng.normal(size=18) for _ in range(world)]
         before = [v.copy() for v in values]
-        out = SimComm(world).allreduce(values, op="sum")
-        for i, a in enumerate(out):
-            assert not any(np.shares_memory(a, v) for v in values)
-            for b in out[i + 1 :]:
-                assert not np.shares_memory(a, b)
+        out = rank_order_mean(values)
+        assert not any(np.shares_memory(out, v) for v in values)
         for v, b in zip(values, before):
             assert np.array_equal(v, b)
 
     def test_fault_injected_retry_converges_to_same_bits(self):
-        """A traced communicator returns the untraced bits and records one
-        ``comm.allreduce`` span per call, carrying its payload."""
-        rng = np.random.default_rng(227)
+        """A trainer's observer traces the strategy: each DDP step records
+        one ``comm.allreduce`` span carrying its payload, and the traced run
+        leaves the untraced run's parameters and traffic log."""
         world = 4
-        plain = SimComm(world)
-        traced = _traced_comm(world)
-        for call in range(8):
-            values = [rng.normal(size=29) for _ in range(world)]
-            for p, t in zip(plain.allreduce(values, op="mean"), traced.allreduce(values, op="mean")):
-                assert np.array_equal(p, t), f"call {call}"
-        spans = traced.tracer.completed()
-        assert [s.name for s in spans] == ["comm.allreduce"] * 8
-        assert all(s.attrs["bytes"] == 29 * 8 and s.attrs["ranks"] == world for s in spans)
-        assert traced.traffic == plain.traffic
+        runs = []
+        for observer in (None, Observer()):
+            task, strategy = _make_task(), DDPStrategy(world)
+            trainer = Trainer(
+                TrainerConfig(max_epochs=1), strategy=strategy, observer=observer
+            )
+            trainer.fit(task, _batches()[:3], optimizer=AdamW(task.parameters(), lr=1e-3))
+            runs.append((task, strategy, observer))
+        (plain, plain_ddp, _), (traced, traced_ddp, observer) = runs
+        _assert_same_params(plain, traced)
+        assert traced_ddp.comm.traffic == plain_ddp.comm.traffic
+        payload = sum(p.grad.nbytes for p in traced.parameters() if p.grad is not None)
+        spans = [s for s in observer.tracer.completed() if s.name == "comm.allreduce"]
+        assert len(spans) == 3
+        assert all(s.attrs["bytes"] == payload and s.attrs["ranks"] == world for s in spans)
 
     def test_reduce_scatter_rejects_ragged_input(self):
-        """Ragged per-rank arrays, a wrong rank count and an unknown op are
-        refused before anything is metered."""
-        comm = SimComm(2)
+        """Ragged rank arrays are refused, even a shape ``+=`` would
+        broadcast, and a DDP step whose ranks hand over ragged gradients
+        fails before anything is metered."""
         with pytest.raises(ValueError, match="one shape on every rank"):
-            comm.allreduce([np.zeros(4), np.zeros(5)])
+            rank_order_mean([np.zeros(4), np.zeros(5)])
         with pytest.raises(ValueError, match="one shape on every rank"):
-            comm.allreduce([np.zeros(4), np.zeros(1)])  # would broadcast
-        with pytest.raises(ValueError, match="expected 2 per-rank values"):
-            comm.allreduce([np.zeros(4)])
-        with pytest.raises(ValueError, match="unsupported op"):
-            comm.allreduce([np.zeros(4)] * 2, op="xor")
-        assert comm.traffic.allreduce_calls == comm.traffic.allreduce_bytes == 0
+            rank_order_mean([np.zeros(4), np.zeros(1)])  # would broadcast
+        with pytest.raises(ValueError, match="one shape on every rank"):
+            rank_order_mean([np.zeros((2, 2)), np.zeros(4)])
+        task, samples = _ddp_task_and_samples()
+        ragged = _RaggedTask(task, rank=1)
+        ddp = DDPStrategy(2)
+        with pytest.raises(ValueError, match="one shape on every rank"):
+            ddp.execute(ragged, samples)
+        assert ddp.comm.traffic.allreduce_calls == ddp.comm.traffic.allreduce_bytes == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -233,55 +263,50 @@ class TestBucketCollectives:
 # --------------------------------------------------------------------------- #
 class TestTrafficAccounting:
     def test_wasted_bytes_pinned_under_seeded_faults(self):
-        """Regression pin: every allreduce meters exactly one ring
+        """Regression pin: every DDP step meters exactly one ring
         allreduce, 2 * (N-1) * payload bytes, and nothing else."""
         world = 4
         n = 64
         per_call = 2 * (world - 1) * n * 8  # float64
-        comm = SimComm(world)
-        rng = np.random.default_rng(229)
+        ddp = DDPStrategy(world)
+        task, samples = _VectorTask(n), _make_samples(world)
         calls = 8
         for _ in range(calls):
-            comm.allreduce([rng.normal(size=n) for _ in range(world)], op="mean")
-        assert comm.traffic.allreduce_calls == calls
-        assert comm.traffic.allreduce_bytes == calls * per_call == 24576
+            ddp.execute(task, samples)
+        assert ddp.comm.traffic.allreduce_calls == calls
+        assert ddp.comm.traffic.allreduce_bytes == calls * per_call == 24576
 
     def test_ring_halves_sum_to_one_allreduce_at_every_world(self):
-        """``_ring_volume`` is integer arithmetic: at N = 3, 5, 9 a 200-byte
-        allreduce meters exactly 2 * (N-1) * 200 B."""
+        """Ring metering is integer arithmetic: at N = 3, 5, 9 a 200-byte
+        step meters exactly 2 * (N-1) * 200 B."""
         for world in (3, 5, 9):
-            comm = SimComm(world)
-            comm.allreduce([np.zeros(25) for _ in range(world)])  # 200 B each
-            assert comm.traffic.allreduce_bytes == 2 * (world - 1) * 200, world
-            assert isinstance(comm.traffic.allreduce_bytes, int)
-            assert comm._ring_volume(200) == comm.traffic.allreduce_bytes
+            ddp = DDPStrategy(world)
+            ddp.execute(_VectorTask(25), _make_samples(world))  # 200 B per rank
+            assert ddp.comm.traffic.allreduce_bytes == 2 * (world - 1) * 200, world
+            assert isinstance(ddp.comm.traffic.allreduce_bytes, int)
 
     def test_ragged_shard_metering_sums_elements(self):
-        """The payload is one rank's contribution in float64, the dtype the
-        reduction runs in, whatever the input: Python floats, float32 and
-        integers all meter 8 bytes per element."""
-        world = 3
-        for values in (
-            [[1.0, 2.0, 3.0]] * world,
-            [np.ones(3, dtype=np.float32)] * world,
-            [np.arange(3)] * world,
-        ):
-            comm = SimComm(world)
-            out = comm.allreduce(values)
-            assert out[0].dtype == np.float64
-            assert comm.traffic.allreduce_bytes == 2 * (world - 1) * 3 * 8
+        """The payload is one rank's gradient in float64, the dtype the
+        reduction runs in: every touched element meters 8 bytes."""
+        task, samples = _ddp_task_and_samples()
+        for world in (2, 3):
+            ddp = DDPStrategy(world)
+            ddp.execute(task, samples)
+            grads = [p.grad for p in task.parameters() if p.grad is not None]
+            assert all(g.dtype == np.float64 for g in grads)
+            elements = sum(g.size for g in grads)
+            assert ddp.comm.traffic.allreduce_bytes == 2 * (world - 1) * elements * 8
 
     def test_wire_bytes_override_meters_compressed_payload(self):
-        """A communicator shared across DDP steps accumulates exactly one
-        allreduce per step, each of ``_ring_volume(payload)``."""
+        """A strategy's traffic log accumulates across steps: exactly one
+        allreduce per step, each of 2 * (N-1) * payload bytes."""
         task, samples = _ddp_task_and_samples()
-        comm = SimComm(4)
-        strategy = DDPStrategy(4, comm=comm)
+        strategy = DDPStrategy(4)
         for step in range(1, 4):
             strategy.execute(task, samples)
             payload = sum(p.grad.nbytes for p in task.parameters() if p.grad is not None)
-            assert comm.traffic.allreduce_calls == step
-            assert comm.traffic.allreduce_bytes == step * comm._ring_volume(payload)
+            assert strategy.comm.traffic.allreduce_calls == step
+            assert strategy.comm.traffic.allreduce_bytes == step * 2 * 3 * payload
 
 
 # --------------------------------------------------------------------------- #
@@ -296,7 +321,7 @@ def _batches():
 
 def _ddp_step(world, tracer=None):
     strategy = DDPStrategy(world)
-    strategy.tracer = strategy.comm.tracer = tracer
+    strategy.tracer = tracer
     return lambda task, batch: strategy.execute(task, batch)[0]
 
 
@@ -430,6 +455,26 @@ class _PoisonTask(_SpyTask):
         return _Loss(loss, poison), metrics
 
 
+class _RaggedTask(_SpyTask):
+    """Truncates one rank's first gradient after its backward."""
+
+    def __init__(self, task, rank):
+        super().__init__(task)
+        self.rank = rank
+
+    def training_step(self, batch):
+        loss, metrics = self.task.training_step(batch)
+        rank = len(self.produced)
+
+        def truncate():
+            self.produced.append(rank)
+            if rank == self.rank:
+                p = next(p for p in self.parameters() if p.grad is not None)
+                p.grad = p.grad.reshape(-1)[:1].copy()
+
+        return _Loss(loss, truncate), metrics
+
+
 class _CapturingDDP(DDPStrategy):
     def _reduce(self, params, rank_grads):
         self.rank_grads = [list(g) for g in rank_grads]
@@ -464,35 +509,33 @@ class TestBf16Wire:
                 assert not any(np.shares_memory(p.grad, g) for g in arrays)
 
     def test_exactly_representable_values_roundtrip_exactly(self):
-        """The local reduction leaves the bits of one explicit
-        ``comm.allreduce(op="mean")`` per touched parameter."""
+        """The local reduction leaves the bits of the rank-order oracle per
+        touched parameter."""
         task, samples = _ddp_task_and_samples()
         world = 4
         ddp = _CapturingDDP(world)
         ddp.execute(task, samples)
-        comm = SimComm(world)
         params = list(task.parameters())
         assert any(p.grad is None for p in params)
         for i, p in enumerate(params):
             if p.grad is None:
                 assert all(g[i] is None for g in ddp.rank_grads)
                 continue
-            explicit = comm.allreduce(
-                [g[i] if g[i] is not None else np.zeros_like(p.data) for g in ddp.rank_grads],
-                op="mean",
-            )[0]
+            explicit = _rank_order_oracle(
+                [g[i] if g[i] is not None else np.zeros_like(p.data) for g in ddp.rank_grads]
+            )
             assert np.array_equal(p.grad, explicit), i
 
     def test_payload_is_two_bytes_per_element(self):
         """The local path meters exactly one allreduce of
-        ``_ring_volume(payload)``, payload = the touched gradients' bytes."""
+        2 * (N-1) * payload bytes, payload = the touched gradients' bytes."""
         task, samples = _ddp_task_and_samples()
         for world in (1, 2, 4):
             ddp = DDPStrategy(world)
             ddp.execute(task, samples)
             payload = sum(p.grad.nbytes for p in task.parameters() if p.grad is not None)
             assert ddp.comm.traffic.allreduce_calls == 1
-            assert ddp.comm.traffic.allreduce_bytes == ddp.comm._ring_volume(payload)
+            assert ddp.comm.traffic.allreduce_bytes == 2 * (world - 1) * payload
 
     def test_nan_survives_compression(self):
         """A NaN in one rank's gradient reaches the reduced gradient:
@@ -510,15 +553,13 @@ class TestBf16Wire:
         )
 
     def test_rounding_is_to_nearest(self):
-        """``sum``/``mean`` accumulate in rank order, then divide by N, and
-        ``allreduce`` hands every rank those bits."""
+        """The reduction accumulates in rank order, then divides by N: the
+        bits of a written-out rank-order sum ÷ N and of the oracle."""
         rng = np.random.default_rng(409)
         for world in (2, 8, 9, 16):
             values = [rng.normal(size=1) * 10.0 ** rng.integers(-6, 6) for _ in range(world)]
             ordered = values[0].copy()
             for v in values[1:]:
                 ordered = ordered + v
-            assert np.array_equal(SimComm._reduce(values, "sum"), ordered)
-            assert np.array_equal(SimComm._reduce(values, "mean"), ordered / world)
-            for got in SimComm(world).allreduce(values, op="mean"):
-                assert np.array_equal(got, ordered / world)
+            assert np.array_equal(rank_order_mean(values), ordered / world)
+            assert np.array_equal(_rank_order_oracle(values), ordered / world)

@@ -24,7 +24,7 @@ from repro.autograd import Tensor, functional as F
 from repro.autograd.anomaly import NumericalAnomalyError, detect_anomaly
 from repro.core import EncoderConfig, OptimizerConfig, PretrainConfig, pretrain_symmetry
 from repro.data.batching import collate_graphs
-from repro.distributed import DDPStrategy, EventLog, SimComm, SingleProcessStrategy
+from repro.distributed import DDPStrategy, EventLog, SingleProcessStrategy
 from repro.nn.module import Parameter
 from repro.optim import Adam, AdamW, clip_grad_norm
 from repro.stability import StabilityGuard
@@ -404,13 +404,13 @@ class TestGuardRankAgreement:
 
     def test_single_rank_vote_escalates_all_ranks(self):
         task, samples = _task_and_samples(8)
-        strategy = DDPStrategy(4, comm=SimComm(4))
+        strategy = DDPStrategy(4)
         loss, _ = strategy.execute(task, samples)
         assert loss == float(np.mean(_shard_losses(task, strategy, samples)))
 
     def test_rank_windows_stay_identical_after_disagreement(self):
         task, samples = _task_and_samples(8)
-        ddp_loss, _ = DDPStrategy(1, comm=SimComm(1)).execute(task, samples)
+        ddp_loss, _ = DDPStrategy(1).execute(task, samples)
         single_loss, _ = SingleProcessStrategy().execute(task, samples)
         assert ddp_loss == single_loss
 
@@ -427,7 +427,7 @@ class TestGuardRankAgreement:
             return (loss * float("nan") if len(calls) == 3 else loss), metrics
 
         task.training_step = training_step
-        loss, _ = DDPStrategy(4, comm=SimComm(4)).execute(task, samples)
+        loss, _ = DDPStrategy(4).execute(task, samples)
         assert len(calls) == 4
         assert math.isnan(loss)
 
@@ -444,17 +444,17 @@ class TestGuardRankAgreement:
             return (loss * float("nan") if len(calls) == 2 else loss), metrics
 
         task.training_step = training_step
-        DDPStrategy(4, comm=SimComm(4)).execute(task, samples)
+        DDPStrategy(4).execute(task, samples)
         assert math.isnan(clip_grad_norm(task.parameters(), 1.0, nonfinite="zero"))
 
     def test_eps_floor_alert_recorded(self):
         # The trainer logs exactly the loss the strategy returned.
         task, samples = _task_and_samples(8)
-        expected, _ = DDPStrategy(4, comm=SimComm(4)).execute(task, samples[:4])
+        expected, _ = DDPStrategy(4).execute(task, samples[:4])
         task, samples = _task_and_samples(8)
         trainer = Trainer(
             TrainerConfig(max_epochs=1, log_every_n_steps=1),
-            strategy=DDPStrategy(4, comm=SimComm(4)),
+            strategy=DDPStrategy(4),
         )
         trainer.fit(task, [samples[:4], samples[4:]], optimizer=AdamW(task.parameters()))
         _, losses = trainer.history.series("train", "loss")
