@@ -34,8 +34,6 @@ def run_fig4():
         encoder,
         samples_per_dataset=SAMPLES_PER_DATASET,
         seed=17,
-        umap_neighbors=15,
-        umap_min_dist=0.05,  # the paper's setting
         umap_epochs=150,
     )
 

@@ -21,6 +21,7 @@ experiments can be driven without writing Python:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -41,6 +42,16 @@ from repro.core import (
 )
 from repro.core.pipeline import build_encoder_from_config
 from repro.core.workflows import TABLE1_METRICS
+from repro.domains import Domain, domain_of, flag_type
+from repro.screening import ScreenConfig
+from repro.serving import AdmissionPolicy, BatchPolicy, HedgePolicy
+
+#: Domains of the numeric flags that set no config field.
+_AT_LEAST_ONE = Domain(ge=1)
+_NON_NEGATIVE = Domain(ge=0)
+_POSITIVE = Domain(gt=0)
+#: ``multitask --samples N`` gives Carolina ``N // 2`` structures.
+_MULTITASK_SAMPLES = Domain(ge=2 * domain_of(MultiTaskConfig, "carolina_samples").ge)
 
 
 def _encoder_config(args) -> EncoderConfig:
@@ -53,18 +64,22 @@ def _encoder_config(args) -> EncoderConfig:
 
 
 def _add_model_args(
-    parser: argparse.ArgumentParser, world_size: int = 16, warmup: int = 8
+    parser: argparse.ArgumentParser, config, world_size: int = 16, warmup: int = 8
 ) -> None:
+    """The flags every training command shares; ``config`` is its config class."""
     parser.add_argument(
         "--encoder", default="egnn", choices=["egnn", "gaanet", "megnet", "schnet"]
     )
-    parser.add_argument("--hidden-dim", type=_positive_int, default=32)
-    parser.add_argument("--layers", type=_positive_int, default=3)
-    parser.add_argument("--seed", type=_nonnegative_int, default=7)
-    parser.add_argument("--lr", type=_positive_float, default=1e-3)
-    parser.add_argument("--epochs", type=_positive_int, default=10)
-    parser.add_argument("--world-size", type=_positive_int, default=world_size)
-    parser.add_argument("--warmup", type=_positive_int, default=warmup)
+    parser.add_argument("--hidden-dim", type=flag_type(EncoderConfig, "hidden_dim"),
+                        default=32)
+    parser.add_argument("--layers", type=flag_type(EncoderConfig, "num_layers"), default=3)
+    parser.add_argument("--seed", type=flag_type(config, "seed"), default=7)
+    parser.add_argument("--lr", type=flag_type(OptimizerConfig, "base_lr"), default=1e-3)
+    parser.add_argument("--epochs", type=flag_type(config, "max_epochs"), default=10)
+    parser.add_argument("--world-size", type=flag_type(config, "world_size"),
+                        default=world_size)
+    parser.add_argument("--warmup", type=flag_type(OptimizerConfig, "warmup_epochs"),
+                        default=warmup)
 
 
 def _pretrained_state(args, encoder: EncoderConfig):
@@ -72,8 +87,7 @@ def _pretrained_state(args, encoder: EncoderConfig):
     if not args.pretrained:
         return None
     print("loading cached pretrained encoder (training it if needed) ...")
-    recipe = transfer_pretrain_recipe()
-    recipe.encoder = encoder
+    recipe = dataclasses.replace(transfer_pretrain_recipe(), encoder=encoder)
     return cached_pretrained_encoder(recipe)
 
 
@@ -260,9 +274,6 @@ def cmd_serve(args) -> int:
     from repro.distributed.events import SimClock
     from repro.observability import Observer
     from repro.serving import (
-        AdmissionPolicy,
-        BatchPolicy,
-        HedgePolicy,
         ReplicaPool,
         SINGLE_SERVER,
         calibrate_service_model,
@@ -339,7 +350,7 @@ def cmd_screen(args) -> int:
     change throughput only — the ranking is bit-identical across layouts.
     """
     from repro.observability import Observer
-    from repro.screening import ScreenConfig, run_screening
+    from repro.screening import run_screening
     from repro.serving import matmul_mode_line
 
     servable = _load_serving_model(args)
@@ -391,27 +402,6 @@ def cmd_registry_verify(args) -> int:
     return 1 if bad else 0
 
 
-def _bounded(cast, lower, inclusive: bool = True):
-    """argparse type: ``cast(text)``, at least (or strictly above) ``lower``."""
-
-    def parse(text: str):
-        value = cast(text)
-        if not (value >= lower if inclusive else value > lower):  # nan fails both
-            raise argparse.ArgumentTypeError(
-                f"expected {cast.__name__} {'>=' if inclusive else '>'} {lower}, got {text}"
-            )
-        return value
-
-    parse.__name__ = cast.__name__  # argparse's "invalid <name> value" message
-    return parse
-
-
-_positive_int = _bounded(int, 1)
-_nonnegative_int = _bounded(int, 0)
-_positive_float = _bounded(float, 0, inclusive=False)
-_nonnegative_float = _bounded(float, 0)
-
-
 def _chaos_spec(text: str) -> str:
     """argparse type for ``--chaos-profile``: the spec must parse."""
     from repro.serving.resilience.chaos import ServingChaosProfile
@@ -441,16 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="symmetry-group pretraining (Sec. 5.2)")
-    _add_model_args(p, world_size=8)
-    p.add_argument("--samples", type=_positive_int, default=256)
-    p.add_argument("--batch-per-worker", type=_positive_int, default=2)
+    _add_model_args(p, PretrainConfig, world_size=8)
+    p.add_argument("--samples", type=flag_type(PretrainConfig, "train_samples"), default=256)
+    p.add_argument("--batch-per-worker", type=flag_type(PretrainConfig, "batch_per_worker"),
+                   default=2)
     p.add_argument("--stability-guard", action="store_true",
                    help="attach the loss-spike guard (skip the step, halve "
                         "the LR, re-warm)")
     p.add_argument("--detect-anomaly", action="store_true",
                    help="fail on the first non-finite value, naming its "
                         "creating autograd op (slower)")
-    p.add_argument("--steps", type=_positive_int, default=None,
+    p.add_argument("--steps", type=flag_type(PretrainConfig, "max_steps"), default=None,
                    help="hard step budget (overrides --epochs for quick runs)")
     p.add_argument("--profile", action="store_true",
                    help="attach the observability layer: phase spans, per-op "
@@ -460,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="single-task fine-tuning (Fig. 5)")
-    _add_model_args(p, warmup=2)
-    p.add_argument("--samples", type=_positive_int, default=160)
+    _add_model_args(p, FinetuneConfig, warmup=2)
+    p.add_argument("--samples", type=flag_type(FinetuneConfig, "train_samples"), default=160)
     p.add_argument("--dataset", default="materials_project",
                    choices=["materials_project", "carolina", "lips", "oc20", "oc22"],
                    help="registered dataset to fine-tune on (Table 1 sweep)")
@@ -471,24 +462,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("multitask", help="multi-task multi-dataset training (Table 1)")
-    _add_model_args(p)
-    p.add_argument("--samples", type=_bounded(int, 4), default=160,
+    _add_model_args(p, MultiTaskConfig)
+    p.add_argument("--samples", type=_MULTITASK_SAMPLES.argtype(int), default=160,
                    help="Materials Project structures; Carolina gets half, "
                         "and each split needs a training sample")
     p.add_argument("--pretrained", action="store_true")
     p.set_defaults(fn=cmd_multitask)
 
     p = sub.add_parser("explore", help="UMAP dataset exploration (Fig. 4)")
-    p.add_argument("--samples", type=_positive_int, default=30)
+    p.add_argument("--samples", type=_AT_LEAST_ONE.argtype(int), default=30)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("scaling", help="throughput projection (Fig. 2)")
-    p.add_argument("--workers", type=_positive_int, nargs=2, default=[16, 512],
+    p.add_argument("--workers", type=_AT_LEAST_ONE.argtype(int), nargs=2, default=[16, 512],
                    metavar=("LO", "HI"), action=_OrderedPair)
-    p.add_argument("--rate", type=_positive_float, default=300.0,
+    p.add_argument("--rate", type=_POSITIVE.argtype(float), default=300.0,
                    help="single-worker samples/s")
-    p.add_argument("--params", type=_positive_int, default=30_000)
-    p.add_argument("--dataset-size", type=_positive_int, default=2_000_000)
+    p.add_argument("--params", type=_AT_LEAST_ONE.argtype(int), default=30_000)
+    p.add_argument("--dataset-size", type=_AT_LEAST_ONE.argtype(int), default=2_000_000)
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser("datasets", help="list available datasets")
@@ -501,11 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registry entry to load")
         p.add_argument("--bootstrap", action="store_true",
                        help="train and archive the demo model if absent")
-        p.add_argument("--samples", type=_positive_int, default=4,
+        p.add_argument("--samples", type=_AT_LEAST_ONE.argtype(int), default=4,
                        help="query structures to generate")
-        p.add_argument("--query-seed", type=_nonnegative_int, default=99,
+        p.add_argument("--query-seed", type=_NON_NEGATIVE.argtype(int), default=99,
                        help="seed for the generated query structures")
-        p.add_argument("--seed", type=_nonnegative_int, default=13)
+        p.add_argument("--seed", type=_NON_NEGATIVE.argtype(int), default=13)
 
     p = sub.add_parser("predict", help="offline predictions via the registry")
     _add_serving_args(p)
@@ -513,51 +504,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="simulated micro-batched serving run")
     _add_serving_args(p)
-    p.add_argument("--rate", type=_positive_float, default=400.0,
+    p.add_argument("--rate", type=_POSITIVE.argtype(float), default=400.0,
                    help="open-loop Poisson arrival rate (req/s)")
-    p.add_argument("--requests", type=_nonnegative_int, default=64,
+    p.add_argument("--requests", type=_NON_NEGATIVE.argtype(int), default=64,
                    help="number of requests in the trace")
-    p.add_argument("--max-batch", type=_positive_int, default=8,
+    p.add_argument("--max-batch", type=flag_type(BatchPolicy, "max_batch_size"), default=8,
                    help="micro-batch size cap")
-    p.add_argument("--max-wait", type=_nonnegative_float, default=0.01, metavar="S",
-                   help="max seconds the oldest request waits for a batch")
-    p.add_argument("--queue-depth", type=_positive_int, default=None, metavar="N",
+    p.add_argument("--max-wait", type=flag_type(BatchPolicy, "max_wait"), default=0.01,
+                   metavar="S", help="max seconds the oldest request waits for a batch")
+    p.add_argument("--queue-depth", type=flag_type(AdmissionPolicy, "max_queue_depth"),
+                   default=None, metavar="N",
                    help="shed requests arriving when N are queued")
-    p.add_argument("--deadline", type=_positive_float, default=None, metavar="S",
+    p.add_argument("--deadline", type=flag_type(AdmissionPolicy, "deadline"),
+                   default=None, metavar="S",
                    help="per-request completion deadline in seconds")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a chrome://tracing JSON of the serving spans")
-    p.add_argument("--replicas", type=_positive_int, default=1, metavar="N",
+    p.add_argument("--replicas", type=_AT_LEAST_ONE.argtype(int), default=1, metavar="N",
                    help="replicas behind the router; N > 1 switches on health "
                         "checks, circuit breakers, hedging, failover")
     p.add_argument("--chaos-profile", type=_chaos_spec, default=None, metavar="SPEC",
                    help="seeded serving faults, e.g. "
                         "'replica_crash:1,replica_slow:1,servable_corrupt:1'")
-    p.add_argument("--chaos-seed", type=_nonnegative_int, default=0,
+    p.add_argument("--chaos-seed", type=_NON_NEGATIVE.argtype(int), default=0,
                    help="seed for the chaos schedule")
-    p.add_argument("--hedge-ms", type=_nonnegative_float, default=5.0, metavar="MS",
+    # Milliseconds of HedgePolicy.delay: the same domain at any positive scale.
+    p.add_argument("--hedge-ms", type=flag_type(HedgePolicy, "delay"), default=5.0,
+                   metavar="MS",
                    help="hedge a still-unanswered request onto a sibling "
                         "replica after this many milliseconds")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("screen", help="high-throughput candidate screening")
     _add_serving_args(p)
-    p.add_argument("--n-candidates", type=_positive_int, default=256,
-                   help="candidates to generate and score")
-    p.add_argument("--top-k", type=_positive_int, default=8,
+    p.add_argument("--n-candidates", type=flag_type(ScreenConfig, "n_candidates"),
+                   default=256, help="candidates to generate and score")
+    p.add_argument("--top-k", type=flag_type(ScreenConfig, "top_k"), default=8,
                    help="ranked winners to keep (O(k) memory)")
-    p.add_argument("--batch-size", type=_positive_int, default=16,
+    p.add_argument("--batch-size", type=flag_type(ScreenConfig, "batch_size"), default=16,
                    help="prediction batch size (throughput knob only: "
                         "the ranking is bit-identical for any value)")
-    p.add_argument("--relax-steps", type=_nonnegative_int, default=0,
+    p.add_argument("--relax-steps", type=flag_type(ScreenConfig, "relax_steps"), default=0,
                    help="force-field descent steps before scoring "
                         "(0 disables relaxation)")
-    p.add_argument("--shards", type=_positive_int, default=1,
+    p.add_argument("--shards", type=flag_type(ScreenConfig, "num_shards"), default=1,
                    help="partition the candidate stream into N shards "
                         "(merged ranking == single-shard, bit for bit)")
-    p.add_argument("--screen-seed", type=_nonnegative_int, default=0,
+    p.add_argument("--screen-seed", type=flag_type(ScreenConfig, "seed"), default=0,
                    help="seed for the candidate stream")
-    p.add_argument("--base-samples", type=_positive_int, default=32,
+    p.add_argument("--base-samples", type=flag_type(ScreenConfig, "base_samples"),
+                   default=32,
                    help="parent crystals in the mutation pool")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a chrome://tracing JSON of the screening spans")

@@ -7,27 +7,24 @@ the paper's exact settings override explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.domains import Knobs, knob
+
 
 @dataclass
-class EncoderConfig:
+class EncoderConfig(Knobs):
     """E(n)-GNN size.  Paper: hidden 256, position 64, 3 layers."""
 
     name: str = "egnn"
-    hidden_dim: int = 48
-    num_layers: int = 3
-    position_dim: int = 16
-    num_species: int = 100
-
-    def __post_init__(self):
-        # Every size is a layer width, a depth or a table length: 0 would
-        # divide by zero at build time or build a model of nothing.
-        for name in ("hidden_dim", "num_layers", "position_dim", "num_species"):
-            value = getattr(self, name)
-            if not value >= 1:
-                raise ValueError(f"EncoderConfig.{name} must be >= 1, got {value}")
+    # Every size is a layer width, a depth or a table length: 0 would
+    # divide by zero at build time or build a model of nothing.
+    hidden_dim: int = knob(48, ge=1)
+    num_layers: int = knob(3, ge=1)
+    position_dim: int = knob(16, ge=1)
+    num_species: int = knob(100, ge=1)
 
     def build_kwargs(self) -> dict:
         kwargs = {
@@ -43,23 +40,23 @@ class EncoderConfig:
 
 
 @dataclass
-class OptimizerConfig:
+class OptimizerConfig(Knobs):
     """AdamW settings.  Paper: default betas (AdamW's own), eta_base 1e-3
     or 1e-5."""
 
-    base_lr: float = 1e-3
-    weight_decay: float = 1e-2
-    eps: float = 1e-8
-    warmup_epochs: int = 8
-    gamma: float = 0.8
-    grad_clip_norm: Optional[float] = None
+    base_lr: float = knob(1e-3, gt=0, lt=math.inf)
+    weight_decay: float = knob(1e-2, ge=0, lt=math.inf)
+    eps: float = knob(1e-8, gt=0, lt=math.inf)
+    warmup_epochs: int = knob(8, ge=1)
+    gamma: float = knob(0.8, gt=0, le=1)
+    grad_clip_norm: Optional[float] = knob(None, gt=0)
     #: StableAdamW-style RMS update clipping (see repro.optim.Adam).
     #: ``update_clip=0.1`` is the Fig. 3 remedy (DESIGN.md §8).
-    update_clip: Optional[float] = None
+    update_clip: Optional[float] = knob(None, gt=0)
 
 
 @dataclass
-class PretrainConfig:
+class PretrainConfig(Knobs):
     """Symmetry pretraining (Sec. 5.2).
 
     Paper: 2M samples, N up to 512, B_eff up to 16384, 20 epochs.  The
@@ -69,21 +66,21 @@ class PretrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     group_names: Optional[Sequence[str]] = None  # None = all 32 groups
-    train_samples: int = 512
-    val_samples: int = 128
-    max_points: int = 32
+    train_samples: int = knob(512, ge=1)
+    val_samples: int = knob(128, ge=1)
+    max_points: int = knob(32, ge=1)
     #: Shell radii for seed particles.  The transfer recipe widens this to
     #: interatomic scale (1.5-4.0 A) so the pretrained geometry filters see
     #: the same distance distribution materials data produces.
     radius_range: tuple = (0.8, 2.2)
-    world_size: int = 16
-    batch_per_worker: int = 2
-    max_epochs: int = 20
-    max_steps: Optional[int] = None
-    val_every_n_steps: Optional[int] = None
-    head_hidden_dim: int = 48
-    head_blocks: int = 3
-    seed: int = 7
+    world_size: int = knob(16, ge=1)
+    batch_per_worker: int = knob(2, ge=1)
+    max_epochs: int = knob(20, ge=1)
+    max_steps: Optional[int] = knob(None, ge=1)
+    val_every_n_steps: Optional[int] = knob(None, ge=1)
+    head_hidden_dim: int = knob(48, ge=1)
+    head_blocks: int = knob(3, ge=1)
+    seed: int = knob(7, ge=0)
     #: Attach the loss-spike guard (skip the step, halve the LR, re-warm;
     #: repro.stability).
     stability_guard: bool = False
@@ -102,7 +99,7 @@ class PretrainConfig:
 
 
 @dataclass
-class FinetuneConfig:
+class FinetuneConfig(Knobs):
     """Single-task fine-tuning (Fig. 5: Materials Project band gap)."""
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -112,31 +109,33 @@ class FinetuneConfig:
     #: oc20 while the Fig. 5 default stays Materials Project.
     dataset: str = "materials_project"
     target: str = "band_gap"
-    train_samples: int = 256
-    val_samples: int = 64
-    batch_size: int = 16
-    max_epochs: int = 30
+    train_samples: int = knob(256, ge=1)
+    val_samples: int = knob(64, ge=1)
+    batch_size: int = knob(16, ge=1)
+    max_epochs: int = knob(30, ge=1)
     #: Simulated DDP worker count: the learning rate is scaled by it (Goyal
     #: et al.), matching the paper's distributed fine-tuning.  Execution is
     #: single-process — sharded gradient averaging is bit-identical.
-    world_size: int = 16
-    head_hidden_dim: int = 48
-    head_blocks: int = 3
-    seed: int = 11
+    world_size: int = knob(16, ge=1)
+    head_hidden_dim: int = knob(48, ge=1)
+    head_blocks: int = knob(3, ge=1)
+    seed: int = knob(11, ge=0)
 
 
 @dataclass
-class MultiTaskConfig:
+class MultiTaskConfig(Knobs):
     """Multi-task multi-dataset fine-tuning (Table 1 / Fig. 7)."""
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(base_lr=1e-3))
-    mp_samples: int = 192
-    carolina_samples: int = 96
-    batch_size: int = 16
-    max_epochs: int = 30
+    # A quarter of each dataset validates (at least one sample), and each
+    # split needs a training sample too.
+    mp_samples: int = knob(192, ge=2)
+    carolina_samples: int = knob(96, ge=2)
+    batch_size: int = knob(16, ge=1)
+    max_epochs: int = knob(30, ge=1)
     #: See FinetuneConfig.world_size.
-    world_size: int = 16
-    head_hidden_dim: int = 48
-    head_blocks: int = 6  # Appendix A: six blocks in the multi-task setting
-    seed: int = 13
+    world_size: int = knob(16, ge=1)
+    head_hidden_dim: int = knob(48, ge=1)
+    head_blocks: int = knob(6, ge=1)  # Appendix A: six blocks in the multi-task setting
+    seed: int = knob(13, ge=0)

@@ -465,14 +465,12 @@ def explore_datasets(
     encoder,
     samples_per_dataset: int = 40,
     seed: int = 17,
-    umap_neighbors: int = 15,
-    umap_min_dist: float = 0.05,
     umap_epochs: int = 120,
 ) -> ExplorationResult:
     """Embed all five datasets, project with UMAP-lite, quantify Fig. 4.
 
-    ``umap_min_dist`` defaults to the paper's 0.05; ``n_neighbors`` scales
-    with the (much smaller) per-dataset sample counts used on CPU.
+    UMAP runs at the paper's ``min_dist`` of 0.05; 15 neighbours suit the
+    (much smaller) per-dataset sample counts used on CPU.
     """
     # The only user of UMAP and the cluster metrics, which load scipy.
     from repro.analysis import (
@@ -495,8 +493,8 @@ def explore_datasets(
         encoder, datasets, transform, batch_size=16
     )
     umap = UMAPLite(
-        n_neighbors=umap_neighbors,
-        min_dist=umap_min_dist,
+        n_neighbors=15,
+        min_dist=0.05,
         n_epochs=umap_epochs,
         seed=seed,
     )

@@ -95,7 +95,8 @@ class CandidateGenerator:
     ----------
     base:
         Parent pool of labelled structures; defaults to a fresh
-        :class:`MaterialsProjectSurrogate` of ``base_samples`` crystals.
+        :class:`MaterialsProjectSurrogate` of ``base_samples`` crystals
+        (dataset seed 0).
     swap_table:
         Element-similarity table; defaults to one over the dataset's
         element pool so swaps never leave the training distribution.
@@ -114,7 +115,6 @@ class CandidateGenerator:
         swap_table: Optional[SwapTable] = None,
         seed: int = 0,
         base_samples: int = 32,
-        base_seed: int = 0,
         max_swaps: int = 3,
         strain_prob: float = 0.5,
         strain_scale: float = 0.02,
@@ -124,7 +124,7 @@ class CandidateGenerator:
         if not 0.0 <= strain_prob <= 1.0:
             raise ValueError("strain_prob must be in [0, 1]")
         self.base = base or MaterialsProjectSurrogate(
-            num_samples=base_samples, seed=base_seed
+            num_samples=base_samples, seed=0
         )
         self.swap_table = swap_table or SwapTable(
             element_pool=getattr(self.base, "element_pool", DEFAULT_ELEMENT_POOL)

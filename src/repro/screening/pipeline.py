@@ -22,37 +22,25 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.data.structures import GraphSample
+from repro.domains import Knobs, knob
 from repro.screening.generator import Candidate, CandidateGenerator
 from repro.screening.ranker import RankedCandidate, TopK
 from repro.screening.relax import ForceFieldRelaxer
 
 
 @dataclass
-class ScreenConfig:
+class ScreenConfig(Knobs):
     """Knobs for one screening run (mirrors the ``repro screen`` CLI)."""
 
-    n_candidates: int = 256
-    top_k: int = 16
-    batch_size: int = 16
-    relax_steps: int = 0
-    relax_step_size: float = 5e-3
-    num_shards: int = 1
-    seed: int = 0
+    n_candidates: int = knob(256, ge=1)
+    top_k: int = knob(16, ge=1)
+    batch_size: int = knob(16, ge=1)
+    relax_steps: int = knob(0, ge=0)
+    relax_step_size: float = knob(5e-3, gt=0)
+    num_shards: int = knob(1, ge=1)
+    seed: int = knob(0, ge=0)
     #: Parent pool: how many MaterialsProjectSurrogate crystals to mutate.
-    base_samples: int = 32
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.relax_steps < 0:
-            raise ValueError("relax_steps must be >= 0")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
+    base_samples: int = knob(32, ge=1)
 
 
 @dataclass
@@ -206,9 +194,7 @@ def run_screening(
     """
     obs = observer if observer is not None else _NullObserver()
     generator = generator or CandidateGenerator(
-        seed=config.seed,
-        base_samples=config.base_samples,
-        base_seed=config.base_seed,
+        seed=config.seed, base_samples=config.base_samples
     )
     if relaxer is None and config.relax_steps > 0:
         relaxer = ForceFieldRelaxer.from_spec(

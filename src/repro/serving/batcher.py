@@ -24,6 +24,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.domains import Knobs, knob
+
 #: Response status vocabulary.
 STATUS_OK = "ok"
 STATUS_SHED = "shed"
@@ -69,33 +71,19 @@ class Response:
 
 
 @dataclass
-class BatchPolicy:
+class BatchPolicy(Knobs):
     """Coalescing knobs: batch cap and the oldest-request wait bound."""
 
-    max_batch_size: int = 8
-    max_wait: float = 0.01
-
-    def __post_init__(self):
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if not self.max_wait >= 0:
-            raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
+    max_batch_size: int = knob(8, ge=1)
+    max_wait: float = knob(0.01, ge=0)
 
 
 @dataclass
-class AdmissionPolicy:
+class AdmissionPolicy(Knobs):
     """Load shedding and deadline knobs (None disables either)."""
 
-    max_queue_depth: Optional[int] = None
-    deadline: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.deadline is not None and not self.deadline > 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
+    max_queue_depth: Optional[int] = knob(None, ge=1)
+    deadline: Optional[float] = knob(None, gt=0)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from repro.distributed.events import (
     EventLog,
     SimClock,
 )
+from repro.domains import Knobs, knob
 
 #: Breaker state vocabulary.
 CLOSED = "closed"
@@ -46,43 +47,23 @@ HALF_OPEN = "half_open"
 
 
 @dataclass(frozen=True)
-class BreakerPolicy:
+class BreakerPolicy(Knobs):
     """Trip/recovery knobs for one replica's circuit breaker."""
 
     #: Rolling outcome window length.
-    window: int = 16
+    window: int = knob(16, ge=1)
     #: Open when bad-outcome fraction in the window reaches this.
-    error_threshold: float = 0.5
+    error_threshold: float = knob(0.5, gt=0, le=1)
     #: Outcomes required in the window before the trip rule applies.
-    min_events: int = 4
+    min_events: int = knob(4, ge=1)
     #: Successes slower than this count as bad outcomes (None disables).
-    latency_slo: Optional[float] = None
+    latency_slo: Optional[float] = knob(None, gt=0)
     #: Simulated seconds to stay open before probing.
-    cooldown: float = 0.1
+    cooldown: float = knob(0.1, ge=0)
     #: Fraction of half-open requests admitted as probes.
-    probe_admission: float = 0.25
+    probe_admission: float = knob(0.25, gt=0, le=1)
     #: Consecutive good probe outcomes that close the breaker.
-    probe_successes: int = 2
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.error_threshold <= 1.0:
-            raise ValueError(
-                f"error_threshold must be in (0, 1], got {self.error_threshold}"
-            )
-        if self.min_events < 1:
-            raise ValueError(f"min_events must be >= 1, got {self.min_events}")
-        if not self.cooldown >= 0:
-            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-        if not 0.0 < self.probe_admission <= 1.0:
-            raise ValueError(
-                f"probe_admission must be in (0, 1], got {self.probe_admission}"
-            )
-        if self.probe_successes < 1:
-            raise ValueError(
-                f"probe_successes must be >= 1, got {self.probe_successes}"
-            )
+    probe_successes: int = knob(2, ge=1)
 
 
 class CircuitBreaker:

@@ -27,34 +27,21 @@ from repro.distributed.events import (
     EventLog,
     SimClock,
 )
+from repro.domains import Knobs, knob
 
 
 @dataclass(frozen=True)
-class HealthPolicy:
+class HealthPolicy(Knobs):
     """Probe cadence and hysteresis knobs."""
 
     #: Simulated seconds between probes of the same replica.
-    interval: float = 0.02
+    interval: float = knob(0.02, gt=0)
     #: Probe latency above this counts as a failed probe.
-    latency_threshold: float = 0.05
+    latency_threshold: float = knob(0.05, gt=0)
     #: Consecutive failures before a replica is marked unhealthy.
-    unhealthy_after: int = 2
+    unhealthy_after: int = knob(2, ge=1)
     #: Consecutive successes before an unhealthy replica recovers.
-    healthy_after: int = 2
-
-    def __post_init__(self):
-        if not self.interval > 0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
-        if not self.latency_threshold > 0:
-            raise ValueError(
-                f"latency_threshold must be > 0, got {self.latency_threshold}"
-            )
-        if self.unhealthy_after < 1:
-            raise ValueError(
-                f"unhealthy_after must be >= 1, got {self.unhealthy_after}"
-            )
-        if self.healthy_after < 1:
-            raise ValueError(f"healthy_after must be >= 1, got {self.healthy_after}")
+    healthy_after: int = knob(2, ge=1)
 
 
 class HealthChecker:

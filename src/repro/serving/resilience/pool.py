@@ -65,6 +65,7 @@ from repro.distributed.events import (
     EventLog,
     SimClock,
 )
+from repro.domains import Knobs, knob
 from repro.serving.batcher import (
     STATUS_FAILED,
     STATUS_OK,
@@ -83,7 +84,7 @@ from repro.serving.resilience.health import HealthChecker, HealthPolicy
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Knobs):
     """Exponential-backoff failover retries.
 
     ``backoff(attempt)`` returns the simulated wait before re-attempting
@@ -99,15 +100,11 @@ class RetryPolicy:
     default) returns the undisturbed exponential schedule, bit for bit.
     """
 
-    max_retries: int = 3
-    backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
-    jitter: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+    max_retries: int = knob(3, ge=0)
+    backoff_base_s: float = knob(0.5, ge=0)
+    backoff_factor: float = knob(2.0, ge=0)
+    jitter: float = knob(0.0, ge=0, lt=1)
+    jitter_seed: int = knob(0, ge=0)
 
     def backoff(self, attempt: int, key: int = 0) -> float:
         if attempt < 0:
@@ -120,23 +117,15 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class HedgePolicy:
-    """When and how often to duplicate a waiting request."""
+class HedgePolicy(Knobs):
+    """When to duplicate a waiting request (at most once per request)."""
 
     #: Simulated seconds after arrival before the hedge fires.
-    delay: float = 0.005
-    #: Hedges per request (1 = at most one duplicate).
-    max_hedges: int = 1
-
-    def __post_init__(self):
-        if not self.delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-        if self.max_hedges < 1:
-            raise ValueError(f"max_hedges must be >= 1, got {self.max_hedges}")
+    delay: float = knob(0.005, ge=0)
 
 
 @dataclass(frozen=True)
-class DegradationPolicy:
+class DegradationPolicy(Knobs):
     """The brownout ladder: how admission tightens per degradation level.
 
     The level is the number of unavailable replicas (dead, unhealthy, or
@@ -147,20 +136,9 @@ class DegradationPolicy:
     max_wait_factor ** L`` — shed earlier, dispatch sooner, stay up.
     """
 
-    queue_depth_factor: float = 0.5
-    max_wait_factor: float = 0.5
-    overload_queue_frac: float = 0.75
-
-    def __post_init__(self):
-        for name in ("queue_depth_factor", "max_wait_factor"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if not 0.0 < self.overload_queue_frac <= 1.0:
-            raise ValueError(
-                f"overload_queue_frac must be in (0, 1], got "
-                f"{self.overload_queue_frac}"
-            )
+    queue_depth_factor: float = knob(0.5, gt=0, le=1)
+    max_wait_factor: float = knob(0.5, gt=0, le=1)
+    overload_queue_frac: float = knob(0.75, gt=0, le=1)
 
 
 class _Pending:
@@ -522,7 +500,7 @@ class ReplicaPool:
         self._enqueue(candidates[0], pending, now, "failover")
 
     def _handle_hedge(self, now: float, pending: _Pending) -> None:
-        if pending.done or pending.hedges >= self.hedge.max_hedges:
+        if pending.done or pending.hedges:
             return
         candidates = self._candidates(exclude=pending.tried)
         if not candidates:
@@ -535,8 +513,6 @@ class ReplicaPool:
         )
         self._counter("serve.hedge.launched")
         self._enqueue(candidates[0], pending, now, "hedge")
-        if pending.hedges < self.hedge.max_hedges:
-            self._push(now + self.hedge.delay, "hedge", pending)
 
     def _handle_check(self, now: float, index: int) -> None:
         replica = self.replicas[index]

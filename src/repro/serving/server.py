@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.distributed.events import SimClock
+from repro.domains import Knobs, knob
 from repro.observability import Observer
 from repro.serving.batcher import (
     AdmissionPolicy,
@@ -51,20 +52,14 @@ class DegenerateFitWarning(RuntimeWarning):
 
 
 @dataclass
-class AffineServiceModel:
+class AffineServiceModel(Knobs):
     """``duration(n) = base + per_sample * n`` seconds."""
 
-    base: float
-    per_sample: float
+    base: float = knob(ge=0)
+    per_sample: float = knob(gt=0)
     #: Set by :func:`calibrate_service_model` when the fitted slope was not
     #: positive and ``per_sample`` is the flat ``tn / n`` instead.
     degenerate_fit: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        if not (self.base >= 0 and self.per_sample > 0):
-            raise ValueError(
-                f"need base >= 0 and per_sample > 0, got {self.base}, {self.per_sample}"
-            )
 
     def __call__(self, batch_size: int) -> float:
         return self.base + self.per_sample * batch_size

@@ -19,6 +19,7 @@ from repro.autograd import Tensor, no_grad
 from repro.autograd import functional as F
 from repro.data.structures import GraphBatch
 from repro.data.transforms.features import TargetNormalizer
+from repro.domains import Knobs, knob
 from repro.kernels import dispatch as K
 from repro.models.encoder import Encoder
 from repro.nn import ModuleDict, OutputHead
@@ -26,7 +27,7 @@ from repro.tasks.base import Task, ValResult
 
 
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Knobs):
     """One objective inside the joint task.
 
     ``dataset=None`` matches samples from any dataset; set it when the same
@@ -37,15 +38,9 @@ class TaskSpec:
 
     name: str
     target: str
-    kind: str  # "regression" | "binary"
+    kind: str = knob(choices=("regression", "binary"))
     dataset: Optional[str] = None
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("regression", "binary"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.weight <= 0:
-            raise ValueError("task weight must be positive")
+    weight: float = knob(1.0, gt=0)
 
 
 class MultiTaskModule(Task):

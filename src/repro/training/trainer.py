@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.data.batching import collate_graphs
 from repro.distributed.ddp import SingleProcessStrategy, Strategy
 from repro.autograd.anomaly import detect_anomaly
+from repro.domains import Knobs, knob
 from repro.optim.clip import clip_grad_norm
 from repro.optim.optimizer import Optimizer
 from repro.optim.schedulers import LRScheduler
@@ -43,7 +44,7 @@ _NULL_SPAN = contextlib.nullcontext()
 
 
 @dataclass
-class TrainerConfig:
+class TrainerConfig(Knobs):
     """Loop configuration.
 
     ``val_every_n_steps`` enables the dense validation cadence the early-
@@ -51,35 +52,20 @@ class TrainerConfig:
     validation runs at every epoch boundary.
     """
 
-    max_epochs: int = 10
-    max_steps: Optional[int] = None
-    val_every_n_steps: Optional[int] = None
+    # Every count is a step or epoch budget or a modulus: 0 would train
+    # nothing or divide by zero at the first step.
+    max_epochs: int = knob(10, ge=1)
+    max_steps: Optional[int] = knob(None, ge=1)
+    val_every_n_steps: Optional[int] = knob(None, ge=1)
     #: A NaN/Inf global norm zeroes the gradients (``clip_grad_norm``'s
     #: ``nonfinite="zero"``), skipping the poisoned update instead of
     #: aborting the run.
-    grad_clip_norm: Optional[float] = None
+    grad_clip_norm: Optional[float] = knob(None, gt=0)
     #: Run every strategy execution under ``repro.autograd.detect_anomaly``
     #: so the first non-finite forward value or gradient raises a
     #: NumericalAnomalyError naming the offending op.
     detect_anomaly: bool = False
-    log_every_n_steps: int = 10
-
-    def __post_init__(self):
-        # Every count is a step or epoch budget or a modulus: 0 would
-        # train nothing or divide by zero at the first step.
-        counts = {
-            "max_epochs": self.max_epochs,
-            "max_steps": self.max_steps,
-            "val_every_n_steps": self.val_every_n_steps,
-            "log_every_n_steps": self.log_every_n_steps,
-        }
-        for name, value in counts.items():
-            if value is not None and not value >= 1:
-                raise ValueError(f"TrainerConfig.{name} must be >= 1, got {value}")
-        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
-            raise ValueError(
-                f"TrainerConfig.grad_clip_norm must be > 0, got {self.grad_clip_norm}"
-            )
+    log_every_n_steps: int = knob(10, ge=1)
 
 
 class Trainer:

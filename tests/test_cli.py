@@ -127,6 +127,25 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    def test_pretrained_recipe_is_replaced_not_mutated(self, monkeypatch, capsys):
+        """``--pretrained`` builds the recipe with ``dataclasses.replace``,
+        so the encoder config is validated; its ``asdict`` (the cache key)
+        is the one the old in-place assignment produced."""
+        from dataclasses import asdict
+        from types import SimpleNamespace
+
+        from repro import cli
+        from repro.core import EncoderConfig, transfer_pretrain_recipe
+
+        seen = []
+        monkeypatch.setattr(cli, "cached_pretrained_encoder", seen.append)
+        encoder = EncoderConfig(name="schnet", hidden_dim=8, num_layers=1, position_dim=4)
+        cli._pretrained_state(SimpleNamespace(pretrained=True), encoder)
+        assigned = transfer_pretrain_recipe()
+        assigned.encoder = encoder
+        assert asdict(seen[0]) == asdict(assigned)
+        assert transfer_pretrain_recipe().encoder != encoder
+
     def test_registry_verify_parses(self):
         args = build_parser().parse_args(
             ["registry", "verify", "--registry", "/tmp/reg"]

@@ -353,7 +353,9 @@ BAD_BOUNDS = {
     ),
     "clock-advance-nan": (lambda: SimClock().advance(math.nan), "advance"),
     "counter-inc-nan": (lambda: MetricsRegistry().counter("c").inc(math.nan), "decrease"),
-    "train-property-lr-nan": (lambda: _finetune_with_lr(math.nan), "learning rate"),
+    # Refused by the config, naming the field that was set, before any
+    # Goyal scaling.
+    "train-property-lr-nan": (lambda: _finetune_with_lr(math.nan), r"OptimizerConfig\.base_lr"),
 }
 
 

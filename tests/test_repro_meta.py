@@ -85,6 +85,46 @@ class TestSourceHygiene:
                         undocumented.append(f"{path.name}:{node.name}")
         assert not undocumented, f"undocumented public items: {undocumented}"
 
+    def test_one_bound_checker(self):
+        """Knob bounds live in field domains (``repro.domains``): no
+        ``__post_init__`` raises a hand-written ValueError, except the shape
+        checks of the per-item structure records, and ``cli.py`` builds no
+        bounded argparse type of its own."""
+        import ast
+
+        def raises(node, name):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return getattr(exc, "id", getattr(exc, "attr", None)) == name
+
+        shape_checked = {"Structure", "GraphSample", "Lattice"}
+        offenders = []
+        for path in self._src_files():
+            tree = ast.parse(path.read_text())
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef) or cls.name in shape_checked:
+                    continue
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__" and any(
+                        isinstance(n, ast.Raise) and raises(n, "ValueError")
+                        for n in ast.walk(fn)
+                    ):
+                        offenders.append(f"{path.name}:{cls.name}.__post_init__")
+            if path.name != "cli.py":
+                continue
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                body = list(ast.walk(fn))
+                if any(
+                    isinstance(n, ast.Raise) and raises(n, "ArgumentTypeError") for n in body
+                ) and any(
+                    isinstance(n, ast.Compare)
+                    and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in n.ops)
+                    for n in body
+                ):
+                    offenders.append(f"cli.py:{fn.name}")
+        assert not offenders, f"hand-written bound checks: {offenders}"
+
     def test_no_torch_or_dgl_imports(self):
         """The reproduction's core claim: the entire stack is numpy-native."""
         offenders = []

@@ -422,7 +422,7 @@ class TestReplicaPool:
                             duration=duration, factor=30.0)]
         pool, report = run_pool(
             requests, chaos=chaos, clock=clock, observer=observer,
-            hedge=HedgePolicy(delay=0.003, max_hedges=1),
+            hedge=HedgePolicy(delay=0.003),
         )
         metrics = report.metrics
         launched = metrics.get("serve.hedge.launched", {}).get("value", 0)

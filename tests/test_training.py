@@ -176,10 +176,9 @@ class TestTrainerLoop:
         whose ``final_mae`` raised IndexError."""
         from repro.core import FinetuneConfig, train_property
 
-        config = FinetuneConfig(train_samples=4, val_samples=2, batch_size=2,
-                                max_epochs=0, world_size=1)
         with pytest.raises(ValueError, match="max_epochs must be >= 1, got 0"):
-            train_property(config)
+            train_property(FinetuneConfig(train_samples=4, val_samples=2, batch_size=2,
+                                          max_epochs=0, world_size=1))
 
 
 class TestCallbacks:
